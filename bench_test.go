@@ -348,9 +348,9 @@ func BenchmarkSimProfileTimeline(b *testing.B) {
 // iteration restores the nearest golden image (sub-launch or launch
 // boundary), simulates the faulted suffix, and cuts off as soon as the
 // state rejoins golden. Triggers cycle through the first fifty filtered
-// lane-ops — the definition BENCH_v0.json and the CI gate track — so the
-// metric prices the early-fault replay the sub-launch rejoin cutoff was
-// built for.
+// lane-ops — the definition the BENCH_v*.json snapshots and the CI gate
+// track — so the metric prices the early-fault replay the sub-launch
+// rejoin cutoff was built for.
 func benchPerFault(b *testing.B, name string, build kernels.Builder) {
 	dev := device.K40c()
 	r, err := kernels.NewRunner(name, build, dev, asm.O2)
@@ -358,10 +358,11 @@ func benchPerFault(b *testing.B, name string, build kernels.Builder) {
 		b.Fatal(err)
 	}
 	nl := len(r.GoldenProfiles())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		plan := &sim.FaultPlan{Kind: sim.FaultValueBit, TriggerIndex: uint64(i % 50), Bit: i % 32}
-		if _, err := r.RunWithFault(plan, i%nl); err != nil {
+		if _, err := r.RunTrialWithFault(plan, i%nl); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -389,6 +390,7 @@ func benchPerFaultUniform(b *testing.B, name string, build kernels.Builder) {
 		total += n
 	}
 	rng := stats.NewRNG(0xb7e151628aed2a6a, 0x9e3779b97f4a7c15)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t := uint64(rng.Int64N(int64(total)))
@@ -398,7 +400,7 @@ func benchPerFaultUniform(b *testing.B, name string, build kernels.Builder) {
 			launch++
 		}
 		plan := &sim.FaultPlan{Kind: sim.FaultValueBit, TriggerIndex: t, Bit: rng.IntN(32)}
-		if _, err := r.RunWithFault(plan, launch); err != nil {
+		if _, err := r.RunTrialWithFault(plan, launch); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -423,6 +425,15 @@ func BenchmarkSimPerFaultFMXMUniform(b *testing.B) {
 
 func BenchmarkSimPerFaultYOLOv3Uniform(b *testing.B) {
 	benchPerFaultUniform(b, "FYOLOV3", kernels.YOLOBuilder(true, isa.F32))
+}
+
+// BenchmarkSimPerFaultGaussianUniform prices the launch-boundary path:
+// FGAUSSIAN's 46 short launches record no sub-launch images, so every
+// fault restores a boundary snapshot and replays launch by launch until
+// a boundary compare matches golden — one engine set-up per replayed
+// launch.
+func BenchmarkSimPerFaultGaussianUniform(b *testing.B) {
+	benchPerFaultUniform(b, "FGAUSSIAN", kernels.GaussianBuilder())
 }
 
 // BenchmarkSimSnapshotRestore isolates the memory-checkpoint substrate:

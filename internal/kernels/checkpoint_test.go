@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -13,9 +14,9 @@ import (
 
 // runWithFaultFull is the pre-checkpointing reference engine: rebuild
 // the workload from scratch and re-simulate every launch, with the
-// fault plan applied to faultLaunch. The checkpointed RunWithFault must
-// classify identically for every plan.
-func runWithFaultFull(t *testing.T, r *Runner, plan *sim.FaultPlan, faultLaunch int) Outcome {
+// fault plan applied to faultLaunch. The checkpointed RunTrialWithFault
+// must produce the identical TrialRecord for every plan.
+func runWithFaultFull(t *testing.T, r *Runner, plan *sim.FaultPlan, faultLaunch int) TrialRecord {
 	t.Helper()
 	inst, err := r.Build(r.Dev, r.Opt)
 	if err != nil {
@@ -35,13 +36,15 @@ func runWithFaultFull(t *testing.T, r *Runner, plan *sim.FaultPlan, faultLaunch 
 			t.Fatalf("full re-sim launch %d: %v", i, err)
 		}
 		if res.Outcome == sim.OutcomeDUE {
-			return DUE
+			return TrialRecord{Outcome: DUE, DUEMode: res.DUEMode}
 		}
 	}
 	if !inst.Check(inst.Global) {
-		return SDC
+		rec := TrialRecord{Outcome: SDC}
+		r.captureDiff(inst.Global, &rec)
+		return rec
 	}
-	return Masked
+	return TrialRecord{Outcome: Masked}
 }
 
 // clonePlan copies the schedulable part of a fault plan (the engine
@@ -103,11 +106,11 @@ func TestCheckpointedRunMatchesFullResimulation(t *testing.T) {
 				if kind == sim.FaultValueBit && rng.Bool(0.5) {
 					plan.Filter = gprFilter
 				}
-				fast, err := r.RunWithFault(clonePlan(plan), launch)
+				rec, err := r.RunTrialWithFault(clonePlan(plan), launch)
 				if err != nil {
 					t.Fatalf("checkpointed run: %v", err)
 				}
-				full := runWithFaultFull(t, r, clonePlan(plan), launch)
+				fast, full := rec.Outcome, runWithFaultFull(t, r, clonePlan(plan), launch).Outcome
 				if fast != full {
 					t.Fatalf("case %d: kind %v launch %d trigger %d bit %d: checkpointed %v, full re-sim %v",
 						i, plan.Kind, launch, plan.TriggerIndex, plan.Bit, fast, full)
@@ -133,17 +136,17 @@ func TestRunnerReusableAfterFaults(t *testing.T) {
 			TriggerIndex: uint64(i * 37),
 			Bit:          i % 32,
 		}
-		if _, err := r.RunWithFault(plan, i%len(r.Instance().Launches)); err != nil {
+		if _, err := r.RunTrialWithFault(plan, i%len(r.Instance().Launches)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// A never-firing plan replays the golden execution.
-	out, err := r.RunWithFault(&sim.FaultPlan{Kind: sim.FaultValueBit, TriggerIndex: 1 << 60}, 0)
+	rec, err := r.RunTrialWithFault(&sim.FaultPlan{Kind: sim.FaultValueBit, TriggerIndex: 1 << 60}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out != Masked {
-		t.Fatalf("clean replay after faults gave %v, want Masked", out)
+	if rec.Outcome != Masked {
+		t.Fatalf("clean replay after faults gave %v, want Masked", rec.Outcome)
 	}
 	if !r.Instance().Check(r.Instance().Global) {
 		t.Fatal("faulted replays corrupted the cached golden memory")
@@ -196,11 +199,11 @@ func TestSubLaunchReplayAcrossFaultKinds(t *testing.T) {
 			if kind == sim.FaultValueBit && rng.Bool(0.5) {
 				plan.Filter = gprFilter
 			}
-			fast, err := r.RunWithFault(clonePlan(plan), 0)
+			rec, err := r.RunTrialWithFault(clonePlan(plan), 0)
 			if err != nil {
 				t.Fatalf("checkpointed run: %v", err)
 			}
-			full := runWithFaultFull(t, r, clonePlan(plan), 0)
+			fast, full := rec.Outcome, runWithFaultFull(t, r, clonePlan(plan), 0).Outcome
 			if fast != full {
 				t.Fatalf("kind %v trigger %d bit %d: checkpointed %v, full re-sim %v",
 					plan.Kind, plan.TriggerIndex, plan.Bit, fast, full)
@@ -214,44 +217,71 @@ func TestSubLaunchReplayAcrossFaultKinds(t *testing.T) {
 	}
 }
 
-// TestReplayDeterminismAcrossWorkers locks in that a Runner shared by
-// concurrent campaign workers classifies exactly like a sequential one:
-// the same plan set run one-at-a-time and under 8 goroutines must give
-// identical per-plan outcomes. This is the property campaigns rely on
-// when they fan RunWithFault out over a worker pool — the engine's
-// pooled memories, image restores, and rejoin compares must not couple
-// replays to each other.
+// TestReplayDeterminismAcrossWorkers locks in that Runners shared by
+// concurrent campaign workers produce exactly the records a sequential
+// campaign does: the same plan set run one-at-a-time and under 8
+// goroutines must give identical per-plan TrialRecords (outcome, DUE
+// mode, diff, corrupt-word count). This is the property campaigns rely
+// on when they fan RunTrialWithFault out over a worker pool — pooled
+// memories, recycled engine state, image restores, and rejoin compares
+// must not couple replays to each other. Plans of four shapes are
+// interleaved so recycled engines cross programs, launch geometries,
+// and devices between consecutive replays: FMXM (sub-launch image
+// restores), FGAUSSIAN (46 launches, the boundary path), FHOTSPOT
+// (shared memory), and FMXM on the V100 (80 SMs against the K40c's 15).
+// A subset is also checked against full re-simulation.
 func TestReplayDeterminismAcrossWorkers(t *testing.T) {
-	dev := device.K40c()
-	r, err := NewRunner("FMXM", MxMBuilder(isa.F32), dev, asm.O2)
-	if err != nil {
-		t.Fatal(err)
+	shapes := []struct {
+		name  string
+		build Builder
+		dev   *device.Device
+	}{
+		{"FMXM", MxMBuilder(isa.F32), device.K40c()},
+		{"FGAUSSIAN", GaussianBuilder(), device.K40c()},
+		{"FHOTSPOT", HotspotBuilder(isa.F32), device.K40c()},
+		{"FMXM", MxMBuilder(isa.F32), device.V100()},
 	}
-	ops := r.GoldenProfiles()[0].LaneOps
+	runners := make([]*Runner, len(shapes))
+	for i, sh := range shapes {
+		r, err := NewRunner(sh.name, sh.build, sh.dev, asm.O2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runners[i] = r
+	}
+	type job struct {
+		r      *Runner
+		plan   *sim.FaultPlan
+		launch int
+	}
 	rng := stats.NewRNG(0xd00d, 0x7003)
-	const n = 64
-	plans := make([]*sim.FaultPlan, n)
-	for i := range plans {
-		plans[i] = &sim.FaultPlan{
-			Kind:         sim.FaultKind(rng.IntN(8)),
-			TriggerIndex: rng.Uint64() % (ops + 1),
-			Bit:          rng.IntN(64),
-			Block:        rng.IntN(4),
-			Thread:       rng.IntN(64),
-			Reg:          rng.IntN(8),
-			BitIdx:       rng.Uint64() % 4096,
+	const perShape = 24
+	var jobs []job
+	for i := 0; i < perShape; i++ {
+		for _, r := range runners {
+			profiles := r.GoldenProfiles()
+			launch := rng.IntN(len(profiles))
+			jobs = append(jobs, job{r: r, launch: launch, plan: &sim.FaultPlan{
+				Kind:         sim.FaultKind(rng.IntN(8)),
+				TriggerIndex: rng.Uint64() % (profiles[launch].LaneOps + 1),
+				Bit:          rng.IntN(64),
+				Block:        rng.IntN(4),
+				Thread:       rng.IntN(64),
+				Reg:          rng.IntN(8),
+				BitIdx:       rng.Uint64() % 4096,
+			}})
 		}
 	}
-	seq := make([]Outcome, n)
-	for i, p := range plans {
-		out, err := r.RunWithFault(clonePlan(p), 0)
+	seq := make([]TrialRecord, len(jobs))
+	for i, j := range jobs {
+		rec, err := j.r.RunTrialWithFault(clonePlan(j.plan), j.launch)
 		if err != nil {
 			t.Fatalf("sequential plan %d: %v", i, err)
 		}
-		seq[i] = out
+		seq[i] = rec
 	}
-	par := make([]Outcome, n)
-	errs := make([]error, n)
+	par := make([]TrialRecord, len(jobs))
+	errs := make([]error, len(jobs))
 	var wg sync.WaitGroup
 	work := make(chan int)
 	for w := 0; w < 8; w++ {
@@ -259,23 +289,36 @@ func TestReplayDeterminismAcrossWorkers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				par[i], errs[i] = r.RunWithFault(clonePlan(plans[i]), 0)
+				par[i], errs[i] = jobs[i].r.RunTrialWithFault(clonePlan(jobs[i].plan), jobs[i].launch)
 			}
 		}()
 	}
-	for i := range plans {
+	for i := range jobs {
 		work <- i
 	}
 	close(work)
 	wg.Wait()
-	for i := range plans {
+	outcomes := map[Outcome]int{}
+	for i, j := range jobs {
 		if errs[i] != nil {
 			t.Fatalf("parallel plan %d: %v", i, errs[i])
 		}
-		if par[i] != seq[i] {
-			t.Errorf("plan %d (kind %v trigger %d): sequential %v, 8-worker %v",
-				i, plans[i].Kind, plans[i].TriggerIndex, seq[i], par[i])
+		outcomes[seq[i].Outcome]++
+		if !reflect.DeepEqual(par[i], seq[i]) {
+			t.Errorf("plan %d (%s on %s, kind %v launch %d trigger %d): sequential %+v, 8-worker %+v",
+				i, j.r.Name, j.r.Dev.Name, j.plan.Kind, j.launch, j.plan.TriggerIndex, seq[i], par[i])
 		}
+	}
+	for i := 0; i < len(jobs); i += 5 {
+		j := jobs[i]
+		if full := runWithFaultFull(t, j.r, clonePlan(j.plan), j.launch); !reflect.DeepEqual(full, seq[i]) {
+			t.Errorf("plan %d (%s on %s, kind %v launch %d trigger %d): checkpointed %+v, full re-sim %+v",
+				i, j.r.Name, j.r.Dev.Name, j.plan.Kind, j.launch, j.plan.TriggerIndex, seq[i], full)
+		}
+	}
+	t.Logf("outcomes over %d plans: %v", len(jobs), outcomes)
+	if outcomes[SDC] == 0 {
+		t.Error("no plan produced an SDC; the record comparison never saw a diff")
 	}
 }
 
@@ -296,11 +339,11 @@ func TestEarlyCutoffMatchesComparator(t *testing.T) {
 			TriggerIndex: uint64(rng.Int64N(int64(r.GoldenProfiles()[0].LaneOps))),
 			Bit:          rng.IntN(64),
 		}
-		fast, err := r.RunWithFault(clonePlan(plan), 0)
+		rec, err := r.RunTrialWithFault(clonePlan(plan), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		full := runWithFaultFull(t, r, clonePlan(plan), 0)
+		fast, full := rec.Outcome, runWithFaultFull(t, r, clonePlan(plan), 0).Outcome
 		if fast != full {
 			t.Fatalf("trigger %d bit %d: cutoff %v vs comparator %v",
 				plan.TriggerIndex, plan.Bit, fast, full)

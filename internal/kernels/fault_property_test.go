@@ -51,12 +51,12 @@ func TestAnyFaultYieldsClassifiedOutcome(t *testing.T) {
 			Reg:          int(reg),
 			BitIdx:       uint64(trigger),
 		}
-		out, err := r.RunWithFault(plan, launch)
+		rec, err := r.RunTrialWithFault(plan, launch)
 		if err != nil {
 			t.Logf("infrastructure error for %v on %s: %v", kind, r.Name, err)
 			return false
 		}
-		switch out {
+		switch rec.Outcome {
 		case Masked, SDC, DUE:
 			return true
 		}
@@ -77,12 +77,12 @@ func TestLateTriggerAlwaysMasked(t *testing.T) {
 	}
 	for kind := sim.FaultKind(0); kind < 5; kind++ {
 		plan := &sim.FaultPlan{Kind: kind, TriggerIndex: 1 << 60, Bit: 7}
-		out, err := r.RunWithFault(plan, 0)
+		rec, err := r.RunTrialWithFault(plan, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out != Masked {
-			t.Fatalf("kind %v with late trigger gave %v, want Masked", kind, out)
+		if rec.Outcome != Masked {
+			t.Fatalf("kind %v with late trigger gave %v, want Masked", kind, rec.Outcome)
 		}
 	}
 }

@@ -172,9 +172,14 @@ type Runner struct {
 	Dev   *device.Device
 	Opt   asm.OptLevel
 
-	inst           *Instance       // cached build: programs, geometry, comparator
-	snaps          []*mem.Snapshot // snaps[i] = memory before launch i; snaps[n] = final
-	pool           *mem.Pool       // recycled working memories for faulted replays
+	inst  *Instance       // cached build: programs, geometry, comparator
+	snaps []*mem.Snapshot // snaps[i] = memory before launch i; snaps[n] = final
+	// pool recycles the working memories of faulted replays, sized at
+	// the golden run's allocation high-water mark rather than the
+	// instance's capacity: builders allocate host-side, and every kernel
+	// access is bounds-checked against the high-water mark, so a replay
+	// never touches a word above it.
+	pool           *mem.Pool
 	goldenProfiles []sim.Profile
 	goldenCycles   []int64
 
@@ -185,7 +190,7 @@ type Runner struct {
 	images [][]*sim.LaunchImage
 
 	// Replay accounting (read via ReplayStats; atomic because campaigns
-	// call RunWithFault from many goroutines).
+	// call RunTrialWithFault from many goroutines).
 	subRestores atomic.Uint64 // replays started from a sub-launch image
 	subRejoins  atomic.Uint64 // replays cut off at a sub-launch rejoin
 }
@@ -206,7 +211,6 @@ func NewRunner(name string, build Builder, dev *device.Device, opt asm.OptLevel)
 		return nil, fmt.Errorf("kernels: building %s: %w", name, err)
 	}
 	r.inst = inst
-	r.pool = mem.NewPool(inst.Global.CapacityBytes())
 	// Sub-launch images cost roughly one global snapshot plus resident
 	// block state apiece; divide the budget across launches and skip
 	// recording where fewer than two images would fit.
@@ -245,6 +249,11 @@ func NewRunner(name string, build Builder, dev *device.Device, opt asm.OptLevel)
 		}
 	}
 	r.snaps = append(r.snaps, inst.Global.Snapshot())
+	hwm := 0
+	for _, s := range r.snaps {
+		hwm = max(hwm, s.AllocatedBytes())
+	}
+	r.pool = mem.NewPool(hwm)
 	if !inst.Check(inst.Global) {
 		return nil, fmt.Errorf("kernels: golden run of %s fails its own check", name)
 	}
@@ -303,19 +312,6 @@ func (r *Runner) LaunchLaneOps(filter func(op isa.Op) bool) []uint64 {
 		}
 	}
 	return out
-}
-
-// RunWithFault executes the workload with the fault plan applied to the
-// given launch and collapses the trial to its ternary outcome. It is
-// RunTrialWithFault without the structured record, kept for callers
-// that only tally outcomes.
-//
-// On an infrastructure error the returned Outcome is DUE, but callers
-// must treat the error as fatal to the trial, not as a classification:
-// an errored trial is neither Masked nor a DUE observation.
-func (r *Runner) RunWithFault(plan *sim.FaultPlan, faultLaunch int) (Outcome, error) {
-	rec, err := r.RunTrialWithFault(plan, faultLaunch)
-	return rec.Outcome, err
 }
 
 // RunTrialWithFault executes the workload with the fault plan applied to
@@ -422,7 +418,8 @@ func (r *Runner) resumeWithFault(g *mem.Global, plan *sim.FaultPlan, faultLaunch
 // final golden snapshot. With a declared Output region the scan walks
 // the grid element-wise and emits whole elements; without one it walks
 // the entire allocated region word-wise (the count still sizes the
-// corruption, but nothing downstream can classify it).
+// corruption, but nothing downstream can classify it). The diff is
+// allocated once, at the budget's capacity, on the first corrupt word.
 func (r *Runner) captureDiff(g *mem.Global, rec *TrialRecord) {
 	golden := r.snaps[len(r.inst.Launches)]
 	out := r.inst.Output
@@ -433,6 +430,9 @@ func (r *Runner) captureDiff(g *mem.Global, rec *TrialRecord) {
 				continue
 			}
 			rec.CorruptWords++
+			if rec.Diff == nil {
+				rec.Diff = make([]CorruptWord, 0, DiffBudgetWords)
+			}
 			if len(rec.Diff) < DiffBudgetWords {
 				rec.Diff = append(rec.Diff, CorruptWord{Addr: addr, Golden: gw, Observed: ow})
 			} else {
@@ -457,6 +457,9 @@ func (r *Runner) captureDiff(g *mem.Global, rec *TrialRecord) {
 		if len(rec.Diff)+int(ew) > DiffBudgetWords {
 			rec.DiffTruncated = true
 			continue
+		}
+		if rec.Diff == nil {
+			rec.Diff = make([]CorruptWord, 0, DiffBudgetWords)
 		}
 		for w := uint32(0); w < ew; w++ {
 			addr := base + w*4

@@ -215,7 +215,20 @@ type Shared struct {
 
 // NewShared creates a shared-memory region of the given size in bytes.
 func NewShared(size int) *Shared {
-	return &Shared{words: make([]uint32, (size+3)/4), size: uint32(size)}
+	s := SharedOn(make([]uint32, SharedWords(size)), size)
+	return &s
+}
+
+// SharedWords returns the number of 32-bit words backing a shared-memory
+// region of the given size in bytes.
+func SharedWords(size int) int { return (size + 3) / 4 }
+
+// SharedOn returns a shared-memory region of the given size in bytes
+// stored in words, which must hold exactly SharedWords(size) words. The
+// region starts with whatever words holds; callers that recycle storage
+// hand in zeroed words.
+func SharedOn(words []uint32, size int) Shared {
+	return Shared{words: words, size: uint32(size)}
 }
 
 // Size returns the region size in bytes.

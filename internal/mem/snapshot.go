@@ -94,12 +94,21 @@ func (g *Global) EqualSnapshot(s *Snapshot) bool {
 // Pool recycles Global instances of one capacity so that per-fault
 // setup does not allocate (and zero) the whole device memory. Pooled
 // instances keep the invariant that words above hwm are zero.
+//
+// A pool serving snapshot restores only needs the capacity of the
+// largest snapshot it restores (Snapshot.AllocatedBytes): a restored
+// Global never allocates, and its accesses are bounds-checked against
+// the restored high-water mark. Sizing the pool there instead of at the
+// source Global's capacity keeps each pooled memory at the size the
+// workload actually uses, which is what bounds the resident memory of
+// a many-worker campaign.
 type Pool struct {
 	capacity int
 	p        sync.Pool
 }
 
-// NewPool creates a pool of Globals with the given capacity in bytes.
+// NewPool creates a pool of Globals with the given capacity in bytes;
+// for snapshot restores, the largest snapshot's AllocatedBytes.
 func NewPool(capacity int) *Pool {
 	pl := &Pool{capacity: capacity}
 	pl.p.New = func() any { return NewGlobal(pl.capacity) }

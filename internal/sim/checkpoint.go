@@ -255,8 +255,12 @@ func captureBlock(b *blockState) blockImage {
 	return bi
 }
 
-// restoreImage rewinds a freshly constructed engine (no blocks launched)
-// to the image's state, including global memory and the trigger clocks.
+// restoreImage rewinds a freshly prepared engine (no blocks launched) to
+// the image's state, including global memory and the trigger clocks.
+// The image must come from a launch of the same geometry on the same
+// device. Block and warp state is carved from the engine's arenas and
+// the image is only read, never aliased: a recycled engine's storage
+// must not reach the image shared by every replay of the launch.
 func (e *engine) restoreImage(img *LaunchImage) {
 	e.cycle = img.Cycle
 	e.laneOps = img.LaneOps
@@ -276,22 +280,18 @@ func (e *engine) restoreImage(img *LaunchImage) {
 	}
 	e.glob.Restore(img.Mem)
 
-	blocks := make([]*blockState, len(img.blocks))
+	blocks := e.st.blkScratch[:0]
 	for i := range img.blocks {
-		blocks[i] = materializeBlock(&img.blocks[i], e.prog.SharedMem)
+		blocks = append(blocks, e.materializeBlock(&img.blocks[i]))
 	}
-	e.sms = make([]smState, len(img.sms))
+	e.st.blkScratch = blocks
 	for s := range img.sms {
 		si := &img.sms[s]
 		sm := &e.sms[s]
-		sm.lastPick = append([]int(nil), si.lastPick...)
-		// Scheduling caches restart cold: they are performance state,
-		// not architectural state, so images never carry them.
-		sm.schedQuiet = make([]int64, len(si.lastPick))
+		copy(sm.lastPick, si.lastPick)
 		sm.liveWarps = si.liveWarps
-		sm.warps = make([]*warpState, len(si.warps))
-		for j, ref := range si.warps {
-			sm.warps[j] = blocks[ref.block].warps[ref.widx]
+		for _, ref := range si.warps {
+			sm.warps = append(sm.warps, blocks[ref.block].warps[ref.widx])
 		}
 	}
 	// Skip golden images the restored state already passed.
@@ -300,58 +300,37 @@ func (e *engine) restoreImage(img *LaunchImage) {
 	}
 }
 
-func materializeBlock(bi *blockImage, sharedMem int) *blockState {
-	blk := &blockState{
-		cta:        bi.cta,
-		ctaX:       bi.ctaX,
-		ctaY:       bi.ctaY,
-		threads:    bi.threads,
-		nregs:      bi.nregs,
-		regs:       append([]uint32(nil), bi.regs...),
-		preds:      append([]bool(nil), bi.preds...),
-		shared:     mem.NewShared(sharedMem),
-		liveWarps:  bi.liveWarps,
-		barWaiting: bi.barWaiting,
-	}
+// materializeBlock carves a block from the launch arenas and fills it
+// with the image's state. Scheduling caches (stallUntil, the SM quiet
+// caches) restart cold: they are performance state, not architectural
+// state, so images never carry them.
+func (e *engine) materializeBlock(bi *blockImage) *blockState {
+	blk := e.carveBlock(bi.cta)
+	copy(blk.regs, bi.regs)
+	copy(blk.preds, bi.preds)
 	blk.shared.RestoreWords(bi.shared)
-	nwarps := len(bi.warps)
-	for wi := range bi.warps {
-		w := &bi.warps[wi]
-		lanes := 32
-		if wi == nwarps-1 && bi.threads%32 != 0 {
-			lanes = bi.threads % 32
+	blk.liveWarps = bi.liveWarps
+	blk.barWaiting = bi.barWaiting
+	for wi, w := range blk.warps {
+		img := &bi.warps[wi]
+		if len(img.stack) > cap(w.stack) {
+			w.stack = e.st.simt.carve(len(img.stack), 1024)[:0]
 		}
-		full := uint32(1)<<lanes - 1
-		if lanes == 32 {
-			full = ^uint32(0)
-		}
-		ws := &warpState{
-			block:         blk,
-			widx:          wi,
-			base:          wi * 32,
-			lanes:         lanes,
-			fullMask:      full,
-			stack:         append([]simtEntry(nil), w.stack...),
-			exited:        w.exited,
-			atBar:         w.atBar,
-			pendingReconv: w.pendingReconv,
-			regReady:      append([]int64(nil), w.regReady...),
-			predReady:     w.predReady,
-			done:          w.done,
-		}
+		w.stack = append(w.stack, img.stack...)
+		w.exited = img.exited
+		w.atBar = img.atBar
+		w.pendingReconv = img.pendingReconv
+		copy(w.regReady, img.regReady)
+		w.predReady = img.predReady
+		w.done = img.done
 		// maxStamp is derived state; rebuild it from the stamps so the
 		// restored warp regains the readiness quick-pass.
-		for _, t := range ws.regReady {
-			if t > ws.maxStamp {
-				ws.maxStamp = t
-			}
+		for _, t := range w.regReady {
+			w.maxStamp = max(w.maxStamp, t)
 		}
-		for _, t := range ws.predReady {
-			if t > ws.maxStamp {
-				ws.maxStamp = t
-			}
+		for _, t := range w.predReady {
+			w.maxStamp = max(w.maxStamp, t)
 		}
-		blk.warps = append(blk.warps, ws)
 	}
 	return blk
 }
@@ -401,10 +380,10 @@ func (e *engine) matchesImage(img *LaunchImage) bool {
 	// state is compared at first encounter: a faulted block that
 	// diverged (the common mismatch) fails the whole compare before
 	// the remaining topology, blocks, or memory are walked. The
-	// scratch slice lives on the engine — compares run per crossed
+	// scratch slice lives in the launch store — compares run per crossed
 	// image, and a map here was measurable in replay profiles.
-	blocks := e.blkScratch[:0]
-	defer func() { e.blkScratch = blocks }()
+	blocks := e.st.blkScratch[:0]
+	defer func() { e.st.blkScratch = blocks }()
 	for s := range e.sms {
 		sm := &e.sms[s]
 		si := &img.sms[s]

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"gpurel/internal/device"
 	"gpurel/internal/isa"
@@ -85,7 +86,7 @@ type blockState struct {
 	// warp's view of one register is a contiguous 32-element slice.
 	regs   []uint32
 	preds  []bool
-	shared *mem.Shared
+	shared mem.Shared
 
 	warps      []*warpState
 	liveWarps  int
@@ -220,12 +221,6 @@ type engine struct {
 	// lean mirrors Config.LeanProfile for the issue path.
 	lean bool
 
-	// sharedZero is the one empty shared-memory instance every block of
-	// a zero-shared-memory program aliases; with no addressable bytes it
-	// is immutable, so sharing it is observationally identical to the 48
-	// per-block allocations it replaces.
-	sharedZero *mem.Shared
-
 	// Sub-launch checkpointing (checkpoint.go). rec records golden
 	// images during an instrumented golden run; golden/gIdx drive the
 	// rejoin cutoff during a fault replay: once the fault has fired, the
@@ -246,37 +241,107 @@ type engine struct {
 	due     string
 	dueMode DUEMode
 
-	// Launch arenas: block and warp state is carved from chunked slabs
-	// so making a CTA resident costs a few bulk allocations amortized
-	// over many blocks instead of ~10 small ones each. Chunks are never
-	// recycled while the engine lives — carved slices stay valid and
-	// arrive zeroed, exactly like the make calls they replace.
-	u32Arena  []uint32
-	boolArena []bool
-	i64Arena  []int64
-	wsArena   []warpState
-	wpArena   []*warpState
-	blkArena  []blockState
-	simtArena []simtEntry
+	// st is the launch storage this engine carves its block, warp, and
+	// SM state from; it travels with the engine through enginePool.
+	st *launchStore
+}
 
-	// blkScratch is matchesImage's reusable block-collection buffer;
-	// image compares run once per crossed golden image on every replay.
+// launchStore is the engine storage recycled across launches: the
+// arenas every block, warp, and scheduler array is carved from, the SM
+// array (whose per-SM resident-warp lists keep their backing), and the
+// block scratch of image restores and compares. A fault replay of a
+// multi-launch code builds one engine per remaining launch, so storage
+// made per launch was the replay's dominant cost; recycled, a warmed
+// engine allocates nothing to make blocks resident or to restore an
+// image.
+type launchStore struct {
+	u32   arena[uint32] // register files and shared memory
+	bools arena[bool]
+	i64   arena[int64]
+	ints  arena[int]
+	ws    arena[warpState]
+	wp    arena[*warpState]
+	blk   arena[blockState]
+	simt  arena[simtEntry]
+
+	sms []smState
+
+	// blkScratch is the block-collection buffer of restoreImage and
+	// matchesImage; image compares run once per crossed golden image on
+	// every replay.
 	blkScratch []*blockState
 }
 
-// carve cuts n zeroed elements off the arena, growing it by whole
-// chunks of at least minChunk when exhausted.
-func carve[T any](arena *[]T, n, minChunk int) []T {
-	if len(*arena) < n {
-		c := n
-		if c < minChunk {
-			c = minChunk
+// enginePool recycles engines together with their launchStore. Run and
+// RunFrom return the engine once the Result is built; nothing a Result
+// or LaunchImage holds points into recycled storage (capture copies,
+// the timeline is allocated per launch, PerOpLane is a fresh map).
+var enginePool = sync.Pool{New: func() any { return &engine{st: new(launchStore)} }}
+
+// release returns the engine to enginePool, dropping every reference to
+// the caller's program, memory, plan, and images so a pooled engine
+// retains only its own storage.
+func (e *engine) release() {
+	st := e.st
+	*e = engine{st: st}
+	enginePool.Put(e)
+}
+
+// arena is a chunked slab that launch state is carved from. Chunks
+// outlive the launch: reset rewinds the cursor to the first chunk, so a
+// recycled engine reuses the storage its earlier launches grew.
+type arena[T any] struct {
+	chunks [][]T
+	ci     int // chunk the cursor is in
+	off    int // first uncarved element of chunks[ci]
+}
+
+// carve cuts n elements off the arena, moving to the next chunk (or
+// growing the arena by a chunk of at least minChunk) when the current
+// one cannot hold them. It zeroes exactly the slice it hands out, so
+// recycled storage arrives like a fresh make call's.
+func (a *arena[T]) carve(n, minChunk int) []T {
+	for ; a.ci < len(a.chunks); a.ci, a.off = a.ci+1, 0 {
+		if c := a.chunks[a.ci]; a.off+n <= len(c) {
+			s := c[a.off : a.off+n : a.off+n]
+			a.off += n
+			clear(s)
+			return s
 		}
-		*arena = make([]T, c)
 	}
-	s := (*arena)[:n:n]
-	*arena = (*arena)[n:]
-	return s
+	a.chunks = append(a.chunks, make([]T, max(n, minChunk)))
+	a.off = n
+	return a.chunks[a.ci][:n:n]
+}
+
+func (a *arena[T]) reset() { a.ci, a.off = 0, 0 }
+
+// reset rewinds every arena and returns the SM array for a device of
+// nsm SMs with nsched schedulers each, every SM idle with zeroed cursors
+// and caches. Growing the array keeps the existing SMs' warp lists.
+func (st *launchStore) reset(nsm, nsched int) []smState {
+	st.u32.reset()
+	st.bools.reset()
+	st.i64.reset()
+	st.ints.reset()
+	st.ws.reset()
+	st.wp.reset()
+	st.blk.reset()
+	st.simt.reset()
+	if cap(st.sms) < nsm {
+		sms := make([]smState, nsm)
+		copy(sms, st.sms[:cap(st.sms)])
+		st.sms = sms
+	}
+	sms := st.sms[:nsm]
+	for i := range sms {
+		sms[i] = smState{
+			warps:      sms[i].warps[:0],
+			lastPick:   st.ints.carve(nsched, 1024),
+			schedQuiet: st.i64.carve(nsched, 1<<12),
+		}
+	}
+	return sms
 }
 
 func newEngine(cfg Config, global *mem.Global) (*engine, error) {
@@ -293,8 +358,9 @@ func newEngine(cfg Config, global *mem.Global) (*engine, error) {
 	return e, nil
 }
 
-// prepEngine builds an engine with no blocks launched; newEngine adds
-// the initial residency wave, RunFrom restores an image instead.
+// prepEngine takes an engine from enginePool and sets it up with no
+// blocks launched; newEngine adds the initial residency wave, RunFrom
+// restores an image instead. The caller releases the engine.
 func prepEngine(cfg Config, global *mem.Global) (*engine, error) {
 	if err := validate(cfg); err != nil {
 		return nil, err
@@ -304,7 +370,14 @@ func prepEngine(cfg Config, global *mem.Global) (*engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: launch of %s: %w", prog.Name, err)
 	}
-	e := &engine{
+	dec, err := decodeFor(dev, prog)
+	if err != nil {
+		return nil, err
+	}
+	e := enginePool.Get().(*engine)
+	*e = engine{
+		st:         e.st,
+		dec:        dec,
 		cfg:        cfg,
 		dev:        dev,
 		prog:       prog,
@@ -323,10 +396,6 @@ func prepEngine(cfg Config, global *mem.Global) (*engine, error) {
 	if cfg.SampleTimeline {
 		e.tl = make([]TimelineBucket, TimelineBuckets)
 	}
-	e.dec, err = decodeFor(dev, prog)
-	if err != nil {
-		return nil, err
-	}
 	e.schedMask = -1
 	if s := dev.SchedulersPerSM; s > 0 && s&(s-1) == 0 {
 		e.schedMask = s - 1
@@ -335,21 +404,58 @@ func prepEngine(cfg Config, global *mem.Global) (*engine, error) {
 		e.slotBase[u] = dev.IssueSlots(device.Unit(u))
 	}
 	e.lean = cfg.LeanProfile
-	if prog.SharedMem == 0 {
-		e.sharedZero = mem.NewShared(0)
-	}
-	e.sms = make([]smState, dev.NumSMs)
-	// Two backing arrays for all SMs' cursors and caches instead of two
-	// small allocations per SM: replays build a fresh engine each, so
-	// setup allocations are on the campaign's critical path.
-	ns := dev.SchedulersPerSM
-	lp := make([]int, dev.NumSMs*ns)
-	sq := make([]int64, dev.NumSMs*ns)
-	for i := range e.sms {
-		e.sms[i].lastPick = lp[i*ns : (i+1)*ns : (i+1)*ns]
-		e.sms[i].schedQuiet = sq[i*ns : (i+1)*ns : (i+1)*ns]
-	}
+	e.sms = e.st.reset(dev.NumSMs, dev.SchedulersPerSM)
 	return e, nil
+}
+
+// carveBlock carves the block and warp state of one CTA from the launch
+// arenas, all zero apart from the geometry: CTA coordinates, register
+// and shared-memory sizing, and each warp's index, lanes, and mask. The
+// warps' divergence stacks are empty with in-arena room for a few
+// levels; deeper nesting falls back to append's reallocation.
+func (e *engine) carveBlock(cta int) *blockState {
+	st := e.st
+	nthreads := e.cfg.BlockThreads
+	nwarps := (nthreads + 31) / 32
+	nregs := max(e.prog.NumRegs, 1)
+	shared := e.prog.SharedMem
+	blk := &st.blk.carve(1, 64)[0]
+	*blk = blockState{
+		cta:       cta,
+		ctaX:      cta % e.cfg.GridX,
+		ctaY:      cta / e.cfg.GridX,
+		threads:   nthreads,
+		nregs:     nregs,
+		regs:      st.u32.carve(nregs*nthreads, 1<<14),
+		preds:     st.bools.carve(8*nthreads, 1<<13),
+		shared:    mem.SharedOn(st.u32.carve(mem.SharedWords(shared), 1<<14), shared),
+		warps:     st.wp.carve(nwarps, 256),
+		liveWarps: nwarps,
+	}
+	ws := st.ws.carve(nwarps, 128)
+	for wi := range ws {
+		lanes := 32
+		if wi == nwarps-1 && nthreads%32 != 0 {
+			lanes = nthreads % 32
+		}
+		full := uint32(1)<<lanes - 1
+		if lanes == 32 {
+			full = ^uint32(0)
+		}
+		w := &ws[wi]
+		*w = warpState{
+			block:         blk,
+			widx:          wi,
+			base:          wi * 32,
+			lanes:         lanes,
+			fullMask:      full,
+			stack:         st.simt.carve(4, 1024)[:0],
+			pendingReconv: -1,
+			regReady:      st.i64.carve(nregs, 1<<12),
+		}
+		blk.warps[wi] = w
+	}
+	return blk
 }
 
 // launchNextBlock makes the next pending CTA resident on the SM.
@@ -361,61 +467,16 @@ func (e *engine) launchNextBlock(sm *smState) {
 	e.nextBlock++
 	e.liveBlocks++
 
-	nthreads := e.cfg.BlockThreads
-	nwarps := (nthreads + 31) / 32
-	nregs := e.prog.NumRegs
-	if nregs < 1 {
-		nregs = 1
-	}
-	blk := &carve(&e.blkArena, 1, 64)[0]
-	*blk = blockState{
-		cta:     cta,
-		ctaX:    cta % e.cfg.GridX,
-		ctaY:    cta / e.cfg.GridX,
-		threads: nthreads,
-		nregs:   nregs,
-		regs:    carve(&e.u32Arena, nregs*nthreads, 1<<14),
-		preds:   carve(&e.boolArena, 8*nthreads, 1<<13),
-		shared:  e.sharedZero,
-		warps:   carve(&e.wpArena, nwarps, 256)[:0],
-	}
-	if blk.shared == nil {
-		blk.shared = mem.NewShared(e.prog.SharedMem)
-	}
-	pt := blk.preds[int(isa.PT)*nthreads : (int(isa.PT)+1)*nthreads]
+	blk := e.carveBlock(cta)
+	pt := blk.predRow(isa.PT, 0, blk.threads)
 	for t := range pt {
 		pt[t] = true
 	}
-	ws := carve(&e.wsArena, nwarps, 128)
-	for wi := 0; wi < nwarps; wi++ {
-		lanes := 32
-		if wi == nwarps-1 && nthreads%32 != 0 {
-			lanes = nthreads % 32
-		}
-		full := uint32(1)<<lanes - 1
-		if lanes == 32 {
-			full = ^uint32(0)
-		}
-		// Stacks start with room for a few divergence levels in-arena;
-		// deeper nesting falls back to append's reallocation.
-		stk := carve(&e.simtArena, 4, 1024)
-		stk[0] = simtEntry{mask: full, pc: 0, rpc: -1}
-		w := &ws[wi]
-		*w = warpState{
-			block:         blk,
-			widx:          wi,
-			base:          wi * 32,
-			lanes:         lanes,
-			fullMask:      full,
-			stack:         stk[:1],
-			pendingReconv: -1,
-			regReady:      carve(&e.i64Arena, nregs, 1<<12),
-		}
-		blk.warps = append(blk.warps, w)
+	for _, w := range blk.warps {
+		w.stack = append(w.stack, simtEntry{mask: w.fullMask, pc: 0, rpc: -1})
 		sm.warps = append(sm.warps, w)
 	}
-	blk.liveWarps = nwarps
-	sm.liveWarps += nwarps
+	sm.liveWarps += blk.liveWarps
 	sm.quietUntil = 0 // fresh residents: the SM must be scanned again
 	sm.wakeSchedulers()
 }
@@ -588,7 +649,6 @@ func (e *engine) run() *Result {
 			Cycles:           e.cycle,
 			WarpInstrs:       e.warpInstrs,
 			LaneOps:          e.laneOps,
-			PerOpLane:        make(map[isa.Op]uint64),
 			ActiveWarpCycles: e.activeWarpCycles,
 			SMCycles:         e.smCycles,
 			SMsUsed:          e.smsUsed,
@@ -603,9 +663,12 @@ func (e *engine) run() *Result {
 			Buckets:     e.tl,
 		}
 	}
-	for op, n := range e.perOpLane {
-		if n > 0 {
-			res.Profile.PerOpLane[isa.Op(op)] = n
+	if !e.lean {
+		res.Profile.PerOpLane = make(map[isa.Op]uint64)
+		for op, n := range e.perOpLane {
+			if n > 0 {
+				res.Profile.PerOpLane[isa.Op(op)] = n
+			}
 		}
 	}
 	if e.due != "" {

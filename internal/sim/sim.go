@@ -62,9 +62,10 @@ type Config struct {
 
 	// LeanProfile drops the profile-only accounting from the issue path
 	// (per-op lane counts, residency and fetch-redirect counters) — the
-	// corresponding Profile fields come back zero. Outcome, cycle count,
-	// and the fault-trigger clocks are unaffected. Fault replays set it:
-	// their Profile is discarded, only the classification matters.
+	// corresponding Profile fields come back zero, PerOpLane nil.
+	// Outcome, cycle count, and the fault-trigger clocks are unaffected.
+	// Fault replays set it: their Profile is discarded, only the
+	// classification matters.
 	LeanProfile bool
 
 	// Trace, when non-nil, receives one line per issued warp-instruction
@@ -169,13 +170,16 @@ func (p *Profile) ClassLaneOps() map[isa.Class]uint64 {
 	return out
 }
 
-// Run launches the kernel and simulates it to completion.
+// Run launches the kernel and simulates it to completion. The engine
+// state comes from a pool and goes back to it once the Result is built.
 func Run(cfg Config, global *mem.Global) (*Result, error) {
 	e, err := newEngine(cfg, global)
 	if err != nil {
 		return nil, err
 	}
-	return e.run(), nil
+	res := e.run()
+	e.release()
+	return res, nil
 }
 
 // RunFrom resumes the launch from a golden sub-launch image instead of
@@ -190,7 +194,9 @@ func RunFrom(cfg Config, global *mem.Global, img *LaunchImage) (*Result, error) 
 		return nil, err
 	}
 	e.restoreImage(img)
-	return e.run(), nil
+	res := e.run()
+	e.release()
+	return res, nil
 }
 
 func validate(cfg Config) error {

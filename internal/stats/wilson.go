@@ -39,10 +39,20 @@ func Wilson(successes, trials int) Interval {
 	denom := 1 + wilsonZ*wilsonZ/n
 	center := (p + wilsonZ*wilsonZ/(2*n)) / denom
 	half := wilsonZ * math.Sqrt(p*(1-p)/n+wilsonZ*wilsonZ/(4*n*n)) / denom
-	return Interval{
+	iv := Interval{
 		Lower: math.Max(0, center-half),
 		Upper: math.Min(1, center+half),
 	}
+	// At p = 0 and p = 1 the score interval's near bound is exactly the
+	// observed proportion, which rounding can miss by an ulp and leave
+	// the interval excluding its own point estimate.
+	if successes == 0 {
+		iv.Lower = 0
+	}
+	if successes == trials {
+		iv.Upper = 1
+	}
+	return iv
 }
 
 // WorstCaseTrials returns the smallest trial count whose Wilson 95%

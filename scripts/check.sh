@@ -59,18 +59,19 @@ if [ "${1:-}" = "bench" ]; then
     # timed per-fault gate: re-time the BenchmarkSimPerFault* suite,
     # emit the snapshot JSON benchdiff consumes (bench-new.json; stable
     # path, gitignored, uploaded by CI), and compare it against the
-    # committed BENCH_v0.json baseline. The band is wide (see
+    # committed BENCH_v1.json baseline. The time band is wide (see
     # tools/benchdiff) because CI runners are not the snapshot machine;
     # it exists to catch algorithmic regressions of the replay path,
-    # not single-digit-percent noise.
+    # not single-digit-percent noise. Allocations per op are gated with
+    # a small fixed slack instead: they do not depend on the hardware.
     echo "== go test -run=^\$ -bench=BenchmarkSim -benchtime=1x ./..."
     go test -run='^$' -bench=BenchmarkSim -benchtime=1x ./...
     echo "== go test -run=^\$ -bench=BenchmarkSimPerFault -benchtime=2s -count=3 ."
     go test -run='^$' -bench=BenchmarkSimPerFault -benchtime=2s -count=3 . >bench-run.txt
     cat bench-run.txt
     go run ./tools/benchdiff emit -note "scripts/check.sh bench" <bench-run.txt >bench-new.json
-    echo "== benchdiff compare BENCH_v0.json bench-new.json"
-    go run ./tools/benchdiff compare -band 2.0 BENCH_v0.json bench-new.json
+    echo "== benchdiff compare BENCH_v1.json bench-new.json"
+    go run ./tools/benchdiff compare -band 2.0 BENCH_v1.json bench-new.json
     echo "checks passed"
     exit 0
 fi

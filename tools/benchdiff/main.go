@@ -1,14 +1,18 @@
 // Command benchdiff turns `go test -bench` output into a committed JSON
 // snapshot and gates later runs against it.
 //
-//	go test -run='^$' -bench=BenchmarkSimPerFault . | go run ./tools/benchdiff emit >BENCH_v0.json
-//	go run ./tools/benchdiff compare -band 2.0 BENCH_v0.json bench-new.json
+//	go test -run='^$' -bench=BenchmarkSimPerFault . | go run ./tools/benchdiff emit >BENCH_v1.json
+//	go run ./tools/benchdiff compare -band 2.0 BENCH_v1.json bench-new.json
 //
-// emit parses benchmark result lines (ns/op plus any ReportMetric
-// columns such as faults/s and ns/fault) from stdin and writes the
-// snapshot JSON to stdout. compare reads two snapshots and fails when
-// any benchmark present in the base regresses beyond the tolerance
-// band: new ns/op > base ns/op * (1 + band).
+// emit parses benchmark result lines (ns/op plus any other columns:
+// ReportMetric values such as faults/s and ns/fault, and the B/op and
+// allocs/op of benchmarks that call ReportAllocs) from stdin and writes
+// the snapshot JSON to stdout. compare reads two snapshots and fails
+// when any benchmark present in the base regresses:
+//
+//   - time: new ns/op > base ns/op * (1 + band);
+//   - allocations: when the base records allocs/op, new allocs/op >
+//     base allocs/op + allocSlack.
 //
 // The band is deliberately wide by default. Committed snapshots are
 // taken on one machine while CI re-times on whatever runner it gets, so
@@ -17,6 +21,16 @@
 // regression that motivated the gate — algorithmic slowdowns of the
 // fault-replay path — while riding out runner-to-runner spread. Teams
 // timing on fixed hardware can tighten it with -band.
+//
+// Allocation counts need no band. They do not depend on the runner's
+// hardware, only on the code path, so a snapshot taken on one machine
+// gates allocations on any other almost exactly. The slack of
+// allocSlack allocations per op absorbs the one source of run-to-run
+// variation: a garbage collection that empties a sync.Pool forces the
+// next few operations to rebuild what the pool held, which a short
+// benchmark spreads over its iterations. A replay path that starts
+// allocating per launch or per block again overshoots it by an order
+// of magnitude, on any runner.
 package main
 
 import (
@@ -37,11 +51,20 @@ type Result struct {
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Snapshot is the committed benchmark baseline (BENCH_v0.json).
+// Snapshot is a committed benchmark baseline (BENCH_v<n>.json).
 type Snapshot struct {
 	Note       string            `json:"note,omitempty"`
 	Benchmarks map[string]Result `json:"benchmarks"`
 }
+
+// allocSlack is how many allocs/op a benchmark may exceed its base by.
+const allocSlack = 2
+
+// minOfN lists the columns a repeated benchmark keeps the minimum of
+// across its -count=N reports, independently of which report had the
+// fastest ns/op: allocation counts only ever rise with noise (pool
+// drops), never fall.
+var minOfN = []string{"B/op", "allocs/op"}
 
 // benchLine matches `BenchmarkName-8   123   4567 ns/op   89.0 extra/unit ...`.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
@@ -76,8 +99,20 @@ func parse(r *bufio.Scanner) (*Snapshot, error) {
 		// With -count=N the same benchmark reports N times; keep the
 		// fastest. Minimum-of-N is the standard noise damper when the
 		// machine is shared: contention only ever adds time.
-		if prev, ok := snap.Benchmarks[m[1]]; ok && prev.NsPerOp <= res.NsPerOp {
-			continue
+		if prev, ok := snap.Benchmarks[m[1]]; ok {
+			for _, k := range minOfN {
+				if pv, ok := prev.Metrics[k]; ok && pv < res.Metrics[k] {
+					res.Metrics[k] = pv
+				}
+			}
+			if prev.NsPerOp <= res.NsPerOp {
+				for _, k := range minOfN {
+					if v, ok := res.Metrics[k]; ok {
+						prev.Metrics[k] = v
+					}
+				}
+				continue
+			}
 		}
 		snap.Benchmarks[m[1]] = res
 	}
@@ -161,7 +196,7 @@ func compare(args []string) int {
 	}
 	sort.Strings(names)
 	failed := false
-	fmt.Printf("%-40s %14s %14s %8s\n", "benchmark", "base ns/op", "new ns/op", "ratio")
+	fmt.Printf("%-40s %14s %14s %8s %11s %11s\n", "benchmark", "base ns/op", "new ns/op", "ratio", "base allocs", "new allocs")
 	for _, name := range names {
 		b := base.Benchmarks[name]
 		n, ok := cur.Benchmarks[name]
@@ -171,12 +206,31 @@ func compare(args []string) int {
 			continue
 		}
 		ratio := n.NsPerOp / b.NsPerOp
-		verdict := "ok"
+		var verdicts []string
 		if n.NsPerOp > b.NsPerOp*(1+band) {
-			verdict = fmt.Sprintf("REGRESSION (band %.2f)", band)
+			verdicts = append(verdicts, fmt.Sprintf("REGRESSION (band %.2f)", band))
+		}
+		ba, bok := b.Metrics["allocs/op"]
+		na, nok := n.Metrics["allocs/op"]
+		baseAllocs, newAllocs := "-", "-"
+		if bok {
+			baseAllocs = strconv.FormatFloat(ba, 'f', -1, 64)
+			switch {
+			case !nok:
+				verdicts = append(verdicts, "ALLOCS MISSING")
+			case na > ba+allocSlack:
+				verdicts = append(verdicts, fmt.Sprintf("ALLOC REGRESSION (slack %d)", allocSlack))
+			}
+		}
+		if nok {
+			newAllocs = strconv.FormatFloat(na, 'f', -1, 64)
+		}
+		verdict := "ok"
+		if len(verdicts) > 0 {
+			verdict = strings.Join(verdicts, ", ")
 			failed = true
 		}
-		fmt.Printf("%-40s %14.0f %14.0f %7.2fx  %s\n", name, b.NsPerOp, n.NsPerOp, ratio, verdict)
+		fmt.Printf("%-40s %14.0f %14.0f %7.2fx %11s %11s  %s\n", name, b.NsPerOp, n.NsPerOp, ratio, baseAllocs, newAllocs, verdict)
 	}
 	if failed {
 		fmt.Println("benchdiff: FAIL")
