@@ -8,28 +8,14 @@
 //	gpurel-lint -device kepler -code FMXM -v    one workload, show warnings
 //	gpurel-lint -json                           machine-readable report
 //	gpurel-lint -selftest                       prove the detectors fire
-//	gpurel-lint -device kepler -cross-validate  static vs injection AVF table
-//	gpurel-lint -cross-validate -beam-trials 0 -crossval-gate
-//	                                            agreement gate (CI): exit 1 on
-//	                                            any out-of-tolerance workload
-//	gpurel-lint -opt-gate                       optimization-matrix ordering
-//	                                            gate (CI): exit 1 when static
-//	                                            and injection AVF orderings
-//	                                            disagree on any matrix
-//	gpurel-lint -due-modes                      static vs injection DUE-mode
-//	                                            share table per workload
-//	gpurel-lint -duemode-gate                   DUE-mode agreement gate (CI):
-//	                                            exit 1 when any measurable
-//	                                            workload's mode shares leave
-//	                                            the L-inf tolerance
-//	gpurel-lint -twolevel-gate                  two-level estimator gate (CI):
-//	                                            exit 1 when any workload's
-//	                                            two-level SDC AVF leaves the
-//	                                            tolerance band or spends more
-//	                                            than 1/5 the exhaustive trials
+//	gpurel-lint -gate crossval                  static vs injection AVF gate (CI)
+//	gpurel-lint -gate all                       every agreement gate (see gates.go)
+//	gpurel-lint -gate duemode -code FMXM -faults 100
+//	                                            one workload, smaller campaign
 //
 // Exit status is 1 when any Error-severity finding exists (warnings do
-// not gate), 2 on usage or build failures.
+// not gate) or any -gate workload leaves its tolerance, 2 on usage or
+// build failures.
 package main
 
 import (
@@ -37,17 +23,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"gpurel/internal/analysis"
 	"gpurel/internal/asm"
-	"gpurel/internal/beam"
-	"gpurel/internal/core"
 	"gpurel/internal/device"
-	"gpurel/internal/faultinj"
 	"gpurel/internal/isa"
-	"gpurel/internal/kernels"
 	"gpurel/internal/microbench"
-	"gpurel/internal/report"
 	"gpurel/internal/suite"
 )
 
@@ -75,21 +57,14 @@ type progReport struct {
 func main() {
 	devName := flag.String("device", "all", "device: kepler, volta, or all")
 	optName := flag.String("opt", "both", "configuration: an asm.ParseOptLevel string (O0, O1, O2, O2+u4, O2+spill, ...), \"both\" (O1+O2), or \"matrix\" (the full set)")
-	code := flag.String("code", "", "lint a single workload (default: all, plus micro-benchmarks)")
+	code := flag.String("code", "", "lint or -gate a single workload (default: all, plus micro-benchmarks; for -gate, the gate's kernel list)")
 	jsonOut := flag.Bool("json", false, "emit the report as JSON")
 	verbose := flag.Bool("v", false, "list warnings (errors are always listed)")
 	selftest := flag.Bool("selftest", false, "run the detectors on seeded-defect fixtures and exit")
-	crossVal := flag.Bool("cross-validate", false, "compare static AVF against an NVBitFI campaign, and the static hidden-DUE model against a beam campaign, per workload")
-	faults := flag.Int("faults", 400, "campaign size for -cross-validate")
-	beamTrials := flag.Int("beam-trials", 2000, "beam trials per workload for the hidden-DUE table of -cross-validate (0 skips the hidden table)")
-	seed := flag.Uint64("seed", 7, "campaign seed for -cross-validate")
-	csv := flag.Bool("csv", false, "emit the -cross-validate tables as CSV")
-	measuredGate := flag.Bool("measured-gate", false, "with -cross-validate: exit 1 unless every measured-residency hidden estimate agrees with the beam within the tighter tolerance")
-	crossvalGate := flag.Bool("crossval-gate", false, "with -cross-validate: exit 1 unless every workload's bit-resolved static AVF agrees with injection within the tolerance")
-	optGate := flag.Bool("opt-gate", false, "run the optimization-matrix sweep and exit 1 unless the static AVF ordering matches injection's on every matrix")
-	twoLevelGate := flag.Bool("twolevel-gate", false, "run the two-level estimator against exhaustive NVBitFI campaigns and exit 1 on any out-of-tolerance workload or a speedup below 5x")
-	dueModes := flag.Bool("due-modes", false, "compare the static DUE-mode shares against an NVBitFI campaign's typed-DUE ledger, per workload")
-	dueModeGate := flag.Bool("duemode-gate", false, "like -due-modes, and exit 1 unless every measurable workload agrees within faultinj.DUEModeTolerance")
+	gate := flag.String("gate", "", "run an agreement gate and exit 1 on any out-of-tolerance workload: "+strings.Join(gateNames(), ", "))
+	faults := flag.Int("faults", 0, "campaign size for -gate: injected faults, or beam trials for hidden (0: the gate's own)")
+	seed := flag.Uint64("seed", 7, "campaign seed for -gate")
+	csv := flag.Bool("csv", false, "emit the -gate tables as CSV")
 	flag.Parse()
 
 	if *selftest {
@@ -105,20 +80,12 @@ func main() {
 		fail(err)
 	}
 
-	if *optGate {
-		os.Exit(runOptGate(devs, *code, *faults, *seed, *csv))
-	}
-
-	if *twoLevelGate {
-		os.Exit(runTwoLevelGate(devs, *code, *faults, *seed, *csv))
-	}
-
-	if *dueModes || *dueModeGate {
-		os.Exit(runDUEModes(devs, *code, *faults, *seed, *csv, *dueModeGate))
-	}
-
-	if *crossVal {
-		os.Exit(runCrossValidate(devs, *code, *faults, *beamTrials, *seed, *csv, *measuredGate, *crossvalGate))
+	if *gate != "" {
+		gs, err := pickGates(*gate)
+		if err != nil {
+			fail(err)
+		}
+		os.Exit(runGates(gs, gateConfig{devs: devs, code: *code, size: *faults, seed: *seed, csv: *csv}))
 	}
 
 	var reports []progReport
@@ -268,150 +235,6 @@ func runSelftest() int {
 	return 0
 }
 
-func runCrossValidate(devs []*device.Device, code string, faults, beamTrials int, seed uint64, csv, measuredGate, crossvalGate bool) int {
-	var cvs []*faultinj.CrossValidation
-	var hcvs []*faultinj.HiddenCrossValidation
-	for _, dev := range devs {
-		all := suite.ForDevice(dev)
-		var entries []suite.Entry
-		if code != "" {
-			e, err := suite.Find(all, code)
-			if err != nil {
-				fail(err)
-			}
-			entries = []suite.Entry{e}
-		} else {
-			// Default to the validated set; value-masking-dominated
-			// workloads (see faultinj.CrossValKernels) need -code.
-			for _, name := range faultinj.CrossValKernels {
-				if e, err := suite.Find(all, name); err == nil {
-					entries = append(entries, e)
-				}
-			}
-		}
-		cfg := faultinj.Config{Tool: faultinj.NVBitFI, TotalFaults: faults, Seed: seed}
-		for _, e := range entries {
-			cv, err := faultinj.CrossValidate(cfg, e.Name, e.Build, dev)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "skip %s on %s: %v\n", e.Name, dev.Name, err)
-				continue
-			}
-			cvs = append(cvs, cv)
-			fmt.Fprintf(os.Stderr, "done %s on %s\n", e.Name, dev.Name)
-		}
-
-		// Hidden-resource DUE: static model vs a beam campaign's hidden
-		// strike ledger. ECC stays on so storage strikes short-circuit
-		// and the campaign cost is dominated by the strikes of interest.
-		if beamTrials <= 0 {
-			continue
-		}
-		var hiddenEntries []suite.Entry
-		if code != "" {
-			hiddenEntries = entries
-		} else {
-			for _, name := range faultinj.HiddenCrossValKernels {
-				if e, err := suite.Find(all, name); err == nil {
-					hiddenEntries = append(hiddenEntries, e)
-				}
-			}
-		}
-		bcfg := beam.Config{ECC: true, Trials: beamTrials, Seed: seed}
-		for _, e := range hiddenEntries {
-			r, err := kernels.NewRunner(e.Name, e.Build, dev, asm.O2)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "skip hidden %s on %s: %v\n", e.Name, dev.Name, err)
-				continue
-			}
-			hcv, err := faultinj.CrossValidateHidden(bcfg, r)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "skip hidden %s on %s: %v\n", e.Name, dev.Name, err)
-				continue
-			}
-			hcvs = append(hcvs, hcv)
-			fmt.Fprintf(os.Stderr, "done hidden %s on %s\n", e.Name, dev.Name)
-		}
-	}
-	fmt.Print(report.CrossValidation(cvs, csv))
-	fmt.Println()
-	fmt.Print(report.BitBandTable(cvs, csv))
-	if beamTrials > 0 {
-		fmt.Println()
-		fmt.Print(report.HiddenCrossValidation(hcvs, csv))
-	}
-	if crossvalGate {
-		for _, cv := range cvs {
-			if !cv.Agrees() {
-				fmt.Fprintf(os.Stderr, "crossval-gate: %s on %s outside ±%.2f (delta %+.3f)\n",
-					cv.Name, cv.Device, faultinj.CrossValTolerance, cv.Delta())
-				return 1
-			}
-		}
-	}
-	if measuredGate {
-		for _, hcv := range hcvs {
-			if !hcv.MeasuredAgrees() {
-				fmt.Fprintf(os.Stderr, "measured-gate: %s on %s outside ±%.2f (delta %+.3f)\n",
-					hcv.Name, hcv.Device, faultinj.MeasuredCrossValTolerance, hcv.MeasuredDelta())
-				return 1
-			}
-		}
-	}
-	return 0
-}
-
-// runDUEModes runs, per device and cross-validation workload, an
-// NVBitFI campaign and the static DUE-mode estimator, and renders both
-// share distributions side by side. With gate set it exits 1 when any
-// measurable workload's L-infinity delta leaves
-// faultinj.DUEModeTolerance.
-func runDUEModes(devs []*device.Device, code string, faults int, seed uint64, csv, gate bool) int {
-	var cvs []*faultinj.DUEModeCrossVal
-	for _, dev := range devs {
-		all := suite.ForDevice(dev)
-		var entries []suite.Entry
-		if code != "" {
-			e, err := suite.Find(all, code)
-			if err != nil {
-				fail(err)
-			}
-			entries = []suite.Entry{e}
-		} else {
-			for _, name := range faultinj.CrossValKernels {
-				if e, err := suite.Find(all, name); err == nil {
-					entries = append(entries, e)
-				}
-			}
-		}
-		cfg := faultinj.Config{Tool: faultinj.NVBitFI, TotalFaults: faults, Seed: seed}
-		for _, e := range entries {
-			cv, err := faultinj.CrossValidateDUEModes(cfg, e.Name, e.Build, dev)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "skip %s on %s: %v\n", e.Name, dev.Name, err)
-				continue
-			}
-			cvs = append(cvs, cv)
-			fmt.Fprintf(os.Stderr, "done %s on %s: delta %.3f over %d typed DUEs\n",
-				e.Name, dev.Name, cv.Delta(), cv.DynamicDUEs)
-		}
-	}
-	fmt.Print(report.DUEModeCrossValidation(cvs, csv))
-	if gate {
-		bad := 0
-		for _, cv := range cvs {
-			if !cv.Agrees() {
-				fmt.Fprintf(os.Stderr, "duemode-gate: %s on %s outside %.2f (L-inf delta %.3f over %d typed DUEs)\n",
-					cv.Name, cv.Device, faultinj.DUEModeTolerance, cv.Delta(), cv.DynamicDUEs)
-				bad++
-			}
-		}
-		if bad > 0 {
-			return 1
-		}
-	}
-	return 0
-}
-
 func pickDevices(name string) ([]*device.Device, error) {
 	switch name {
 	case "kepler", "k40c":
@@ -440,128 +263,6 @@ func pickOpts(name string) ([]asm.OptLevel, error) {
 		return nil, fmt.Errorf("unknown pipeline %q (want a configuration like O0/O2+u4/O2+spill, \"both\", or \"matrix\"): %w", name, err)
 	}
 	return []asm.OptLevel{opt}, nil
-}
-
-// runOptGate runs the optimization-matrix sweep over the cross-
-// validation workloads of each device and gates on ordering agreement:
-// the static per-configuration AVF ordering must not contradict the
-// injection campaign's on any matrix (no discordant pair at the
-// documented tie width, faultinj.OptOrderingEps).
-func runOptGate(devs []*device.Device, code string, faults int, seed uint64, csv bool) int {
-	var ms []*faultinj.OptMatrix
-	bad := 0
-	for _, dev := range devs {
-		all := suite.ForDevice(dev)
-		var entries []suite.Entry
-		if code != "" {
-			e, err := suite.Find(all, code)
-			if err != nil {
-				fail(err)
-			}
-			entries = []suite.Entry{e}
-		} else {
-			for _, name := range faultinj.CrossValKernels {
-				if e, err := suite.Find(all, name); err == nil {
-					entries = append(entries, e)
-				}
-			}
-		}
-		for _, e := range entries {
-			m, err := faultinj.RunOptMatrix(faultinj.OptMatrixConfig{
-				Faults: faults, Seed: seed,
-			}, e.Name, e.Build, dev, nil)
-			if err != nil {
-				fail(err)
-			}
-			ms = append(ms, m)
-			c, d := m.OrderingAgreement(faultinj.OptOrderingEps)
-			fmt.Fprintf(os.Stderr, "done %s on %s: %d concordant, %d discordant\n",
-				e.Name, dev.Name, c, d)
-			if !m.OrderingAgrees() {
-				fmt.Fprintf(os.Stderr, "opt-gate: %s on %s: static ordering contradicts injection (%d discordant pairs at eps %.2f)\n",
-					m.Name, m.Device, d, faultinj.OptOrderingEps)
-				bad++
-			}
-		}
-	}
-	fmt.Print(report.OptMatrixSweep(ms, csv))
-	if bad > 0 {
-		return 1
-	}
-	return 0
-}
-
-// runTwoLevelGate runs, per device and cross-validation workload, both
-// the exhaustive NVBitFI campaign and the two-level estimate on a shared
-// runner, and gates on the estimator's two promises: the SDC AVF within
-// faultinj.TwoLevelTolerance of the exhaustive result, at five or more
-// times fewer simulations.
-func runTwoLevelGate(devs []*device.Device, code string, faults int, seed uint64, csv bool) int {
-	bad := 0
-	ds := make(map[*device.Device]*core.DeviceStudy)
-	for _, dev := range devs {
-		all := suite.ForDevice(dev)
-		var entries []suite.Entry
-		if code != "" {
-			e, err := suite.Find(all, code)
-			if err != nil {
-				fail(err)
-			}
-			entries = []suite.Entry{e}
-		} else {
-			for _, name := range faultinj.CrossValKernels {
-				if e, err := suite.Find(all, name); err == nil {
-					entries = append(entries, e)
-				}
-			}
-		}
-		study := &core.DeviceStudy{
-			Dev:      dev,
-			AVF:      map[faultinj.Tool]map[string]*faultinj.Result{faultinj.NVBitFI: {}},
-			TwoLevel: map[string]*faultinj.TwoLevelResult{},
-		}
-		ds[dev] = study
-		for _, e := range entries {
-			runner, err := kernels.NewRunner(e.Name, e.Build, dev, faultinj.NVBitFI.OptLevel())
-			if err != nil {
-				fail(err)
-			}
-			exact, err := faultinj.RunWithRunner(faultinj.Config{
-				Tool: faultinj.NVBitFI, TotalFaults: faults, Seed: seed,
-			}, runner)
-			if err != nil {
-				fail(err)
-			}
-			tl, err := faultinj.TwoLevelEstimateWithRunner(faultinj.TwoLevelConfig{
-				Tool: faultinj.NVBitFI, Seed: seed,
-			}, runner)
-			if err != nil {
-				fail(err)
-			}
-			study.AVF[faultinj.NVBitFI][e.Name] = exact
-			study.TwoLevel[e.Name] = tl
-			fmt.Fprintf(os.Stderr, "done %s on %s: exact %.3f, two-level %.3f (%d vs %d trials)\n",
-				e.Name, dev.Name, exact.SDCAVF.P, tl.SDCAVF, exact.Injected, tl.Trials)
-			if !tl.Agrees(exact) {
-				fmt.Fprintf(os.Stderr, "twolevel-gate: %s on %s outside ±%.2f (delta %+.3f)\n",
-					e.Name, dev.Name, faultinj.TwoLevelTolerance, tl.Delta(exact))
-				bad++
-			}
-			if tl.Speedup(exact) < 5 {
-				fmt.Fprintf(os.Stderr, "twolevel-gate: %s on %s speedup %.1fx below 5x (%d vs %d trials)\n",
-					e.Name, dev.Name, tl.Speedup(exact), tl.Trials, exact.Injected)
-				bad++
-			}
-		}
-	}
-	for _, dev := range devs {
-		fmt.Print(report.TwoLevelTable(ds[dev], csv))
-		fmt.Println()
-	}
-	if bad > 0 {
-		return 1
-	}
-	return 0
 }
 
 func fail(err error) {

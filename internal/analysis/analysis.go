@@ -40,11 +40,6 @@ type Result struct {
 	LiveOut     []RegSet
 	PredLiveOut []PredSet
 
-	// ACE holds the scalar per-instruction ACE fractions (see ace.go),
-	// kept as the legacy/fallback estimator the bit-resolved model is
-	// compared against.
-	ACE []InstrACE
-
 	// ACEVec holds the bit-resolved ACE vectors (see bitflow.go).
 	ACEVec []ACEVector
 
@@ -71,7 +66,7 @@ type Result struct {
 }
 
 // Analyze runs the full pipeline — CFG, liveness, reaching definitions,
-// known-bits/range abstract interpretation, scalar and bit-resolved ACE
+// known-bits/range abstract interpretation, bit-resolved ACE
 // propagation, lint — over one program, without launch-geometry seeding.
 func Analyze(p *isa.Program) *Result { return AnalyzeLaunch(p, nil) }
 
@@ -83,7 +78,6 @@ func AnalyzeLaunch(p *isa.Program, bounds *Bounds) *Result {
 	r.CFG = BuildCFG(p)
 	r.LiveOut, r.PredLiveOut = liveness(p, r.CFG)
 	r.DefUse = buildDefUse(p, r.CFG)
-	r.ACE = propagateACE(p, r.DefUse)
 	r.bf = newBitflow(p, r.DefUse, bounds)
 	r.bf.forward()
 	r.Facts, r.PredFacts = r.bf.facts, r.bf.preds

@@ -380,6 +380,8 @@ func TestPredicatedWritesDontKill(t *testing.T) {
 	}
 }
 
+func unmaskedMean(v *ACEVector) float64 { return v.MeanSDC() + v.MeanDUE() }
+
 // TestACEPropagation checks the two ends of the spectrum: a value stored
 // to global memory is fully ACE; a transitively dead chain is ACE 0.
 func TestACEPropagation(t *testing.T) {
@@ -391,15 +393,15 @@ func TestACEPropagation(t *testing.T) {
 		exit(),
 	)
 	r := Analyze(live)
-	if got := r.ACE[2]; got.SDC < 0.999 {
-		t.Errorf("stored IADD result SDC = %.3f, want 1.0", got.SDC)
+	if got := r.ACEVec[2].MeanSDC(); got < 0.999 {
+		t.Errorf("stored IADD result SDC = %.3f, want 1.0", got)
 	}
-	if r.ACE[1].DUE <= 0 {
-		t.Errorf("address register DUE = %.3f, want > 0", r.ACE[1].DUE)
+	if got := r.ACEVec[1].MeanDUE(); got <= 0 {
+		t.Errorf("address register DUE = %.3f, want > 0", got)
 	}
-	if r.ACE[0].Unmasked() <= 0 || r.ACE[0].Unmasked() > r.ACE[2].Unmasked() {
-		t.Errorf("operand ACE %.3f should be positive and at most consumer ACE %.3f",
-			r.ACE[0].Unmasked(), r.ACE[2].Unmasked())
+	op, cons := unmaskedMean(&r.ACEVec[0]), unmaskedMean(&r.ACEVec[2])
+	if op <= 0 || op > cons {
+		t.Errorf("operand ACE %.3f should be positive and at most consumer ACE %.3f", op, cons)
 	}
 
 	dead := prog("dead",
@@ -410,9 +412,9 @@ func TestACEPropagation(t *testing.T) {
 	)
 	r = Analyze(dead)
 	for i := 0; i < 3; i++ {
-		if !r.ACE[i].Dead() {
+		if !r.ACEVec[i].Dead() {
 			t.Errorf("instruction %d of a dead chain has ACE %.3f, want 0",
-				i, r.ACE[i].Unmasked())
+				i, unmaskedMean(&r.ACEVec[i]))
 		}
 	}
 	if est := r.Estimate(nil, nil); est.DeadFraction < 0.999 {

@@ -49,17 +49,13 @@ type Estimate struct {
 	// BitSDC/BitDUE/BitWeight are the bit-position AVF profiles of the
 	// bit-resolved estimator: per bit position, the weighted-mean ACE
 	// over the sites whose destination window covers that bit, with
-	// BitWeight the covering population weight. Zero for Scalar
-	// estimates.
+	// BitWeight the covering population weight.
 	BitSDC    [64]float64
 	BitDUE    [64]float64
 	BitWeight [64]float64
 	// Band buckets the same profile into width-relative bands, the
 	// granularity the injection cross-validation compares at.
-	Band [BandCount]BandEstimate
-	// Scalar marks an estimate produced by the legacy scalar model
-	// (Result.ScalarEstimate) rather than the ACE vectors.
-	Scalar   bool
+	Band     [BandCount]BandEstimate
 	PerClass map[isa.Class]*ClassEstimate
 }
 
@@ -72,19 +68,7 @@ func (e *Estimate) Unmasked() float64 { return e.SDC + e.DUE }
 // site weights (nil: uniform static weighting); use OpWeights to weight
 // by a dynamic profile.
 func (r *Result) Estimate(weights []float64, filter func(isa.Op) bool) *Estimate {
-	return r.estimate(weights, filter, false)
-}
-
-// ScalarEstimate aggregates the legacy scalar ACE fractions instead of
-// the bit vectors — the PR-1 estimator, kept for comparison so the
-// bit-resolved model's residual against injection can be asserted to
-// tighten (see faultinj's cross-validation).
-func (r *Result) ScalarEstimate(weights []float64, filter func(isa.Op) bool) *Estimate {
-	return r.estimate(weights, filter, true)
-}
-
-func (r *Result) estimate(weights []float64, filter func(isa.Op) bool, scalar bool) *Estimate {
-	est := &Estimate{Name: r.Prog.Name, Scalar: scalar, PerClass: make(map[isa.Class]*ClassEstimate)}
+	est := &Estimate{Name: r.Prog.Name, PerClass: make(map[isa.Class]*ClassEstimate)}
 	var totalW, sdcW, dueW, deadW float64
 	for i := range r.Prog.Instrs {
 		in := &r.Prog.Instrs[i]
@@ -104,30 +88,23 @@ func (r *Result) estimate(weights []float64, filter func(isa.Op) bool, scalar bo
 		}
 		est.Sites++
 		totalW += w
-		var siteSDC, siteDUE float64
-		var dead bool
-		if scalar {
-			a := r.ACE[i]
-			siteSDC, siteDUE, dead = a.SDC, a.DUE, a.Dead()
-		} else {
-			v := &r.ACEVec[i]
-			siteSDC, siteDUE, dead = v.MeanSDC(), v.MeanDUE(), v.Dead()
-			if width := v.Width; width > 0 {
-				bw := w / float64(width)
-				for b := 0; b < width; b++ {
-					est.BitSDC[b] += w * v.SDC[b]
-					est.BitDUE[b] += w * v.DUE[b]
-					est.BitWeight[b] += w
-					band := &est.Band[BandOf(b, width)]
-					band.SDC += bw * v.SDC[b]
-					band.DUE += bw * v.DUE[b]
-					band.Weight += bw
-				}
+		v := &r.ACEVec[i]
+		siteSDC, siteDUE := v.MeanSDC(), v.MeanDUE()
+		if width := v.Width; width > 0 {
+			bw := w / float64(width)
+			for b := 0; b < width; b++ {
+				est.BitSDC[b] += w * v.SDC[b]
+				est.BitDUE[b] += w * v.DUE[b]
+				est.BitWeight[b] += w
+				band := &est.Band[BandOf(b, width)]
+				band.SDC += bw * v.SDC[b]
+				band.DUE += bw * v.DUE[b]
+				band.Weight += bw
 			}
 		}
 		sdcW += w * siteSDC
 		dueW += w * siteDUE
-		if dead {
+		if v.Dead() {
 			deadW += w
 		}
 		ce := est.PerClass[in.Op.ClassOf()]

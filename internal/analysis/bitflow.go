@@ -8,24 +8,38 @@ import (
 // definition, a known-bits lattice (knownbits.go) and a conservative
 // value range (range.go), seeded from immediates, RZ, and the launch
 // geometry behind the S2R special registers; then a backward ACE pass
-// that carries a 64-bit vector per value instead of ace.go's scalar.
+// that carries a 64-bit vector per value.
 //
-// The forward facts turn several of the scalar model's per-opcode
-// guesses into proofs: a bit ANDed with a proven zero is masked exactly,
+// ACE (Architecturally Correct Execution) estimation: for every
+// instruction that defines a value (a GPR span or a predicate), the
+// probability that a single bit flipped in that value changes
+// architectural output — split into an SDC channel (the corruption
+// reaches stored output silently) and a DUE channel (it derails
+// addressing or control and crashes/hangs the run). The estimate
+// propagates backward along def-use chains: a value is ACE to the
+// extent its consumers are, attenuated by a per-consumer masking
+// factor. Sinks are the memory system (stored values, addresses) and
+// control flow (branch guards); contributions combine as independent
+// paths (noisy-or). A value nothing consumes has ACE 0: it is
+// architecturally dead, and — transitively — so is everything that only
+// feeds dead values, the static counterpart of the dead-code difference
+// the paper blames for the SASSIFI-vs-NVBitFI AVF gap (§VI).
+//
+// The forward facts turn several per-opcode masking guesses into
+// proofs: a bit ANDed with a proven zero is masked exactly,
 // a bit shifted out by a proven constant amount is masked exactly, a bit
 // dropped by a narrowing conversion or an FP16 operand read is masked
 // structurally, and a bit whose flip provably cannot move an ISETP
 // operand across the comparison threshold (under the derived ranges)
 // cannot reach the predicate. Everything unproven falls back to the
-// scalar factors in tuning.go, redistributed per bit position with the
-// IEEE-layout profile for FP consumers — so the bit estimator's
-// width-mean stays comparable to the scalar estimator while the per-bit
+// per-opcode pass factors in tuning.go, redistributed per bit position
+// with the IEEE-layout profile for FP consumers, so the per-bit
 // structure matches the bit-position dependence the injectors measure.
 //
 // Both passes are sound at every iteration: the forward lattice starts
 // at top (no knowledge) and only monotonically strengthens, and the
-// backward noisy-or is the same bounded monotone combine as ace.go, so
-// the iteration caps cannot produce unsound facts.
+// backward noisy-or is a bounded monotone combine, so the iteration
+// caps cannot produce unsound facts.
 
 // Bounds carries the launch geometry used to seed S2R special-register
 // facts. A nil Bounds (or zero fields) seeds only the geometry-free
@@ -594,9 +608,12 @@ func (bf *bitflow) forward() {
 	}
 }
 
-// propagateVec iterates the backward per-bit transfer to a fixpoint:
-// ace.go's noisy-or combine, carried independently per destination bit,
-// with the forward facts deciding which bits an edge can actually move.
+// propagateVec iterates the backward per-bit transfer to a fixpoint: a
+// noisy-or combine over def-use edges, carried independently per
+// destination bit, with the forward facts deciding which bits an edge
+// can actually move. The combine is monotone and bounded, so the sweep
+// converges; the epsilon cut bounds the loop count on loop-carried
+// chains.
 func (bf *bitflow) propagateVec() []ACEVector {
 	p := bf.p
 	n := len(p.Instrs)
@@ -636,6 +653,13 @@ func (bf *bitflow) propagateVec() []ACEVector {
 		}
 	}
 	return vec
+}
+
+func abs(x float64) float64 {
+	if x < 0 {
+		return -x
+	}
+	return x
 }
 
 // edgeContrib folds one def-use edge of definition i into the per-bit
@@ -697,7 +721,7 @@ func (bf *bitflow) edgeContrib(i int, e UseEdge, vec []ACEVector, w int, missSDC
 
 // cmpContrib handles a comparison source: a flip is provably masked
 // when, under the derived ranges, it cannot move the operand across the
-// comparison threshold; otherwise the scalar compare factor applies.
+// comparison threshold; otherwise the PassCmp factor applies.
 func (bf *bitflow) cmpContrib(i int, e UseEdge, useIn *isa.Instr, uv *ACEVector,
 	w, lo, hi int, apply func(int, float64, float64)) {
 	vb := useIn.SrcValueBits(int(e.Slot))
@@ -787,9 +811,9 @@ func dataStencil(useIn *isa.Instr, slot, ub, uw int, inv edgeInvariants) bitSten
 		return bitStencil{stExact, PassIAdd * intBitFactor(ub), ub}
 	case isa.OpIMAD:
 		if slot == 2 {
-			// The addend is bit-aligned (same-bit shape), but its
-			// pass factor matches the scalar model's single IMAD
-			// factor so the two estimators stay mean-calibrated.
+			// The addend is bit-aligned (same-bit shape), but it
+			// takes the multiplier's pass factor: one IMAD factor
+			// for every operand.
 			return bitStencil{stExact, PassIMul * intBitFactor(ub), ub}
 		}
 		return bitStencil{stMeanFrom, PassIMul * intBitFactor(ub), ub}

@@ -145,8 +145,8 @@ func TestForwardFactsLaunchGeometry(t *testing.T) {
 
 // TestKnownBitsProofKillsInstruction is the live-to-dead satellite: a
 // loaded value consumed only through AND with a proven-zero mask is
-// architecturally dead under the bit model while the scalar model keeps
-// a generic pass factor for it — and the whole-program AVF moves
+// architecturally dead under the bit model, although a generic
+// PassAndOr factor would keep it live — and the whole-program AVF moves
 // accordingly.
 func TestKnownBitsProofKillsInstruction(t *testing.T) {
 	p := prog("andzero",
@@ -159,31 +159,20 @@ func TestKnownBitsProofKillsInstruction(t *testing.T) {
 	)
 	r := Analyze(p)
 
-	// Scalar: the load's value reaches the store through the AND at the
-	// generic and/or pass factor — far from dead.
-	if sc := r.ACE[1]; sc.Unmasked() < 0.4 {
-		t.Fatalf("scalar ACE of the masked load = %.3f, want ~PassAndOr*store", sc.Unmasked())
-	}
-	// Bit-resolved: every bit of the load is ANDed with a proven zero.
+	// Every bit of the load is ANDed with a proven zero.
 	if v := &r.ACEVec[1]; !v.Dead() {
 		t.Fatalf("bit ACE of the masked load = %.3f, want 0 (proven masked)", v.MeanSDC()+v.MeanDUE())
 	}
 	// The AND's own result is provably constant but still stored, so it
-	// stays live in both models.
-	if r.ACEVec[3].Dead() || r.ACE[3].Dead() {
+	// stays live.
+	if r.ACEVec[3].Dead() {
 		t.Fatalf("stored AND result must stay live")
 	}
 
-	// Whole-program AVF: the bit estimator sees the dead site, the
-	// scalar one does not.
-	bit, scalar := r.Estimate(nil, nil), r.ScalarEstimate(nil, nil)
-	if bit.Unmasked() >= scalar.Unmasked() {
-		t.Errorf("bit AVF %.3f should sit below scalar %.3f once the load is proven dead",
-			bit.Unmasked(), scalar.Unmasked())
-	}
-	if bit.DeadFraction <= scalar.DeadFraction {
-		t.Errorf("bit DeadFraction %.3f should exceed scalar %.3f",
-			bit.DeadFraction, scalar.DeadFraction)
+	// Whole-program AVF: the dead load is one of the four GPR-writing
+	// sites, and the estimate counts it dead.
+	if est := r.Estimate(nil, nil); est.DeadFraction < 0.25-1e-9 {
+		t.Errorf("DeadFraction %.3f should count the proven-dead load (>= 0.25)", est.DeadFraction)
 	}
 
 	// The proof surfaces as a constant-result finding on the AND (its
@@ -295,39 +284,5 @@ func TestEstimateNilWeightsUniformParity(t *testing.T) {
 		if !near(a.BitSDC[b64], b.BitSDC[b64]) || !near(a.BitDUE[b64], b.BitDUE[b64]) {
 			t.Errorf("bit %d profile diverges", b64)
 		}
-	}
-}
-
-// TestScalarEstimateMatchesLegacyACE pins that ScalarEstimate is the
-// PR-1 estimator: its site values are exactly the scalar ACE fractions.
-func TestScalarEstimateMatchesLegacyACE(t *testing.T) {
-	p := prog("legacy",
-		movi(rr(1)),
-		ldgT(rr(0), rr(1)),
-		iadd(rr(2), rr(0), rr(0)),
-		stg(rr(1), rr(2)),
-		exit(),
-	)
-	r := Analyze(p)
-	est := r.ScalarEstimate(nil, nil)
-	if !est.Scalar {
-		t.Fatalf("ScalarEstimate must mark itself Scalar")
-	}
-	var sdc, due float64
-	n := 0
-	for i := range p.Instrs {
-		if !p.Instrs[i].Op.WritesGPR() {
-			continue
-		}
-		sdc += r.ACE[i].SDC
-		due += r.ACE[i].DUE
-		n++
-	}
-	if math.Abs(est.SDC-sdc/float64(n)) > 1e-12 || math.Abs(est.DUE-due/float64(n)) > 1e-12 {
-		t.Errorf("scalar estimate (%.6f,%.6f) != mean ACE (%.6f,%.6f)",
-			est.SDC, est.DUE, sdc/float64(n), due/float64(n))
-	}
-	if est.BitWeight[0] != 0 {
-		t.Errorf("scalar estimate must not fill the bit profile")
 	}
 }

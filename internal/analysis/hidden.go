@@ -65,9 +65,7 @@ const (
 )
 
 // NominalHiddenDUE is the suite-typical P(DUE | hidden strike) implied
-// by the priors alone (all proxies at their neutral point). Consumers
-// that calibrate an absolute rate against a measured reference divide
-// the per-kernel estimate by this to obtain a relative correction.
+// by the priors alone (all proxies at their neutral point).
 const NominalHiddenDUE = hiddenBaseScheduler*hiddenDUEScheduler +
 	hiddenBaseInstrPipe*hiddenDUEInstrPipe +
 	hiddenBaseMemPath*hiddenDUEMemPath +

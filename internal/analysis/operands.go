@@ -4,7 +4,7 @@ import "gpurel/internal/isa"
 
 // UseKind classifies the role a source register span plays in its
 // consumer, which determines the ACE transfer applied along the def-use
-// edge (see ace.go).
+// edge (see bitflow.go).
 type UseKind uint8
 
 // Source roles.

@@ -25,9 +25,8 @@ const (
 // UseEdge is one consumer of a definition, resolved to 32-bit register
 // granularity: which operand slot of the consumer reads the value, and
 // which register of the definition's destination span lands in which
-// register of the consumer's source span. The scalar ACE propagation
-// collapses edges back to (Use, Kind); the bit-level analysis needs the
-// full resolution to map destination bits onto operand bits.
+// register of the consumer's source span. The bit-level analysis needs
+// the full resolution to map destination bits onto operand bits.
 type UseEdge struct {
 	Use    int // consuming instruction index
 	Kind   EdgeKind

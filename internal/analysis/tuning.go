@@ -1,16 +1,14 @@
 package analysis
 
 // Central tuning table for the ACE transfer model. Every masking weight
-// the analyzer uses lives here — the scalar (legacy) pass factors that
-// ace.go applies per opcode, the terminal sink weights shared by both
-// estimators, and the bit-resolved knobs bitflow.go applies when a
-// per-bit fact cannot be *proven* from the known-bits/range lattices.
+// the analyzer uses lives here — the per-opcode pass factors, the
+// terminal sink weights, and the bit-resolved knobs bitflow.go applies
+// when a per-bit fact cannot be *proven* from the known-bits/range
+// lattices.
 //
-// The scalar factors are calibrated against the paper's §VI injection
-// campaigns (see faultinj.CrossValTolerance); the bit-resolved tables
-// are shaped so their width-mean stays close to the scalar factor for
-// the same opcode, which keeps the two estimators comparable while the
-// per-bit structure redistributes vulnerability across bit positions.
+// The factors are calibrated against the paper's §VI injection
+// campaigns (see faultinj.CrossValTolerance); the per-bit tables
+// redistribute vulnerability across bit positions.
 
 // Terminal sink weights: where a corrupted value meets architectural
 // output directly. SDC/DUE pairs; per channel, probability the flip is
@@ -22,11 +20,6 @@ const (
 	// SinkSharedStoreSDC: shared memory round-trips back through LDS
 	// before it can reach output; memory is not tracked, so attenuate.
 	SinkSharedStoreSDC = 0.8
-	// SinkAddrSDC/DUE: a flipped address bit reads/writes the wrong
-	// location: wrong data (SDC) or out-of-bounds (DUE), cf. the
-	// simulator's address-fault semantics.
-	SinkAddrSDC = 0.45
-	SinkAddrDUE = 0.45
 	// SinkBranchSDC/DUE: a flipped branch guard takes the wrong path:
 	// wrong-output SDC or livelock/fetch-overrun DUE in comparable
 	// measure.
@@ -34,11 +27,11 @@ const (
 	SinkBranchDUE = 0.4
 )
 
-// Scalar pass factors: the attenuation applied when a value flows
-// through a consuming instruction into that instruction's own
-// destination — the fraction of input-bit flips expected to survive
-// into the result. ace.go applies these per opcode; bitflow.go falls
-// back to them (or to the bit tables below) for unproven operands.
+// Pass factors: the attenuation applied when a value flows through a
+// consuming instruction into that instruction's own destination — the
+// fraction of input-bit flips expected to survive into the result.
+// bitflow.go applies them (or the bit tables below) per opcode for
+// operands whose masking it cannot prove.
 const (
 	// PassCmp: a single input bit rarely crosses the comparison
 	// threshold — strong logical masking before the predicate.
@@ -53,8 +46,8 @@ const (
 	PassSel  = 0.5
 	PassIAdd = 1.0
 	PassXor  = 1.0
-	// PassAndOr: AND/OR mask roughly half the input bits (scalar guess;
-	// bitflow proves the exact mask when the other operand is known).
+	// PassAndOr: AND/OR mask roughly half the input bits (bitflow
+	// proves the exact mask when the other operand is known).
 	PassAndOr = 0.5
 	// PassShift: bits shifted out are lost (bitflow proves which when
 	// the shift amount is a known constant).
@@ -62,14 +55,6 @@ const (
 	// PassMinMax: only the selected operand survives.
 	PassMinMax = 0.5
 	PassIMul   = 0.8
-	// PassFAdd: alignment/rounding mask low-order FP bits.
-	PassFAdd = 0.75
-	PassFMul = 0.7
-	// PassHAdd/HMul: FP16 reads 16 of 32 register bits, then rounds.
-	// bitflow derives the same 0.375 = 0.5 (structural low half) x 0.75
-	// (rounding) from isa.SrcValueBits plus the 16-bit FP profile.
-	PassHAdd = 0.375
-	PassHMul = 0.35
 	// PassMMA: wide dot-products propagate most input faults.
 	PassMMA = 0.8
 	// PassMufu: transcendentals compress their domain.
@@ -79,10 +64,11 @@ const (
 	PassDefault = 0.8
 )
 
-// Bit-resolved address-sink split. Low-order address bits move an
-// access within its (page-aligned) allocation — wrong data, SDC-leaning
-// — while high-order bits throw it out of bounds — DUE-leaning. The
-// width-mean of the split stays near the scalar SinkAddr pair.
+// Bit-resolved address sink. A flipped address bit reads or writes the
+// wrong location (cf. the simulator's address-fault semantics).
+// Low-order address bits move an access within its (page-aligned)
+// allocation — wrong data, SDC-leaning — while high-order bits throw it
+// out of bounds — DUE-leaning.
 const (
 	// AddrPageBits: address bits below this index stay inside a
 	// 4 KiB-page-sized region around the intended location.
@@ -97,15 +83,14 @@ const (
 // layout: low mantissa bits are absorbed by alignment/rounding, high
 // mantissa bits mostly survive, exponent bits rescale the whole value,
 // and the sign bit flips it outright. fpBitFactor maps a bit position
-// to its region for 16/32/64-bit formats; the profile width-means sit
-// near PassFAdd so the scalar and bit estimators stay comparable.
+// to its region for 16/32/64-bit formats.
 const (
 	FPMantLowFactor  = 0.55
 	FPMantHighFactor = 0.8
 	FPExpFactor      = 0.95
 	FPSignFactor     = 0.9
-	// FPMulScale derates multiplies relative to adds, matching the
-	// PassFMul / PassFAdd ratio.
+	// FPMulScale derates multiplies relative to adds by the 0.70/0.75
+	// multiply-to-add pass ratio the FP profile was calibrated with.
 	FPMulScale = 0.93
 )
 
@@ -143,10 +128,9 @@ func fpBitFactor(width, bit int) float64 {
 // multiply-add, min/max, select) attenuate the lowest IntLowBits of the
 // value they read. Copies, logic ops, and stores stay exact: a copied
 // or stored bit propagates architecturally bit-for-bit. This is the
-// integer analogue of the FP mantissa profile, and the principal place
-// the bit-resolved estimator departs from the scalar one on
-// integer-dominated kernels (the departure the injection
-// cross-validation checks is in the measured direction).
+// integer analogue of the FP mantissa profile; on integer-dominated
+// kernels it moves the estimate in the direction the injection
+// cross-validation measures.
 const (
 	IntLowBits      = 8
 	IntLowBitFactor = 0.85

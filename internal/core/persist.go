@@ -39,7 +39,6 @@ type deviceStudyJSON struct {
 	Profiles       map[string]*profiler.CodeProfile
 	AVF            map[string]map[string]*faultinj.Result
 	StaticAVF      map[string]*analysis.Estimate
-	ScalarAVF      map[string]*analysis.Estimate
 	StaticDUEModes map[string]*analysis.DUEModeEstimate
 	OptMatrix      map[string]*faultinj.OptMatrix
 	TwoLevel       map[string]*faultinj.TwoLevelResult
@@ -49,7 +48,6 @@ type deviceStudyJSON struct {
 	StaticHidden   map[string]*analysis.HiddenEstimate
 	MeasuredHidden map[string]*analysis.HiddenEstimate
 	DUE            map[string]float64
-	DUECorrected   map[string]float64
 	DUEMeasured    map[string]float64
 }
 
@@ -73,14 +71,12 @@ func (ds *DeviceStudy) SaveJSON(path string) error {
 		Profiles:       ds.Profiles,
 		AVF:            map[string]map[string]*faultinj.Result{},
 		StaticAVF:      ds.StaticAVF,
-		ScalarAVF:      ds.ScalarAVF,
 		StaticDUEModes: ds.StaticDUEModes,
 		OptMatrix:      ds.OptMatrix,
 		TwoLevel:       ds.TwoLevel,
 		StaticHidden:   ds.StaticHidden,
 		MeasuredHidden: ds.MeasuredHidden,
 		DUE:            map[string]float64{},
-		DUECorrected:   map[string]float64{},
 		DUEMeasured:    map[string]float64{},
 	}
 	for tool, byCode := range ds.AVF {
@@ -122,9 +118,6 @@ func (ds *DeviceStudy) SaveJSON(path string) error {
 	}
 	for ecc, v := range ds.DUEUnderestimate {
 		out.DUE[eccKey(ecc)] = v
-	}
-	for ecc, v := range ds.DUECorrectedUnderestimate {
-		out.DUECorrected[eccKey(ecc)] = v
 	}
 	for ecc, v := range ds.DUEMeasuredUnderestimate {
 		out.DUEMeasured[eccKey(ecc)] = v
@@ -189,30 +182,25 @@ func LoadDeviceStudy(path string) (*DeviceStudy, error) {
 		return nil, fmt.Errorf("core: unknown device %q in %s", in.Device, path)
 	}
 	ds := &DeviceStudy{
-		Dev:                       dev,
-		MicroBeam:                 in.MicroBeam,
-		Units:                     in.Units,
-		Profiles:                  in.Profiles,
-		AVF:                       map[faultinj.Tool]map[string]*faultinj.Result{},
-		StaticAVF:                 in.StaticAVF,
-		ScalarAVF:                 in.ScalarAVF,
-		StaticDUEModes:            in.StaticDUEModes,
-		OptMatrix:                 in.OptMatrix,
-		TwoLevel:                  in.TwoLevel,
-		Beam:                      map[BeamKey]*beam.Result{},
-		Predictions:               map[PredKey]fit.Prediction{},
-		Comparisons:               in.Comparisons,
-		StaticHidden:              in.StaticHidden,
-		MeasuredHidden:            in.MeasuredHidden,
-		DUEUnderestimate:          map[bool]float64{},
-		DUECorrectedUnderestimate: map[bool]float64{},
-		DUEMeasuredUnderestimate:  map[bool]float64{},
+		Dev:                      dev,
+		MicroBeam:                in.MicroBeam,
+		Units:                    in.Units,
+		Profiles:                 in.Profiles,
+		AVF:                      map[faultinj.Tool]map[string]*faultinj.Result{},
+		StaticAVF:                in.StaticAVF,
+		StaticDUEModes:           in.StaticDUEModes,
+		OptMatrix:                in.OptMatrix,
+		TwoLevel:                 in.TwoLevel,
+		Beam:                     map[BeamKey]*beam.Result{},
+		Predictions:              map[PredKey]fit.Prediction{},
+		Comparisons:              in.Comparisons,
+		StaticHidden:             in.StaticHidden,
+		MeasuredHidden:           in.MeasuredHidden,
+		DUEUnderestimate:         map[bool]float64{},
+		DUEMeasuredUnderestimate: map[bool]float64{},
 	}
 	if ds.StaticAVF == nil {
 		ds.StaticAVF = map[string]*analysis.Estimate{}
-	}
-	if ds.ScalarAVF == nil {
-		ds.ScalarAVF = map[string]*analysis.Estimate{}
 	}
 	// Studies saved before the DUE-mode taxonomy carry no mode
 	// distributions; load them with an empty (not nil) map so renderers
@@ -251,9 +239,6 @@ func LoadDeviceStudy(path string) (*DeviceStudy, error) {
 	}
 	for k, v := range in.DUE {
 		ds.DUEUnderestimate[k == "on"] = v
-	}
-	for k, v := range in.DUECorrected {
-		ds.DUECorrectedUnderestimate[k == "on"] = v
 	}
 	for k, v := range in.DUEMeasured {
 		ds.DUEMeasuredUnderestimate[k == "on"] = v

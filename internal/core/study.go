@@ -138,47 +138,6 @@ func forEach(n, parallel int, fn func(i int) error) error {
 	return firstErr
 }
 
-// runnerCache builds each (workload, opt level) runner at most once per
-// device study and shares its golden run, profiles, and launch-boundary
-// snapshots across the profiling, injection, and beam phases.
-type runnerCache struct {
-	dev *device.Device
-	mu  sync.Mutex
-	m   map[runnerKey]*runnerEntry
-}
-
-type runnerKey struct {
-	name string
-	opt  asm.OptLevel
-}
-
-type runnerEntry struct {
-	once sync.Once
-	r    *kernels.Runner
-	err  error
-}
-
-func newRunnerCache(dev *device.Device) *runnerCache {
-	return &runnerCache{dev: dev, m: make(map[runnerKey]*runnerEntry)}
-}
-
-// get returns the shared runner for (name, opt), building it on first
-// use. Concurrent callers for the same key block on one build.
-func (c *runnerCache) get(name string, build kernels.Builder, opt asm.OptLevel) (*kernels.Runner, error) {
-	key := runnerKey{name, opt}
-	c.mu.Lock()
-	e := c.m[key]
-	if e == nil {
-		e = &runnerEntry{}
-		c.m[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		e.r, e.err = kernels.NewRunner(name, build, c.dev, opt)
-	})
-	return e.r, e.err
-}
-
 // BeamKey identifies one beam configuration of a workload.
 type BeamKey struct {
 	Code string
@@ -215,13 +174,11 @@ type DeviceStudy struct {
 	Predictions map[PredKey]fit.Prediction
 	Comparisons []fit.Comparison
 
-	// StaticAVF / ScalarAVF are the per-code injection-free static AVF
-	// estimates over the NVBitFI site population: the bit-resolved
-	// estimator (launch-geometry-seeded known-bits/range analysis) and
-	// the legacy scalar one. The cross-validation artifacts compare
-	// both against AVF[NVBitFI].
+	// StaticAVF is the per-code injection-free static AVF estimate over
+	// the NVBitFI site population: the bit-resolved estimator
+	// (launch-geometry-seeded known-bits/range analysis). The
+	// cross-validation artifacts compare it against AVF[NVBitFI].
 	StaticAVF map[string]*analysis.Estimate
-	ScalarAVF map[string]*analysis.Estimate
 
 	// StaticDUEModes is the per-code static DUE-mode distribution over
 	// the same NVBitFI site population: how a flip kills the kernel,
@@ -243,9 +200,10 @@ type DeviceStudy struct {
 	TwoLevel map[string]*faultinj.TwoLevelResult
 
 	// StaticHidden is the per-code static hidden-resource DUE estimate
-	// (internal/analysis), the correction term the injectors cannot
-	// supply. MeasuredHidden is its measured-residency counterpart,
-	// built from the golden run's telemetry (internal/sim timelines).
+	// (internal/analysis): structural proxies only. MeasuredHidden is
+	// the same estimate modulated by the golden run's residency
+	// telemetry (internal/sim timelines); it feeds the hidden-resource
+	// DUE correction the injectors cannot supply.
 	StaticHidden   map[string]*analysis.HiddenEstimate
 	MeasuredHidden map[string]*analysis.HiddenEstimate
 
@@ -253,12 +211,10 @@ type DeviceStudy struct {
 	// state (§VII-B: 120x / 629x on K40c, 60x / 46,700x on V100).
 	DUEUnderestimate map[bool]float64
 
-	// DUECorrectedUnderestimate is the same ratio after the static
-	// hidden-resource correction: how much of the §VII-B gap the static
-	// proxies close. DUEMeasuredUnderestimate is the ratio after the
-	// measured-residency correction instead.
-	DUECorrectedUnderestimate map[bool]float64
-	DUEMeasuredUnderestimate  map[bool]float64
+	// DUEMeasuredUnderestimate is the same ratio after the
+	// measured-residency hidden-resource correction: how much of the
+	// §VII-B gap the correction closes.
+	DUEMeasuredUnderestimate map[bool]float64
 }
 
 // Study is the full two-device reproduction.
@@ -300,25 +256,26 @@ func eccOffOnVolta(e suite.Entry) bool { return !e.Library }
 func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 	opts.defaults()
 	ds := &DeviceStudy{
-		Dev:                       dev,
-		MicroBeam:                 make(map[string]*beam.Result),
-		Profiles:                  make(map[string]*profiler.CodeProfile),
-		AVF:                       make(map[faultinj.Tool]map[string]*faultinj.Result),
-		StaticAVF:                 make(map[string]*analysis.Estimate),
-		ScalarAVF:                 make(map[string]*analysis.Estimate),
-		StaticDUEModes:            make(map[string]*analysis.DUEModeEstimate),
-		Beam:                      make(map[BeamKey]*beam.Result),
-		Predictions:               make(map[PredKey]fit.Prediction),
-		OptMatrix:                 make(map[string]*faultinj.OptMatrix),
-		TwoLevel:                  make(map[string]*faultinj.TwoLevelResult),
-		StaticHidden:              make(map[string]*analysis.HiddenEstimate),
-		MeasuredHidden:            make(map[string]*analysis.HiddenEstimate),
-		DUEUnderestimate:          make(map[bool]float64),
-		DUECorrectedUnderestimate: make(map[bool]float64),
-		DUEMeasuredUnderestimate:  make(map[bool]float64),
+		Dev:                      dev,
+		MicroBeam:                make(map[string]*beam.Result),
+		Profiles:                 make(map[string]*profiler.CodeProfile),
+		AVF:                      make(map[faultinj.Tool]map[string]*faultinj.Result),
+		StaticAVF:                make(map[string]*analysis.Estimate),
+		StaticDUEModes:           make(map[string]*analysis.DUEModeEstimate),
+		Beam:                     make(map[BeamKey]*beam.Result),
+		Predictions:              make(map[PredKey]fit.Prediction),
+		OptMatrix:                make(map[string]*faultinj.OptMatrix),
+		TwoLevel:                 make(map[string]*faultinj.TwoLevelResult),
+		StaticHidden:             make(map[string]*analysis.HiddenEstimate),
+		MeasuredHidden:           make(map[string]*analysis.HiddenEstimate),
+		DUEUnderestimate:         make(map[bool]float64),
+		DUEMeasuredUnderestimate: make(map[bool]float64),
 	}
 
-	cache := newRunnerCache(dev)
+	// One build per (workload, opt level): the golden run, profiles, and
+	// launch-boundary snapshots are shared across the profiling,
+	// injection, and beam phases. Budget 0: a study never evicts.
+	cache := kernels.NewCache(0)
 	var mu sync.Mutex // guards the ds maps and micro accumulators
 
 	// 1. Micro-benchmark beam campaigns (Figure 3). ECC is enabled for
@@ -333,7 +290,7 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 	outer, innerW := splitWorkers(opts.Workers, len(micros))
 	err := forEach(len(micros), outer, func(i int) error {
 		m := micros[i]
-		r, err := cache.get(m.Name, m.Build, asm.O2)
+		r, err := cache.Get(m.Name, m.Build, dev, asm.O2)
 		if err != nil {
 			return fmt.Errorf("core: micro %s: %w", m.Name, err)
 		}
@@ -375,7 +332,7 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 		if dev.Arch == device.Kepler {
 			tool = faultinj.Sassifi
 		}
-		ir, err := cache.get(m.Name, m.Build, tool.OptLevel())
+		ir, err := cache.Get(m.Name, m.Build, dev, tool.OptLevel())
 		if err != nil {
 			return fmt.Errorf("core: micro %s at %s opt: %w", m.Name, tool, err)
 		}
@@ -405,7 +362,7 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 	outer, _ = splitWorkers(opts.Workers, len(entries))
 	err = forEach(len(entries), outer, func(i int) error {
 		e := entries[i]
-		r, err := cache.get(e.Name, e.Build, asm.O2)
+		r, err := cache.Get(e.Name, e.Build, dev, asm.O2)
 		if err != nil {
 			return fmt.Errorf("core: profiling %s: %w", e.Name, err)
 		}
@@ -450,7 +407,7 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 	outer, innerW = splitWorkers(opts.Workers, len(injJobs))
 	err = forEach(len(injJobs), outer, func(i int) error {
 		j := injJobs[i]
-		r, err := cache.get(j.e.Name, j.e.Build, j.tool.OptLevel())
+		r, err := cache.Get(j.e.Name, j.e.Build, dev, j.tool.OptLevel())
 		if err != nil {
 			return fmt.Errorf("core: %s on %s: %w", j.tool, j.e.Name, err)
 		}
@@ -465,14 +422,11 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 		// The static counterparts of the NVBitFI campaign: deterministic,
 		// injection-free, and the other side of the cross-validation
 		// artifacts. Computed here because the runner is already built.
-		var st, sc *analysis.Estimate
+		var st *analysis.Estimate
 		var dm *analysis.DUEModeEstimate
 		if j.tool == faultinj.NVBitFI {
 			if st, err = faultinj.StaticEstimate(r, j.tool); err != nil {
 				return fmt.Errorf("core: static estimate %s: %w", j.e.Name, err)
-			}
-			if sc, err = faultinj.StaticEstimateScalar(r, j.tool); err != nil {
-				return fmt.Errorf("core: scalar estimate %s: %w", j.e.Name, err)
 			}
 			if dm, err = faultinj.StaticDUEModes(r, j.tool); err != nil {
 				return fmt.Errorf("core: static DUE modes %s: %w", j.e.Name, err)
@@ -482,7 +436,6 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 		ds.AVF[j.tool][j.e.Name] = res
 		if st != nil {
 			ds.StaticAVF[j.e.Name] = st
-			ds.ScalarAVF[j.e.Name] = sc
 			ds.StaticDUEModes[j.e.Name] = dm
 		}
 		mu.Unlock()
@@ -506,21 +459,18 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 			matrixJobs = append(matrixJobs, e)
 		}
 	}
-	runnerFor := func(name string, build kernels.Builder, _ *device.Device, opt asm.OptLevel) (*kernels.Runner, error) {
-		return cache.get(name, build, opt)
-	}
 	outer, innerW = splitWorkers(opts.Workers, len(matrixJobs))
 	err = forEach(len(matrixJobs), outer, func(i int) error {
 		e := matrixJobs[i]
 		m, err := faultinj.RunOptMatrix(faultinj.OptMatrixConfig{
 			Faults: opts.OptFaults, Workers: innerW,
 			Seed: opts.Seed ^ hash(e.Name) ^ 0x097a11e1,
-		}, e.Name, e.Build, dev, runnerFor)
+		}, e.Name, e.Build, dev, cache.Get)
 		if err != nil {
 			return fmt.Errorf("core: opt matrix %s: %w", e.Name, err)
 		}
 		for _, cell := range m.Cells {
-			r, err := cache.get(e.Name, e.Build, cell.Opt)
+			r, err := cache.Get(e.Name, e.Build, dev, cell.Opt)
 			if err != nil {
 				return err
 			}
@@ -555,7 +505,7 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 	outer, innerW = splitWorkers(opts.Workers, len(tlJobs))
 	err = forEach(len(tlJobs), outer, func(i int) error {
 		e := tlJobs[i]
-		r, err := cache.get(e.Name, e.Build, faultinj.NVBitFI.OptLevel())
+		r, err := cache.Get(e.Name, e.Build, dev, faultinj.NVBitFI.OptLevel())
 		if err != nil {
 			return fmt.Errorf("core: two-level %s: %w", e.Name, err)
 		}
@@ -587,7 +537,7 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 		if err != nil {
 			return err
 		}
-		r, err := cache.get(e.Name, e.Build, asm.O2)
+		r, err := cache.Get(e.Name, e.Build, dev, asm.O2)
 		if err != nil {
 			return err
 		}
@@ -701,10 +651,8 @@ func (ds *DeviceStudy) Finalize(voltaAVF map[string]*faultinj.Result) error {
 			}
 			pred := fit.Predict(cp, avf, ds.Units, key.ECC)
 			// Fold in the hidden-resource DUE term (§VII-B) — the part
-			// of the DUE rate the injector-fed AVFs cannot see — in both
-			// views: static (structural proxies) and measured (golden-run
-			// residency telemetry).
-			pred = pred.ApplyStaticDUE(ds.Units, ds.StaticHidden[key.Code])
+			// of the DUE rate the injector-fed AVFs cannot see — from the
+			// golden run's residency telemetry.
 			pred = pred.ApplyMeasuredDUE(ds.Units, ds.MeasuredHidden[key.Code])
 			pk := PredKey{Code: key.Code, ECC: key.ECC, Tool: tool}
 			ds.Predictions[pk] = pred
@@ -714,9 +662,9 @@ func (ds *DeviceStudy) Finalize(voltaAVF map[string]*faultinj.Result) error {
 	}
 	// DUE underestimation, averaged geometrically per ECC state over the
 	// NVBitFI-based predictions — uncorrected (the paper's headline
-	// number) and after the static hidden-resource correction.
+	// number) and after the hidden-resource correction.
 	for _, ecc := range []bool{false, true} {
-		var ratios, corrected, measured []float64
+		var ratios, measured []float64
 		for _, key := range beamKeys {
 			beamRes := ds.Beam[key]
 			if key.ECC != ecc {
@@ -730,18 +678,12 @@ func (ds *DeviceStudy) Finalize(voltaAVF map[string]*faultinj.Result) error {
 				continue
 			}
 			ratios = append(ratios, beamRes.DUEFIT.Rate/pred.DUEFIT)
-			if pred.DUEFITCorrected > 0 {
-				corrected = append(corrected, beamRes.DUEFIT.Rate/pred.DUEFITCorrected)
-			}
 			if pred.DUEFITCorrectedMeasured > 0 {
 				measured = append(measured, beamRes.DUEFIT.Rate/pred.DUEFITCorrectedMeasured)
 			}
 		}
 		if len(ratios) > 0 {
 			ds.DUEUnderestimate[ecc] = stats.GeomMeanAbsSigned(ratios)
-		}
-		if len(corrected) > 0 {
-			ds.DUECorrectedUnderestimate[ecc] = stats.GeomMeanAbsSigned(corrected)
 		}
 		if len(measured) > 0 {
 			ds.DUEMeasuredUnderestimate[ecc] = stats.GeomMeanAbsSigned(measured)

@@ -85,26 +85,26 @@ func TestDeviceStudyEndToEnd(t *testing.T) {
 			t.Fatalf("%s: static hidden DUE %.3f outside (0,1)", name, h.DUE)
 		}
 	}
-	// The static DUE correction must close the underestimation gap: a
-	// strictly positive additive term on every prediction, so the
+	// The hidden-resource DUE correction must close the underestimation
+	// gap: a strictly positive additive term on every prediction, so the
 	// corrected factor is strictly smaller wherever the beam saw DUEs.
-	if ds.Units.HiddenDUEBase() <= 0 {
+	if ds.Units.MeasuredHiddenDUEBase() <= 0 {
 		t.Fatal("micro beam data yields no hidden DUE floor")
 	}
 	applied := 0
 	for key, pred := range ds.Predictions {
-		if pred.DUECorrection <= 0 || pred.DUEFITCorrected <= pred.DUEFIT {
+		if pred.DUECorrectionMeasured <= 0 || pred.DUEFITCorrectedMeasured <= pred.DUEFIT {
 			t.Fatalf("%+v: correction %.4f did not increase DUE FIT (%.4f -> %.4f)",
-				key, pred.DUECorrection, pred.DUEFIT, pred.DUEFITCorrected)
+				key, pred.DUECorrectionMeasured, pred.DUEFIT, pred.DUEFITCorrectedMeasured)
 		}
 		applied++
 	}
 	if applied == 0 {
-		t.Fatal("no predictions carried the static DUE correction")
+		t.Fatal("no predictions carried the hidden DUE correction")
 	}
 	for _, ecc := range []bool{false, true} {
 		u, uok := ds.DUEUnderestimate[ecc]
-		c, cok := ds.DUECorrectedUnderestimate[ecc]
+		c, cok := ds.DUEMeasuredUnderestimate[ecc]
 		if uok != cok {
 			t.Fatalf("ecc=%v: corrected factor present=%v, uncorrected present=%v", ecc, cok, uok)
 		}
@@ -230,7 +230,7 @@ func TestPersistRoundTrip(t *testing.T) {
 		if !ok || gotPred.SDCFIT != want.SDCFIT {
 			t.Fatalf("prediction %+v lost or altered", key)
 		}
-		if gotPred.DUEFITCorrected != want.DUEFITCorrected {
+		if gotPred.DUEFITCorrectedMeasured != want.DUEFITCorrectedMeasured {
 			t.Fatalf("prediction %+v: corrected DUE FIT lost or altered", key)
 		}
 	}
@@ -248,11 +248,11 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 	for _, ecc := range []bool{false, true} {
 		u, uok := ds.DUEUnderestimate[ecc]
-		c, cok := ds.DUECorrectedUnderestimate[ecc]
+		c, cok := ds.DUEMeasuredUnderestimate[ecc]
 		if uok && (!cok || c >= u) {
 			t.Fatalf("volta ecc=%v: corrected underestimation %.1fx not below uncorrected %.1fx", ecc, c, u)
 		}
-		if cok && got.DUECorrectedUnderestimate[ecc] != c {
+		if cok && got.DUEMeasuredUnderestimate[ecc] != c {
 			t.Fatalf("volta ecc=%v: corrected ratio lost in round trip", ecc)
 		}
 	}

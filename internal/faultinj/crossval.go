@@ -55,21 +55,10 @@ func (r *Result) UnmaskedAVF() float64 {
 // opcode's static instances). The estimator is the bit-resolved one:
 // each launch is analyzed with its own launch geometry as range-seeding
 // bounds, and the per-bit-position and per-band profiles are combined
-// across launches alongside the scalar aggregates. Multi-launch
+// across launches alongside the whole-program aggregates. Multi-launch
 // workloads combine per-launch estimates weighted by each launch's
 // injectable lane-ops.
 func StaticEstimate(r *kernels.Runner, tool Tool) (*analysis.Estimate, error) {
-	return staticEstimate(r, tool, false)
-}
-
-// StaticEstimateScalar is StaticEstimate with the legacy scalar ACE
-// estimator, kept so the bit-resolved model's residual against
-// injection can be compared against the scalar baseline.
-func StaticEstimateScalar(r *kernels.Runner, tool Tool) (*analysis.Estimate, error) {
-	return staticEstimate(r, tool, true)
-}
-
-func staticEstimate(r *kernels.Runner, tool Tool, scalar bool) (*analysis.Estimate, error) {
 	filter := func(op isa.Op) bool { return opInjectable(tool, op) }
 	inst := r.Instance()
 	profiles := r.GoldenProfiles()
@@ -78,19 +67,13 @@ func staticEstimate(r *kernels.Runner, tool Tool, scalar bool) (*analysis.Estima
 			r.Name, len(profiles), len(inst.Launches))
 	}
 
-	combined := &analysis.Estimate{Name: r.Name, Scalar: scalar, PerClass: make(map[isa.Class]*analysis.ClassEstimate)}
+	combined := &analysis.Estimate{Name: r.Name, PerClass: make(map[isa.Class]*analysis.ClassEstimate)}
 	var tw, sdcW, dueW, deadW float64
 	for i, l := range inst.Launches {
 		a := analysis.AnalyzeLaunch(l.Prog, &analysis.Bounds{
 			GridX: l.GridX, GridY: l.GridY, BlockThreads: l.BlockThreads,
 		})
-		w := a.OpWeights(profiles[i].PerOpLane)
-		var e *analysis.Estimate
-		if scalar {
-			e = a.ScalarEstimate(w, filter)
-		} else {
-			e = a.Estimate(w, filter)
-		}
+		e := a.Estimate(a.OpWeights(profiles[i].PerOpLane), filter)
 		// Sum weights in sorted class order: float accumulation over a
 		// map range is iteration-order dependent at the ULP level, which
 		// is enough to drift the byte-stable study artifacts.
@@ -160,15 +143,13 @@ func staticEstimate(r *kernels.Runner, tool Tool, scalar bool) (*analysis.Estima
 	return combined, nil
 }
 
-// CrossValidation pairs the two AVF views of one workload, carrying
-// both static estimators (bit-resolved and legacy scalar) so their
-// residuals against the same campaign can be compared.
+// CrossValidation pairs the two AVF views of one workload: the
+// bit-resolved static estimate and the injection campaign.
 type CrossValidation struct {
 	Name    string
 	Tool    Tool
 	Device  string
-	Static  *analysis.Estimate // bit-resolved estimator
-	Scalar  *analysis.Estimate // legacy scalar estimator
+	Static  *analysis.Estimate
 	Dynamic *Result
 }
 
@@ -239,12 +220,8 @@ func CrossValidate(cfg Config, name string, build kernels.Builder, dev *device.D
 	if err != nil {
 		return nil, err
 	}
-	sc, err := StaticEstimateScalar(runner, cfg.Tool)
-	if err != nil {
-		return nil, err
-	}
 	return &CrossValidation{
 		Name: name, Tool: cfg.Tool, Device: dev.Name,
-		Static: st, Scalar: sc, Dynamic: dyn,
+		Static: st, Dynamic: dyn,
 	}, nil
 }

@@ -45,7 +45,7 @@ type UnitFITs struct {
 	// .DUEExposure over the micro's golden telemetry). It is the
 	// denominator MeasuredHiddenDUEBase calibrates the device's hidden
 	// DUE rate against; absent (nil) when the study ran without
-	// telemetry, in which case only the static correction is available.
+	// telemetry, in which case no hidden-DUE correction applies.
 	MicroHiddenExposure map[string]float64
 	// RFPerByteSDC / RFPerByteDUE are the register-file storage FIT per
 	// byte, derived from the RF micro-benchmark (reported per MB in
@@ -124,15 +124,9 @@ type Prediction struct {
 	// one of the acknowledged underestimation sources, §VII-A).
 	Covered float64
 
-	// Static hidden-resource DUE correction (§VII-B), filled by
-	// ApplyStaticDUE; all three stay zero when no correction applied.
-	StaticHiddenDUE float64 // static P(DUE | hidden strike) of the workload
-	DUECorrection   float64 // additive hidden-resource DUE FIT (a.u.)
-	DUEFITCorrected float64 // DUEFIT + DUECorrection
-
-	// Measured-residency DUE correction, filled by ApplyMeasuredDUE from
-	// the golden run's residency telemetry; zero when no telemetry-based
-	// correction was applied.
+	// Hidden-resource DUE correction (§VII-B), filled by
+	// ApplyMeasuredDUE from the golden run's residency telemetry; all
+	// three stay zero when no correction applied.
 	MeasuredHiddenDUE       float64 // measured P(DUE | hidden strike)
 	DUECorrectionMeasured   float64 // additive hidden-resource DUE FIT (a.u.)
 	DUEFITCorrectedMeasured float64 // DUEFIT + DUECorrectionMeasured

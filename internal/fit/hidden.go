@@ -14,69 +14,22 @@ import (
 // population that dominates the beam DUE rate. The correction below
 // adds that population back from two sources the model does have: a
 // device-level hidden DUE rate extracted from the micro-benchmark beam
-// measurements, and the per-workload static hidden-resource estimate of
-// internal/analysis, which modulates the device rate by how hard the
-// code drives the hidden structures.
-
-// HiddenDUEBase extracts the device's hidden-resource DUE FIT per unit
-// of phi from the micro-benchmark beam data. Micros run with ECC on, so
-// storage strikes are corrected or converted; their measured DUE rate is
-// then dominated by hidden-resource and functional-unit strikes. The
-// minimum rate across micros (normalized by each micro's own phi) is
-// the floor every kernel pays regardless of which units it exercises —
-// the hidden-resource contribution. RF is excluded: it is measured with
-// ECC off, so uncorrected storage DUEs pollute its rate.
-func (u *UnitFITs) HiddenDUEBase() float64 {
-	names := make([]string, 0, len(u.DUE))
-	for name := range u.DUE {
-		if name == "RF" {
-			continue
-		}
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	base := math.Inf(1)
-	for _, name := range names {
-		phi := u.MicroPhi[name]
-		if phi <= 0 {
-			continue
-		}
-		if rate := u.DUE[name] / phi; rate > 0 && rate < base {
-			base = rate
-		}
-	}
-	if math.IsInf(base, 1) {
-		return 0
-	}
-	return base
-}
-
-// ApplyStaticDUE folds the static hidden-resource DUE estimate into a
-// prediction: the device's hidden DUE floor, scaled to the workload's
-// parallelism (hidden structures are per-warp state, so exposure tracks
-// phi like the instruction term), and modulated by the ratio of the
-// workload's static P(DUE | hidden strike) to the suite-neutral prior.
-// The original Eq. 1-4 fields are untouched so both views stay
-// reportable side by side.
-func (p Prediction) ApplyStaticDUE(units *UnitFITs, hid *analysis.HiddenEstimate) Prediction {
-	if units == nil || hid == nil {
-		return p
-	}
-	p.StaticHiddenDUE = hid.DUE
-	p.DUECorrection = units.HiddenDUEBase() * p.Phi * hid.DUE / analysis.NominalHiddenDUE
-	p.DUEFITCorrected = p.DUEFIT + p.DUECorrection
-	return p
-}
+// measurements, and the per-workload hidden-resource estimate of
+// internal/analysis modulated by the golden run's measured residency
+// telemetry, which scales the device rate by how hard the code drives
+// the hidden structures.
 
 // MeasuredHiddenDUEBase extracts the device's hidden DUE FIT per unit
 // of measured hidden exposure: the minimum, over the ECC-on micros, of
 // the measured DUE rate divided by the micro's own DUE-weighted hidden
-// exposure (from its golden-run residency telemetry). Where
-// HiddenDUEBase normalizes by phi — a proxy that conflates functional-
-// unit utilization with hidden-structure residency — this normalizes by
-// the same exposure functional the correction multiplies back in, so
-// the calibration cancels exactly for a workload whose telemetry
-// matches a micro's. Returns 0 when no micro carries telemetry.
+// exposure (from its golden-run residency telemetry). Micros run with
+// ECC on, so storage strikes are corrected or converted and their
+// measured DUE rate is dominated by hidden-resource and functional-unit
+// strikes; the minimum across micros is the floor every kernel pays.
+// Normalizing by the same exposure functional the correction multiplies
+// back in makes the calibration cancel exactly for a workload whose
+// telemetry matches a micro's. Returns 0 when no micro carries
+// telemetry.
 func (u *UnitFITs) MeasuredHiddenDUEBase() float64 {
 	if u.MicroHiddenExposure == nil {
 		return 0
@@ -105,12 +58,12 @@ func (u *UnitFITs) MeasuredHiddenDUEBase() float64 {
 	return base
 }
 
-// ApplyMeasuredDUE is the measured-residency sibling of ApplyStaticDUE:
-// the hidden DUE floor calibrated per unit of measured exposure, times
-// the workload's own DUE-weighted exposure from the golden telemetry.
-// Both corrections coexist on the prediction so the static-vs-measured
-// gap stays reportable side by side. A nil or non-measured estimate is
-// a no-op: the static path remains the fallback.
+// ApplyMeasuredDUE folds the hidden-resource DUE estimate into a
+// prediction: the hidden DUE floor calibrated per unit of measured
+// exposure, times the workload's own DUE-weighted exposure from the
+// golden telemetry. The original Eq. 1-4 fields are untouched so both
+// views stay reportable side by side. A nil or non-measured (static
+// only) estimate is a no-op.
 func (p Prediction) ApplyMeasuredDUE(units *UnitFITs, hid *analysis.HiddenEstimate) Prediction {
 	if units == nil || hid == nil || !hid.Measured {
 		return p

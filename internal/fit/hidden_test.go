@@ -7,57 +7,6 @@ import (
 	"gpurel/internal/analysis"
 )
 
-// TestHiddenDUEBase pins the floor extraction: minimum phi-normalized
-// micro DUE rate, with the ECC-off RF measurement excluded.
-func TestHiddenDUEBase(t *testing.T) {
-	u := &UnitFITs{
-		DUE:      map[string]float64{"IADD": 0.8, "FADD": 1.2, "LDST": 0.9, "RF": 0.01},
-		MicroPhi: map[string]float64{"IADD": 4, "FADD": 2, "LDST": 9, "RF": 1},
-	}
-	// IADD 0.2, FADD 0.6, LDST 0.1; RF (0.01) must not win.
-	if got := u.HiddenDUEBase(); math.Abs(got-0.1) > 1e-12 {
-		t.Fatalf("HiddenDUEBase = %.4f, want 0.1 (LDST)", got)
-	}
-	empty := &UnitFITs{DUE: map[string]float64{"RF": 5}, MicroPhi: map[string]float64{"RF": 1}}
-	if got := empty.HiddenDUEBase(); got != 0 {
-		t.Fatalf("RF-only HiddenDUEBase = %.4f, want 0", got)
-	}
-}
-
-// TestApplyStaticDUE pins the correction arithmetic and that the
-// original Eq. 1-4 fields stay untouched.
-func TestApplyStaticDUE(t *testing.T) {
-	u := &UnitFITs{
-		DUE:      map[string]float64{"IADD": 0.5},
-		MicroPhi: map[string]float64{"IADD": 2},
-	}
-	hid := &analysis.HiddenEstimate{DUE: analysis.NominalHiddenDUE}
-	p := Prediction{DUEFIT: 0.02, Phi: 3}
-	c := p.ApplyStaticDUE(u, hid)
-	// base 0.25 x phi 3 x (hid.DUE / nominal = 1) = 0.75.
-	if math.Abs(c.DUECorrection-0.75) > 1e-12 {
-		t.Fatalf("DUECorrection = %.4f, want 0.75", c.DUECorrection)
-	}
-	if math.Abs(c.DUEFITCorrected-0.77) > 1e-12 {
-		t.Fatalf("DUEFITCorrected = %.4f, want 0.77", c.DUEFITCorrected)
-	}
-	if c.DUEFIT != p.DUEFIT || c.StaticHiddenDUE != hid.DUE {
-		t.Fatal("uncorrected fields must be preserved alongside the correction")
-	}
-	// A more DUE-prone workload scales the correction up linearly.
-	prone := &analysis.HiddenEstimate{DUE: analysis.NominalHiddenDUE * 1.05}
-	if c2 := p.ApplyStaticDUE(u, prone); c2.DUECorrection <= c.DUECorrection {
-		t.Fatal("higher static hidden DUE must raise the correction")
-	}
-	// Missing inputs leave the prediction unchanged.
-	if n := p.ApplyStaticDUE(nil, hid); n.DUECorrection != 0 || n.DUEFITCorrected != 0 {
-		t.Fatal("nil units must be a no-op")
-	}
-	if n := p.ApplyStaticDUE(u, nil); n.DUECorrection != 0 || n.DUEFITCorrected != 0 {
-		t.Fatal("nil hidden estimate must be a no-op")
-	}
-}
-
 // TestMeasuredHiddenDUEBase pins the measured floor extraction: minimum
 // exposure-normalized micro DUE rate, RF excluded, zero without
 // telemetry.

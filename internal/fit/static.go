@@ -18,8 +18,7 @@ import (
 // faultinj.StaticEstimate is bit-resolved — its SDC/DUE are the
 // destination-width means of the per-bit ACE vectors, matching an
 // injector that flips a uniformly random destination bit — so the
-// prediction inherits the bit-level masking proofs with no change here;
-// pass a ScalarEstimate to predict from the legacy scalar model.
+// prediction inherits the bit-level masking proofs with no change here.
 
 // StaticAVFResult converts a static estimate into a synthetic campaign
 // result. The proportions carry only point estimates: no faults were

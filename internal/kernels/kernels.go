@@ -334,10 +334,11 @@ func (r *Runner) RunTrialWithFault(plan *sim.FaultPlan, faultLaunch int) (TrialR
 	defer r.pool.Put(g)
 	// Start the fault launch from the latest sub-launch image that
 	// provably precedes the plan's trigger; fall back to the launch
-	// boundary when none does (or none were recorded).
+	// boundary when none does (or none were recorded). sim.RunFrom
+	// restores the image's memory itself, so only the boundary path
+	// restores here.
 	img := sim.PickImage(r.images[faultLaunch], plan)
 	if img != nil {
-		g.Restore(img.Mem)
 		r.subRestores.Add(1)
 	} else {
 		g.Restore(r.snaps[faultLaunch])
@@ -359,8 +360,9 @@ func (r *Runner) ReplayStats() (restores, rejoins uint64) {
 }
 
 // resumeWithFault runs launches faultLaunch.. on the working memory g
-// (already holding the pre-fault-launch state), injecting the plan into
-// the first of them and cutting off as soon as the state rejoins golden.
+// (holding the pre-fault-launch state, or rewound to img by sim.RunFrom
+// when img is set), injecting the plan into the first of them and
+// cutting off as soon as the state rejoins golden.
 func (r *Runner) resumeWithFault(g *mem.Global, plan *sim.FaultPlan, faultLaunch int, img *sim.LaunchImage) (TrialRecord, error) {
 	launches := r.inst.Launches
 	for i := faultLaunch; i < len(launches); i++ {

@@ -250,40 +250,35 @@ func aliasComparisons(ds *core.DeviceStudy) []ComparisonAlias {
 }
 
 // DUETable renders the §VII-B DUE underestimation analysis: the
-// uncorrected Eq. 1-4 factor next to the factors after the static and
-// the measured-residency hidden-resource corrections.
+// uncorrected Eq. 1-4 factor next to the factor after the
+// measured-residency hidden-resource correction.
 func DUETable(ds *core.DeviceStudy, csv bool) string {
 	t := &table{header: []string{"device", "ECC", "beam DUE / predicted DUE",
-		"after static correction", "after measured correction"}}
+		"after measured correction"}}
 	for _, ecc := range []bool{false, true} {
 		v, ok := ds.DUEUnderestimate[ecc]
 		if !ok {
 			continue
 		}
-		corr := "n/a"
-		if c, ok := ds.DUECorrectedUnderestimate[ecc]; ok {
-			corr = fmt.Sprintf("%.1fx", c)
-		}
 		meas := "n/a"
 		if m, ok := ds.DUEMeasuredUnderestimate[ecc]; ok {
 			meas = fmt.Sprintf("%.1fx", m)
 		}
-		t.add(ds.Dev.Name, eccLabel(ecc), fmt.Sprintf("%.0fx", v), corr, meas)
+		t.add(ds.Dev.Name, eccLabel(ecc), fmt.Sprintf("%.0fx", v), meas)
 	}
 	return finish(t, csv,
 		"§VII-B — beam DUE rate vs prediction (faults in hidden resources dominate DUEs)")
 }
 
 // DUEGapTable renders the per-code DUE channel: beam measurement,
-// uncorrected Eq. 1-4 prediction, static- and measured-residency-
-// corrected predictions, and the underestimation factor under each.
-// The corrected factors being consistently smaller is the tentpole
-// claim of the hidden-resource model; rows where no hidden estimate
-// exists show the uncorrected numbers only.
+// uncorrected Eq. 1-4 prediction, the measured-residency-corrected
+// prediction, and the underestimation factor under each. The corrected
+// factor being consistently smaller is the claim of the hidden-resource
+// model; rows where no measured hidden estimate exists show the
+// uncorrected numbers only.
 func DUEGapTable(ds *core.DeviceStudy, csv bool) string {
 	t := &table{header: []string{"code", "ECC", "beam DUE", "predicted",
-		"corrected", "corrected (meas)",
-		"under (pred)", "under (corr)", "under (meas)"}}
+		"corrected (meas)", "under (pred)", "under (meas)"}}
 	for _, ecc := range []bool{false, true} {
 		for _, name := range suiteOrder(ds) {
 			beamRes, ok := ds.Beam[core.BeamKey{Code: name, ECC: ecc}]
@@ -300,10 +295,6 @@ func DUEGapTable(ds *core.DeviceStudy, csv bool) string {
 				}
 				return fmt.Sprintf("%.0fx", beamRes.DUEFIT.Rate/p)
 			}
-			corrected := "n/a"
-			if pred.DUEFITCorrected > 0 {
-				corrected = fmt.Sprintf("%.4f", pred.DUEFITCorrected)
-			}
 			measured := "n/a"
 			if pred.DUEFITCorrectedMeasured > 0 {
 				measured = fmt.Sprintf("%.4f", pred.DUEFITCorrectedMeasured)
@@ -311,9 +302,8 @@ func DUEGapTable(ds *core.DeviceStudy, csv bool) string {
 			t.add(name, eccLabel(ecc),
 				fmt.Sprintf("%.4f", beamRes.DUEFIT.Rate),
 				fmt.Sprintf("%.4f", pred.DUEFIT),
-				corrected, measured,
-				under(pred.DUEFIT), under(pred.DUEFITCorrected),
-				under(pred.DUEFITCorrectedMeasured))
+				measured,
+				under(pred.DUEFIT), under(pred.DUEFITCorrectedMeasured))
 		}
 	}
 	return finish(t, csv, fmt.Sprintf(
@@ -714,35 +704,27 @@ func Devices(s *core.Study) []*core.DeviceStudy {
 }
 
 // CrossValidation renders the static-versus-injection AVF comparison
-// emitted by `gpurel-lint --cross-validate`: one row per workload with
-// both unmasked AVF views (bit-resolved and, when present, the legacy
-// scalar estimator), the deltas, and whether the bit-resolved view sits
+// emitted by `gpurel-lint -gate crossval`: one row per workload with
+// both unmasked AVF views, the delta, and whether the static view sits
 // inside the documented tolerance.
 func CrossValidation(cvs []*faultinj.CrossValidation, csv bool) string {
 	t := &table{header: []string{
 		"code", "tool", "static SDC", "static DUE", "static unmasked",
-		"scalar unmasked", "dyn SDC", "dyn DUE", "dyn unmasked",
-		"delta", "scalar delta", "within tol", "faults"}}
+		"dyn SDC", "dyn DUE", "dyn unmasked",
+		"delta", "within tol", "faults"}}
 	for _, cv := range cvs {
 		agree := "yes"
 		if !cv.Agrees() {
 			agree = "NO"
 		}
-		scalarUn, scalarDelta := "-", "-"
-		if cv.Scalar != nil {
-			scalarUn = fmt.Sprintf("%.3f", cv.Scalar.Unmasked())
-			scalarDelta = fmt.Sprintf("%+.3f", cv.Scalar.Unmasked()-cv.DynamicUnmasked())
-		}
 		t.add(cv.Name, cv.Tool.String(),
 			fmt.Sprintf("%.3f", cv.Static.SDC),
 			fmt.Sprintf("%.3f", cv.Static.DUE),
 			fmt.Sprintf("%.3f", cv.StaticUnmasked()),
-			scalarUn,
 			fmt.Sprintf("%.3f", cv.Dynamic.SDCAVF.P),
 			fmt.Sprintf("%.3f", cv.Dynamic.DUEAVF.P),
 			fmt.Sprintf("%.3f", cv.DynamicUnmasked()),
 			fmt.Sprintf("%+.3f", cv.Delta()),
-			scalarDelta,
 			agree,
 			fmt.Sprintf("%d", cv.Dynamic.Injected))
 	}
@@ -786,8 +768,7 @@ func studyCrossVals(ds *core.DeviceStudy) []*faultinj.CrossValidation {
 	for _, name := range names {
 		cvs = append(cvs, &faultinj.CrossValidation{
 			Name: name, Tool: faultinj.NVBitFI, Device: ds.Dev.Name,
-			Static: ds.StaticAVF[name], Scalar: ds.ScalarAVF[name],
-			Dynamic: byCode[name],
+			Static: ds.StaticAVF[name], Dynamic: byCode[name],
 		})
 	}
 	return cvs

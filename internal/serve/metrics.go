@@ -5,6 +5,8 @@ import (
 	"io"
 	"sync/atomic"
 	"time"
+
+	"gpurel/internal/kernels"
 )
 
 // Metrics is the daemon's counter set, exported at /metrics as one
@@ -30,7 +32,7 @@ func (m *Metrics) TrialDone() { m.trials.Add(1) }
 func (m *Metrics) Trials() uint64 { return m.trials.Load() }
 
 // Render writes the counter lines.
-func (m *Metrics) Render(w io.Writer, cache *RunnerCache) {
+func (m *Metrics) Render(w io.Writer, cache *kernels.Cache) {
 	uptime := time.Since(m.start).Seconds()
 	trials := m.trials.Load()
 	perSec := 0.0

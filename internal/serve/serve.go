@@ -47,10 +47,16 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
+// DefaultCacheBytes is the default runner-cache budget: four
+// image-saturated runners' worth. kernels.ImageBudgetBytes bounds one
+// runner's sub-launch images; the cache bounds how many such runners
+// stay warm.
+const DefaultCacheBytes = 4 * kernels.ImageBudgetBytes
+
 // Server owns the campaign set, the runner cache, and the HTTP surface.
 type Server struct {
 	opts    Options
-	cache   *RunnerCache
+	cache   *kernels.Cache
 	metrics *Metrics
 	simSem  chan struct{}
 	mux     *http.ServeMux
@@ -75,9 +81,13 @@ func New(opts Options) (*Server, error) {
 	} else if err := os.MkdirAll(opts.SpoolDir, 0o755); err != nil {
 		return nil, err
 	}
+	cacheBytes := opts.CacheBytes
+	if cacheBytes <= 0 {
+		cacheBytes = DefaultCacheBytes
+	}
 	s := &Server{
 		opts:      opts,
-		cache:     NewRunnerCache(opts.CacheBytes),
+		cache:     kernels.NewCache(cacheBytes),
 		metrics:   newMetrics(),
 		simSem:    make(chan struct{}, opts.SimWorkers),
 		campaigns: make(map[string]*Campaign),
@@ -176,7 +186,7 @@ func (s *Server) runnerFor(req Request, tool faultinj.Tool) (*kernels.Runner, er
 	if err != nil {
 		return nil, err
 	}
-	return s.cache.Get(e, dev, tool.OptLevel())
+	return s.cache.Get(e.Name, e.Build, dev, tool.OptLevel())
 }
 
 // Create validates a request, registers a campaign, and starts its

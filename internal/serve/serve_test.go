@@ -9,10 +9,6 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
-
-	"gpurel/internal/asm"
-	"gpurel/internal/device"
-	"gpurel/internal/suite"
 )
 
 func testHTTPServer(t *testing.T) (*Server, *httptest.Server) {
@@ -243,59 +239,6 @@ func TestHTTPPprofGate(t *testing.T) {
 	}
 }
 
-func TestRunnerCacheSharingAndEviction(t *testing.T) {
-	dev := device.V100()
-	entries := suite.ForDevice(dev)
-	fm, err := suite.Find(entries, "FMXM")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Generous budget: the second Get must hit.
-	cache := NewRunnerCache(DefaultCacheBytes)
-	r1, err := cache.Get(fm, dev, asm.O2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := cache.Get(fm, dev, asm.O2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1 != r2 {
-		t.Fatal("cache rebuilt a hot runner")
-	}
-	hits, misses, _, used, n := cache.Stats()
-	if hits != 1 || misses != 1 || n != 1 {
-		t.Fatalf("stats after two Gets: hits %d misses %d entries %d", hits, misses, n)
-	}
-	if used <= 0 || used != int64(r1.MemoryFootprint()) {
-		t.Fatalf("cache charges %d bytes, runner footprint %d", used, r1.MemoryFootprint())
-	}
-
-	// A budget smaller than one runner: each new key evicts the old,
-	// but the in-hand runner stays usable.
-	tiny := NewRunnerCache(1)
-	la, err := suite.Find(entries, "FLAVA")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra, err := tiny.Get(fm, dev, asm.O2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tiny.Get(la, dev, asm.O2); err != nil {
-		t.Fatal(err)
-	}
-	_, _, evictions, _, n := tiny.Stats()
-	if evictions == 0 || n != 1 {
-		t.Fatalf("tiny cache: evictions %d entries %d", evictions, n)
-	}
-	// Eviction drops only the cache's reference; the in-hand runner
-	// still works (golden outcome on a clean replay).
-	if got := ra.GoldenProfiles(); len(got) == 0 {
-		t.Fatal("evicted runner lost its golden profiles")
-	}
-}
-
 // TestCheckScriptUnknownTier covers the CI entry point's argument
 // guard: an unrecognized tier must fail loudly with the tier list, not
 // silently run tier 1.
@@ -312,7 +255,7 @@ func TestCheckScriptUnknownTier(t *testing.T) {
 	if !strings.Contains(text, "unknown tier") {
 		t.Fatalf("guard output does not name the problem:\n%s", text)
 	}
-	for _, tier := range []string{"full", "bench", "crossval", "opt", "artifacts", "serve"} {
+	for _, tier := range []string{"full", "bench", "artifacts", "serve", "gates"} {
 		if !strings.Contains(text, tier) {
 			t.Fatalf("guard output does not list tier %q:\n%s", tier, text)
 		}
@@ -320,11 +263,19 @@ func TestCheckScriptUnknownTier(t *testing.T) {
 }
 
 // TestCheckScriptKnownTiersStillParse ensures the guard recognizes the
-// documented tiers — it must reject only unknown ones. Tier execution
-// is too heavy for a unit test, so this exercises the dispatcher alone
-// via a dry-run marker the script honors before doing any work.
+// documented tiers and rejects the per-gate tiers the gates tier
+// replaced. Tier execution is too heavy for a unit test, so this
+// exercises the dispatcher alone via a dry-run marker the script honors
+// before doing any work.
 func TestCheckScriptKnownTiersStillParse(t *testing.T) {
-	for _, tier := range []string{"", "full", "bench", "crossval", "opt", "artifacts", "serve", "patterns", "duemode"} {
+	for _, tier := range []string{"crossval", "opt", "patterns", "duemode"} {
+		cmd := exec.Command("sh", "../../scripts/check.sh", tier)
+		cmd.Env = append(cmd.Environ(), "CHECK_SH_PARSE_ONLY=1")
+		if out, err := cmd.CombinedOutput(); err == nil {
+			t.Fatalf("removed tier %q still accepted:\n%s", tier, out)
+		}
+	}
+	for _, tier := range []string{"", "full", "bench", "artifacts", "serve", "gates"} {
 		cmd := exec.Command("sh", "../../scripts/check.sh", tier)
 		cmd.Env = append(cmd.Environ(), "CHECK_SH_PARSE_ONLY=1")
 		out, err := cmd.CombinedOutput()

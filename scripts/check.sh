@@ -5,22 +5,19 @@
 #   scripts/check.sh full       tier 2: tier 1 + gofmt + go vet + lint gate + race detector
 #   scripts/check.sh bench      substrate benchmarks (one iteration each; smoke, not timing)
 #   scripts/check.sh artifacts  golden-artifact drift gate: regenerate out/ and byte-diff
-#   scripts/check.sh crossval   static-vs-injection agreement gate + table export
-#   scripts/check.sh opt        optimization-matrix ordering gate + sweep table export
+#   scripts/check.sh gates [name]
+#                               agreement gates: rerun one gpurel-lint -gate
+#                               (crossval, opt, twolevel, duemode, hidden; default
+#                               all) and fail on any out-of-tolerance workload;
+#                               the rendered table lands at gate-<name>-table.txt
 #   scripts/check.sh serve      campaign-daemon gate: serve tests under -race, then a
 #                               loadgen soak (200+ concurrent campaigns) against a live
 #                               gpurel-serve; soak report lands at serve-soak.txt
-#   scripts/check.sh patterns   SDC-pattern gate: classifier + two-level tests under
-#                               -race, then the two-level agreement gate; rendered
-#                               table lands at patterns-gate-table.txt
-#   scripts/check.sh duemode    DUE-mode gate: taxonomy packages under -race, the
-#                               static-vs-injection DUE-mode tests, then the
-#                               gpurel-lint agreement gate; rendered table lands
-#                               at duemode-gate-table.txt
 #
 # Unknown tier names fail immediately (exit 1) rather than silently
-# running tier 1 — a typo'd "scripts/check.sh crosval" in CI must not
-# masquerade as a passing crossval gate. Setting CHECK_SH_PARSE_ONLY=1
+# running tier 1 — a typo'd "scripts/check.sh gate" in CI must not
+# masquerade as a passing gate. Unknown gate names fail in gpurel-lint,
+# which lists the valid ones. Setting CHECK_SH_PARSE_ONLY=1
 # validates the tier argument and exits before doing any work (used by
 # the dispatcher's own tests).
 #
@@ -40,10 +37,10 @@ cd "$(dirname "$0")/.."
 
 tier="${1:-}"
 case "$tier" in
-    ""|full|bench|crossval|opt|artifacts|serve|patterns|duemode) ;;
+    ""|full|bench|artifacts|serve|gates) ;;
     *)
         echo "check.sh: unknown tier \"$tier\"" >&2
-        echo "known tiers: <none> (tier 1), full, bench, crossval, opt, artifacts, serve, patterns, duemode" >&2
+        echo "known tiers: <none> (tier 1), full, bench, artifacts, serve, gates" >&2
         exit 1
         ;;
 esac
@@ -72,43 +69,6 @@ if [ "${1:-}" = "bench" ]; then
     go run ./tools/benchdiff emit -note "scripts/check.sh bench" <bench-run.txt >bench-new.json
     echo "== benchdiff compare BENCH_v1.json bench-new.json"
     go run ./tools/benchdiff compare -band 2.0 BENCH_v1.json bench-new.json
-    echo "checks passed"
-    exit 0
-fi
-
-if [ "${1:-}" = "crossval" ]; then
-    # Rerun the static-vs-injection cross-validation (scalar + bit-band
-    # tables, beam campaigns skipped) on both devices and fail if any
-    # CrossValKernels workload sits outside faultinj.CrossValTolerance —
-    # i.e. if a model change regressed a previously-agreeing kernel. The
-    # rendered tables land at crossval-table.txt (stable path;
-    # gitignored) so CI can upload them as a build artifact either way.
-    echo "== gpurel-lint -cross-validate -beam-trials 0 -crossval-gate"
-    if ! go run ./cmd/gpurel-lint -cross-validate -beam-trials 0 -crossval-gate >crossval-table.txt; then
-        cat crossval-table.txt
-        echo "CROSSVAL GATE: a workload's static AVF left the injection tolerance band (see above)"
-        exit 1
-    fi
-    cat crossval-table.txt
-    echo "checks passed"
-    exit 0
-fi
-
-if [ "${1:-}" = "opt" ]; then
-    # Rerun the optimization matrix (O0/O1/O2 plus unroll, copy-prop,
-    # and spill knobs) over the CrossValKernels of both devices and fail
-    # if the static per-configuration AVF ordering contradicts the
-    # injection campaign's on any matrix — i.e. if a codegen or
-    # explainer change broke the "why" layer's predictive ordering. The
-    # sweep table lands at opt-gate-table.txt (stable path; gitignored)
-    # so CI can upload it either way.
-    echo "== gpurel-lint -opt-gate"
-    if ! go run ./cmd/gpurel-lint -opt-gate >opt-gate-table.txt; then
-        cat opt-gate-table.txt
-        echo "OPT GATE: static AVF ordering contradicts injection on a matrix (see above)"
-        exit 1
-    fi
-    cat opt-gate-table.txt
     echo "checks passed"
     exit 0
 fi
@@ -146,54 +106,22 @@ if [ "${1:-}" = "artifacts" ]; then
     exit 0
 fi
 
-if [ "$tier" = "patterns" ]; then
-    # SDC-pattern gate, two stages. First the taxonomy-carrying packages
-    # under -race: the classifier itself, the kernels diff capture, and
-    # the two-level estimator's worker pool (-short keeps the exhaustive
-    # campaign tests in the un-instrumented stage below). Then the full
-    # two-level cross-validation test plus the gpurel-lint gate: on every
-    # CrossValKernels workload of both devices, the two-level SDC AVF
-    # must sit within faultinj.TwoLevelTolerance of an exhaustive
-    # NVBitFI campaign at five or more times fewer simulations. The
-    # rendered table lands at patterns-gate-table.txt (stable path;
-    # gitignored) so CI can upload it either way.
-    echo "== go test -race -short ./internal/patterns/ ./internal/kernels/ ./internal/faultinj/"
-    go test -race -short -timeout 20m ./internal/patterns/ ./internal/kernels/ ./internal/faultinj/
-    echo "== go test -run 'TestTwoLevel' ./internal/faultinj/"
-    go test -run 'TestTwoLevel' -timeout 20m ./internal/faultinj/
-    echo "== gpurel-lint -twolevel-gate -faults 500"
-    if ! go run ./cmd/gpurel-lint -twolevel-gate -faults 500 >patterns-gate-table.txt; then
-        cat patterns-gate-table.txt
-        echo "PATTERNS GATE: the two-level estimate left the tolerance band or lost its speedup (see above)"
+if [ "$tier" = "gates" ]; then
+    # Static-vs-dynamic agreement gates (the registry in
+    # cmd/gpurel-lint/gates.go): each reruns its campaigns on both
+    # devices at its validated size and seed and fails if any workload
+    # leaves the gate's faultinj tolerance. The rendered table lands at
+    # gate-<name>-table.txt (stable path; gitignored) so CI can upload
+    # it either way. The gates' packages already run under -race in
+    # tier 2 and un-instrumented in tier 1.
+    gate="${2:-all}"
+    echo "== gpurel-lint -gate $gate"
+    if ! go run ./cmd/gpurel-lint -gate "$gate" >"gate-$gate-table.txt"; then
+        cat "gate-$gate-table.txt"
+        echo "GATE $gate failed: a workload left its agreement tolerance, or the gate name is unknown (see above)"
         exit 1
     fi
-    cat patterns-gate-table.txt
-    echo "checks passed"
-    exit 0
-fi
-
-if [ "$tier" = "duemode" ]; then
-    # DUE-mode gate, two stages. First the taxonomy-carrying packages
-    # under -race: the typed simulator outcomes, the static mode
-    # partition, and the DUE ledger (-short keeps the exhaustive
-    # campaign tests out of the instrumented run). Then the full
-    # static-vs-injection DUE-mode tests plus the gpurel-lint gate: on
-    # every measurable CrossValKernels workload of both devices the
-    # static mode shares must sit within faultinj.DUEModeTolerance
-    # (L-infinity) of the campaign's typed-DUE ledger. The rendered
-    # table lands at duemode-gate-table.txt (stable path; gitignored)
-    # so CI can upload it either way.
-    echo "== go test -race -short ./internal/analysis/ ./internal/sim/ ./internal/patterns/"
-    go test -race -short -timeout 20m ./internal/analysis/ ./internal/sim/ ./internal/patterns/
-    echo "== go test -run 'TestDUEMode|TestStaticDUEModes' ./internal/faultinj/"
-    go test -run 'TestDUEMode|TestStaticDUEModes' -timeout 20m ./internal/faultinj/
-    echo "== gpurel-lint -duemode-gate"
-    if ! go run ./cmd/gpurel-lint -duemode-gate >duemode-gate-table.txt; then
-        cat duemode-gate-table.txt
-        echo "DUEMODE GATE: a workload's static DUE-mode shares left the typed-injection tolerance (see above)"
-        exit 1
-    fi
-    cat duemode-gate-table.txt
+    cat "gate-$gate-table.txt"
     echo "checks passed"
     exit 0
 fi
