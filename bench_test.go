@@ -429,7 +429,7 @@ func BenchmarkSimPerFaultYOLOv3Uniform(b *testing.B) {
 
 // BenchmarkSimPerFaultGaussianUniform prices the launch-boundary path:
 // FGAUSSIAN's 46 short launches record no sub-launch images, so every
-// fault restores a boundary snapshot and replays launch by launch until
+// fault restores a launch boundary and replays launch by launch until
 // a boundary compare matches golden — one engine set-up per replayed
 // launch.
 func BenchmarkSimPerFaultGaussianUniform(b *testing.B) {

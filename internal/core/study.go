@@ -273,7 +273,7 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 	}
 
 	// One build per (workload, opt level): the golden run, profiles, and
-	// launch-boundary snapshots are shared across the profiling,
+	// checkpoint sequences are shared across the profiling,
 	// injection, and beam phases. Budget 0: a study never evicts.
 	cache := kernels.NewCache(0)
 	var mu sync.Mutex // guards the ds maps and micro accumulators

@@ -221,8 +221,8 @@ func Run(cfg Config, name string, build kernels.Builder, dev *device.Device) (*R
 }
 
 // RunWithRunner executes an injection campaign against an already-built
-// runner, reusing its cached instance, golden profiles, and launch-
-// boundary snapshots. The runner must have been built with the compiler
+// runner, reusing its cached instance, golden profiles, and golden
+// checkpoint sequences. The runner must have been built with the compiler
 // pipeline the tool's toolchain implies (Tool.OptLevel), unless
 // cfg.AllowAnyOpt relaxes the pairing for matrix campaigns.
 func RunWithRunner(cfg Config, runner *kernels.Runner) (*Result, error) {

@@ -154,15 +154,16 @@ func TestRunnerReusableAfterFaults(t *testing.T) {
 }
 
 // TestSubLaunchReplayAcrossFaultKinds is the golden-equivalence gate of
-// the sub-launch machinery specifically: on a single-launch kernel the
-// launch-boundary snapshots alone never help, so every saving — mid-
-// launch restores before the trigger and rejoin cutoffs after the fault
-// washes out — comes from the recorded LaunchImages. Every fault kind
+// the sub-launch images specifically: on a single-launch kernel the
+// launch boundary alone never helps, so every saving — mid-launch
+// restores before the trigger and rejoin cutoffs after the fault washes
+// out — comes from the recorded sub-launch images. Every fault kind
 // gets triggers spread across the whole launch, and the checkpointed
-// verdict must match full re-simulation for each. The test also asserts
-// the machinery actually engaged (images recorded, restores used);
+// verdict must match full re-simulation for each. The test also pins
+// how often the images engaged (restores used, rejoins cut off):
 // equivalence proven only on replays that bypassed the images would
-// prove nothing.
+// prove nothing, and a change in checkpoint placement or start picking
+// moves the counts.
 func TestSubLaunchReplayAcrossFaultKinds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence sweep is heavy")
@@ -175,8 +176,8 @@ func TestSubLaunchReplayAcrossFaultKinds(t *testing.T) {
 	if len(r.Instance().Launches) != 1 {
 		t.Fatalf("FMXM should be single-launch, has %d launches", len(r.Instance().Launches))
 	}
-	if len(r.images[0]) < 2 {
-		t.Fatalf("expected sub-launch images on FMXM, got %d", len(r.images[0]))
+	if n := len(r.ckpts[0]) - 1; n < 2 {
+		t.Fatalf("expected sub-launch images on FMXM, got %d", n)
 	}
 	ops := r.GoldenProfiles()[0].LaneOps
 	rng := stats.NewRNG(0x5b1a, 0x7002)
@@ -211,9 +212,8 @@ func TestSubLaunchReplayAcrossFaultKinds(t *testing.T) {
 		}
 	}
 	restores, rejoins := r.ReplayStats()
-	t.Logf("sub-launch replay: %d restores, %d rejoins over 40 faults", restores, rejoins)
-	if restores == 0 {
-		t.Error("no replay started from a sub-launch image; the spread should have hit late triggers")
+	if restores != 39 || rejoins != 16 {
+		t.Errorf("sub-launch replay over 40 faults: %d restores, %d rejoins; want 39 and 16", restores, rejoins)
 	}
 }
 
@@ -316,9 +316,44 @@ func TestReplayDeterminismAcrossWorkers(t *testing.T) {
 				i, j.r.Name, j.r.Dev.Name, j.plan.Kind, j.launch, j.plan.TriggerIndex, seq[i], full)
 		}
 	}
-	t.Logf("outcomes over %d plans: %v", len(jobs), outcomes)
-	if outcomes[SDC] == 0 {
-		t.Error("no plan produced an SDC; the record comparison never saw a diff")
+	if want := (map[Outcome]int{Masked: 49, SDC: 36, DUE: 11}); !reflect.DeepEqual(outcomes, want) {
+		t.Errorf("outcomes over %d plans: %v, want %v", len(jobs), outcomes, want)
+	}
+}
+
+// TestRunnerCheckpointLayout pins where the golden run puts its
+// checkpoints and what they cost: the launch count, the sub-launch
+// images across all launches (each launch also has its boundary), and
+// MemoryFootprint, which kernels.Cache evicts by. A boundary is charged
+// its memory snapshot only; a sub-launch image adds the block-state
+// allowance. The values are the same on both devices.
+func TestRunnerCheckpointLayout(t *testing.T) {
+	cases := []struct {
+		name      string
+		build     Builder
+		launches  int
+		images    int
+		footprint int
+	}{
+		{"FMXM", MxMBuilder(isa.F32), 1, 22, 6305792},
+		{"FGAUSSIAN", GaussianBuilder(), 46, 0, 4427424},
+		{"FHOTSPOT", HotspotBuilder(isa.F32), 4, 8, 5041408},
+	}
+	for _, dev := range []*device.Device{device.K40c(), device.V100()} {
+		for _, c := range cases {
+			r, err := NewRunner(c.name, c.build, dev, asm.O2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			images := 0
+			for _, seq := range r.ckpts {
+				images += len(seq) - 1
+			}
+			if len(r.ckpts) != c.launches || images != c.images || r.MemoryFootprint() != c.footprint {
+				t.Errorf("%s on %s: %d launches, %d sub-launch images, footprint %d; want %d, %d, %d",
+					c.name, dev.Name, len(r.ckpts), images, r.MemoryFootprint(), c.launches, c.images, c.footprint)
+			}
+		}
 	}
 }
 

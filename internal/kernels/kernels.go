@@ -153,27 +153,33 @@ type TrialRecord struct {
 }
 
 // Runner executes a workload repeatedly: once golden (capturing per-launch
-// profiles, timing, and a memory snapshot at every launch boundary), then
-// any number of times with fault plans.
+// profiles, timing, and a checkpoint sequence per launch), then any
+// number of times with fault plans.
 //
-// The golden run checkpoints device memory before each launch, so a
-// faulted replay restores the pre-launch snapshot instead of re-simulating
-// the launches before the fault, runs only the fault launch, and — when
-// its post-launch memory is bit-identical to the golden snapshot —
-// classifies the fault as architecturally masked without simulating the
-// remaining launches or the output comparator. Device memory is the only
-// state that crosses a launch boundary (registers, shared memory, and the
-// divergence stacks die with the grid), so boundary equality is exact,
-// not heuristic: campaign outcomes are bit-identical to full
-// re-simulation for the same seed.
+// Each launch's golden checkpoint sequence (sim.RunGolden) starts at the
+// launch boundary, device memory before the launch, and continues with
+// full-state sub-launch images. A faulted replay restores the latest
+// checkpoint preceding its trigger instead of re-simulating everything
+// before it, and stops early as soon as its state provably rejoins
+// golden: at a later sub-launch image of the fault launch, or at a
+// launch boundary whose memory is bit-identical to golden. Device
+// memory is the only state that crosses a launch boundary (registers,
+// shared memory, and the divergence stacks die with the grid), so
+// boundary equality is exact, as is the full-state image compare:
+// campaign outcomes are bit-identical to full re-simulation for the
+// same seed.
 type Runner struct {
 	Name  string
 	Build Builder
 	Dev   *device.Device
 	Opt   asm.OptLevel
 
-	inst  *Instance       // cached build: programs, geometry, comparator
-	snaps []*mem.Snapshot // snaps[i] = memory before launch i; snaps[n] = final
+	inst *Instance // cached build: programs, geometry, comparator
+	// ckpts[i] is launch i's golden checkpoint sequence; ckpts[i][0] is
+	// its boundary. final is device memory after the last launch: the
+	// last boundary compare and the SDC diff read it.
+	ckpts [][]*sim.LaunchImage
+	final *mem.Snapshot
 	// pool recycles the working memories of faulted replays, sized at
 	// the golden run's allocation high-water mark rather than the
 	// instance's capacity: builders allocate host-side, and every kernel
@@ -183,12 +189,6 @@ type Runner struct {
 	goldenProfiles []sim.Profile
 	goldenCycles   []int64
 
-	// images[i] holds the sub-launch golden images of launch i (nil when
-	// the memory budget made recording not worthwhile). A faulted replay
-	// restores the nearest image preceding its trigger and, once the
-	// fault fires, cuts off at the first golden image its state rejoins.
-	images [][]*sim.LaunchImage
-
 	// Replay accounting (read via ReplayStats; atomic because campaigns
 	// call RunTrialWithFault from many goroutines).
 	subRestores atomic.Uint64 // replays started from a sub-launch image
@@ -196,14 +196,13 @@ type Runner struct {
 }
 
 // ImageBudgetBytes caps the approximate memory spent on sub-launch
-// images per Runner; the per-launch image count is scaled down to fit.
-// The serve-layer runner cache reuses it as the unit its own budget is
-// expressed in: one budget's worth of cache holds roughly one
-// image-saturated runner.
+// images per Runner, split evenly across launches. kernels.Cache
+// expresses its default budget in this unit: one budget's worth of
+// cache holds roughly one image-saturated runner.
 const ImageBudgetBytes = 64 << 20
 
 // NewRunner builds the workload once, performs the golden run, and
-// records the launch-boundary snapshots that make faulted replays cheap.
+// records the checkpoint sequences that make faulted replays cheap.
 func NewRunner(name string, build Builder, dev *device.Device, opt asm.OptLevel) (*Runner, error) {
 	r := &Runner{Name: name, Build: build, Dev: dev, Opt: opt}
 	inst, err := build(dev, opt)
@@ -211,28 +210,15 @@ func NewRunner(name string, build Builder, dev *device.Device, opt asm.OptLevel)
 		return nil, fmt.Errorf("kernels: building %s: %w", name, err)
 	}
 	r.inst = inst
-	// Sub-launch images cost roughly one global snapshot plus resident
-	// block state apiece; divide the budget across launches and skip
-	// recording where fewer than two images would fit.
-	maxImgs := ImageBudgetBytes / len(inst.Launches) /
-		(inst.Global.AllocatedBytes() + 64*1024)
-	if maxImgs > sim.DefaultMaxImages {
-		maxImgs = sim.DefaultMaxImages
-	}
+	budget := ImageBudgetBytes / len(inst.Launches)
 	for i, l := range inst.Launches {
-		r.snaps = append(r.snaps, inst.Global.Snapshot())
-		var rec *sim.ImageRecorder
-		if maxImgs >= 2 {
-			rec = sim.NewImageRecorder(sim.DefaultImageInterval, maxImgs)
-		}
-		res, err := sim.Run(sim.Config{
+		res, seq, err := sim.RunGolden(sim.Config{
 			Device: dev, Program: l.Prog,
 			GridX: l.GridX, GridY: l.GridY, BlockThreads: l.BlockThreads,
 			// The golden run is where residency telemetry comes from;
-			// faulted replays skip the sampling (resumeWithFault).
+			// faulted replays skip the sampling (RunTrialWithFault).
 			SampleTimeline: true,
-			Record:         rec,
-		}, inst.Global)
+		}, inst.Global, budget)
 		if err != nil {
 			return nil, fmt.Errorf("kernels: golden run of %s launch %d: %w", name, i, err)
 		}
@@ -242,16 +228,12 @@ func NewRunner(name string, build Builder, dev *device.Device, opt asm.OptLevel)
 		}
 		r.goldenProfiles = append(r.goldenProfiles, res.Profile)
 		r.goldenCycles = append(r.goldenCycles, res.Profile.Cycles)
-		if rec != nil {
-			r.images = append(r.images, rec.Images)
-		} else {
-			r.images = append(r.images, nil)
-		}
+		r.ckpts = append(r.ckpts, seq)
 	}
-	r.snaps = append(r.snaps, inst.Global.Snapshot())
-	hwm := 0
-	for _, s := range r.snaps {
-		hwm = max(hwm, s.AllocatedBytes())
+	r.final = inst.Global.Snapshot()
+	hwm := r.final.AllocatedBytes()
+	for _, seq := range r.ckpts {
+		hwm = max(hwm, seq[0].Mem.AllocatedBytes())
 	}
 	r.pool = mem.NewPool(hwm)
 	if !inst.Check(inst.Global) {
@@ -261,18 +243,15 @@ func NewRunner(name string, build Builder, dev *device.Device, opt asm.OptLevel)
 }
 
 // MemoryFootprint approximates the bytes the runner retains for the
-// life of the cache entry: the instance's device memory, the launch-
-// boundary snapshots, and the sub-launch golden images. The replay
-// scratch pool is excluded — it grows with concurrent replays, not with
-// cache residency. Cache layers (internal/serve) charge this against
-// their byte budget when deciding evictions.
+// life of the cache entry: the instance's device memory, the golden
+// checkpoints, and the final memory. The replay scratch pool is
+// excluded — it grows with concurrent replays, not with cache
+// residency. kernels.Cache charges this against its byte budget when
+// deciding evictions.
 func (r *Runner) MemoryFootprint() int {
-	total := r.inst.Global.CapacityBytes()
-	for _, s := range r.snaps {
-		total += s.SizeBytes()
-	}
-	for _, imgs := range r.images {
-		for _, img := range imgs {
+	total := r.inst.Global.CapacityBytes() + r.final.SizeBytes()
+	for _, seq := range r.ckpts {
+		for _, img := range seq {
 			total += img.FootprintBytes()
 		}
 	}
@@ -315,13 +294,14 @@ func (r *Runner) LaunchLaneOps(filter func(op isa.Op) bool) []uint64 {
 }
 
 // RunTrialWithFault executes the workload with the fault plan applied to
-// the given launch, using the checkpointed engine: launches before the
-// fault are skipped by restoring the pre-launch snapshot, and a fault
-// launch whose memory matches the golden post-launch snapshot is masked
-// without simulating the rest of the program. The watchdog is set to a
-// small multiple of the golden cycle count so hangs resolve quickly.
-// SDC trials additionally carry a budget-capped diff of the output
-// region against the final golden snapshot (TrialRecord).
+// the given launch, using the checkpointed engine: the fault launch
+// starts from the latest golden checkpoint preceding the plan's trigger,
+// and a replay whose state rejoins golden — at a sub-launch image or a
+// launch boundary — is masked without simulating the rest of the
+// program. The watchdog is set to a small multiple of the golden cycle
+// count so hangs resolve quickly. SDC trials additionally carry a
+// budget-capped diff of the output region against the final golden
+// memory (TrialRecord).
 //
 // On an infrastructure error the record's Outcome is DUE, but callers
 // must treat the error as fatal to the trial, not as a classification:
@@ -332,38 +312,8 @@ func (r *Runner) RunTrialWithFault(plan *sim.FaultPlan, faultLaunch int) (TrialR
 	}
 	g := r.pool.Get()
 	defer r.pool.Put(g)
-	// Start the fault launch from the latest sub-launch image that
-	// provably precedes the plan's trigger; fall back to the launch
-	// boundary when none does (or none were recorded). sim.RunFrom
-	// restores the image's memory itself, so only the boundary path
-	// restores here.
-	img := sim.PickImage(r.images[faultLaunch], plan)
-	if img != nil {
-		r.subRestores.Add(1)
-	} else {
-		g.Restore(r.snaps[faultLaunch])
-	}
-
-	rec, err := r.resumeWithFault(g, plan, faultLaunch, img)
-	if err != nil {
-		return TrialRecord{Outcome: DUE}, err
-	}
-	return rec, nil
-}
-
-// ReplayStats reports how often faulted replays used the sub-launch
-// machinery: restores counts replays that started from a mid-launch
-// golden image, rejoins counts replays cut off early because their
-// state rejoined a golden image before the launch ended.
-func (r *Runner) ReplayStats() (restores, rejoins uint64) {
-	return r.subRestores.Load(), r.subRejoins.Load()
-}
-
-// resumeWithFault runs launches faultLaunch.. on the working memory g
-// (holding the pre-fault-launch state, or rewound to img by sim.RunFrom
-// when img is set), injecting the plan into the first of them and
-// cutting off as soon as the state rejoins golden.
-func (r *Runner) resumeWithFault(g *mem.Global, plan *sim.FaultPlan, faultLaunch int, img *sim.LaunchImage) (TrialRecord, error) {
+	// The fault launch replays from its checkpoint sequence (sim.Replay
+	// restores g); the later launches run on g as the replay left it.
 	launches := r.inst.Launches
 	for i := faultLaunch; i < len(launches); i++ {
 		l := launches[i]
@@ -379,17 +329,15 @@ func (r *Runner) resumeWithFault(g *mem.Global, plan *sim.FaultPlan, faultLaunch
 		var err error
 		if i == faultLaunch {
 			cfg.Fault = plan
-			cfg.Golden = r.images[i]
-			if img != nil {
-				res, err = sim.RunFrom(cfg, g, img)
-			} else {
-				res, err = sim.Run(cfg, g)
-			}
+			res, err = sim.Replay(cfg, g, r.ckpts[i])
 		} else {
 			res, err = sim.Run(cfg, g)
 		}
 		if err != nil {
 			return TrialRecord{Outcome: DUE}, fmt.Errorf("kernels: %s launch %d: %w", r.Name, i, err)
+		}
+		if res.StartImage > 0 {
+			r.subRestores.Add(1)
 		}
 		if res.Outcome == sim.OutcomeDUE {
 			return TrialRecord{Outcome: DUE, DUEMode: res.DUEMode}, nil
@@ -401,10 +349,14 @@ func (r *Runner) resumeWithFault(g *mem.Global, plan *sim.FaultPlan, faultLaunch
 			r.subRejoins.Add(1)
 			return TrialRecord{Outcome: Masked}, nil
 		}
-		// Early masked-fault cutoff: if memory at this launch boundary is
+		// Boundary cutoff: if memory at the next launch boundary is
 		// bit-identical to golden, the remaining launches replay the
 		// golden execution exactly and the comparator must pass.
-		if g.EqualSnapshot(r.snaps[i+1]) {
+		next := r.final
+		if i+1 < len(launches) {
+			next = r.ckpts[i+1][0].Mem
+		}
+		if g.EqualSnapshot(next) {
 			return TrialRecord{Outcome: Masked}, nil
 		}
 	}
@@ -416,14 +368,22 @@ func (r *Runner) resumeWithFault(g *mem.Global, plan *sim.FaultPlan, faultLaunch
 	return TrialRecord{Outcome: Masked}, nil
 }
 
+// ReplayStats reports how often faulted replays used the sub-launch
+// images: restores counts replays that started from a mid-launch
+// golden image, rejoins counts replays cut off early because their
+// state rejoined a golden image before the launch ended.
+func (r *Runner) ReplayStats() (restores, rejoins uint64) {
+	return r.subRestores.Load(), r.subRejoins.Load()
+}
+
 // captureDiff fills rec with the word-level diff between g and the
-// final golden snapshot. With a declared Output region the scan walks
+// final golden memory. With a declared Output region the scan walks
 // the grid element-wise and emits whole elements; without one it walks
 // the entire allocated region word-wise (the count still sizes the
 // corruption, but nothing downstream can classify it). The diff is
 // allocated once, at the budget's capacity, on the first corrupt word.
 func (r *Runner) captureDiff(g *mem.Global, rec *TrialRecord) {
-	golden := r.snaps[len(r.inst.Launches)]
+	golden := r.final
 	out := r.inst.Output
 	if out == nil {
 		for addr := uint32(0); int(addr) < golden.AllocatedBytes(); addr += 4 {

@@ -1,10 +1,12 @@
 // Snapshot support for checkpointed execution: a Snapshot is an
 // immutable copy of the allocated region of a Global, cheap to restore
-// and to compare against. The fault-injection runner records one
-// snapshot per launch boundary of the golden run, restores the
-// pre-launch snapshot instead of re-simulating earlier launches, and
-// uses the post-launch comparison to detect architecturally masked
-// faults without replaying the rest of the program.
+// and to compare against. Every golden checkpoint the simulator records
+// (internal/sim LaunchImage, the launch boundary included) holds one as
+// its global memory. A faulted replay restores the snapshot of the
+// checkpoint it starts from, and the fault-injection runner compares
+// memory against the next launch boundary's snapshot to detect
+// architecturally masked faults without replaying the rest of the
+// program.
 package mem
 
 import "sync"

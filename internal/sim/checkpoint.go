@@ -1,17 +1,20 @@
-// Sub-launch checkpointing: the golden run records full-state images of
-// the engine every N lane-operations, and a faulted replay (a) starts
-// from the latest image that provably precedes its trigger instead of
-// the launch start, and (b) once its fault has fired, compares itself
-// against the golden image captured at the same cycle and stops as soon
-// as it matches — the sub-launch generalization of the launch-boundary
-// early-Masked cutoff.
+// Checkpointing: the golden run of a launch (RunGolden) returns one
+// ordered checkpoint sequence. Its first entry is the launch boundary,
+// an image with nothing launched and nothing resident: global memory
+// before the launch. The rest are full-state sub-launch images captured
+// every so many lane-operations. A faulted replay (Replay) (a) starts
+// from the latest checkpoint that provably precedes its trigger, and
+// (b) once its fault has fired, compares itself against the golden
+// image captured at the same cycle and stops as soon as it matches.
+// Past the end of the launch, the runner compares global memory against
+// the next launch's boundary instead (internal/kernels).
 //
 // Both directions are exact, not heuristic. The engine is deterministic,
 // so a replay whose entire future-relevant state (register file,
 // predicates, shared and global memory, divergence stacks, scoreboard,
 // scheduler cursors, residency lists) equals the golden image at the
-// same cycle replays the golden suffix bit for bit. Image selection is
-// clock-safe: an image is a valid start only if the fault's trigger
+// same cycle replays the golden suffix bit for bit. Start selection is
+// clock-safe: a checkpoint is a valid start only if the fault's trigger
 // clock at capture time had not yet reached the trigger, which the
 // image's lane-op count (storage faults) or per-op counts (filtered op
 // faults) decide without approximation.
@@ -64,9 +67,12 @@ type smImage struct {
 	warps     []warpRef
 }
 
-// LaunchImage is a full mid-launch state image captured during a golden
-// run. Mem is the global-memory snapshot at capture time; Cycle and
-// LaneOps place the image on the launch's timing and trigger clocks.
+// LaunchImage is one checkpoint of a golden launch. Mem is the
+// global-memory snapshot at capture time; Cycle and LaneOps place the
+// image on the launch's timing and trigger clocks. The launch boundary
+// is the image with nothing launched (all counters zero, no blocks):
+// restoring it restores memory, and the run then makes the initial
+// residency wave resident as a fresh launch does.
 type LaunchImage struct {
 	Cycle   int64
 	LaneOps uint64
@@ -87,6 +93,19 @@ type LaunchImage struct {
 	sms        []smImage
 }
 
+// The checkpoint policy of RunGolden: a sub-launch image every
+// imageInterval lane-ops, at most maxImages per launch. When a launch
+// outruns the cap, every other image is dropped and the interval
+// doubles, so arbitrarily long launches keep a bounded set of images at
+// self-scaling spacing. imageStateBytes is the allowance for an image's
+// frozen block and SM state on top of its memory snapshot; the
+// recording budget and FootprintBytes both charge it.
+const (
+	imageInterval   = 32768
+	maxImages       = 24
+	imageStateBytes = 64 << 10
+)
+
 // FilteredOps reconstructs the filtered lane-op trigger clock at capture
 // time for an arbitrary plan filter. The golden run records no filtered
 // count of its own (it has no fault plan), but the per-op totals
@@ -106,23 +125,25 @@ func (img *LaunchImage) FilteredOps(filter func(op isa.Op) bool) uint64 {
 	return n
 }
 
-// FootprintBytes approximates the image's retained memory: the global
-// snapshot dominates, and the frozen block/SM state rides within the
-// same 64 KiB allowance the Runner's recording budget charges per image
-// (kernels.NewRunner divides its budget by snapshot size + 64 KiB).
+// FootprintBytes approximates the image's retained memory: its global
+// snapshot, plus the block/SM state allowance for a sub-launch image.
+// The launch boundary holds no block state.
 func (img *LaunchImage) FootprintBytes() int {
-	return img.Mem.SizeBytes() + 64*1024
+	if img.nextBlock == 0 {
+		return img.Mem.SizeBytes()
+	}
+	return img.Mem.SizeBytes() + imageStateBytes
 }
 
-// PickImage returns the latest image whose trigger clock had not yet
-// reached the plan's trigger at capture time — the furthest point the
-// replay can start from without missing its own fault — or nil when no
-// image precedes the trigger (the replay must start at the launch
-// boundary). Storage faults trigger on the unfiltered lane-op clock;
+// startImage returns the index of the latest checkpoint whose trigger
+// clock had not yet reached the plan's trigger at capture time: the
+// furthest point the replay can start from without missing its own
+// fault. The launch boundary (index 0, both clocks zero) always
+// qualifies. Storage faults trigger on the unfiltered lane-op clock;
 // operation faults on the plan's filtered clock.
-func PickImage(images []*LaunchImage, plan *FaultPlan) *LaunchImage {
-	var best *LaunchImage
-	for _, img := range images {
+func startImage(seq []*LaunchImage, plan *FaultPlan) int {
+	start := 0
+	for i, img := range seq {
 		var clock uint64
 		switch plan.Kind {
 		case FaultRFBit, FaultSharedBit, FaultGlobalBit:
@@ -131,59 +152,38 @@ func PickImage(images []*LaunchImage, plan *FaultPlan) *LaunchImage {
 			clock = img.FilteredOps(plan.Filter)
 		}
 		if clock <= plan.TriggerIndex {
-			best = img
+			start = i
 		}
 	}
-	return best
+	return start
 }
 
-// ImageRecorder accumulates golden images during an instrumented run.
-// When the image count exceeds MaxImages, every other image is dropped
-// and the interval doubles, so arbitrarily long launches keep a bounded
-// set of images at self-scaling spacing.
-type ImageRecorder struct {
-	Interval  uint64 // lane-ops between images
-	MaxImages int
-	Images    []*LaunchImage
+// recorder accumulates a golden run's sub-launch images under the
+// checkpoint policy above, with the image cap the memory budget allows.
+type recorder struct {
+	interval uint64 // lane-ops between images
+	max      int
+	images   []*LaunchImage
 
 	nextAt uint64
 }
 
-// DefaultImageInterval and DefaultMaxImages bound the recorder: 24
-// images every 32768 lane-ops, thinning beyond.
-const (
-	DefaultImageInterval = 32768
-	DefaultMaxImages     = 24
-)
-
-// NewImageRecorder returns a recorder with the given spacing; zero
-// values select the defaults.
-func NewImageRecorder(interval uint64, maxImages int) *ImageRecorder {
-	if interval == 0 {
-		interval = DefaultImageInterval
-	}
-	if maxImages <= 0 {
-		maxImages = DefaultMaxImages
-	}
-	return &ImageRecorder{Interval: interval, MaxImages: maxImages, nextAt: interval}
-}
-
-func (r *ImageRecorder) add(img *LaunchImage) {
-	r.Images = append(r.Images, img)
-	r.nextAt = img.LaneOps + r.Interval
-	if len(r.Images) > r.MaxImages {
-		kept := r.Images[:0]
-		for i, im := range r.Images {
+func (r *recorder) add(img *LaunchImage) {
+	r.images = append(r.images, img)
+	r.nextAt = img.LaneOps + r.interval
+	if len(r.images) > r.max {
+		kept := r.images[:0]
+		for i, im := range r.images {
 			if i%2 == 0 {
 				kept = append(kept, im)
 			}
 		}
-		for i := len(kept); i < len(r.Images); i++ {
-			r.Images[i] = nil
+		for i := len(kept); i < len(r.images); i++ {
+			r.images[i] = nil
 		}
-		r.Images = kept
-		r.Interval *= 2
-		r.nextAt = r.Images[len(r.Images)-1].LaneOps + r.Interval
+		r.images = kept
+		r.interval *= 2
+		r.nextAt = r.images[len(r.images)-1].LaneOps + r.interval
 	}
 }
 
@@ -255,12 +255,14 @@ func captureBlock(b *blockState) blockImage {
 	return bi
 }
 
-// restoreImage rewinds a freshly prepared engine (no blocks launched) to
-// the image's state, including global memory and the trigger clocks.
-// The image must come from a launch of the same geometry on the same
-// device. Block and warp state is carved from the engine's arenas and
-// the image is only read, never aliased: a recycled engine's storage
-// must not reach the image shared by every replay of the launch.
+// restoreImage rewinds a fresh engine (no blocks launched) to the
+// image's state, including global memory and the trigger clocks. A
+// launch boundary restores memory only; run then launches the initial
+// residency wave. The image must come from a launch of the same
+// geometry on the same device. Block and warp state is carved from the
+// engine's arenas and the image is only read, never aliased: a recycled
+// engine's storage must not reach the image shared by every replay of
+// the launch.
 func (e *engine) restoreImage(img *LaunchImage) {
 	e.cycle = img.Cycle
 	e.laneOps = img.LaneOps
@@ -274,10 +276,7 @@ func (e *engine) restoreImage(img *LaunchImage) {
 	e.divResidency = img.divResidency
 	e.nextBlock = img.nextBlock
 	e.liveBlocks = img.liveBlocks
-	e.restored = true
-	if e.fault != nil {
-		e.filteredOps = img.FilteredOps(e.fault.Filter)
-	}
+	e.filteredOps = img.FilteredOps(e.fault.Filter)
 	e.glob.Restore(img.Mem)
 
 	blocks := e.st.blkScratch[:0]
@@ -293,10 +292,6 @@ func (e *engine) restoreImage(img *LaunchImage) {
 		for _, ref := range si.warps {
 			sm.warps = append(sm.warps, blocks[ref.block].warps[ref.widx])
 		}
-	}
-	// Skip golden images the restored state already passed.
-	for e.gIdx < len(e.golden) && e.golden[e.gIdx].Cycle <= img.Cycle {
-		e.gIdx++
 	}
 }
 

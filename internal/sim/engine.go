@@ -221,16 +221,16 @@ type engine struct {
 	// lean mirrors Config.LeanProfile for the issue path.
 	lean bool
 
-	// Sub-launch checkpointing (checkpoint.go). rec records golden
-	// images during an instrumented golden run; golden/gIdx drive the
-	// rejoin cutoff during a fault replay: once the fault has fired, the
+	// Checkpointing (checkpoint.go). rec records sub-launch images
+	// during a golden run (RunGolden); golden/gIdx drive the rejoin
+	// cutoff during a fault replay (Replay): golden holds the images
+	// after the replay's start, and once the fault has fired, the
 	// replay compares its full state against the golden image captured
 	// at the same cycle and stops early on a match.
-	rec      *ImageRecorder
+	rec      *recorder
 	golden   []*LaunchImage
 	gIdx     int
 	rejoined bool
-	restored bool // engine state came from restoreImage, not a fresh launch
 
 	// Fast-forward bookkeeping: when a whole cycle issues nothing, the
 	// engine jumps to the earliest scoreboard-ready time instead of
@@ -272,10 +272,11 @@ type launchStore struct {
 	blkScratch []*blockState
 }
 
-// enginePool recycles engines together with their launchStore. Run and
-// RunFrom return the engine once the Result is built; nothing a Result
-// or LaunchImage holds points into recycled storage (capture copies,
-// the timeline is allocated per launch, PerOpLane is a fresh map).
+// enginePool recycles engines together with their launchStore. Run,
+// RunGolden, and Replay return the engine once the Result is built;
+// nothing a Result or LaunchImage holds points into recycled storage
+// (capture copies, the timeline is allocated per launch, PerOpLane is a
+// fresh map).
 var enginePool = sync.Pool{New: func() any { return &engine{st: new(launchStore)} }}
 
 // release returns the engine to enginePool, dropping every reference to
@@ -344,24 +345,11 @@ func (st *launchStore) reset(nsm, nsched int) []smState {
 	return sms
 }
 
+// newEngine takes an engine from enginePool and sets it up at the
+// launch boundary, with no blocks launched; run launches the initial
+// residency wave, unless Replay restored a sub-launch image first. The
+// caller releases the engine.
 func newEngine(cfg Config, global *mem.Global) (*engine, error) {
-	e, err := prepEngine(cfg, global)
-	if err != nil {
-		return nil, err
-	}
-	// Initial wave: fill SMs round-robin up to the residency limit.
-	for slot := 0; slot < e.occ.BlocksPerSM; slot++ {
-		for s := range e.sms {
-			e.launchNextBlock(&e.sms[s])
-		}
-	}
-	return e, nil
-}
-
-// prepEngine takes an engine from enginePool and sets it up with no
-// blocks launched; newEngine adds the initial residency wave, RunFrom
-// restores an image instead. The caller releases the engine.
-func prepEngine(cfg Config, global *mem.Global) (*engine, error) {
 	if err := validate(cfg); err != nil {
 		return nil, err
 	}
@@ -386,8 +374,6 @@ func prepEngine(cfg Config, global *mem.Global) (*engine, error) {
 		totalBlock: cfg.GridX * cfg.GridY,
 		maxCycles:  cfg.MaxCycles,
 		fault:      cfg.Fault,
-		rec:        cfg.Record,
-		golden:     cfg.Golden,
 		faultLane:  noFault,
 	}
 	if e.maxCycles == 0 {
@@ -536,7 +522,14 @@ func (e *engine) raiseDUE(mode DUEMode, format string, args ...any) {
 
 // run executes the launch to completion or DUE.
 func (e *engine) run() *Result {
-	if !e.restored {
+	if e.nextBlock == 0 {
+		// At the launch boundary (fresh, or restored by Replay), the
+		// initial wave fills SMs round-robin up to the residency limit.
+		for slot := 0; slot < e.occ.BlocksPerSM; slot++ {
+			for s := range e.sms {
+				e.launchNextBlock(&e.sms[s])
+			}
+		}
 		for i := range e.sms {
 			if len(e.sms[i].warps) > 0 {
 				e.smsUsed++
@@ -636,7 +629,7 @@ func (e *engine) run() *Result {
 			(e.liveBlocks > 0 || e.nextBlock < e.totalBlock) {
 			e.rec.add(e.capture())
 		}
-		if e.golden != nil && e.fault != nil && e.fault.Fired {
+		if e.gIdx < len(e.golden) && e.fault.Fired {
 			if e.tryRejoin() {
 				break
 			}

@@ -40,19 +40,6 @@ type Config struct {
 	// Fault optionally perturbs the run (nil for golden runs).
 	Fault *FaultPlan
 
-	// Record, when non-nil, makes this (golden) run capture full-state
-	// sub-launch images every Record.Interval lane-operations; faulted
-	// replays of the same launch start from the nearest image (RunFrom)
-	// instead of the launch boundary.
-	Record *ImageRecorder
-
-	// Golden supplies the golden run's sub-launch images to a faulted
-	// replay: once the fault has fired, the engine compares itself
-	// against the image captured at the same cycle and stops early with
-	// Result.RejoinedGolden when the state has provably rejoined the
-	// golden execution.
-	Golden []*LaunchImage
-
 	// SampleTimeline asks the engine to record the per-launch residency
 	// Timeline (scheduler slots, outstanding loads, divergence depth,
 	// fetch activity per cycle bucket). Golden runs turn it on; fault
@@ -103,11 +90,16 @@ type Result struct {
 	Profile   Profile
 
 	// RejoinedGolden reports that a faulted replay stopped early because
-	// its full state matched a golden sub-launch image (Config.Golden):
-	// the rest of the launch — and therefore the program — would replay
-	// the golden run exactly, so the fault is architecturally masked.
-	// The Profile of such a run covers only the simulated prefix.
+	// its full state matched a golden sub-launch image (Replay): the
+	// rest of the launch — and therefore the program — would replay the
+	// golden run exactly, so the fault is architecturally masked. The
+	// Profile of such a run covers only the simulated prefix.
 	RejoinedGolden bool
+
+	// StartImage is the index, in the golden checkpoint sequence, of the
+	// checkpoint a Replay started from: 0 for the launch boundary, more
+	// for a sub-launch image. Zero for Run and RunGolden.
+	StartImage int
 }
 
 // Profile carries the dynamic execution metrics the profiler and the
@@ -182,19 +174,49 @@ func Run(cfg Config, global *mem.Global) (*Result, error) {
 	return res, nil
 }
 
-// RunFrom resumes the launch from a golden sub-launch image instead of
-// the launch start: global memory, all resident architectural state, and
-// the fault-trigger clocks are rewound to the image, and only the
-// suffix is simulated. The image must come from a golden run of the
-// same Config geometry (kernels.Runner guarantees this); cfg.Fault's
-// trigger must not precede the image's clocks (use PickImage).
-func RunFrom(cfg Config, global *mem.Global, img *LaunchImage) (*Result, error) {
-	e, err := prepEngine(cfg, global)
+// RunGolden simulates a fault-free launch like Run and returns its
+// checkpoint sequence for Replay: first the launch boundary (global
+// memory before the launch), then full-state sub-launch images on the
+// checkpoint policy (checkpoint.go). budget is the bytes the sub-launch
+// images may take, each charged its memory snapshot plus the block
+// state allowance; a launch where fewer than two would fit records
+// none.
+func RunGolden(cfg Config, global *mem.Global, budget int) (*Result, []*LaunchImage, error) {
+	e, err := newEngine(cfg, global)
+	if err != nil {
+		return nil, nil, err
+	}
+	seq := []*LaunchImage{{Mem: global.Snapshot()}}
+	if n := min(budget/(global.AllocatedBytes()+imageStateBytes), maxImages); n >= 2 {
+		e.rec = &recorder{interval: imageInterval, max: n, nextAt: imageInterval}
+	}
+	res := e.run()
+	if e.rec != nil {
+		seq = append(seq, e.rec.images...)
+	}
+	e.release()
+	return res, seq, nil
+}
+
+// Replay runs a faulted launch (cfg.Fault set) from the golden
+// checkpoint sequence seq that RunGolden returned for the same launch.
+// It restores the latest checkpoint preceding the fault's trigger,
+// global memory included, so only the suffix is simulated; once the
+// fault has fired, it stops with Result.RejoinedGolden at the first
+// later image its full state matches.
+func Replay(cfg Config, global *mem.Global, seq []*LaunchImage) (*Result, error) {
+	if cfg.Fault == nil || len(seq) == 0 {
+		return nil, fmt.Errorf("sim: Replay needs a fault plan and a checkpoint sequence")
+	}
+	e, err := newEngine(cfg, global)
 	if err != nil {
 		return nil, err
 	}
-	e.restoreImage(img)
+	start := startImage(seq, cfg.Fault)
+	e.golden = seq[start+1:]
+	e.restoreImage(seq[start])
 	res := e.run()
+	res.StartImage = start
 	e.release()
 	return res, nil
 }

@@ -2,7 +2,8 @@
 # Repository check tiers.
 #
 #   scripts/check.sh            tier 1: build + tests (the gate every change must pass)
-#   scripts/check.sh full       tier 2: tier 1 + gofmt + go vet + lint gate + race detector
+#   scripts/check.sh full       tier 2: tier 1 + gofmt + go vet (root and perfbench
+#                               modules) + lint gate + race detector
 #   scripts/check.sh bench      substrate benchmarks (one iteration each; smoke, not timing)
 #   scripts/check.sh artifacts  golden-artifact drift gate: regenerate out/ and byte-diff
 #   scripts/check.sh gates [name]
@@ -177,6 +178,11 @@ if [ "${1:-}" = "full" ]; then
     fi
     echo "== go vet ./..."
     go vet ./...
+    # perfbench is its own module (replace gpurel => ../), so the root
+    # build and vet never compile it; vetting it here catches an API
+    # change of the packages it drives before the benchmark does.
+    echo "== (cd perfbench && go vet ./...)"
+    (cd perfbench && go vet ./...)
     echo "== gpurel-lint (selftest + built-in kernels and micros)"
     go run ./cmd/gpurel-lint -selftest
     go run ./cmd/gpurel-lint >/dev/null
