@@ -9,8 +9,10 @@
 package gpurel
 
 import (
+	"fmt"
 	"testing"
 
+	"gpurel/internal/analysis"
 	"gpurel/internal/asm"
 	"gpurel/internal/beam"
 	"gpurel/internal/core"
@@ -455,6 +457,43 @@ func BenchmarkSimSnapshotRestore(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAnalyzeSuite times the static analyzer alone: AnalyzeLaunch
+// (forward facts plus the ACE and DUE-mode backward solves) over every
+// distinct launch program and geometry of the K40c suite at O2. The
+// builds happen outside the timer.
+func BenchmarkAnalyzeSuite(b *testing.B) {
+	dev := device.K40c()
+	type launch struct {
+		prog   *isa.Program
+		bounds analysis.Bounds
+	}
+	var launches []launch
+	for _, e := range suite.ForDevice(dev) {
+		inst, err := e.Build(dev, asm.O2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		seen := map[string]bool{}
+		for _, l := range inst.Launches {
+			bounds := analysis.Bounds{GridX: l.GridX, GridY: l.GridY, BlockThreads: l.BlockThreads}
+			if k := fmt.Sprint(l.Prog.Name, bounds); !seen[k] {
+				seen[k] = true
+				launches = append(launches, launch{l.Prog, bounds})
+			}
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range launches {
+			analyzeSink = analysis.AnalyzeLaunch(launches[j].prog, &launches[j].bounds)
+		}
+	}
+	b.ReportMetric(float64(len(launches)), "launches/op")
+}
+
+// analyzeSink keeps BenchmarkAnalyzeSuite's results live.
+var analyzeSink *analysis.Result
 
 func BenchmarkStudyTiny(b *testing.B) {
 	if testing.Short() {

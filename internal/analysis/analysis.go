@@ -40,11 +40,11 @@ type Result struct {
 	LiveOut     []RegSet
 	PredLiveOut []PredSet
 
-	// ACEVec holds the bit-resolved ACE vectors (see bitflow.go).
+	// ACEVec holds the bit-resolved ACE vectors (see backward.go).
 	ACEVec []ACEVector
 
 	// DUEModeVec holds the per-bit DUE-mode split of each ACEVec entry's
-	// DUE channel (see duemode.go).
+	// DUE channel (see duemode.go and backward.go).
 	DUEModeVec []DUEModeVec
 
 	// Facts / PredFacts are the forward known-bits/range facts per
@@ -81,8 +81,8 @@ func AnalyzeLaunch(p *isa.Program, bounds *Bounds) *Result {
 	r.bf = newBitflow(p, r.DefUse, bounds)
 	r.bf.forward()
 	r.Facts, r.PredFacts = r.bf.facts, r.bf.preds
-	r.ACEVec = r.bf.propagateVec()
-	r.DUEModeVec = r.bf.propagateModes(r.ACEVec)
+	r.ACEVec = r.bf.aceVectors()
+	r.DUEModeVec = r.bf.dueModes(r.ACEVec)
 	r.Findings = lint(r)
 	return r
 }

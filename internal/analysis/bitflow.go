@@ -7,8 +7,8 @@ import (
 // Bit-level dataflow: a forward abstract interpretation computing, per
 // definition, a known-bits lattice (knownbits.go) and a conservative
 // value range (range.go), seeded from immediates, RZ, and the launch
-// geometry behind the S2R special registers; then a backward ACE pass
-// that carries a 64-bit vector per value.
+// geometry behind the S2R special registers. The backward solver
+// (backward.go) then carries a 64-bit vector per value on those facts.
 //
 // ACE (Architecturally Correct Execution) estimation: for every
 // instruction that defines a value (a GPR span or a predicate), the
@@ -36,10 +36,9 @@ import (
 // with the IEEE-layout profile for FP consumers, so the per-bit
 // structure matches the bit-position dependence the injectors measure.
 //
-// Both passes are sound at every iteration: the forward lattice starts
-// at top (no knowledge) and only monotonically strengthens, and the
-// backward noisy-or is a bounded monotone combine, so the iteration
-// caps cannot produce unsound facts.
+// The forward pass is sound at every iteration: the lattice starts at
+// top (no knowledge) and only monotonically strengthens, so the sweep
+// cap cannot produce unsound facts.
 
 // Bounds carries the launch geometry used to seed S2R special-register
 // facts. A nil Bounds (or zero fields) seeds only the geometry-free
@@ -122,21 +121,10 @@ type ACEVector struct {
 func (v *ACEVector) Unmasked(b int) float64 { return v.SDC[b] + v.DUE[b] }
 
 // MeanSDC / MeanDUE average the channel over the window.
-func (v *ACEVector) MeanSDC() float64 { return v.mean(&v.SDC) }
+func (v *ACEVector) MeanSDC() float64 { return chMean(&v.SDC, v.Width, 0) }
 
 // MeanDUE averages the DUE channel over the window.
-func (v *ACEVector) MeanDUE() float64 { return v.mean(&v.DUE) }
-
-func (v *ACEVector) mean(ch *[64]float64) float64 {
-	if v.Width == 0 {
-		return 0
-	}
-	var s float64
-	for b := 0; b < v.Width; b++ {
-		s += ch[b]
-	}
-	return s / float64(v.Width)
-}
+func (v *ACEVector) MeanDUE() float64 { return chMean(&v.DUE, v.Width, 0) }
 
 // Dead reports whether every bit of the window is provably masked.
 func (v *ACEVector) Dead() bool {
@@ -265,6 +253,7 @@ type bitflow struct {
 	p      *isa.Program
 	du     *DefUse
 	bounds *Bounds
+	width  []int // per instruction, the modeled destination window
 
 	in      [][]inEdge // per consumer, incoming def edges
 	uninitG map[uint32]bool
@@ -282,6 +271,7 @@ func newBitflow(p *isa.Program, du *DefUse, bounds *Bounds) *bitflow {
 	n := len(p.Instrs)
 	bf := &bitflow{
 		p: p, du: du, bounds: bounds,
+		width:       make([]int, n),
 		in:          make([][]inEdge, n),
 		uninitG:     map[uint32]bool{},
 		uninitP:     map[uint32]bool{},
@@ -305,7 +295,8 @@ func newBitflow(p *isa.Program, du *DefUse, bounds *Bounds) *bitflow {
 		}
 	}
 	for i := range p.Instrs {
-		bf.facts[i] = topFact(bf.widthOf(i))
+		bf.width[i] = bf.widthOf(i)
+		bf.facts[i] = topFact(bf.width[i])
 	}
 	return bf
 }
@@ -494,7 +485,7 @@ func (bf *bitflow) seedS2R(sr isa.SpecialReg) ValueFact {
 // predicate fact from the current operand facts.
 func (bf *bitflow) transfer(i int) (ValueFact, PredFact) {
 	in := &bf.p.Instrs[i]
-	w := bf.widthOf(i)
+	w := bf.width[i]
 	pf := PredUnknown
 	if w == 0 {
 		return topFact(0), pf
@@ -608,154 +599,6 @@ func (bf *bitflow) forward() {
 	}
 }
 
-// propagateVec iterates the backward per-bit transfer to a fixpoint: a
-// noisy-or combine over def-use edges, carried independently per
-// destination bit, with the forward facts deciding which bits an edge
-// can actually move. The combine is monotone and bounded, so the sweep
-// converges; the epsilon cut bounds the loop count on loop-carried
-// chains.
-func (bf *bitflow) propagateVec() []ACEVector {
-	p := bf.p
-	n := len(p.Instrs)
-	vec := make([]ACEVector, n)
-	for i := range vec {
-		vec[i].Width = bf.widthOf(i)
-	}
-	const eps = 1e-9
-	var missSDC, missDUE [64]float64
-	for iter := 0; iter < 400; iter++ {
-		changed := false
-		for i := n - 1; i >= 0; i-- {
-			w := vec[i].Width
-			if w == 0 {
-				continue
-			}
-			for b := 0; b < w; b++ {
-				missSDC[b], missDUE[b] = 1, 1
-			}
-			for _, e := range bf.du.Out[i] {
-				bf.edgeContrib(i, e, vec, w, &missSDC, &missDUE)
-			}
-			for b := 0; b < w; b++ {
-				sdc, due := 1-missSDC[b], 1-missDUE[b]
-				if t := sdc + due; t > 1 {
-					sdc /= t
-					due /= t
-				}
-				if abs(sdc-vec[i].SDC[b]) > eps || abs(due-vec[i].DUE[b]) > eps {
-					changed = true
-				}
-				vec[i].SDC[b], vec[i].DUE[b] = sdc, due
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	return vec
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// edgeContrib folds one def-use edge of definition i into the per-bit
-// miss products.
-func (bf *bitflow) edgeContrib(i int, e UseEdge, vec []ACEVector, w int, missSDC, missDUE *[64]float64) {
-	useIn := &bf.p.Instrs[e.Use]
-	lo := 32 * int(e.DefReg)
-	if w == 1 {
-		lo = 0 // predicate definitions occupy the single bit 0
-	}
-	if lo >= w {
-		return // beyond the modeled window (MMA tail fragments)
-	}
-	hi := min(lo+32, w)
-	apply := func(b int, s, d float64) {
-		missSDC[b] *= 1 - s
-		missDUE[b] *= 1 - d
-	}
-
-	switch e.Kind {
-	case EdgeStoreVal:
-		s := SinkStoreSDC
-		if useIn.Op == isa.OpSTS {
-			s = SinkSharedStoreSDC
-		}
-		for b := lo; b < hi; b++ {
-			missSDC[b] *= 1 - s
-		}
-		return
-	case EdgeAddr:
-		for b := lo; b < hi; b++ {
-			if b-lo < AddrPageBits {
-				apply(b, AddrLowSDC, AddrLowDUE)
-			} else {
-				apply(b, AddrHighSDC, AddrHighDUE)
-			}
-		}
-		return
-	}
-
-	uv := &vec[e.Use]
-	meanS, meanD := uv.MeanSDC(), uv.MeanDUE()
-	switch e.Kind {
-	case EdgeBranchGuard:
-		apply(0, SinkBranchSDC, SinkBranchDUE)
-		return
-	case EdgeGuard:
-		apply(0, PassGuard*meanS, PassGuard*meanD)
-		return
-	case EdgeSelCond:
-		apply(0, PassSelCond*meanS, PassSelCond*meanD)
-		return
-	case EdgeCmp:
-		bf.cmpContrib(i, e, useIn, uv, w, lo, hi, apply)
-		return
-	}
-	bf.dataContrib(i, e, useIn, uv, lo, hi, meanS, meanD, apply)
-}
-
-// cmpContrib handles a comparison source: a flip is provably masked
-// when, under the derived ranges, it cannot move the operand across the
-// comparison threshold; otherwise the PassCmp factor applies.
-func (bf *bitflow) cmpContrib(i int, e UseEdge, useIn *isa.Instr, uv *ACEVector,
-	w, lo, hi int, apply func(int, float64, float64)) {
-	vb := useIn.SrcValueBits(int(e.Slot))
-	// Range reasoning is sound only for a single-register integer value
-	// read directly (ISETP reads are never negated).
-	provable := useIn.Op == isa.OpISETP && w == 32 && e.DefReg == 0 && e.UseReg == 0
-	var own, other ValueRange
-	if provable {
-		own = bf.facts[i].R
-		other = bf.operandFact(e.Use, 1-int(e.Slot)).R
-	}
-	s0, d0 := uv.SDC[0], uv.DUE[0]
-	for b := lo; b < hi; b++ {
-		rb := b - lo
-		if rb >= vb {
-			continue // register bits the comparison never reads
-		}
-		if provable {
-			delta := int64(1) << uint(rb)
-			expanded := rExpand(own, delta)
-			var known bool
-			if int(e.Slot) == 0 {
-				_, known = cmpAlways(useIn.Cmp, expanded, other)
-			} else {
-				_, known = cmpAlways(useIn.Cmp, other, expanded)
-			}
-			if known {
-				continue // the flip cannot change the predicate
-			}
-		}
-		apply(b, PassCmp*s0, PassCmp*d0)
-	}
-}
-
 // stencilKind says how one data-edge bit reads the consumer's vector.
 type stencilKind uint8
 
@@ -767,10 +610,10 @@ const (
 
 // bitStencil is the per-bit transfer of one data edge: where the
 // flipped bit lands in the consumer's vector and with what pass factor.
-// It is channel-agnostic — dataContrib applies it to the SDC and DUE
-// channels, and the DUE-mode propagation (duemode.go) applies the same
-// stencil to the per-mode channels, so the two backward passes cannot
-// drift apart per opcode.
+// It is channel-agnostic: the backward solver's data route (routeData,
+// backward.go) applies it to every channel of whichever channel set is
+// running, so the ACE and DUE-mode estimates cannot drift apart per
+// opcode.
 type bitStencil struct {
 	kind stencilKind
 	f    float64
@@ -885,62 +728,4 @@ func dataStencil(useIn *isa.Instr, slot, ub, uw int, inv edgeInvariants) bitSten
 		return bitStencil{stMean, PassCvt, 0}
 	}
 	return bitStencil{stExact, PassDefault, min(ub, max(uw-1, 0))}
-}
-
-// dataContrib handles a value operand: per def bit, the probability the
-// flip survives into the consumer's destination, times the consumer's
-// own per-bit ACE at the bits it can land in.
-func (bf *bitflow) dataContrib(i int, e UseEdge, useIn *isa.Instr, uv *ACEVector,
-	lo, hi int, meanS, meanD float64, apply func(int, float64, float64)) {
-	uw := uv.Width
-	atS := func(idx int) float64 {
-		if idx < 0 || idx >= uw {
-			return 0
-		}
-		return uv.SDC[idx]
-	}
-	atD := func(idx int) float64 {
-		if idx < 0 || idx >= uw {
-			return 0
-		}
-		return uv.DUE[idx]
-	}
-	// meanFrom averages the consumer's vector over bits >= from: a
-	// multiply spreads an input bit over the output bits at or above it.
-	meanFrom := func(ch *[64]float64, from int) float64 {
-		if uw == 0 {
-			return 0
-		}
-		if from >= uw {
-			from = uw - 1
-		}
-		var s float64
-		for b := from; b < uw; b++ {
-			s += ch[b]
-		}
-		return s / float64(uw-from)
-	}
-
-	vb := useIn.SrcValueBits(int(e.Slot))
-	slot := int(e.Slot)
-	inv := bf.edgeInvariantsOf(e, useIn)
-
-	for b := lo; b < hi; b++ {
-		rb := b - lo
-		if rb >= vb {
-			continue // the consumer never reads these register bits
-		}
-		ub := 32*int(e.UseReg) + rb
-		st := dataStencil(useIn, slot, ub, uw, inv)
-		var s, d float64
-		switch st.kind {
-		case stMean:
-			s, d = st.f*meanS, st.f*meanD
-		case stMeanFrom:
-			s, d = st.f*meanFrom(&uv.SDC, st.idx), st.f*meanFrom(&uv.DUE, st.idx)
-		default:
-			s, d = st.f*atS(st.idx), st.f*atD(st.idx)
-		}
-		apply(b, s, d)
-	}
 }

@@ -147,13 +147,6 @@ func lint(r *Result) []Finding {
 	return out
 }
 
-// dueModeFindings reports the sites whose DUE exposure is dominated by
-// one of the typed mechanisms, each anchored to the mode propagation's
-// proofs rather than to opcode pattern-matching: a trip-count value the
-// range lattice could not prove flip-immune on the way to a loop
-// backedge, an address chain whose flips can carry the effective
-// address outside the statically proven window, and values or
-// predicates feeding the reconvergence machinery.
 // dueModeFindings reports DUE-mode exposures the prover tried and
 // failed to discharge. Each finding anchors to a failed proof rather
 // than to raw mode mass, so ordinary shapes — a counted loop, a
@@ -166,8 +159,9 @@ func lint(r *Result) []Finding {
 //     the finding.
 //   - unguarded-address-arith: an address-feeding value whose low-bit
 //     band still carries illegal-address mass — the page-window
-//     containment proof (duemode.go) failed, where a proven window
-//     zeroes the band exactly.
+//     containment proof (the backward solver's address route,
+//     backward.go) failed, where a proven window zeroes the band in
+//     the mode set's sink table.
 //   - sync-fragile-region: a predicate that directly gates BAR/SYNC
 //     participation (a divergent barrier is a guaranteed sync DUE in
 //     the simulator), or a value whose transitive sync-error exposure

@@ -2,8 +2,8 @@ package analysis
 
 // Central tuning table for the ACE transfer model. Every masking weight
 // the analyzer uses lives here — the per-opcode pass factors, the
-// terminal sink weights, and the bit-resolved knobs bitflow.go applies
-// when a per-bit fact cannot be *proven* from the known-bits/range
+// terminal sink weights, and the bit-resolved knobs the backward solver
+// (backward.go) applies when a per-bit fact cannot be *proven* from the known-bits/range
 // lattices.
 //
 // The factors are calibrated against the paper's §VI injection
@@ -30,8 +30,8 @@ const (
 // Pass factors: the attenuation applied when a value flows through a
 // consuming instruction into that instruction's own destination — the
 // fraction of input-bit flips expected to survive into the result.
-// bitflow.go applies them (or the bit tables below) per opcode for
-// operands whose masking it cannot prove.
+// The backward solver applies them (or the bit tables below) per opcode,
+// through dataStencil, for operands whose masking it cannot prove.
 const (
 	// PassCmp: a single input bit rarely crosses the comparison
 	// threshold — strong logical masking before the predicate.
@@ -152,10 +152,11 @@ const (
 	CvtKeepFactor = 0.85
 )
 
-// DUE-mode routing knobs (see duemode.go). The terminal DUE sinks above
-// carry a mechanism: address sinks are illegal-address, backedge and
-// EXIT guards are hangs, barrier/reconvergence guards are sync errors.
-// Only the forward-branch guard is mechanically ambiguous.
+// DUE-mode routing knobs (the mode sink table, backward.go). The
+// terminal DUE sinks above carry a mechanism: address sinks are
+// illegal-address, backedge and EXIT guards are hangs,
+// barrier/reconvergence guards are sync errors. Only the forward-branch
+// guard is mechanically ambiguous.
 const (
 	// BranchForwardHangFrac: the share of a forward (non-backedge,
 	// non-divergent) branch guard's DUE sink attributed to hangs — the

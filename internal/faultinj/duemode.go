@@ -51,6 +51,7 @@ func StaticDUEModes(r *kernels.Runner, tool Tool) (*analysis.DUEModeEstimate, er
 			r.Name, len(profiles), len(inst.Launches))
 	}
 	combined := &analysis.DUEModeEstimate{Name: r.Name}
+	var mass [analysis.ModeCount]float64
 	for i, l := range inst.Launches {
 		a := analysis.AnalyzeLaunch(l.Prog, &analysis.Bounds{
 			GridX: l.GridX, GridY: l.GridY, BlockThreads: l.BlockThreads,
@@ -61,18 +62,18 @@ func StaticDUEModes(r *kernels.Runner, tool Tool) (*analysis.DUEModeEstimate, er
 		}
 		combined.Sites += e.Sites
 		combined.Weight += e.Weight
-		combined.Hang += e.Weight * e.Hang
-		combined.IllegalAddress += e.Weight * e.IllegalAddress
-		combined.SyncError += e.Weight * e.SyncError
-		combined.Unattributed += e.Weight * e.Unattributed
+		for m := range mass {
+			mass[m] += e.Weight * e.Mass(analysis.DUEModeK(m))
+		}
 	}
 	if combined.Weight == 0 {
 		return nil, fmt.Errorf("faultinj: %s has no injectable lane-ops under %s", r.Name, tool)
 	}
-	combined.Hang /= combined.Weight
-	combined.IllegalAddress /= combined.Weight
-	combined.SyncError /= combined.Weight
-	combined.Unattributed /= combined.Weight
+	for m := range mass {
+		mass[m] /= combined.Weight
+	}
+	combined.Hang, combined.IllegalAddress = mass[analysis.ModeHang], mass[analysis.ModeIllegalAddress]
+	combined.SyncError, combined.Unattributed = mass[analysis.ModeSyncError], mass[analysis.ModeUnattributed]
 	combined.DUEMass = combined.Hang + combined.IllegalAddress +
 		combined.SyncError + combined.Unattributed
 	return combined, nil

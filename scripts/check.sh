@@ -53,7 +53,8 @@ fi
 
 if [ "${1:-}" = "bench" ]; then
     # Two stages. First a one-iteration smoke pass over every substrate
-    # benchmark (compiles-and-runs coverage, no timing claims). Then the
+    # benchmark and the analyzer benchmark (compiles-and-runs coverage,
+    # no timing claims). Then the
     # timed per-fault gate: re-time the BenchmarkSimPerFault* suite,
     # emit the snapshot JSON benchdiff consumes (bench-new.json; stable
     # path, gitignored, uploaded by CI), and compare it against the
@@ -62,8 +63,8 @@ if [ "${1:-}" = "bench" ]; then
     # it exists to catch algorithmic regressions of the replay path,
     # not single-digit-percent noise. Allocations per op are gated with
     # a small fixed slack instead: they do not depend on the hardware.
-    echo "== go test -run=^\$ -bench=BenchmarkSim -benchtime=1x ./..."
-    go test -run='^$' -bench=BenchmarkSim -benchtime=1x ./...
+    echo "== go test -run=^\$ -bench='BenchmarkSim|BenchmarkAnalyze' -benchtime=1x ./..."
+    go test -run='^$' -bench='BenchmarkSim|BenchmarkAnalyze' -benchtime=1x ./...
     echo "== go test -run=^\$ -bench=BenchmarkSimPerFault -benchtime=2s -count=3 ."
     go test -run='^$' -bench=BenchmarkSimPerFault -benchtime=2s -count=3 . >bench-run.txt
     cat bench-run.txt
