@@ -17,7 +17,7 @@
 //   - Result.Findings is a lint report: dead stores, unreachable blocks,
 //     use-before-def registers, and SSY divergence-without-reconvergence
 //     hazards. internal/asm's verifier rejects the Error-severity subset
-//     at build time; cmd/gpurel-lint reports everything.
+//     at build time; `gpurel lint` reports everything.
 //   - DeadFraction measures the architecturally-dead share of a program,
 //     the static analogue of the ~18% SASSIFI-vs-NVBitFI AVF gap the
 //     paper attributes to toolchain codegen differences (§VI).

@@ -10,7 +10,7 @@ import (
 type Severity uint8
 
 // Severities. Errors are the subset the assembler's verifier rejects at
-// build time; warnings are reported by cmd/gpurel-lint.
+// build time; warnings are reported by `gpurel lint`.
 const (
 	SevWarn Severity = iota
 	SevError

@@ -51,17 +51,6 @@ type deviceStudyJSON struct {
 	DUEMeasured    map[string]float64
 }
 
-func toolByName(name string) (faultinj.Tool, error) {
-	switch name {
-	case faultinj.Sassifi.String():
-		return faultinj.Sassifi, nil
-	case faultinj.NVBitFI.String():
-		return faultinj.NVBitFI, nil
-	default:
-		return 0, fmt.Errorf("core: unknown tool %q", name)
-	}
-}
-
 // SaveJSON writes the study to path.
 func (ds *DeviceStudy) SaveJSON(path string) error {
 	out := deviceStudyJSON{
@@ -170,16 +159,9 @@ func LoadDeviceStudy(path string) (*DeviceStudy, error) {
 	if err := json.Unmarshal(data, &in); err != nil {
 		return nil, fmt.Errorf("core: parsing %s: %w", path, err)
 	}
-	var dev *device.Device
-	switch in.Device {
-	case "Tesla K40c":
-		dev = device.K40c()
-	case "Tesla V100":
-		dev = device.V100()
-	case "Titan V":
-		dev = device.TitanV()
-	default:
-		return nil, fmt.Errorf("core: unknown device %q in %s", in.Device, path)
+	dev, err := device.ByName(in.Device)
+	if err != nil {
+		return nil, fmt.Errorf("core: %s: %w", path, err)
 	}
 	ds := &DeviceStudy{
 		Dev:                      dev,
@@ -221,9 +203,9 @@ func LoadDeviceStudy(path string) (*DeviceStudy, error) {
 		ds.MeasuredHidden = map[string]*analysis.HiddenEstimate{}
 	}
 	for toolName, byCode := range in.AVF {
-		tool, err := toolByName(toolName)
+		tool, err := faultinj.ParseTool(toolName)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: %s: %w", path, err)
 		}
 		ds.AVF[tool] = byCode
 	}
@@ -231,9 +213,9 @@ func LoadDeviceStudy(path string) (*DeviceStudy, error) {
 		ds.Beam[BeamKey{Code: e.Code, ECC: e.ECC}] = e.Result
 	}
 	for _, p := range in.Predictions {
-		tool, err := toolByName(p.Tool)
+		tool, err := faultinj.ParseTool(p.Tool)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: %s: %w", path, err)
 		}
 		ds.Predictions[PredKey{Code: p.Code, ECC: p.ECC, Tool: tool}] = p.Prediction
 	}

@@ -12,6 +12,7 @@ package device
 
 import (
 	"fmt"
+	"strings"
 
 	"gpurel/internal/isa"
 )
@@ -176,6 +177,22 @@ func TitanV() *Device {
 	d.Name = "Titan V"
 	d.GlobalMemBytes = 3 << 28 // 12 GB class board, scaled like the rest
 	return d
+}
+
+// ByName resolves a device by any of its names, case-insensitively and
+// ignoring surrounding space: the architecture (kepler, volta), the
+// short board name (k40c, v100, titanv), or the full Name (Tesla K40c,
+// Tesla V100, Titan V).
+func ByName(name string) (*Device, error) {
+	switch strings.ToLower(strings.TrimSpace(name)) {
+	case "kepler", "k40c", "tesla k40c":
+		return K40c(), nil
+	case "volta", "v100", "tesla v100":
+		return V100(), nil
+	case "titanv", "titan v":
+		return TitanV(), nil
+	}
+	return nil, fmt.Errorf("unknown device %q (want kepler, volta or titanv)", name)
 }
 
 // UnitFor maps an opcode to the functional-unit pool that executes it.

@@ -211,3 +211,30 @@ func TestSiliconDefaults(t *testing.T) {
 		}
 	}
 }
+
+func TestByName(t *testing.T) {
+	for _, tc := range []struct {
+		names []string
+		want  *Device
+	}{
+		{[]string{"kepler", "k40c", "Tesla K40c", " KEPLER ", "K40C"}, K40c()},
+		{[]string{"volta", "v100", "Tesla V100", "Volta", "tesla v100\n"}, V100()},
+		{[]string{"titanv", "Titan V", "TITANV"}, TitanV()},
+	} {
+		for _, name := range tc.names {
+			d, err := ByName(name)
+			if err != nil {
+				t.Errorf("ByName(%q): %v", name, err)
+				continue
+			}
+			if d.Name != tc.want.Name || d.NumSMs != tc.want.NumSMs {
+				t.Errorf("ByName(%q) = %s, want %s", name, d.Name, tc.want.Name)
+			}
+		}
+	}
+	for _, name := range []string{"", "pascal", "k40", "tesla"} {
+		if d, err := ByName(name); err == nil {
+			t.Errorf("ByName(%q) = %s, want an error", name, d.Name)
+		}
+	}
+}

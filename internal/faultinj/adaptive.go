@@ -1,5 +1,5 @@
 // Adaptive campaign support: deterministic, index-addressable per-class
-// fault sampling for the gpurel-serve daemon (internal/serve).
+// fault sampling for the campaign daemon (internal/serve, `gpurel serve`).
 //
 // The batch campaigns in this package draw every plan from one
 // sequential RNG stream, which ties the sampled sequence to the exact

@@ -21,6 +21,7 @@ package faultinj
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 
 	"gpurel/internal/analysis"
@@ -48,6 +49,17 @@ func (t Tool) String() string {
 		return "SASSIFI"
 	}
 	return "NVBitFI"
+}
+
+// ParseTool resolves a tool by its String name, case-insensitively and
+// ignoring surrounding space (SASSIFI or sassifi, NVBitFI or nvbitfi).
+func ParseTool(name string) (Tool, error) {
+	for _, t := range []Tool{Sassifi, NVBitFI} {
+		if strings.EqualFold(strings.TrimSpace(name), t.String()) {
+			return t, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown tool %q (want sassifi or nvbitfi)", name)
 }
 
 // OptLevel returns the compiler pipeline the tool's toolchain implies.

@@ -1,6 +1,7 @@
 package faultinj
 
 import (
+	"strings"
 	"testing"
 
 	"gpurel/internal/device"
@@ -14,6 +15,22 @@ func TestToolProperties(t *testing.T) {
 	}
 	if Sassifi.String() != "SASSIFI" || NVBitFI.String() != "NVBitFI" {
 		t.Fatal("bad tool names")
+	}
+}
+
+func TestParseTool(t *testing.T) {
+	for _, tool := range []Tool{Sassifi, NVBitFI} {
+		for _, name := range []string{tool.String(), strings.ToLower(tool.String()), " " + strings.ToUpper(tool.String()) + " "} {
+			got, err := ParseTool(name)
+			if err != nil || got != tool {
+				t.Errorf("ParseTool(%q) = %v, %v; want %v", name, got, err, tool)
+			}
+		}
+	}
+	for _, name := range []string{"", "sasifi", "nvbit", "sassifi nvbitfi"} {
+		if got, err := ParseTool(name); err == nil {
+			t.Errorf("ParseTool(%q) = %v, want an error", name, got)
+		}
 	}
 }
 

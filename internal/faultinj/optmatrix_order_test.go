@@ -25,7 +25,7 @@ func runMatrix(t *testing.T, dev *device.Device, code string, mc OptMatrixConfig
 // optimization matrix: at the study's default campaign size, the static
 // per-configuration AVF ordering must not contradict the injection
 // campaign's on any tested matrix (ties within OptOrderingEps are
-// allowed; opposite-sign movements are not). gpurel-lint -gate opt runs
+// allowed; opposite-sign movements are not). gpurel lint -gate opt runs
 // the same check over the full CrossValKernels set.
 func TestMatrixOrderingAgreement(t *testing.T) {
 	cases := []struct {

@@ -7,7 +7,7 @@ import (
 
 // RegisterHTTP wires the standard /debug/pprof handlers onto mux, the
 // long-lived-process counterpart of the -cpuprofile/-memprofile flags:
-// gpurel-serve mounts it behind -pprof so a soaking daemon can be
+// gpurel serve mounts it behind -pprof so a soaking daemon can be
 // profiled live with
 //
 //	go tool pprof http://localhost:8397/debug/pprof/profile

@@ -1,8 +1,8 @@
 // Package pprofutil wires runtime/pprof CPU and heap profiling into the
-// campaign CLIs behind -cpuprofile/-memprofile flags. The profiles are
-// the standard pprof protobuf format:
+// campaign subcommands behind -cpuprofile/-memprofile flags. The
+// profiles are the standard pprof protobuf format:
 //
-//	gpurel-inject -code FMXM -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
+//	gpurel inject -code FMXM -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
 //	go tool pprof cpu.pb.gz
 package pprofutil
 
@@ -20,15 +20,15 @@ var (
 	cpuFile *os.File
 )
 
-// AddFlags registers -cpuprofile and -memprofile on the default flag
-// set; call before flag.Parse.
-func AddFlags() {
-	cpuPath = flag.String("cpuprofile", "", "write a CPU profile (pprof format) to this file")
-	memPath = flag.String("memprofile", "", "write a heap profile (pprof format) to this file on exit")
+// AddFlags registers -cpuprofile and -memprofile on fs; call before
+// fs.Parse.
+func AddFlags(fs *flag.FlagSet) {
+	cpuPath = fs.String("cpuprofile", "", "write a CPU profile (pprof format) to this file")
+	memPath = fs.String("memprofile", "", "write a heap profile (pprof format) to this file on exit")
 }
 
 // Start begins CPU profiling when -cpuprofile was given. Call right
-// after flag.Parse and pair with a deferred Stop.
+// after parsing and pair with a deferred Stop.
 func Start() error {
 	if cpuPath == nil || *cpuPath == "" {
 		return nil
@@ -46,8 +46,7 @@ func Start() error {
 }
 
 // Stop finishes the CPU profile and writes the heap profile, when the
-// respective flags were given. Idempotent, so error paths that exit via
-// os.Exit can call it in addition to the deferred call.
+// respective flags were given. Idempotent.
 func Stop() {
 	if cpuFile != nil {
 		pprof.StopCPUProfile()

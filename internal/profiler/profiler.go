@@ -125,7 +125,8 @@ func (cp *CodeProfile) ClassLaneOps() map[isa.Class]uint64 {
 func (cp *CodeProfile) ClassFraction(c isa.Class) float64 { return cp.Mix[c] }
 
 // ProfileSuite profiles a list of workloads on one device and compiler
-// pipeline; it is the data behind cmd/gpurel-profile.
+// pipeline: the Table I data `gpurel profile` renders, which it
+// computes one runner at a time.
 func ProfileSuite(dev *device.Device, opt asm.OptLevel, entries []NamedBuilder) ([]*CodeProfile, error) {
 	var out []*CodeProfile
 	for _, e := range entries {

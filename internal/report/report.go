@@ -1,6 +1,7 @@
 // Package report renders the study's artifacts — Table I and Figures 1,
 // 3, 4, 5, 6 of the paper plus the §VII-B DUE analysis — as aligned
-// ASCII tables and as CSV for external plotting.
+// ASCII tables and as CSV for external plotting, and the raw dumps
+// behind `gpurel profile -timeline` and `gpurel sassdump -bits`.
 package report
 
 import (
@@ -645,8 +646,8 @@ func OptPressureTable(ds *core.DeviceStudy, csv bool) string {
 	return finish(t, csv, fmt.Sprintf("AVF vs register pressure — %s", ds.Dev.Name))
 }
 
-// OptMatrixSweep renders standalone matrices (cmd/gpurel-ablate's
-// -opt-matrix mode) without a full device study: AVF views plus the
+// OptMatrixSweep renders standalone matrices (`gpurel ablate
+// -opt-matrix`) without a full device study: AVF views plus the
 // full explainer per cell.
 func OptMatrixSweep(ms []*faultinj.OptMatrix, csv bool) string {
 	t := &table{header: []string{
@@ -704,7 +705,7 @@ func Devices(s *core.Study) []*core.DeviceStudy {
 }
 
 // CrossValidation renders the static-versus-injection AVF comparison
-// emitted by `gpurel-lint -gate crossval`: one row per workload with
+// emitted by `gpurel lint -gate crossval`: one row per workload with
 // both unmasked AVF views, the delta, and whether the static view sits
 // inside the documented tolerance.
 func CrossValidation(cvs []*faultinj.CrossValidation, csv bool) string {

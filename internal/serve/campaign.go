@@ -346,7 +346,7 @@ func (s *Server) loadCheckpoint(id string) (*Campaign, error) {
 	if err := core.ReadJSON(filepath.Join(s.opts.SpoolDir, id+".json"), &ck); err != nil {
 		return nil, err
 	}
-	tool, err := parseTool(ck.Tool)
+	tool, err := faultinj.ParseTool(ck.Tool)
 	if err != nil {
 		return nil, err
 	}

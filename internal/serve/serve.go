@@ -1,4 +1,4 @@
-// Package serve is the campaign daemon behind cmd/gpurel-serve: a
+// Package serve is the campaign daemon behind `gpurel serve`: a
 // long-lived HTTP/JSON service that turns the repository's batch
 // injection pipeline into adaptively-stopped, sharded campaigns.
 //
@@ -122,26 +122,20 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// parseDevice resolves a request's device label.
-func parseDevice(name string) (*device.Device, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "", "volta", "v100", "tesla v100":
+// requestDevice resolves a request's device label; empty means V100.
+func requestDevice(name string) (*device.Device, error) {
+	if strings.TrimSpace(name) == "" {
 		return device.V100(), nil
-	case "kepler", "k40c", "tesla k40c":
-		return device.K40c(), nil
 	}
-	return nil, fmt.Errorf("serve: unknown device %q (want kepler or volta)", name)
+	return device.ByName(name)
 }
 
-// parseTool resolves a request's injector label.
-func parseTool(name string) (faultinj.Tool, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "", "nvbitfi":
+// requestTool resolves a request's injector label; empty means NVBitFI.
+func requestTool(name string) (faultinj.Tool, error) {
+	if strings.TrimSpace(name) == "" {
 		return faultinj.NVBitFI, nil
-	case "sassifi":
-		return faultinj.Sassifi, nil
 	}
-	return 0, fmt.Errorf("serve: unknown tool %q (want sassifi or nvbitfi)", name)
+	return faultinj.ParseTool(name)
 }
 
 // validate resolves and checks a request against the workload matrix:
@@ -149,11 +143,11 @@ func parseTool(name string) (faultinj.Tool, error) {
 // be able to instrument it (§III-D, §VI restrictions).
 func validate(req *Request) (faultinj.Tool, error) {
 	req.defaults()
-	dev, err := parseDevice(req.Device)
+	dev, err := requestDevice(req.Device)
 	if err != nil {
 		return 0, err
 	}
-	tool, err := parseTool(req.Tool)
+	tool, err := requestTool(req.Tool)
 	if err != nil {
 		return 0, err
 	}
@@ -178,7 +172,7 @@ func validate(req *Request) (faultinj.Tool, error) {
 
 // runnerFor fetches the campaign's runner from the shared cache.
 func (s *Server) runnerFor(req Request, tool faultinj.Tool) (*kernels.Runner, error) {
-	dev, err := parseDevice(req.Device)
+	dev, err := requestDevice(req.Device)
 	if err != nil {
 		return nil, err
 	}

@@ -7,17 +7,17 @@
 #   scripts/check.sh bench      substrate benchmarks (one iteration each; smoke, not timing)
 #   scripts/check.sh artifacts  golden-artifact drift gate: regenerate out/ and byte-diff
 #   scripts/check.sh gates [name]
-#                               agreement gates: rerun one gpurel-lint -gate
+#                               agreement gates: rerun one gpurel lint -gate
 #                               (crossval, opt, twolevel, duemode, hidden; default
 #                               all) and fail on any out-of-tolerance workload;
 #                               the rendered table lands at gate-<name>-table.txt
 #   scripts/check.sh serve      campaign-daemon gate: serve tests under -race, then a
 #                               loadgen soak (200+ concurrent campaigns) against a live
-#                               gpurel-serve; soak report lands at serve-soak.txt
+#                               gpurel serve; soak report lands at serve-soak.txt
 #
 # Unknown tier names fail immediately (exit 1) rather than silently
 # running tier 1 — a typo'd "scripts/check.sh gate" in CI must not
-# masquerade as a passing gate. Unknown gate names fail in gpurel-lint,
+# masquerade as a passing gate. Unknown gate names fail in gpurel lint,
 # which lists the valid ones. Setting CHECK_SH_PARSE_ONLY=1
 # validates the tier argument and exits before doing any work (used by
 # the dispatcher's own tests).
@@ -84,7 +84,7 @@ if [ "${1:-}" = "artifacts" ]; then
     #
     # On drift, the sanitized diff summary is left at out-drift-summary.txt
     # (stable path; gitignored) so CI can upload it as a workflow artifact.
-    regen_cmd="go run ./cmd/gpurel-repro -trials 450 -faults 640 -seed 1"
+    regen_cmd="go run ./cmd/gpurel repro -trials 450 -faults 640 -seed 1"
     tmp="$(mktemp -d)"
     drift="$(mktemp)"
     trap 'rm -rf "$tmp" "$drift"' EXIT
@@ -110,15 +110,15 @@ fi
 
 if [ "$tier" = "gates" ]; then
     # Static-vs-dynamic agreement gates (the registry in
-    # cmd/gpurel-lint/gates.go): each reruns its campaigns on both
+    # cmd/gpurel/gates.go): each reruns its campaigns on both
     # devices at its validated size and seed and fails if any workload
     # leaves the gate's faultinj tolerance. The rendered table lands at
     # gate-<name>-table.txt (stable path; gitignored) so CI can upload
     # it either way. The gates' packages already run under -race in
     # tier 2 and un-instrumented in tier 1.
     gate="${2:-all}"
-    echo "== gpurel-lint -gate $gate"
-    if ! go run ./cmd/gpurel-lint -gate "$gate" >"gate-$gate-table.txt"; then
+    echo "== gpurel lint -gate $gate"
+    if ! go run ./cmd/gpurel lint -gate "$gate" >"gate-$gate-table.txt"; then
         cat "gate-$gate-table.txt"
         echo "GATE $gate failed: a workload left its agreement tolerance, or the gate name is unknown (see above)"
         exit 1
@@ -133,7 +133,7 @@ if [ "$tier" = "serve" ]; then
     # packages rerun under -race: the daemon is the one place the repo
     # shards one campaign's trials across goroutines, so its tests are
     # where the race detector earns its keep. Then a live soak: build
-    # gpurel-serve and tools/loadgen, boot the daemon on a loopback
+    # gpurel and tools/loadgen, boot the daemon on a loopback
     # port, and push a few hundred concurrent campaigns through it.
     # The loadgen asserts determinism (duplicate requests land on
     # byte-identical /counts bodies), verifies adaptive stopping beat
@@ -150,12 +150,12 @@ if [ "$tier" = "serve" ]; then
         rm -rf "$bindir" "$spool"
     }
     trap cleanup EXIT
-    echo "== go build ./cmd/gpurel-serve ./tools/loadgen"
-    go build -o "$bindir/gpurel-serve" ./cmd/gpurel-serve
+    echo "== go build ./cmd/gpurel ./tools/loadgen"
+    go build -o "$bindir/gpurel" ./cmd/gpurel
     go build -o "$bindir/loadgen" ./tools/loadgen
     addr="127.0.0.1:${GPUREL_SERVE_PORT:-8397}"
-    echo "== gpurel-serve -addr $addr (background)"
-    "$bindir/gpurel-serve" -addr "$addr" -spool "$spool" -quiet &
+    echo "== gpurel serve -addr $addr (background)"
+    "$bindir/gpurel" serve -addr "$addr" -spool "$spool" -quiet &
     daemon_pid=$!
     echo "== loadgen -addr $addr -campaigns 200"
     "$bindir/loadgen" -addr "$addr" -campaigns 200 -out serve-soak.txt
@@ -184,9 +184,9 @@ if [ "${1:-}" = "full" ]; then
     # change of the packages it drives before the benchmark does.
     echo "== (cd perfbench && go vet ./...)"
     (cd perfbench && go vet ./...)
-    echo "== gpurel-lint (selftest + built-in kernels and micros)"
-    go run ./cmd/gpurel-lint -selftest
-    go run ./cmd/gpurel-lint >/dev/null
+    echo "== gpurel lint (selftest + built-in kernels and micros)"
+    go run ./cmd/gpurel lint -selftest
+    go run ./cmd/gpurel lint >/dev/null
     echo "== gomaplint (deterministic artifact writers)"
     go run ./tools/gomaplint .
     echo "== go test -race -short ./..."

@@ -1,4 +1,4 @@
-// Command loadgen soaks a running gpurel-serve daemon with concurrent
+// Command loadgen soaks a running `gpurel serve` daemon with concurrent
 // fault-injection campaigns and gates on the service's two promises:
 //
 //   - determinism: duplicate requests (same code/device/seed/width)
@@ -51,7 +51,7 @@ type campaignRun struct {
 }
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:8397", "gpurel-serve address")
+	addr := flag.String("addr", "127.0.0.1:8397", "gpurel serve address")
 	campaigns := flag.Int("campaigns", 200, "total campaigns to push (all in flight at once)")
 	dup := flag.Int("dup", 4, "identical campaigns per determinism group")
 	width := flag.Float64("width", 0.15, "target Wilson CI width for every campaign")
@@ -238,7 +238,7 @@ func waitHealthy(base string, wait time.Duration) error {
 func render(runs []*campaignRun, wall time.Duration, metrics []byte) (string, int) {
 	var b strings.Builder
 	failures := 0
-	fmt.Fprintf(&b, "gpurel-serve soak: %d campaigns, wall %s, %.1f campaigns/sec\n\n",
+	fmt.Fprintf(&b, "gpurel serve soak: %d campaigns, wall %s, %.1f campaigns/sec\n\n",
 		len(runs), wall.Round(time.Millisecond), float64(len(runs))/wall.Seconds())
 
 	// Campaign failures.
