@@ -459,7 +459,8 @@ func BenchmarkSimSnapshotRestore(b *testing.B) {
 }
 
 // BenchmarkAnalyzeSuite times the static analyzer alone: AnalyzeLaunch
-// (forward facts plus the ACE and DUE-mode backward solves) over every
+// (forward facts plus the ACE backward solve) and the products it
+// computes on first use (the DUE-mode solve and the lint), over every
 // distinct launch program and geometry of the K40c suite at O2. The
 // builds happen outside the timer.
 func BenchmarkAnalyzeSuite(b *testing.B) {
@@ -486,7 +487,10 @@ func BenchmarkAnalyzeSuite(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := range launches {
-			analyzeSink = analysis.AnalyzeLaunch(launches[j].prog, &launches[j].bounds)
+			r := analysis.AnalyzeLaunch(launches[j].prog, &launches[j].bounds)
+			r.DUEModes()
+			r.Findings()
+			analyzeSink = r
 		}
 	}
 	b.ReportMetric(float64(len(launches)), "launches/op")
@@ -494,6 +498,65 @@ func BenchmarkAnalyzeSuite(b *testing.B) {
 
 // analyzeSink keeps BenchmarkAnalyzeSuite's results live.
 var analyzeSink *analysis.Result
+
+// BenchmarkAnalyzeStaticConsumers times the static calls a K40c study
+// makes on the cross-validation kernels, through one runner cache as
+// the study does: StaticEstimate, StaticDUEModes, StaticHidden and
+// MeasuredHidden on the NVBitFI runner, then StaticEstimate and
+// ExplainRunner on every optimization-matrix runner. Each iteration
+// builds a fresh cache (golden runs included) with the timer stopped,
+// so every iteration analyzes every launch anew.
+func BenchmarkAnalyzeStaticConsumers(b *testing.B) {
+	dev := device.K40c()
+	var entries []suite.Entry
+	for _, name := range faultinj.CrossValKernels {
+		e, err := suite.Find(suite.ForDevice(dev), name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		entries = append(entries, e)
+	}
+	type cell struct {
+		r      *kernels.Runner
+		matrix bool
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		cache := kernels.NewCache(0)
+		var cells []cell
+		for _, e := range entries {
+			r, err := cache.Get(e.Name, e.Build, dev, faultinj.NVBitFI.OptLevel())
+			if err != nil {
+				b.Fatal(err)
+			}
+			cells = append(cells, cell{r, false})
+			for _, opt := range asm.MatrixConfigs() {
+				r, err := cache.Get(e.Name, e.Build, dev, opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cells = append(cells, cell{r, true})
+			}
+		}
+		b.StartTimer()
+		for _, c := range cells {
+			if _, err := faultinj.StaticEstimate(c.r, faultinj.NVBitFI); err != nil {
+				b.Fatal(err)
+			}
+			if c.matrix {
+				faultinj.ExplainRunner(c.r)
+				continue
+			}
+			if _, err := faultinj.StaticDUEModes(c.r, faultinj.NVBitFI); err != nil {
+				b.Fatal(err)
+			}
+			faultinj.StaticHidden(c.r)
+			faultinj.MeasuredHidden(c.r)
+		}
+	}
+	b.ReportMetric(float64(len(entries)), "codes/op")
+}
 
 func BenchmarkStudyTiny(b *testing.B) {
 	if testing.Short() {

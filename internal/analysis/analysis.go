@@ -10,9 +10,9 @@
 //
 // Three consumers build on the analyzer:
 //
-//   - StaticAVF / Result.Estimate produce injection-free AVF estimates
-//     that internal/fit's Eq. 1-4 predictor accepts as a drop-in
-//     replacement for injection-derived AVFs, and that internal/faultinj
+//   - Result.Estimate produces injection-free AVF estimates that
+//     internal/fit's Eq. 1-4 predictor accepts as a drop-in replacement
+//     for injection-derived AVFs, and that internal/faultinj
 //     cross-validates against dynamic campaigns.
 //   - Result.Findings is a lint report: dead stores, unreachable blocks,
 //     use-before-def registers, and SSY divergence-without-reconvergence
@@ -28,9 +28,18 @@
 // tracked as ROADMAP follow-on work.
 package analysis
 
-import "gpurel/internal/isa"
+import (
+	"sync"
+
+	"gpurel/internal/isa"
+)
 
 // Result bundles every product of one analyzer run over a program.
+//
+// A Result is immutable once AnalyzeLaunch returns, apart from the two
+// products computed on first use (DUEModes, Findings), which are
+// guarded by their own sync.Once: one Result may be shared by any
+// number of goroutines.
 type Result struct {
 	Prog *isa.Program
 	CFG  *CFG
@@ -42,10 +51,6 @@ type Result struct {
 
 	// ACEVec holds the bit-resolved ACE vectors (see backward.go).
 	ACEVec []ACEVector
-
-	// DUEModeVec holds the per-bit DUE-mode split of each ACEVec entry's
-	// DUE channel (see duemode.go and backward.go).
-	DUEModeVec []DUEModeVec
 
 	// Facts / PredFacts are the forward known-bits/range facts per
 	// definition and the proven SETP outcomes.
@@ -59,20 +64,24 @@ type Result struct {
 	// DefUse holds the def-use edges the ACE propagation walked.
 	DefUse *DefUse
 
-	// Findings is the lint report, in instruction order.
-	Findings []Finding
-
 	bf *bitflow
+
+	modesOnce sync.Once
+	modes     []DUEModeVec
+	lintOnce  sync.Once
+	findings  []Finding
 }
 
 // Analyze runs the full pipeline — CFG, liveness, reaching definitions,
 // known-bits/range abstract interpretation, bit-resolved ACE
-// propagation, lint — over one program, without launch-geometry seeding.
+// propagation — over one program, without launch-geometry seeding.
 func Analyze(p *isa.Program) *Result { return AnalyzeLaunch(p, nil) }
 
 // AnalyzeLaunch is Analyze with the forward pass seeded from a launch
 // geometry: thread-index special registers get the bounds the geometry
 // implies, which tightens the ranges behind guard compares and masks.
+// The DUE-mode solve and the lint run on first use (DUEModes,
+// Findings): most consumers read neither.
 func AnalyzeLaunch(p *isa.Program, bounds *Bounds) *Result {
 	r := &Result{Prog: p, Bounds: bounds}
 	r.CFG = BuildCFG(p)
@@ -82,15 +91,28 @@ func AnalyzeLaunch(p *isa.Program, bounds *Bounds) *Result {
 	r.bf.forward()
 	r.Facts, r.PredFacts = r.bf.facts, r.bf.preds
 	r.ACEVec = r.bf.aceVectors()
-	r.DUEModeVec = r.bf.dueModes(r.ACEVec)
-	r.Findings = lint(r)
 	return r
+}
+
+// DUEModes returns the per-bit DUE-mode split of each ACEVec entry's
+// DUE channel (see duemode.go and backward.go), solving it on first
+// use.
+func (r *Result) DUEModes() []DUEModeVec {
+	r.modesOnce.Do(func() { r.modes = r.bf.dueModes(r.ACEVec) })
+	return r.modes
+}
+
+// Findings returns the lint report, in instruction order, computing it
+// on first use.
+func (r *Result) Findings() []Finding {
+	r.lintOnce.Do(func() { r.findings = lint(r) })
+	return r.findings
 }
 
 // Errors returns the Error-severity findings.
 func (r *Result) Errors() []Finding {
 	var out []Finding
-	for _, f := range r.Findings {
+	for _, f := range r.Findings() {
 		if f.Sev == SevError {
 			out = append(out, f)
 		}
@@ -101,7 +123,7 @@ func (r *Result) Errors() []Finding {
 // Warnings returns the Warn-severity findings.
 func (r *Result) Warnings() []Finding {
 	var out []Finding
-	for _, f := range r.Findings {
+	for _, f := range r.Findings() {
 		if f.Sev == SevWarn {
 			out = append(out, f)
 		}

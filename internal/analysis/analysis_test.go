@@ -27,7 +27,7 @@ func iadd(dst, a, b isa.Reg) isa.Instr { return raw(isa.OpIADD, dst, a, b) }
 func imul(dst, a, b isa.Reg) isa.Instr { return raw(isa.OpIMUL, dst, a, b) }
 func dadd(dst, a, b isa.Reg) isa.Instr { return raw(isa.OpDADD, dst, a, b) }
 func exit() isa.Instr                  { return raw(isa.OpEXIT, isa.RZ) }
-func sync() isa.Instr                  { return raw(isa.OpSYNC, isa.RZ) }
+func syncInstr() isa.Instr             { return raw(isa.OpSYNC, isa.RZ) }
 
 func stg(addr, val isa.Reg) isa.Instr {
 	in := raw(isa.OpSTG, isa.RZ, addr)
@@ -218,7 +218,7 @@ func TestLintFindings(t *testing.T) {
 			name: "sync outside every ssy region",
 			prog: prog("syncfree",
 				movi(rr(0)),
-				sync(),
+				syncInstr(),
 				exit(),
 			),
 			wantErrs:  []string{KindSyncNoRegion},
@@ -361,8 +361,8 @@ func TestPredicatedWritesDontKill(t *testing.T) {
 		exit(),
 	)
 	r := Analyze(p)
-	if len(r.Findings) != 0 {
-		t.Fatalf("unexpected findings: %v", r.Findings)
+	if len(r.Findings()) != 0 {
+		t.Fatalf("unexpected findings: %v", r.Findings())
 	}
 	if !r.LiveOut[0].Has(rr(0)) {
 		t.Errorf("R0 from instruction 0 killed by the predicated write at 2")

@@ -161,12 +161,6 @@ func (r *Result) OpWeights(perOp map[isa.Op]uint64) []float64 {
 	return w
 }
 
-// StaticAVF analyzes the program and returns its uniform-weight static
-// AVF over the GPR-writing site population.
-func StaticAVF(p *isa.Program) *Estimate {
-	return Analyze(p).Estimate(nil, nil)
-}
-
 // DeadFraction analyzes the program and returns the fraction of its
 // GPR-writing instructions whose results are architecturally dead — the
 // §VI metric separating the two compiler pipelines.

@@ -224,7 +224,7 @@ func TestRangeDeadBranchFinding(t *testing.T) {
 		ssy(7),                                  // 3
 		braIf(pp(0), true, 6),                   // 4: @!P0 never taken
 		stg(rr(1), rr(0)),                       // 5
-		sync(),                                  // 6
+		syncInstr(),                             // 6
 		exit(),                                  // 7
 	)
 	r := AnalyzeLaunch(p, &Bounds{GridX: 1, GridY: 1, BlockThreads: 256})

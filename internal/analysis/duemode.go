@@ -158,6 +158,7 @@ func (e *DUEModeEstimate) mass(m DUEModeK) *float64 {
 // filter (nil: every GPR-writing opcode), weighted like Estimate.
 func (r *Result) DUEModeEstimate(weights []float64, filter func(isa.Op) bool) *DUEModeEstimate {
 	est := &DUEModeEstimate{Name: r.Prog.Name}
+	modes := r.DUEModes()
 	var totalW float64
 	for i := range r.Prog.Instrs {
 		in := &r.Prog.Instrs[i]
@@ -177,7 +178,7 @@ func (r *Result) DUEModeEstimate(weights []float64, filter func(isa.Op) bool) *D
 		}
 		est.Sites++
 		totalW += w
-		v := &r.DUEModeVec[i]
+		v := &modes[i]
 		for m := DUEModeK(0); m < ModeCount; m++ {
 			est.addMass(m, w*v.Mean(m))
 		}

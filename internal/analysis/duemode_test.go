@@ -24,7 +24,7 @@ func provenTripProg() *isa.Program {
 
 func TestDUEModeProvenTripCount(t *testing.T) {
 	r := Analyze(provenTripProg())
-	ctr := &r.DUEModeVec[2]
+	ctr := &r.DUEModes()[2]
 	for b := 0; b < 26; b++ {
 		if got := ctr.Ch[ModeHang][b]; got != 0 {
 			t.Errorf("counter bit %d: hang = %g, want 0 (range-proven flip-immune)", b, got)
@@ -37,7 +37,7 @@ func TestDUEModeProvenTripCount(t *testing.T) {
 	}
 	// The trip-count predicate itself is pure hang exposure: its whole
 	// DUE mass routes through the backedge guard.
-	pv := &r.DUEModeVec[3]
+	pv := &r.DUEModes()[3]
 	if pv.Width != 1 {
 		t.Fatalf("predicate width = %d, want 1", pv.Width)
 	}
@@ -52,7 +52,7 @@ func TestDUEModeProvenTripCount(t *testing.T) {
 	}
 	// The compare is against a constant, so the loop is statically
 	// bounded and must not be flagged unbounded.
-	for _, f := range r.Findings {
+	for _, f := range r.Findings() {
 		if f.Kind == KindUnboundedLoopExposure {
 			t.Errorf("bounded loop flagged: %s", f.Msg)
 		}
@@ -72,7 +72,7 @@ func TestDUEModeBackedgeMemoryConversion(t *testing.T) {
 		braIf(pp(1), false, 1),                     // 4: backedge over the load
 		exit(),                                     // 5
 	))
-	pv := &r.DUEModeVec[3]
+	pv := &r.DUEModes()[3]
 	due := r.ACEVec[3].DUE[0]
 	const tol = 1e-12
 	if due <= 0 {
@@ -96,7 +96,7 @@ func TestDUEModeUnboundedLoopFinding(t *testing.T) {
 		exit(),                     // 5
 	))
 	var hit bool
-	for _, f := range r.Findings {
+	for _, f := range r.Findings() {
 		if f.Kind == KindUnboundedLoopExposure {
 			hit = true
 			if f.Instr != 4 {
@@ -118,7 +118,7 @@ func TestDUEModeAddressWindowProof(t *testing.T) {
 		stg(rr(1), rr(5)),         // 4
 		exit(),                    // 5
 	))
-	proven, unproven := &r.DUEModeVec[0], &r.DUEModeVec[2]
+	proven, unproven := &r.DUEModes()[0], &r.DUEModes()[2]
 	for b := 0; b < AddrPageBits; b++ {
 		if got := proven.Ch[ModeIllegalAddress][b]; got != 0 {
 			t.Errorf("proven address bit %d: illegal-address = %g, want 0 (in-window containment)", b, got)
@@ -134,7 +134,7 @@ func TestDUEModeAddressWindowProof(t *testing.T) {
 	}
 	// Lint: only the unproven chain is unguarded.
 	var at []int
-	for _, f := range r.Findings {
+	for _, f := range r.Findings() {
 		if f.Kind == KindUnguardedAddressArith {
 			at = append(at, f.Instr)
 		}
@@ -157,7 +157,7 @@ func TestDUEModeSyncDivergence(t *testing.T) {
 		stg(rr(1), rr(2)),           // 8: reconvergence
 		exit(),                      // 9
 	))
-	pv := &r.DUEModeVec[2]
+	pv := &r.DUEModes()[2]
 	due := r.ACEVec[2].DUE[0]
 	if due <= 0 || pv.Ch[ModeSyncError][0] != due {
 		t.Errorf("divergent-branch predicate sync-error = %g, want the full DUE mass %g",
@@ -177,14 +177,14 @@ func TestDUEModeGuardedBarrier(t *testing.T) {
 		stg(rr(1), rr(2)),                    // 4
 		exit(),                               // 5
 	))
-	pv := &r.DUEModeVec[2]
+	pv := &r.DUEModes()[2]
 	due := r.ACEVec[2].DUE[0]
 	if due <= 0 || pv.Ch[ModeSyncError][0] != due {
 		t.Errorf("BAR-guard predicate sync-error = %g, want the full DUE mass %g",
 			pv.Ch[ModeSyncError][0], due)
 	}
 	var hit bool
-	for _, f := range r.Findings {
+	for _, f := range r.Findings() {
 		if f.Kind == KindSyncFragileRegion && f.Instr == 2 {
 			hit = true
 		}
@@ -202,7 +202,7 @@ func TestDUEModeFullyMaskedSite(t *testing.T) {
 		stg(rr(1), rr(3)),                          // 3
 		exit(),                                     // 4
 	))
-	v := &r.DUEModeVec[1]
+	v := &r.DUEModes()[1]
 	for m := DUEModeK(0); m < ModeCount; m++ {
 		for b := 0; b < 64; b++ {
 			if got := v.Ch[m][b]; got != 0 {
@@ -236,7 +236,7 @@ func TestDUEModePartition(t *testing.T) {
 	for _, p := range progs {
 		r := Analyze(p)
 		for i := range p.Instrs {
-			v, a := &r.DUEModeVec[i], &r.ACEVec[i]
+			v, a := &r.DUEModes()[i], &r.ACEVec[i]
 			if v.Width != a.Width {
 				t.Fatalf("%s[%d]: mode width %d != ACE width %d", p.Name, i, v.Width, a.Width)
 			}

@@ -50,7 +50,7 @@ func backwardFingerprint(t *testing.T, opts []asm.OptLevel) (progs, sites int, s
 					})
 					progs++
 					for i := range r.ACEVec {
-						v, mv := &r.ACEVec[i], &r.DUEModeVec[i]
+						v, mv := &r.ACEVec[i], &r.DUEModes()[i]
 						sites++
 						put(uint64(v.Width))
 						for b := 0; b < v.Width; b++ {

@@ -167,10 +167,7 @@ func lint(r *Result) []Finding {
 //     the simulator), or a value whose transitive sync-error exposure
 //     exceeds the one-compare trickle bound.
 func dueModeFindings(r *Result) []Finding {
-	if r.DUEModeVec == nil || r.bf == nil {
-		return nil
-	}
-	p := r.Prog
+	p, modes := r.Prog, r.DUEModes()
 	var out []Finding
 	flaggedBackedge := make(map[int]bool)
 	for _, blk := range r.CFG.Blocks {
@@ -192,7 +189,7 @@ func dueModeFindings(r *Result) []Finding {
 					out = append(out, Finding{
 						Sev: SevWarn, Kind: KindUnboundedLoopExposure, Instr: e.Use,
 						Msg: fmt.Sprintf("backedge guard at %d proves no trip-count bound; flips in its condition chain hang (%.0f%% exposure): %s",
-							i, 100*r.DUEModeVec[i].Mean(ModeHang), in.String()),
+							i, 100*modes[i].Mean(ModeHang), in.String()),
 					})
 				}
 			}
@@ -203,13 +200,13 @@ func dueModeFindings(r *Result) []Finding {
 						out = append(out, Finding{
 							Sev: SevWarn, Kind: KindSyncFragileRegion, Instr: i,
 							Msg: fmt.Sprintf("predicate gates %s participation at %d; a flipped guard diverges the barrier (%.0f%% sync-error exposure): %s",
-								use.Op, e.Use, 100*r.DUEModeVec[i].Mean(ModeSyncError), in.String()),
+								use.Op, e.Use, 100*modes[i].Mean(ModeSyncError), in.String()),
 						})
 						break
 					}
 				}
 			}
-			v := &r.DUEModeVec[i]
+			v := &modes[i]
 			if v.Width < 32 || r.ACEVec[i].Dead() {
 				continue
 			}

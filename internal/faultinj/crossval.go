@@ -69,10 +69,7 @@ func StaticEstimate(r *kernels.Runner, tool Tool) (*analysis.Estimate, error) {
 
 	combined := &analysis.Estimate{Name: r.Name, PerClass: make(map[isa.Class]*analysis.ClassEstimate)}
 	var tw, sdcW, dueW, deadW float64
-	for i, l := range inst.Launches {
-		a := analysis.AnalyzeLaunch(l.Prog, &analysis.Bounds{
-			GridX: l.GridX, GridY: l.GridY, BlockThreads: l.BlockThreads,
-		})
+	for i, a := range r.Analyses() {
 		e := a.Estimate(a.OpWeights(profiles[i].PerOpLane), filter)
 		// Sum weights in sorted class order: float accumulation over a
 		// map range is iteration-order dependent at the ULP level, which

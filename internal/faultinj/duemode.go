@@ -52,10 +52,7 @@ func StaticDUEModes(r *kernels.Runner, tool Tool) (*analysis.DUEModeEstimate, er
 	}
 	combined := &analysis.DUEModeEstimate{Name: r.Name}
 	var mass [analysis.ModeCount]float64
-	for i, l := range inst.Launches {
-		a := analysis.AnalyzeLaunch(l.Prog, &analysis.Bounds{
-			GridX: l.GridX, GridY: l.GridY, BlockThreads: l.BlockThreads,
-		})
+	for i, a := range r.Analyses() {
 		e := a.DUEModeEstimate(a.OpWeights(profiles[i].PerOpLane), filter)
 		if e.Weight == 0 {
 			continue

@@ -45,14 +45,15 @@ var HiddenCrossValKernels = []string{"FMXM", "CCL", "FLUD", "MERGESORT", "QUICKS
 // estimate: per-launch analyses weighted by each launch's active-warp-
 // cycles, the exposure the per-warp hidden state (reconvergence stacks,
 // scheduler slots) scales with. Instruction weights within a launch
-// come from the golden dynamic profile, as in StaticEstimate.
+// come from the golden dynamic profile, as in StaticEstimate. The
+// runner's analyses are launch-bounded; the hidden model reads only
+// the program, CFG and def-use chains, which no bounds change.
 func StaticHidden(r *kernels.Runner) *analysis.HiddenEstimate {
-	inst := r.Instance()
+	as := r.Analyses()
 	profiles := r.GoldenProfiles()
-	ests := make([]*analysis.HiddenEstimate, 0, len(inst.Launches))
-	weights := make([]float64, 0, len(inst.Launches))
-	for i, l := range inst.Launches {
-		a := analysis.Analyze(l.Prog)
+	ests := make([]*analysis.HiddenEstimate, 0, len(as))
+	weights := make([]float64, 0, len(as))
+	for i, a := range as {
 		var w []float64
 		lw := 1.0
 		if i < len(profiles) {

@@ -121,14 +121,12 @@ func ExplainRunner(r *kernels.Runner) *analysis.OptExplain {
 	agg := &analysis.OptExplain{}
 	seen := map[string]bool{}
 	var wInstr float64
-	for _, l := range r.Instance().Launches {
-		if seen[l.Prog.Name] {
+	for _, a := range r.Analyses() {
+		if seen[a.Prog.Name] {
 			continue
 		}
-		seen[l.Prog.Name] = true
-		e := analysis.AnalyzeLaunch(l.Prog, &analysis.Bounds{
-			GridX: l.GridX, GridY: l.GridY, BlockThreads: l.BlockThreads,
-		}).Explain(nil)
+		seen[a.Prog.Name] = true
+		e := a.Explain(nil)
 		w := float64(e.Instrs)
 		wInstr += w
 		agg.Instrs += e.Instrs

@@ -30,12 +30,19 @@ type CacheKey struct {
 // drops the cache's reference: callers already holding the runner keep
 // using it (runners are immutable after the golden run), and the memory
 // is reclaimed when they finish.
+//
+// The cache also owns the launch-analysis memo its runners draw
+// Runner.Analyses from, so each distinct (program, geometry) pair is
+// analyzed once per cache. The memo lives as long as the cache and is
+// not charged against the budget: it fills only when a static consumer
+// asks, after the build.
 type Cache struct {
 	mu      sync.Mutex
 	budget  int64
 	used    int64
 	lru     *list.List // of *cacheEntry; front = most recently used
 	entries map[CacheKey]*cacheEntry
+	memo    *analysisMemo
 
 	hits, misses, evictions uint64
 }
@@ -56,6 +63,7 @@ func NewCache(budget int64) *Cache {
 		budget:  budget,
 		lru:     list.New(),
 		entries: make(map[CacheKey]*cacheEntry),
+		memo:    newAnalysisMemo(),
 	}
 }
 
@@ -77,7 +85,7 @@ func (c *Cache) Get(name string, build Builder, dev *device.Device, opt asm.OptL
 	c.mu.Unlock()
 
 	ent.once.Do(func() {
-		ent.r, ent.err = NewRunner(name, build, dev, opt)
+		ent.r, ent.err = newRunner(name, build, dev, opt, c.memo)
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		if ent.err != nil {

@@ -11,8 +11,10 @@ package kernels
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
+	"gpurel/internal/analysis"
 	"gpurel/internal/asm"
 	"gpurel/internal/device"
 	"gpurel/internal/isa"
@@ -193,6 +195,12 @@ type Runner struct {
 	// call RunTrialWithFault from many goroutines).
 	subRestores atomic.Uint64 // replays started from a sub-launch image
 	subRejoins  atomic.Uint64 // replays cut off at a sub-launch rejoin
+
+	// Static analyses, one per launch (Analyses), drawn from memo: the
+	// owning cache's, or a private one outside a cache.
+	memo         *analysisMemo
+	analysesOnce sync.Once
+	analyses     []*analysis.Result
 }
 
 // ImageBudgetBytes caps the approximate memory spent on sub-launch
@@ -204,7 +212,12 @@ const ImageBudgetBytes = 64 << 20
 // NewRunner builds the workload once, performs the golden run, and
 // records the checkpoint sequences that make faulted replays cheap.
 func NewRunner(name string, build Builder, dev *device.Device, opt asm.OptLevel) (*Runner, error) {
-	r := &Runner{Name: name, Build: build, Dev: dev, Opt: opt}
+	return newRunner(name, build, dev, opt, newAnalysisMemo())
+}
+
+// newRunner is NewRunner drawing launch analyses from memo.
+func newRunner(name string, build Builder, dev *device.Device, opt asm.OptLevel, memo *analysisMemo) (*Runner, error) {
+	r := &Runner{Name: name, Build: build, Dev: dev, Opt: opt, memo: memo}
 	inst, err := build(dev, opt)
 	if err != nil {
 		return nil, fmt.Errorf("kernels: building %s: %w", name, err)
