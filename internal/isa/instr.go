@@ -91,8 +91,6 @@ func (in *Instr) DstRegs() int {
 		return 2
 	case in.Op == OpF2F && in.CvtTo == F64:
 		return 2
-	case in.Op == OpI2F && in.CvtTo == F64:
-		return 2
 	default:
 		return 1
 	}

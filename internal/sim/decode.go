@@ -22,18 +22,6 @@ import (
 // switch the engine used to evaluate on every issued instruction.
 type execFn func(e *engine, w *warpState, d *decoded, active uint32)
 
-// instrClass routes fault modeling: ALU faults divert the instruction to
-// the generic per-lane fallback, memory and MMA handlers model their
-// faults internally, control flow never reaches exec.
-type instrClass uint8
-
-const (
-	classALU instrClass = iota
-	classMem
-	classMMA
-	classCtrl
-)
-
 // srcKind tells operand resolution how a source's Neg modifier acts:
 // integer negation, an IEEE sign flip at 32/64 bits, or a sign flip
 // applied only after F16→F32 widening.
@@ -65,15 +53,17 @@ type srcRef struct {
 type decoded struct {
 	in      *isa.Instr
 	op      isa.Op
-	class   instrClass
+	ctrl    bool // control flow: the engine interprets it, exec never runs it
 	unit    device.Unit
 	latency int64
 	dstBase isa.Reg
 	dstN    int
+	width   uint8     // result width the result-fault rules key on (resultWidth)
 	wait    []isa.Reg // scoreboard registers (source spans + destinations)
 	writesP bool
 	readsP  isa.PredReg // PT when none beyond the guard
 	run     execFn
+	handler execFn // run before the discarded-result collapse (resolve)
 	src     [3]srcRef
 }
 
@@ -129,8 +119,7 @@ func broadcastRow(v uint32) *[32]uint32 {
 
 // resolveSrc folds an operand into a srcRef. Negation folds into the
 // broadcast value where that is bit-exact (integer two's complement,
-// IEEE sign flip); FP16 keeps the sign flip for after widening, matching
-// the reference semantics of h16src.
+// IEEE sign flip); FP16 keeps the sign flip for after widening (h16).
 func resolveSrc(o isa.Operand, neg bool, kind srcKind) srcRef {
 	if !o.IsImm && o.Reg != isa.RZ {
 		s := srcRef{reg: int32(o.Reg)}
@@ -213,10 +202,12 @@ func decodeProgram(dev *device.Device, prog *isa.Program) ([]decoded, error) {
 		d := &dec[i]
 		d.in = in
 		d.op = in.Op
+		d.ctrl = in.Op.IsControl()
 		d.unit = dev.UnitFor(in.Op)
 		d.latency = int64(dev.Latency(in.Op))
 		d.dstBase = in.Dst
 		d.dstN = in.DstRegs()
+		d.width = resultWidth(in)
 		d.readsP = isa.PT
 		if dev.UnitsPerSM[d.unit] == 0 {
 			return nil, fmt.Errorf("sim: %s uses %s, which %s has no %s units for",
@@ -248,23 +239,20 @@ func decodeProgram(dev *device.Device, prog *isa.Program) ([]decoded, error) {
 // handlers here, so the issue path never re-inspects them.
 func resolve(d *decoded) {
 	in := d.in
-	d.class = classALU
 	raw := func(i int) { d.src[i] = resolveSrc(in.Srcs[i], false, srcRaw) }
 	neg := func(n int, kind srcKind) {
 		for i := 0; i < n; i++ {
 			d.src[i] = resolveSrc(in.Srcs[i], in.Neg[i], kind)
 		}
 	}
-	switch in.Op {
-	case isa.OpBRA, isa.OpSSY, isa.OpSYNC, isa.OpBAR, isa.OpEXIT:
-		d.class = classCtrl
+	if d.ctrl {
 		return
+	}
+	switch in.Op {
 	case isa.OpHMMA, isa.OpFMMA:
-		d.class = classMMA
 		d.run = execMMA
 		return
 	case isa.OpLDG, isa.OpLDS, isa.OpSTG, isa.OpSTS, isa.OpRED:
-		d.class = classMem
 		raw(0) // address
 		switch in.Op {
 		case isa.OpLDG:
@@ -278,6 +266,7 @@ func resolve(d *decoded) {
 		case isa.OpRED:
 			d.run = execRED
 		}
+		d.handler = d.run
 		return
 	}
 
@@ -384,7 +373,7 @@ func resolve(d *decoded) {
 		case in.CvtFrom == isa.F16 && in.CvtTo == isa.F64:
 			d.run = execF2F_16to64
 		default:
-			d.run = execF2FBad
+			d.run = execCvtBad
 		}
 	case isa.OpF2I:
 		raw(0)
@@ -392,6 +381,9 @@ func resolve(d *decoded) {
 	case isa.OpI2F:
 		raw(0)
 		d.run = execI2F
+		if in.CvtTo != isa.F32 {
+			d.run = execCvtBad
+		}
 	case isa.OpMUFU:
 		raw(0)
 		d.run = execMUFU
@@ -401,10 +393,10 @@ func resolve(d *decoded) {
 	}
 
 	// Results discarded into RZ (or PT for the SETPs) have no
-	// architectural effect on the fast path, so the handler collapses to
-	// a no-op. Faulted instances still take the generic per-lane
-	// fallback, which models the register-index redirect and the
-	// fired-bit bookkeeping exactly as before.
+	// architectural effect, so the handler collapses to a no-op. handler
+	// keeps the op's own one for a register-index fault, which lands the
+	// faulted lane's result in a real register (engine.redirect).
+	d.handler = d.run
 	if d.writesP {
 		if in.DstP == isa.PT {
 			d.run = execNop
@@ -412,4 +404,20 @@ func resolve(d *decoded) {
 	} else if in.Op != isa.OpNOP && in.Dst == isa.RZ {
 		d.run = execNop
 	}
+}
+
+// resultWidth is the width in bits of the GPR result a value-bit or
+// register-index fault corrupts: 64 for FP64 arithmetic, conversions to
+// F64 and wide loads, 0 for instructions with no GPR result (MMA models
+// its faults itself), 32 otherwise. Unlike isa.Instr.DstRegs it does
+// not drop to 0 for an RZ destination.
+func resultWidth(in *isa.Instr) uint8 {
+	switch {
+	case !in.Op.WritesGPR() || in.Op == isa.OpHMMA || in.Op == isa.OpFMMA:
+		return 0
+	case in.Op == isa.OpDADD || in.Op == isa.OpDMUL || in.Op == isa.OpDFMA,
+		in.Op.IsLoad() && in.Wide, in.Op == isa.OpF2F && in.CvtTo == isa.F64:
+		return 64
+	}
+	return 32
 }

@@ -181,6 +181,11 @@ type engine struct {
 	// the armed fault targets (noFault when none); memory and MMA
 	// handlers read it instead of taking a parameter per lane.
 	faultLane int
+	// redir and redirIn hold the instruction a register-index fault
+	// re-targets (redirect), kept here so the faulted issue allocates
+	// nothing.
+	redir   decoded
+	redirIn isa.Instr
 
 	// Dynamic counters. laneOps is the unfiltered lane-operation clock;
 	// filteredOps advances only on ops matching the fault plan's filter.
@@ -917,13 +922,13 @@ func (e *engine) issue(sm *smState, w *warpState, top *simtEntry, slots []int) b
 				pm |= bit
 			}
 		}
-		if d.class != classCtrl {
+		if !d.ctrl {
 			active = pm
 		} else {
 			// Control flow interprets the predicate itself (BRA).
 			return e.control(sm, w, top, in, active, pm)
 		}
-	} else if d.class == classCtrl {
+	} else if d.ctrl {
 		return e.control(sm, w, top, in, active, active)
 	}
 

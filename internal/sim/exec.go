@@ -1,8 +1,10 @@
 // Execution handlers. ALU ops run as contiguous 32-lane slice loops
 // over the block's struct-of-arrays register file, with operands
-// pre-resolved at decode (decode.go). Fault modeling routes through a
-// generic per-lane fallback (execLaneSlow) for ALU ops; memory and MMA
-// handlers model their faults inline, keyed off engine.faultLane.
+// pre-resolved at decode (decode.go). Every issue, faulted or not, runs
+// the one decoded handler: a result fault then edits the faulted lane's
+// architectural result (engine.exec), while address faults, store-value
+// faults and MMA faults are modeled inline by their handlers, keyed off
+// engine.faultLane.
 package sim
 
 import (
@@ -12,23 +14,51 @@ import (
 )
 
 // exec functionally executes one warp-instruction over the active lanes.
-// faultLane >= 0 selects the lane whose result the armed fault corrupts.
+// faultLane >= 0 selects the lane whose result the armed fault corrupts:
+// the handler runs as on any other issue, then the fault edits that
+// lane's result by the width decode recorded (DESIGN §13). A 64-bit
+// result is immune to a register-index fault, and a handler that raised
+// a DUE has no result to corrupt.
 func (e *engine) exec(w *warpState, d *decoded, active uint32, faultLane int) {
 	e.faultLane = faultLane
-	if faultLane >= 0 && d.class == classALU {
-		// The one warp-instruction of the run that carries an armed
-		// ALU fault takes the reference per-lane path, which models
-		// value, register-index, and predicate faults bit-exactly.
-		in := d.in
-		for lane, bit := 0, uint32(1); lane < w.lanes; lane, bit = lane+1, bit<<1 {
-			if active&bit == 0 {
-				continue
-			}
-			e.execLaneSlow(w, in, w.base+lane, lane == faultLane)
-		}
+	if faultLane < 0 {
+		d.run(e, w, d, active)
+		return
+	}
+	f, bit := e.fault, uint32(1)<<faultLane
+	if f.Kind == FaultRegIndex && d.width == 32 {
+		d.run(e, w, d, active&^bit)
+		r := e.redirect(w.block, d)
+		r.run(e, w, r, bit)
 		return
 	}
 	d.run(e, w, d, active)
+	if e.due != "" {
+		return
+	}
+	b, t := w.block, w.base+faultLane
+	switch {
+	case f.Kind == FaultValueBit && d.width > 0:
+		f.FiredBit, f.FiredWidth = f.Bit&int(d.width-1), int(d.width)
+		if d.dstBase != isa.RZ {
+			b.regs[(int(d.dstBase)+f.FiredBit/32)*b.threads+t] ^= 1 << (f.FiredBit % 32)
+		}
+	case f.Kind == FaultPredBit && d.writesP && d.in.DstP != isa.PT:
+		p := &b.preds[int(d.in.DstP)*b.threads+t]
+		*p = !*p
+	}
+}
+
+// redirect returns d re-targeted at the register a register-index fault
+// lands its result in (SASSIFI IOA: a flipped output-address field). It
+// runs the op's own handler even where decode collapsed an RZ
+// destination to a no-op.
+func (e *engine) redirect(b *blockState, d *decoded) *decoded {
+	e.redirIn = *d.in
+	e.redirIn.Dst = isa.Reg((int(d.dstBase) ^ 1<<(e.fault.Bit%5)) % b.nregs)
+	e.redir = *d
+	e.redir.in, e.redir.dstBase, e.redir.run = &e.redirIn, e.redirIn.Dst, d.handler
+	return &e.redir
 }
 
 // --- fast handlers: contiguous SoA lane loops ---
@@ -196,7 +226,7 @@ func execDFMA(e *engine, w *warpState, d *decoded, active uint32) {
 }
 
 // h16 widens a packed FP16 lane value and applies the post-conversion
-// sign flip (matching the reference h16src semantics).
+// sign flip: FP16 negation acts on the widened value.
 func h16(raw, fneg uint32) float32 {
 	v := isa.F16ToF32(isa.Float16(raw & 0xffff))
 	return math.Float32frombits(math.Float32bits(v) ^ fneg)
@@ -542,8 +572,8 @@ func execF2F_16to64(e *engine, w *warpState, d *decoded, active uint32) {
 	}
 }
 
-func execF2FBad(e *engine, w *warpState, d *decoded, active uint32) {
-	e.raiseDUE(DUEUnattributed, "unsupported F2F conversion %s->%s", d.in.CvtFrom, d.in.CvtTo)
+func execCvtBad(e *engine, w *warpState, d *decoded, active uint32) {
+	e.raiseDUE(DUEUnattributed, "unsupported %s conversion %s->%s", d.in.Op, d.in.CvtFrom, d.in.CvtTo)
 }
 
 func execF2I(e *engine, w *warpState, d *decoded, active uint32) {
@@ -689,8 +719,7 @@ func execLDG(e *engine, w *warpState, d *decoded, active uint32) {
 			continue
 		}
 		addr := aRow[lane] + off
-		faulted := lane == fl
-		if faulted && e.fault.Kind == FaultAddrBit {
+		if lane == fl && e.fault.Kind == FaultAddrBit {
 			addr = e.faultAddr(addr)
 		}
 		if in.Wide {
@@ -699,9 +728,7 @@ func execLDG(e *engine, w *warpState, d *decoded, active uint32) {
 				e.raiseDUE(DUEIllegalAddress, "%s", err)
 				return
 			}
-			if faulted {
-				e.writeReg64(laneRegs{b, w.base + lane}, in.Dst, uint64(lo)|uint64(hi)<<32, true)
-			} else if dstLo != nil {
+			if dstLo != nil {
 				dstLo[lane], dstHi[lane] = lo, hi
 			}
 		} else {
@@ -710,9 +737,7 @@ func execLDG(e *engine, w *warpState, d *decoded, active uint32) {
 				e.raiseDUE(DUEIllegalAddress, "%s", err)
 				return
 			}
-			if faulted {
-				e.writeReg(laneRegs{b, w.base + lane}, in.Dst, v, true)
-			} else if dstLo != nil {
+			if dstLo != nil {
 				dstLo[lane] = v
 			}
 		}
@@ -737,8 +762,7 @@ func execLDS(e *engine, w *warpState, d *decoded, active uint32) {
 			continue
 		}
 		addr := aRow[lane] + off
-		faulted := lane == fl
-		if faulted && e.fault.Kind == FaultAddrBit {
+		if lane == fl && e.fault.Kind == FaultAddrBit {
 			addr = e.faultAddr(addr)
 		}
 		if in.Wide {
@@ -747,9 +771,7 @@ func execLDS(e *engine, w *warpState, d *decoded, active uint32) {
 				e.raiseDUE(DUEIllegalAddress, "%s", err)
 				return
 			}
-			if faulted {
-				e.writeReg64(laneRegs{b, w.base + lane}, in.Dst, uint64(lo)|uint64(hi)<<32, true)
-			} else if dstLo != nil {
+			if dstLo != nil {
 				dstLo[lane], dstHi[lane] = lo, hi
 			}
 		} else {
@@ -758,9 +780,7 @@ func execLDS(e *engine, w *warpState, d *decoded, active uint32) {
 				e.raiseDUE(DUEIllegalAddress, "%s", err)
 				return
 			}
-			if faulted {
-				e.writeReg(laneRegs{b, w.base + lane}, in.Dst, v, true)
-			} else if dstLo != nil {
+			if dstLo != nil {
 				dstLo[lane] = v
 			}
 		}
@@ -980,245 +1000,6 @@ func execMMA(e *engine, w *warpState, d *decoded, active uint32) {
 	}
 }
 
-// --- generic per-lane fallback (reference semantics, fault modeling) ---
-
-// laneRegs is a single-lane view of the SoA register file, used by the
-// per-lane fallback and by the fault paths of the memory handlers.
-type laneRegs struct {
-	b *blockState
-	t int
-}
-
-func (lr laneRegs) get(r isa.Reg) uint32    { return lr.b.regs[int(r)*lr.b.threads+lr.t] }
-func (lr laneRegs) set(r isa.Reg, v uint32) { lr.b.regs[int(r)*lr.b.threads+lr.t] = v }
-func (lr laneRegs) getP(p isa.PredReg) bool { return lr.b.preds[int(p)*lr.b.threads+lr.t] }
-func (lr laneRegs) setP(p isa.PredReg, v bool) {
-	lr.b.preds[int(p)*lr.b.threads+lr.t] = v
-}
-
-// src reads a 32-bit source operand for a lane.
-func src(lr laneRegs, o isa.Operand) uint32 {
-	if o.IsImm {
-		return o.Imm
-	}
-	if o.Reg == isa.RZ {
-		return 0
-	}
-	return lr.get(o.Reg)
-}
-
-func src64(lr laneRegs, o isa.Operand) uint64 {
-	if o.IsImm {
-		return uint64(o.Imm)
-	}
-	if o.Reg == isa.RZ {
-		return 0
-	}
-	return uint64(lr.get(o.Reg)) | uint64(lr.get(o.Reg+1))<<32
-}
-
-func f32src(lr laneRegs, o isa.Operand, neg bool) float32 {
-	v := math.Float32frombits(src(lr, o))
-	if neg {
-		return -v
-	}
-	return v
-}
-
-func f64src(lr laneRegs, o isa.Operand, neg bool) float64 {
-	v := math.Float64frombits(src64(lr, o))
-	if neg {
-		return -v
-	}
-	return v
-}
-
-func h16src(lr laneRegs, o isa.Operand, neg bool) float32 {
-	v := isa.F16ToF32(isa.Float16(src(lr, o) & 0xffff))
-	if neg {
-		return -v
-	}
-	return v
-}
-
-func isrc(lr laneRegs, o isa.Operand, neg bool) int32 {
-	v := int32(src(lr, o))
-	if neg {
-		return -v
-	}
-	return v
-}
-
-// writeReg writes a 32-bit destination, applying a value-bit or
-// register-index fault when this lane is the fault target.
-func (e *engine) writeReg(lr laneRegs, dst isa.Reg, v uint32, faulted bool) {
-	if faulted && e.fault != nil {
-		switch e.fault.Kind {
-		case FaultValueBit:
-			v ^= 1 << (e.fault.Bit & 31)
-			e.fault.FiredBit, e.fault.FiredWidth = e.fault.Bit&31, 32
-		case FaultRegIndex:
-			// The result lands in a corrupted destination register.
-			alt := (int(dst) ^ (1 << (e.fault.Bit % 5))) % lr.b.nregs
-			if isa.Reg(alt) != isa.RZ {
-				lr.set(isa.Reg(alt), v)
-			}
-			return
-		}
-	}
-	if dst != isa.RZ {
-		lr.set(dst, v)
-	}
-}
-
-func (e *engine) writeReg64(lr laneRegs, dst isa.Reg, v uint64, faulted bool) {
-	if faulted && e.fault != nil && e.fault.Kind == FaultValueBit {
-		v ^= 1 << (e.fault.Bit & 63)
-		e.fault.FiredBit, e.fault.FiredWidth = e.fault.Bit&63, 64
-	}
-	lr.set(dst, uint32(v))
-	lr.set(dst+1, uint32(v>>32))
-}
-
-// writePred writes a SETP result, modeling predicate-register faults.
-func (e *engine) writePred(lr laneRegs, in *isa.Instr, v bool, faulted bool) {
-	if faulted && e.fault != nil && e.fault.Kind == FaultPredBit {
-		v = !v
-	}
-	if in.DstP != isa.PT {
-		lr.setP(in.DstP, v)
-	}
-}
-
-// execLaneSlow executes one generic (non-memory, non-MMA) op for one
-// lane with reference semantics, modeling the armed fault exactly.
-func (e *engine) execLaneSlow(w *warpState, in *isa.Instr, t int, faulted bool) {
-	lr := laneRegs{w.block, t}
-	switch in.Op {
-	case isa.OpNOP:
-
-	case isa.OpMOV, isa.OpMOV32I:
-		e.writeReg(lr, in.Dst, src(lr, in.Srcs[0]), faulted)
-
-	case isa.OpSEL:
-		v := src(lr, in.Srcs[1])
-		if lr.getP(in.DstP) {
-			v = src(lr, in.Srcs[0])
-		}
-		e.writeReg(lr, in.Dst, v, faulted)
-
-	case isa.OpS2R:
-		e.writeReg(lr, in.Dst, e.special(w, t, in.SReg), faulted)
-
-	case isa.OpFADD:
-		v := f32src(lr, in.Srcs[0], in.Neg[0]) + f32src(lr, in.Srcs[1], in.Neg[1])
-		e.writeReg(lr, in.Dst, math.Float32bits(v), faulted)
-	case isa.OpFMUL:
-		v := f32src(lr, in.Srcs[0], in.Neg[0]) * f32src(lr, in.Srcs[1], in.Neg[1])
-		e.writeReg(lr, in.Dst, math.Float32bits(v), faulted)
-	case isa.OpFFMA:
-		v := float32(math.FMA(
-			float64(f32src(lr, in.Srcs[0], in.Neg[0])),
-			float64(f32src(lr, in.Srcs[1], in.Neg[1])),
-			float64(f32src(lr, in.Srcs[2], in.Neg[2]))))
-		e.writeReg(lr, in.Dst, math.Float32bits(v), faulted)
-
-	case isa.OpDADD:
-		v := f64src(lr, in.Srcs[0], in.Neg[0]) + f64src(lr, in.Srcs[1], in.Neg[1])
-		e.writeReg64(lr, in.Dst, math.Float64bits(v), faulted)
-	case isa.OpDMUL:
-		v := f64src(lr, in.Srcs[0], in.Neg[0]) * f64src(lr, in.Srcs[1], in.Neg[1])
-		e.writeReg64(lr, in.Dst, math.Float64bits(v), faulted)
-	case isa.OpDFMA:
-		v := math.FMA(
-			f64src(lr, in.Srcs[0], in.Neg[0]),
-			f64src(lr, in.Srcs[1], in.Neg[1]),
-			f64src(lr, in.Srcs[2], in.Neg[2]))
-		e.writeReg64(lr, in.Dst, math.Float64bits(v), faulted)
-
-	case isa.OpHADD:
-		v := h16src(lr, in.Srcs[0], in.Neg[0]) + h16src(lr, in.Srcs[1], in.Neg[1])
-		e.writeReg(lr, in.Dst, uint32(isa.F32ToF16(v)), faulted)
-	case isa.OpHMUL:
-		v := h16src(lr, in.Srcs[0], in.Neg[0]) * h16src(lr, in.Srcs[1], in.Neg[1])
-		e.writeReg(lr, in.Dst, uint32(isa.F32ToF16(v)), faulted)
-	case isa.OpHFMA:
-		v := float32(math.FMA(
-			float64(h16src(lr, in.Srcs[0], in.Neg[0])),
-			float64(h16src(lr, in.Srcs[1], in.Neg[1])),
-			float64(h16src(lr, in.Srcs[2], in.Neg[2]))))
-		e.writeReg(lr, in.Dst, uint32(isa.F32ToF16(v)), faulted)
-
-	case isa.OpIADD:
-		v := isrc(lr, in.Srcs[0], in.Neg[0]) + isrc(lr, in.Srcs[1], in.Neg[1])
-		e.writeReg(lr, in.Dst, uint32(v), faulted)
-	case isa.OpIMUL:
-		v := isrc(lr, in.Srcs[0], in.Neg[0]) * isrc(lr, in.Srcs[1], in.Neg[1])
-		e.writeReg(lr, in.Dst, uint32(v), faulted)
-	case isa.OpIMAD:
-		v := isrc(lr, in.Srcs[0], in.Neg[0])*isrc(lr, in.Srcs[1], in.Neg[1]) +
-			isrc(lr, in.Srcs[2], in.Neg[2])
-		e.writeReg(lr, in.Dst, uint32(v), faulted)
-	case isa.OpIMNMX:
-		a, b := isrc(lr, in.Srcs[0], false), isrc(lr, in.Srcs[1], false)
-		v := a
-		if (in.Cmp == isa.CmpLT) == (b < a) {
-			v = b
-		}
-		e.writeReg(lr, in.Dst, uint32(v), faulted)
-	case isa.OpLOP:
-		a, b := src(lr, in.Srcs[0]), src(lr, in.Srcs[1])
-		var v uint32
-		switch in.Logic {
-		case isa.LopAND:
-			v = a & b
-		case isa.LopOR:
-			v = a | b
-		case isa.LopXOR:
-			v = a ^ b
-		}
-		e.writeReg(lr, in.Dst, v, faulted)
-	case isa.OpSHF:
-		a, b := src(lr, in.Srcs[0]), src(lr, in.Srcs[1])&31
-		var v uint32
-		if in.Shift == isa.ShiftL {
-			v = a << b
-		} else {
-			v = a >> b
-		}
-		e.writeReg(lr, in.Dst, v, faulted)
-
-	case isa.OpISETP:
-		a, b := isrc(lr, in.Srcs[0], false), isrc(lr, in.Srcs[1], false)
-		e.writePred(lr, in, compareI(in.Cmp, a, b), faulted)
-	case isa.OpFSETP:
-		e.writePred(lr, in, compareF(in.Cmp,
-			float64(f32src(lr, in.Srcs[0], false)), float64(f32src(lr, in.Srcs[1], false))), faulted)
-	case isa.OpDSETP:
-		e.writePred(lr, in, compareF(in.Cmp,
-			f64src(lr, in.Srcs[0], false), f64src(lr, in.Srcs[1], false)), faulted)
-	case isa.OpHSETP:
-		e.writePred(lr, in, compareF(in.Cmp,
-			float64(h16src(lr, in.Srcs[0], false)), float64(h16src(lr, in.Srcs[1], false))), faulted)
-
-	case isa.OpF2F:
-		e.convertF2F(lr, in, faulted)
-	case isa.OpF2I:
-		f := f32src(lr, in.Srcs[0], false)
-		e.writeReg(lr, in.Dst, uint32(clampI32(f)), faulted)
-	case isa.OpI2F:
-		v := float32(isrc(lr, in.Srcs[0], false))
-		e.writeReg(lr, in.Dst, math.Float32bits(v), faulted)
-
-	case isa.OpMUFU:
-		x := float64(f32src(lr, in.Srcs[0], false))
-		e.writeReg(lr, in.Dst, math.Float32bits(float32(mufuEval(in.Mufu, x))), faulted)
-
-	default:
-		e.raiseDUE(DUEUnattributed, "unimplemented opcode %s", in.Op)
-	}
-}
-
 func compareI(c isa.CmpOp, a, b int32) bool {
 	switch c {
 	case isa.CmpLT:
@@ -1263,27 +1044,6 @@ func clampI32(f float32) int32 {
 		return math.MinInt32
 	default:
 		return int32(f)
-	}
-}
-
-func (e *engine) convertF2F(lr laneRegs, in *isa.Instr, faulted bool) {
-	switch {
-	case in.CvtFrom == isa.F32 && in.CvtTo == isa.F64:
-		v := float64(f32src(lr, in.Srcs[0], false))
-		e.writeReg64(lr, in.Dst, math.Float64bits(v), faulted)
-	case in.CvtFrom == isa.F64 && in.CvtTo == isa.F32:
-		v := float32(f64src(lr, in.Srcs[0], false))
-		e.writeReg(lr, in.Dst, math.Float32bits(v), faulted)
-	case in.CvtFrom == isa.F32 && in.CvtTo == isa.F16:
-		e.writeReg(lr, in.Dst, uint32(isa.F32ToF16(f32src(lr, in.Srcs[0], false))), faulted)
-	case in.CvtFrom == isa.F16 && in.CvtTo == isa.F32:
-		e.writeReg(lr, in.Dst, math.Float32bits(h16src(lr, in.Srcs[0], false)), faulted)
-	case in.CvtFrom == isa.F64 && in.CvtTo == isa.F16:
-		e.writeReg(lr, in.Dst, uint32(isa.F32ToF16(float32(f64src(lr, in.Srcs[0], false)))), faulted)
-	case in.CvtFrom == isa.F16 && in.CvtTo == isa.F64:
-		e.writeReg64(lr, in.Dst, math.Float64bits(float64(h16src(lr, in.Srcs[0], false))), faulted)
-	default:
-		e.raiseDUE(DUEUnattributed, "unsupported F2F conversion %s->%s", in.CvtFrom, in.CvtTo)
 	}
 }
 
