@@ -75,8 +75,8 @@ func beamCmd(f *cmdFlags) func() error {
 				}
 				ds.MicroBeam[m.Name] = res
 				restores, rejoins := r.ReplayStats()
-				fmt.Fprintf(os.Stderr, "done %s (sub-launch restores %d, rejoins %d)\n",
-					m.Name, restores, rejoins)
+				fmt.Fprintf(os.Stderr, "done %s (sub-launch restores %d, rejoins %d; %s)\n",
+					m.Name, restores, rejoins, r.LogStats())
 			}
 			summary(totalTrials, "trials", start)
 			fmt.Print(report.Figure3(ds, *csv))
@@ -93,8 +93,8 @@ func beamCmd(f *cmdFlags) func() error {
 				}
 				ds.Beam[key] = res
 				restores, rejoins := r.ReplayStats()
-				fmt.Fprintf(os.Stderr, "done %s ecc=%v (sub-launch restores %d, rejoins %d)\n",
-					key.Code, key.ECC, restores, rejoins)
+				fmt.Fprintf(os.Stderr, "done %s ecc=%v (sub-launch restores %d, rejoins %d; %s)\n",
+					key.Code, key.ECC, restores, rejoins, r.LogStats())
 			}
 			// Figure 5 normalizes against the micro floor; run the cheapest
 			// reference micro for the normalization constant.
@@ -112,7 +112,7 @@ func beamCmd(f *cmdFlags) func() error {
 			}
 			summary(res.Trials, "trials", start)
 			restores, rejoins := r.ReplayStats()
-			fmt.Fprintf(os.Stderr, "sub-launch replay: %d restores, %d rejoins\n", restores, rejoins)
+			fmt.Fprintf(os.Stderr, "sub-launch replay: %d restores, %d rejoins; %s\n", restores, rejoins, r.LogStats())
 			fmt.Printf("%s on %s, ECC %v: SDC FIT %.4f [%.4f, %.4f] a.u. (%d events), DUE FIT %.4f (%d events), %d trials\n",
 				res.Name, res.Device, res.ECC,
 				res.SDCFIT.Rate, res.SDCFIT.CI.Lower, res.SDCFIT.CI.Upper, res.SDC,

@@ -63,9 +63,9 @@ func injectCmd(f *cmdFlags) func() error {
 			totalFaults += res.Injected
 			el := time.Since(codeStart)
 			restores, rejoins := runner.ReplayStats()
-			fmt.Fprintf(os.Stderr, "done %s: %d faults in %s (%.0f faults/s; sub-launch restores %d, rejoins %d)\n",
+			fmt.Fprintf(os.Stderr, "done %s: %d faults in %s (%.0f faults/s; sub-launch restores %d, rejoins %d; %s)\n",
 				e.Name, res.Injected, el.Round(time.Millisecond), float64(res.Injected)/el.Seconds(),
-				restores, rejoins)
+				restores, rejoins, runner.LogStats())
 		}
 		summary(totalFaults, "faults", start)
 		fmt.Print(report.Figure4(ds, *csv))

@@ -47,6 +47,20 @@ func runWithFaultFull(t *testing.T, r *Runner, plan *sim.FaultPlan, faultLaunch 
 	return TrialRecord{Outcome: Masked}
 }
 
+// askLogs asks for every launch's block log up to the recording
+// threshold, so every later trial of r takes the log paths wherever
+// they apply, whatever order trials reach the launches in.
+func askLogs(t *testing.T, r *Runner) {
+	t.Helper()
+	for i := range r.Instance().Launches {
+		for k := 0; k < logAfter; k++ {
+			if _, err := r.logFor(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 // clonePlan copies the schedulable part of a fault plan (the engine
 // mutates Fired/Landed, so the two engines under comparison each need a
 // fresh one).
@@ -59,10 +73,14 @@ func clonePlan(p *sim.FaultPlan) *sim.FaultPlan {
 
 // TestCheckpointedRunMatchesFullResimulation is the golden-equivalence
 // gate of the checkpointed engine: over a spread of fault kinds, launch
-// indices, trigger points, and bits, snapshot-restore plus early masked
-// cutoff must classify exactly like rebuilding and re-simulating the
-// whole program. Covers one single-launch kernel and two multi-launch
-// kernels so both the skip-prefix and cutoff-suffix paths are exercised.
+// indices, trigger points, and bits, snapshot-restore, early masked
+// cutoff, and the block log path must produce exactly the TrialRecord
+// (outcome, DUE mode, diff, corrupt-word count) of rebuilding and
+// re-simulating the whole program. Covers single-launch kernels
+// (FMXM and FLAVA block-independent, QUICKSORT not) and multi-launch
+// kernels (FLUD and CCL block-independent in every launch, BFS in only
+// some) so the skip-prefix, cutoff-suffix, log-replay and fallback
+// paths are all exercised.
 func TestCheckpointedRunMatchesFullResimulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence sweep is heavy")
@@ -73,9 +91,15 @@ func TestCheckpointedRunMatchesFullResimulation(t *testing.T) {
 		build Builder
 	}{
 		{"FMXM", MxMBuilder(isa.F32)},         // single launch
+		{"FLAVA", LavaBuilder(isa.F32)},       // single launch
+		{"QUICKSORT", QuicksortBuilder()},     // single launch, cross-block
 		{"FHOTSPOT", HotspotBuilder(isa.F32)}, // multi-launch, iterative stencil
 		{"MERGESORT", MergesortBuilder()},     // multi-launch, pass hierarchy
+		{"FLUD", LUDBuilder()},                // multi-launch
+		{"CCL", CCLBuilder()},                 // multi-launch
+		{"BFS", BFSBuilder()},                 // multi-launch, some cross-block
 	}
+	single := map[string]bool{"FMXM": true, "FLAVA": true, "QUICKSORT": true}
 	const perKernel = 40
 	for _, c := range cases {
 		c := c
@@ -84,9 +108,10 @@ func TestCheckpointedRunMatchesFullResimulation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if c.name != "FMXM" && len(r.Instance().Launches) < 2 {
+			if !single[c.name] && len(r.Instance().Launches) < 2 {
 				t.Fatalf("%s is not multi-launch", c.name)
 			}
+			askLogs(t, r)
 			rng := stats.NewRNG(0xc4ec, 0x9001)
 			launches := r.GoldenProfiles()
 			gprFilter := func(op isa.Op) bool { return op.WritesGPR() }
@@ -110,10 +135,9 @@ func TestCheckpointedRunMatchesFullResimulation(t *testing.T) {
 				if err != nil {
 					t.Fatalf("checkpointed run: %v", err)
 				}
-				fast, full := rec.Outcome, runWithFaultFull(t, r, clonePlan(plan), launch).Outcome
-				if fast != full {
-					t.Fatalf("case %d: kind %v launch %d trigger %d bit %d: checkpointed %v, full re-sim %v",
-						i, plan.Kind, launch, plan.TriggerIndex, plan.Bit, fast, full)
+				if full := runWithFaultFull(t, r, clonePlan(plan), launch); !reflect.DeepEqual(rec, full) {
+					t.Fatalf("case %d: kind %v launch %d trigger %d bit %d: checkpointed %+v, full re-sim %+v",
+						i, plan.Kind, launch, plan.TriggerIndex, plan.Bit, rec, full)
 				}
 			}
 		})
@@ -160,10 +184,13 @@ func TestRunnerReusableAfterFaults(t *testing.T) {
 // out — comes from the recorded sub-launch images. Every fault kind
 // gets triggers spread across the whole launch, and the checkpointed
 // verdict must match full re-simulation for each. The test also pins
-// how often the images engaged (restores used, rejoins cut off):
-// equivalence proven only on replays that bypassed the images would
-// prove nothing, and a change in checkpoint placement or start picking
-// moves the counts.
+// how often the images engaged (restores used, rejoins cut off), and
+// how often the block log took over at the fire: equivalence proven
+// only on replays that bypassed the images would prove nothing, and a
+// change in checkpoint placement, start picking, or log eligibility
+// moves the counts. Rejoins are few because an operation fault's
+// replay switches to log mode at the fire, before any image could be
+// rejoined; storage faults and log fallbacks still rejoin.
 func TestSubLaunchReplayAcrossFaultKinds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence sweep is heavy")
@@ -212,8 +239,11 @@ func TestSubLaunchReplayAcrossFaultKinds(t *testing.T) {
 		}
 	}
 	restores, rejoins := r.ReplayStats()
-	if restores != 39 || rejoins != 16 {
-		t.Errorf("sub-launch replay over 40 faults: %d restores, %d rejoins; want 39 and 16", restores, rejoins)
+	if restores != 39 || rejoins != 5 {
+		t.Errorf("sub-launch replay over 40 faults: %d restores, %d rejoins; want 39 and 5", restores, rejoins)
+	}
+	if got, want := r.LogStats(), (LogStats{Logged: 16, PCMismatch: 1}); got != want {
+		t.Errorf("log-mode stats over 40 faults: %+v, want %+v", got, want)
 	}
 }
 
@@ -229,7 +259,11 @@ func TestSubLaunchReplayAcrossFaultKinds(t *testing.T) {
 // and devices between consecutive replays: FMXM (sub-launch image
 // restores), FGAUSSIAN (46 launches, the boundary path), FHOTSPOT
 // (shared memory), and FMXM on the V100 (80 SMs against the K40c's 15).
-// A subset is also checked against full re-simulation.
+// A fifth shape, FLUD (46 block-independent launches: the dirty-set
+// loop with log replays and skipped launches), draws its plans from its
+// own stream, so the first four shapes keep their plans and their
+// pinned outcome tally. A subset is also checked against full
+// re-simulation.
 func TestReplayDeterminismAcrossWorkers(t *testing.T) {
 	shapes := []struct {
 		name  string
@@ -254,23 +288,33 @@ func TestReplayDeterminismAcrossWorkers(t *testing.T) {
 		plan   *sim.FaultPlan
 		launch int
 	}
+	lud, err := NewRunner("FLUD", LUDBuilder(), device.K40c(), asm.O2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	askLogs(t, lud)
+	draw := func(rng *stats.RNG, r *Runner) job {
+		profiles := r.GoldenProfiles()
+		launch := rng.IntN(len(profiles))
+		return job{r: r, launch: launch, plan: &sim.FaultPlan{
+			Kind:         sim.FaultKind(rng.IntN(8)),
+			TriggerIndex: rng.Uint64() % (profiles[launch].LaneOps + 1),
+			Bit:          rng.IntN(64),
+			Block:        rng.IntN(4),
+			Thread:       rng.IntN(64),
+			Reg:          rng.IntN(8),
+			BitIdx:       rng.Uint64() % 4096,
+		}}
+	}
 	rng := stats.NewRNG(0xd00d, 0x7003)
+	ludRNG := stats.NewRNG(0xd00d, 0x7004)
 	const perShape = 24
 	var jobs []job
 	for i := 0; i < perShape; i++ {
 		for _, r := range runners {
-			profiles := r.GoldenProfiles()
-			launch := rng.IntN(len(profiles))
-			jobs = append(jobs, job{r: r, launch: launch, plan: &sim.FaultPlan{
-				Kind:         sim.FaultKind(rng.IntN(8)),
-				TriggerIndex: rng.Uint64() % (profiles[launch].LaneOps + 1),
-				Bit:          rng.IntN(64),
-				Block:        rng.IntN(4),
-				Thread:       rng.IntN(64),
-				Reg:          rng.IntN(8),
-				BitIdx:       rng.Uint64() % 4096,
-			}})
+			jobs = append(jobs, draw(rng, r))
 		}
+		jobs = append(jobs, draw(ludRNG, lud))
 	}
 	seq := make([]TrialRecord, len(jobs))
 	for i, j := range jobs {
@@ -303,7 +347,9 @@ func TestReplayDeterminismAcrossWorkers(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("parallel plan %d: %v", i, errs[i])
 		}
-		outcomes[seq[i].Outcome]++
+		if j.r != lud {
+			outcomes[seq[i].Outcome]++
+		}
 		if !reflect.DeepEqual(par[i], seq[i]) {
 			t.Errorf("plan %d (%s on %s, kind %v launch %d trigger %d): sequential %+v, 8-worker %+v",
 				i, j.r.Name, j.r.Dev.Name, j.plan.Kind, j.launch, j.plan.TriggerIndex, seq[i], par[i])
@@ -317,7 +363,10 @@ func TestReplayDeterminismAcrossWorkers(t *testing.T) {
 		}
 	}
 	if want := (map[Outcome]int{Masked: 49, SDC: 36, DUE: 11}); !reflect.DeepEqual(outcomes, want) {
-		t.Errorf("outcomes over %d plans: %v, want %v", len(jobs), outcomes, want)
+		t.Errorf("outcomes over the %d plans of the first four shapes: %v, want %v", perShape*len(runners), outcomes, want)
+	}
+	if st := lud.LogStats(); st.Logged == 0 || st.Skipped == 0 {
+		t.Errorf("FLUD log stats %+v: want log-mode launches and skipped launches", st)
 	}
 }
 
@@ -326,7 +375,9 @@ func TestReplayDeterminismAcrossWorkers(t *testing.T) {
 // images across all launches (each launch also has its boundary), and
 // MemoryFootprint, which kernels.Cache evicts by. A boundary is charged
 // its memory snapshot only; a sub-launch image adds the block-state
-// allowance. The values are the same on both devices.
+// allowance; every launch adds its block log (sim.BlockLogBytes), whose
+// reader masks only launches after the first carry. The values are the
+// same on both devices.
 func TestRunnerCheckpointLayout(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -335,9 +386,9 @@ func TestRunnerCheckpointLayout(t *testing.T) {
 		images    int
 		footprint int
 	}{
-		{"FMXM", MxMBuilder(isa.F32), 1, 22, 6305792},
-		{"FGAUSSIAN", GaussianBuilder(), 46, 0, 4427424},
-		{"FHOTSPOT", HotspotBuilder(isa.F32), 4, 8, 5041408},
+		{"FMXM", MxMBuilder(isa.F32), 1, 22, 6611592},
+		{"FGAUSSIAN", GaussianBuilder(), 46, 0, 5396936},
+		{"FHOTSPOT", HotspotBuilder(isa.F32), 4, 8, 5474080},
 	}
 	for _, dev := range []*device.Device{device.K40c(), device.V100()} {
 		for _, c := range cases {

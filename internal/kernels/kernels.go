@@ -127,8 +127,8 @@ const DiffBudgetWords = 64
 // TrialRecord is the structured result of one faulted trial: the
 // ternary outcome plus, for SDCs, a compact diff of the output region
 // against the golden image. The diff is captured only after the
-// comparator has already failed, so the Masked fast path (snapshot
-// equality at a launch boundary, sub-launch rejoin) pays nothing.
+// comparator has already failed, so the Masked fast path (an empty
+// dirty set, sub-launch rejoin) pays nothing.
 type TrialRecord struct {
 	Outcome Outcome
 
@@ -170,6 +170,14 @@ type TrialRecord struct {
 // boundary equality is exact, as is the full-state image compare:
 // campaign outcomes are bit-identical to full re-simulation for the
 // same seed.
+//
+// Past the fault launch a replay carries memory as the golden boundary
+// plus a sparse dirty set, and on block-independent launches it replays
+// only the blocks a fault can reach, alone, from their golden issue
+// logs (sim.BlockLog, DESIGN §19): the faulted block of an operation
+// fault, and in each later launch the blocks whose golden reads meet
+// the dirty set. A launch no block of which reads a dirty word is
+// skipped.
 type Runner struct {
 	Name  string
 	Build Builder
@@ -179,7 +187,7 @@ type Runner struct {
 	inst *Instance // cached build: programs, geometry, comparator
 	// ckpts[i] is launch i's golden checkpoint sequence; ckpts[i][0] is
 	// its boundary. final is device memory after the last launch: the
-	// last boundary compare and the SDC diff read it.
+	// last dirty-set diff and the SDC diff read it.
 	ckpts [][]*sim.LaunchImage
 	final *mem.Snapshot
 	// pool recycles the working memories of faulted replays, sized at
@@ -191,10 +199,20 @@ type Runner struct {
 	goldenProfiles []sim.Profile
 	goldenCycles   []int64
 
-	// Replay accounting (read via ReplayStats; atomic because campaigns
-	// call RunTrialWithFault from many goroutines).
+	// logs[i] is launch i's block log, recorded on first use (blockLog);
+	// scratch recycles the trials' dirty sets and log-mode state. It is
+	// held by pointer: the runtime's pool registry must not reach (and
+	// keep alive) the Runner through it.
+	logs    []launchLog
+	scratch *sync.Pool
+
+	// Replay accounting (read via ReplayStats and LogStats; atomic
+	// because campaigns call RunTrialWithFault from many goroutines).
 	subRestores atomic.Uint64 // replays started from a sub-launch image
 	subRejoins  atomic.Uint64 // replays cut off at a sub-launch rejoin
+	logged      atomic.Uint64 // launches finished in log mode
+	skipped     atomic.Uint64 // later launches no block of which reads a dirty word
+	fallbacks   [fallbackKinds]atomic.Uint64
 
 	// Static analyses, one per launch (Analyses), drawn from memo: the
 	// owning cache's, or a private one outside a cache.
@@ -249,6 +267,8 @@ func newRunner(name string, build Builder, dev *device.Device, opt asm.OptLevel,
 		hwm = max(hwm, seq[0].Mem.AllocatedBytes())
 	}
 	r.pool = mem.NewPool(hwm)
+	r.logs = make([]launchLog, len(inst.Launches))
+	r.scratch = &sync.Pool{New: func() any { return &trialScratch{seen: make([]uint64, hwm/256+1)} }}
 	if !inst.Check(inst.Global) {
 		return nil, fmt.Errorf("kernels: golden run of %s fails its own check", name)
 	}
@@ -257,16 +277,21 @@ func newRunner(name string, build Builder, dev *device.Device, opt asm.OptLevel,
 
 // MemoryFootprint approximates the bytes the runner retains for the
 // life of the cache entry: the instance's device memory, the golden
-// checkpoints, and the final memory. The replay scratch pool is
-// excluded — it grows with concurrent replays, not with cache
-// residency. kernels.Cache charges this against its byte budget when
-// deciding evictions.
+// checkpoints, the final memory, and every launch's block log at the
+// size it takes once recorded (sim.BlockLogBytes), charged from the
+// start so the cache budgets a runner by what it will hold. A launch
+// found not block-independent keeps no log, so its charge is an upper
+// bound. The replay scratch pool is excluded — it grows with concurrent
+// replays, not with cache residency. kernels.Cache charges this
+// against its byte budget when deciding evictions.
 func (r *Runner) MemoryFootprint() int {
 	total := r.inst.Global.CapacityBytes() + r.final.SizeBytes()
-	for _, seq := range r.ckpts {
+	for i, seq := range r.ckpts {
 		for _, img := range seq {
 			total += img.FootprintBytes()
 		}
+		l := r.inst.Launches[i]
+		total += sim.BlockLogBytes(r.goldenProfiles[i].WarpInstrs, l.GridX*l.GridY, seq[0].Mem.AllocatedBytes()/4, i > 0)
 	}
 	return total
 }
@@ -311,10 +336,14 @@ func (r *Runner) LaunchLaneOps(filter func(op isa.Op) bool) []uint64 {
 // starts from the latest golden checkpoint preceding the plan's trigger,
 // and a replay whose state rejoins golden — at a sub-launch image or a
 // launch boundary — is masked without simulating the rest of the
-// program. The watchdog is set to a small multiple of the golden cycle
-// count so hangs resolve quickly. SDC trials additionally carry a
-// budget-capped diff of the output region against the final golden
-// memory (TrialRecord).
+// program. On block-independent launches an operation fault's block
+// finishes alone in log mode, and each later launch replays only the
+// blocks that read a dirty word (sim.BlockLog); anything the log
+// certificate cannot vouch for re-runs under the cycle engine. The
+// watchdog is set to a small multiple of the golden cycle count so
+// hangs resolve quickly. SDC trials additionally carry a budget-capped
+// diff of the output region against the final golden memory
+// (TrialRecord).
 //
 // On an infrastructure error the record's Outcome is DUE, but callers
 // must treat the error as fatal to the trial, not as a classification:
@@ -325,53 +354,127 @@ func (r *Runner) RunTrialWithFault(plan *sim.FaultPlan, faultLaunch int) (TrialR
 	}
 	g := r.pool.Get()
 	defer r.pool.Put(g)
+	ts := r.scratch.Get().(*trialScratch)
+	defer r.scratch.Put(ts)
+	fail := func(i int, err error) (TrialRecord, error) {
+		return TrialRecord{Outcome: DUE}, fmt.Errorf("kernels: %s launch %d: %w", r.Name, i, err)
+	}
+
 	// The fault launch replays from its checkpoint sequence (sim.Replay
-	// restores g); the later launches run on g as the replay left it.
-	launches := r.inst.Launches
-	for i := faultLaunch; i < len(launches); i++ {
-		l := launches[i]
-		cfg := sim.Config{
-			Device: r.Dev, Program: l.Prog,
-			GridX: l.GridX, GridY: l.GridY, BlockThreads: l.BlockThreads,
-			MaxCycles: r.goldenCycles[i]*10 + 20_000,
-			// Replays are classified by outcome alone; skip the
-			// profile-only accounting on the issue path.
-			LeanProfile: true,
-		}
-		var res *sim.Result
+	// restores g), switching to log mode at the fire when it can.
+	var bl *sim.BlockLog
+	if plan.Kind < sim.FaultRFBit {
 		var err error
-		if i == faultLaunch {
-			cfg.Fault = plan
-			res, err = sim.Replay(cfg, g, r.ckpts[i])
-		} else {
-			res, err = sim.Run(cfg, g)
+		if bl, err = r.logFor(faultLaunch); err != nil {
+			return fail(faultLaunch, err)
 		}
+		if bl != nil && !bl.Eligible() {
+			r.fallbacks[fallbackIneligible].Add(1)
+		}
+	}
+	cfg := r.replayConfig(faultLaunch)
+	cfg.Fault = plan
+	res, err := sim.Replay(cfg, g, r.ckpts[faultLaunch], bl, &ts.log)
+	if err != nil {
+		return fail(faultLaunch, err)
+	}
+	if res.StartImage > 0 {
+		r.subRestores.Add(1)
+	}
+	r.countFallback(res.LogFallback)
+	if res.Outcome == sim.OutcomeDUE {
+		return TrialRecord{Outcome: DUE, DUEMode: res.DUEMode}, nil
+	}
+	// Sub-launch rejoin cutoff: the replay's full state matched a
+	// golden mid-launch image after the fault fired, so the rest of the
+	// launch — and the remaining launches — replay golden.
+	if res.RejoinedGolden {
+		r.subRejoins.Add(1)
+		return TrialRecord{Outcome: Masked}, nil
+	}
+	// From here on memory is the golden boundary plus ts.dirty; g holds
+	// exactly that only while materialized.
+	materialized := res.LogBlocks == 0
+	if next := r.boundary(faultLaunch + 1); materialized {
+		ts.diff(g, next)
+	} else {
+		// Only the faulted block's words can differ from golden.
+		r.logged.Add(1)
+		ts.begin()
+		ts.add(g, next, bl.Writes(res.LogBlock))
+		ts.add(g, next, ts.log.Stores)
+		ts.end()
+	}
+	launches := r.inst.Launches
+	for i := faultLaunch + 1; i < len(launches); i++ {
+		// Boundary cutoff: with memory bit-identical to golden, the
+		// remaining launches replay the golden execution exactly and
+		// the comparator must pass.
+		if len(ts.dirty) == 0 {
+			return TrialRecord{Outcome: Masked}, nil
+		}
+		cur, next := r.ckpts[i][0].Mem, r.boundary(i+1)
+		bl, err := r.logFor(i)
 		if err != nil {
-			return TrialRecord{Outcome: DUE}, fmt.Errorf("kernels: %s launch %d: %w", r.Name, i, err)
+			return fail(i, err)
 		}
-		if res.StartImage > 0 {
-			r.subRestores.Add(1)
+		cfg := r.replayConfig(i)
+		switch {
+		case bl == nil:
+		case bl.Eligible():
+			ctas := ts.readers(bl)
+			if len(ctas) == 0 {
+				// No block reads a dirty word: every block runs golden,
+				// and the words they write become golden again.
+				r.skipped.Add(1)
+				ts.dropWritten(bl)
+				materialized = false
+				continue
+			}
+			if !materialized {
+				ts.materialize(g, cur)
+			}
+			res, err := sim.ReplayBlocks(cfg, g, bl, ctas, &ts.log)
+			if err != nil {
+				return fail(i, err)
+			}
+			materialized = false
+			if res.LogFallback == sim.LogOK {
+				r.logged.Add(1)
+				if res.Outcome == sim.OutcomeDUE {
+					return TrialRecord{Outcome: DUE, DUEMode: res.DUEMode}, nil
+				}
+				ts.begin()
+				ts.keepUnwritten(g, next, bl)
+				for _, c := range ctas {
+					ts.add(g, next, bl.Writes(int(c)))
+				}
+				ts.add(g, next, ts.log.Stores)
+				ts.end()
+				continue
+			}
+			r.countFallback(res.LogFallback)
+		default:
+			r.fallbacks[fallbackIneligible].Add(1)
+		}
+		if !materialized {
+			ts.materialize(g, cur)
+		}
+		res, err := sim.Run(cfg, g)
+		if err != nil {
+			return fail(i, err)
 		}
 		if res.Outcome == sim.OutcomeDUE {
 			return TrialRecord{Outcome: DUE, DUEMode: res.DUEMode}, nil
 		}
-		// Sub-launch rejoin cutoff: the replay's full state matched a
-		// golden mid-launch image after the fault fired, so the rest of
-		// the launch — and the remaining launches — replay golden.
-		if res.RejoinedGolden {
-			r.subRejoins.Add(1)
-			return TrialRecord{Outcome: Masked}, nil
-		}
-		// Boundary cutoff: if memory at the next launch boundary is
-		// bit-identical to golden, the remaining launches replay the
-		// golden execution exactly and the comparator must pass.
-		next := r.final
-		if i+1 < len(launches) {
-			next = r.ckpts[i+1][0].Mem
-		}
-		if g.EqualSnapshot(next) {
-			return TrialRecord{Outcome: Masked}, nil
-		}
+		ts.diff(g, next)
+		materialized = true
+	}
+	if len(ts.dirty) == 0 {
+		return TrialRecord{Outcome: Masked}, nil
+	}
+	if !materialized {
+		ts.materialize(g, r.final)
 	}
 	if !r.inst.Check(g) {
 		rec := TrialRecord{Outcome: SDC}
@@ -379,6 +482,28 @@ func (r *Runner) RunTrialWithFault(plan *sim.FaultPlan, faultLaunch int) (TrialR
 		return rec, nil
 	}
 	return TrialRecord{Outcome: Masked}, nil
+}
+
+// replayConfig is the launch configuration of faulted replays.
+func (r *Runner) replayConfig(i int) sim.Config {
+	l := r.inst.Launches[i]
+	return sim.Config{
+		Device: r.Dev, Program: l.Prog,
+		GridX: l.GridX, GridY: l.GridY, BlockThreads: l.BlockThreads,
+		MaxCycles: r.goldenCycles[i]*10 + 20_000,
+		// Replays are classified by outcome alone; skip the
+		// profile-only accounting on the issue path.
+		LeanProfile: true,
+	}
+}
+
+// boundary returns golden device memory before launch i (the final
+// memory past the last launch).
+func (r *Runner) boundary(i int) *mem.Snapshot {
+	if i < len(r.ckpts) {
+		return r.ckpts[i][0].Mem
+	}
+	return r.final
 }
 
 // ReplayStats reports how often faulted replays used the sub-launch

@@ -11,6 +11,7 @@
 package mem
 
 import (
+	"errors"
 	"fmt"
 )
 
@@ -36,7 +37,36 @@ const nullGuard = 256
 type Global struct {
 	words []uint32
 	hwm   uint32 // allocation high-water mark, bytes
+	fence Fence  // nil unless a Fence vets accesses (SetFence)
 }
+
+// Access classifies a global access for a Fence: loads read, stores
+// write, and atomics do both.
+type Access uint8
+
+// Access kinds.
+const (
+	Read Access = 1 << iota
+	Write
+)
+
+// A Fence vets the global accesses of kernel code (loads, stores,
+// atomics; not the host-side Word/SetWord accessors). Allow is called
+// after an access passed its bounds and alignment check, with the
+// index of its first word, its word count, and its kind; a false
+// return fails the access with ErrFenced before it touches memory. A
+// fence may also just observe: the simulator records a launch's golden
+// access sets through one.
+type Fence interface {
+	Allow(word, n uint32, a Access) bool
+}
+
+// ErrFenced is the error of an access the installed Fence refused.
+var ErrFenced = errors.New("mem: global access fenced")
+
+// SetFence installs f to vet every later kernel access (nil removes
+// it). Without a fence the access path pays one nil test.
+func (g *Global) SetFence(f Fence) { g.fence = f }
 
 // NewGlobal creates a device memory of the given capacity in bytes
 // (rounded down to a word multiple).
@@ -79,7 +109,7 @@ func (g *Global) Reset() {
 	g.hwm = nullGuard
 }
 
-func (g *Global) check(addr uint32, bytes uint32) error {
+func (g *Global) check(addr uint32, bytes uint32, a Access) error {
 	if addr%bytes != 0 {
 		return &AccessError{Space: "global", Addr: addr, Kind: "unaligned"}
 	}
@@ -89,12 +119,15 @@ func (g *Global) check(addr uint32, bytes uint32) error {
 	if addr+bytes > g.hwm || addr+bytes < addr {
 		return &AccessError{Space: "global", Addr: addr, Kind: "out of bounds"}
 	}
+	if g.fence != nil && !g.fence.Allow(addr/4, bytes/4, a) {
+		return ErrFenced
+	}
 	return nil
 }
 
 // Load32 reads a 32-bit word.
 func (g *Global) Load32(addr uint32) (uint32, error) {
-	if err := g.check(addr, 4); err != nil {
+	if err := g.check(addr, 4, Read); err != nil {
 		return 0, err
 	}
 	return g.words[addr/4], nil
@@ -102,7 +135,7 @@ func (g *Global) Load32(addr uint32) (uint32, error) {
 
 // Store32 writes a 32-bit word.
 func (g *Global) Store32(addr uint32, v uint32) error {
-	if err := g.check(addr, 4); err != nil {
+	if err := g.check(addr, 4, Write); err != nil {
 		return err
 	}
 	g.words[addr/4] = v
@@ -113,9 +146,13 @@ func (g *Global) Store32(addr uint32, v uint32) error {
 // coalesced-warp fast path: one combined check, one copy. When the
 // combined check cannot pass it falls back to word-by-word loads so the
 // first failing word yields exactly the error a per-word caller sees.
+// A fence vets an in-bounds row as one access.
 func (g *Global) LoadRow32(addr uint32, dst []uint32) error {
 	end := addr + uint32(len(dst))*4
 	if addr%4 == 0 && addr >= nullGuard && end >= addr && end <= g.hwm {
+		if g.fence != nil && !g.fence.Allow(addr/4, uint32(len(dst)), Read) {
+			return ErrFenced
+		}
 		copy(dst, g.words[addr/4:end/4])
 		return nil
 	}
@@ -135,6 +172,9 @@ func (g *Global) LoadRow32(addr uint32, dst []uint32) error {
 func (g *Global) StoreRow32(addr uint32, src []uint32) error {
 	end := addr + uint32(len(src))*4
 	if addr%4 == 0 && addr >= nullGuard && end >= addr && end <= g.hwm {
+		if g.fence != nil && !g.fence.Allow(addr/4, uint32(len(src)), Write) {
+			return ErrFenced
+		}
 		copy(g.words[addr/4:end/4], src)
 		return nil
 	}
@@ -148,7 +188,7 @@ func (g *Global) StoreRow32(addr uint32, src []uint32) error {
 
 // Load64 reads an aligned 64-bit value as (lo, hi) words.
 func (g *Global) Load64(addr uint32) (lo, hi uint32, err error) {
-	if err := g.check(addr, 8); err != nil {
+	if err := g.check(addr, 8, Read); err != nil {
 		return 0, 0, err
 	}
 	return g.words[addr/4], g.words[addr/4+1], nil
@@ -156,7 +196,7 @@ func (g *Global) Load64(addr uint32) (lo, hi uint32, err error) {
 
 // Store64 writes an aligned 64-bit value given as (lo, hi) words.
 func (g *Global) Store64(addr uint32, lo, hi uint32) error {
-	if err := g.check(addr, 8); err != nil {
+	if err := g.check(addr, 8, Write); err != nil {
 		return err
 	}
 	g.words[addr/4] = lo
@@ -166,7 +206,7 @@ func (g *Global) Store64(addr uint32, lo, hi uint32) error {
 
 // AtomicAdd32 performs an integer atomic add and returns the old value.
 func (g *Global) AtomicAdd32(addr uint32, v uint32) (uint32, error) {
-	if err := g.check(addr, 4); err != nil {
+	if err := g.check(addr, 4, Read|Write); err != nil {
 		return 0, err
 	}
 	old := g.words[addr/4]

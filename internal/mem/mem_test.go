@@ -195,3 +195,59 @@ func popcount(x uint32) int {
 	}
 	return n
 }
+
+// fenceLog records every access a Fence is asked about and refuses
+// those touching word deny.
+type fenceLog struct {
+	deny  uint32
+	calls [][3]uint32 // word, n, access
+}
+
+func (f *fenceLog) Allow(word, n uint32, a Access) bool {
+	f.calls = append(f.calls, [3]uint32{word, n, uint32(a)})
+	return word > f.deny || word+n <= f.deny
+}
+
+// TestFenceVetsKernelAccesses pins the fence contract: every kind of
+// kernel access is vetted once, with its kind, after its bounds check
+// (an out-of-bounds access still reports an AccessError and never
+// reaches the fence), an in-bounds row is vetted as one access, and a
+// refused access fails with ErrFenced before it touches memory.
+func TestFenceVetsKernelAccesses(t *testing.T) {
+	g := NewGlobal(1 << 16)
+	a, _ := g.Alloc(64)
+	w := a / 4
+	f := &fenceLog{deny: w + 8}
+	g.SetFence(f)
+	g.Load32(a)
+	g.Store32(a+4, 1)
+	g.Load64(a + 8)
+	g.Store64(a+16, 1, 2)
+	g.AtomicAdd32(a+24, 1)
+	g.LoadRow32(a, make([]uint32, 4))
+	g.StoreRow32(a+16, make([]uint32, 2))
+	want := [][3]uint32{
+		{w, 1, uint32(Read)}, {w + 1, 1, uint32(Write)}, {w + 2, 2, uint32(Read)},
+		{w + 4, 2, uint32(Write)}, {w + 6, 1, uint32(Read | Write)},
+		{w, 4, uint32(Read)}, {w + 4, 2, uint32(Write)},
+	}
+	if len(f.calls) != len(want) {
+		t.Fatalf("fence saw %v, want %v", f.calls, want)
+	}
+	for i := range want {
+		if f.calls[i] != want[i] {
+			t.Errorf("access %d: fence saw %v, want %v", i, f.calls[i], want[i])
+		}
+	}
+	var ae *AccessError
+	if _, err := g.Load32(a + 64); !errors.As(err, &ae) || len(f.calls) != len(want) {
+		t.Errorf("out-of-bounds load: %v after %d fence calls; want an AccessError and no fence call", err, len(f.calls)-len(want))
+	}
+	if err := g.Store32(a+32, 7); !errors.Is(err, ErrFenced) || g.Word(a+32) != 0 {
+		t.Errorf("fenced store: %v, word now %d; want ErrFenced and the word untouched", err, g.Word(a+32))
+	}
+	g.SetFence(nil)
+	if err := g.Store32(a+32, 7); err != nil || g.Word(a+32) != 7 {
+		t.Errorf("store after removing the fence: %v, word %d", err, g.Word(a+32))
+	}
+}

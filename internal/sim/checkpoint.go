@@ -6,8 +6,10 @@
 // from the latest checkpoint that provably precedes its trigger, and
 // (b) once its fault has fired, compares itself against the golden
 // image captured at the same cycle and stops as soon as it matches.
-// Past the end of the launch, the runner compares global memory against
-// the next launch's boundary instead (internal/kernels).
+// Past the end of the launch, the runner diffs global memory against
+// the next launch's boundary instead (internal/kernels). On a
+// block-independent launch an operation fault's replay leaves the
+// cycle engine at the fire instead of rejoining (blocklog.go).
 //
 // Both directions are exact, not heuristic. The engine is deterministic,
 // so a replay whose entire future-relevant state (register file,
@@ -50,6 +52,7 @@ type blockImage struct {
 
 	liveWarps  int
 	barWaiting int
+	issued     int32
 	warps      []warpImage
 }
 
@@ -239,6 +242,7 @@ func captureBlock(b *blockState) blockImage {
 		shared:     b.shared.SnapshotWords(),
 		liveWarps:  b.liveWarps,
 		barWaiting: b.barWaiting,
+		issued:     b.issued,
 		warps:      make([]warpImage, len(b.warps)),
 	}
 	for i, w := range b.warps {
@@ -306,6 +310,7 @@ func (e *engine) materializeBlock(bi *blockImage) *blockState {
 	blk.shared.RestoreWords(bi.shared)
 	blk.liveWarps = bi.liveWarps
 	blk.barWaiting = bi.barWaiting
+	blk.issued = bi.issued
 	for wi, w := range blk.warps {
 		img := &bi.warps[wi]
 		if len(img.stack) > cap(w.stack) {

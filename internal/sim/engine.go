@@ -91,6 +91,10 @@ type blockState struct {
 	warps      []*warpState
 	liveWarps  int
 	barWaiting int
+
+	// issued counts the warp-instructions the block has issued: its
+	// position in its golden issue log (blocklog.go). Images carry it.
+	issued int32
 }
 
 // regRow returns the contiguous lane view of one register for a warp.
@@ -245,6 +249,18 @@ type engine struct {
 
 	due     string
 	dueMode DUEMode
+	// stop ends the scheduling loops: set by a DUE, and by the switch of
+	// a Replay into log mode at the faulted issue (blocklog.go).
+	stop bool
+
+	// Block logs (blocklog.go). logRec records a launch's golden issue
+	// log and access sets (RecordBlockLog). lg arms a Replay's switch
+	// into log mode: lgLog is the launch's log, and logBlk the block
+	// the switch took at the faulted issue.
+	logRec *logRecorder
+	lg     *LogScratch
+	lgLog  *BlockLog
+	logBlk *blockState
 
 	// st is the launch storage this engine carves its block, warp, and
 	// SM state from; it travels with the engine through enginePool.
@@ -275,6 +291,10 @@ type launchStore struct {
 	// matchesImage; image compares run once per crossed golden image on
 	// every replay.
 	blkScratch []*blockState
+
+	// logSM stands in for the SM while blocks replay in log mode: the
+	// issue path retires warps through it, and it never holds a warp.
+	logSM smState
 }
 
 // enginePool recycles engines together with their launchStore. Run,
@@ -288,6 +308,9 @@ var enginePool = sync.Pool{New: func() any { return &engine{st: new(launchStore)
 // the caller's program, memory, plan, and images so a pooled engine
 // retains only its own storage.
 func (e *engine) release() {
+	if e.glob != nil {
+		e.glob.SetFence(nil)
+	}
 	st := e.st
 	*e = engine{st: st}
 	enginePool.Put(e)
@@ -456,8 +479,17 @@ func (e *engine) launchNextBlock(sm *smState) {
 	}
 	cta := e.nextBlock
 	e.nextBlock++
-	e.liveBlocks++
+	blk := e.startBlock(cta)
+	sm.warps = append(sm.warps, blk.warps...)
+	sm.liveWarps += blk.liveWarps
+	sm.quietUntil = 0 // fresh residents: the SM must be scanned again
+	sm.wakeSchedulers()
+}
 
+// startBlock makes CTA cta live at its first instruction: PT set on
+// every thread, each warp's stack holding its full-mask base entry.
+func (e *engine) startBlock(cta int) *blockState {
+	e.liveBlocks++
 	blk := e.carveBlock(cta)
 	pt := blk.predRow(isa.PT, 0, blk.threads)
 	for t := range pt {
@@ -465,11 +497,8 @@ func (e *engine) launchNextBlock(sm *smState) {
 	}
 	for _, w := range blk.warps {
 		w.stack = append(w.stack, simtEntry{mask: w.fullMask, pc: 0, rpc: -1})
-		sm.warps = append(sm.warps, w)
 	}
-	sm.liveWarps += blk.liveWarps
-	sm.quietUntil = 0 // fresh residents: the SM must be scanned again
-	sm.wakeSchedulers()
+	return blk
 }
 
 // retireWarp handles a fully exited warp.
@@ -523,10 +552,18 @@ func (e *engine) raiseDUE(mode DUEMode, format string, args ...any) {
 	}
 	e.due = fmt.Sprintf(format, args...)
 	e.dueMode = mode
+	e.stop = true
 }
 
 // run executes the launch to completion or DUE.
 func (e *engine) run() *Result {
+	e.simulate()
+	return e.result()
+}
+
+// simulate runs the cycle loop until the launch completes, a DUE is
+// raised, the replay rejoins golden, or a Replay switches to log mode.
+func (e *engine) simulate() {
 	if e.nextBlock == 0 {
 		// At the launch boundary (fresh, or restored by Replay), the
 		// initial wave fills SMs round-robin up to the residency limit.
@@ -587,18 +624,18 @@ func (e *engine) run() *Result {
 					continue
 				}
 				e.scheduleOne(sm, sched, slots[:])
-				if e.due != "" {
+				if e.stop {
 					break
 				}
 			}
-			if e.due != "" {
+			if e.stop {
 				break
 			}
 			if e.issuedThisCycle == issuedBefore {
 				sm.quietUntil = sm.quiet(e.cycle)
 			}
 		}
-		if e.due != "" {
+		if e.stop {
 			break
 		}
 		if e.issuedThisCycle == 0 && (e.liveBlocks > 0 || e.nextBlock < e.totalBlock) {
@@ -640,7 +677,10 @@ func (e *engine) run() *Result {
 			}
 		}
 	}
+}
 
+// result builds the launch's Result from the engine's final state.
+func (e *engine) result() *Result {
 	res := &Result{
 		RejoinedGolden: e.rejoined,
 		Profile: Profile{
@@ -800,8 +840,8 @@ func (e *engine) tryWarp(sm *smState, sched, wi int, w *warpState, slots []int) 
 	for {
 		ctrl := e.issue(sm, w, top, slots)
 		issued++
-		if ctrl || e.due != "" {
-			break // do not dual-issue past control flow
+		if ctrl || e.stop {
+			break // do not dual-issue past control flow, a DUE, or a switch
 		}
 		if issued >= e.dev.IssuePerScheduler {
 			break
@@ -886,6 +926,10 @@ func (e *engine) issue(sm *smState, w *warpState, top *simtEntry, slots []int) b
 	}
 	d := &e.dec[pc]
 	in := d.in
+	w.block.issued++
+	if e.logRec != nil {
+		e.logRec.issue(w, pc)
+	}
 	slots[d.unit]--
 	w.stallUntil = 0 // pc and stamps change below: invalidate the stall cache
 	e.warpInstrs++
@@ -939,6 +983,9 @@ func (e *engine) issue(sm *smState, w *warpState, top *simtEntry, slots []int) b
 	}
 	faultLane := e.armFault(d.op, active, lanes)
 	e.laneOps += uint64(lanes)
+	if faultLane != noFault && e.lg != nil {
+		e.switchToLog(w, pc)
+	}
 
 	if active != 0 && faultLane != skipWholeInstr {
 		e.exec(w, d, active, faultLane)

@@ -100,6 +100,20 @@ type Result struct {
 	// checkpoint a Replay started from: 0 for the launch boundary, more
 	// for a sub-launch image. Zero for Run and RunGolden.
 	StartImage int
+
+	// LogBlocks is the number of blocks that finished the launch alone
+	// in log mode (blocklog.go): the faulted block of a Replay that
+	// switched at the fire (then LogBlock names it), or the blocks of a
+	// ReplayBlocks. Global memory then holds only their effect: every
+	// other block's words are as the replay started (Replay: as at the
+	// fire). Zero when the cycle engine finished the launch.
+	LogBlocks int
+	LogBlock  int
+
+	// LogFallback is why a log-mode attempt was abandoned (LogOK when
+	// none was). Replay then re-ran the launch with the cycle engine;
+	// ReplayBlocks leaves that to its caller.
+	LogFallback LogFallback
 }
 
 // Profile carries the dynamic execution metrics the profiler and the
@@ -204,19 +218,58 @@ func RunGolden(cfg Config, global *mem.Global, budget int) (*Result, []*LaunchIm
 // global memory included, so only the suffix is simulated; once the
 // fault has fired, it stops with Result.RejoinedGolden at the first
 // later image its full state matches.
-func Replay(cfg Config, global *mem.Global, seq []*LaunchImage) (*Result, error) {
+//
+// Given the launch's BlockLog, block-independent, and an operation
+// fault, the faulted issue instead switches the replay to log mode:
+// the faulted block finishes alone under its fence (Result.LogBlocks,
+// ls.Stores), and any certificate failure re-runs the launch with the
+// cycle engine (Result.LogFallback). bl may be nil; with a log, ls
+// holds the log-mode state.
+func Replay(cfg Config, global *mem.Global, seq []*LaunchImage, bl *BlockLog, ls *LogScratch) (*Result, error) {
 	if cfg.Fault == nil || len(seq) == 0 {
 		return nil, fmt.Errorf("sim: Replay needs a fault plan and a checkpoint sequence")
 	}
+	plan := *cfg.Fault
+	res, err := replay(cfg, global, seq, bl, ls)
+	if err != nil || res.LogFallback == LogOK {
+		return res, err
+	}
+	*cfg.Fault = plan
+	fb := res.LogFallback
+	if res, err = replay(cfg, global, seq, nil, nil); err != nil {
+		return nil, err
+	}
+	res.LogFallback = fb
+	return res, nil
+}
+
+func replay(cfg Config, global *mem.Global, seq []*LaunchImage, bl *BlockLog, ls *LogScratch) (*Result, error) {
 	e, err := newEngine(cfg, global)
 	if err != nil {
 		return nil, err
 	}
+	if bl.Eligible() && cfg.Fault.Kind < FaultRFBit {
+		e.lg, e.lgLog = ls, bl
+	}
 	start := startImage(seq, cfg.Fault)
 	e.golden = seq[start+1:]
 	e.restoreImage(seq[start])
-	res := e.run()
+	e.simulate()
+	fb := LogOK
+	if e.logBlk != nil {
+		switch {
+		case ls.fence.tripped:
+			fb = LogFenced
+		case e.due == "":
+			fb = e.runLog(bl)
+		}
+		ls.disarm()
+	}
+	res := e.result()
 	res.StartImage = start
+	if e.logBlk != nil {
+		res.LogBlocks, res.LogBlock, res.LogFallback = 1, e.logBlk.cta, fb
+	}
 	e.release()
 	return res, nil
 }
