@@ -18,12 +18,11 @@ package beam
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"gpurel/internal/device"
 	"gpurel/internal/isa"
 	"gpurel/internal/kernels"
+	"gpurel/internal/par"
 	"gpurel/internal/patterns"
 	"gpurel/internal/sim"
 	"gpurel/internal/stats"
@@ -206,41 +205,18 @@ func Run(cfg Config, r *kernels.Runner) (*Result, error) {
 		rngs[i] = master.Split(uint64(i))
 	}
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				out, err := runTrial(cfg, r, sil, exposures, lambdaTotal, allocBits, rngs[i])
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("beam: %s trial %d: %w", r.Name, i, err)
-					}
-					mu.Unlock()
-					continue
-				}
-				outs[i] = out
-			}
-		}()
-	}
-	for i := 0; i < cfg.Trials; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	if firstErr != nil {
+	err := par.ForEach(cfg.Trials, cfg.Workers, func(i int) error {
+		out, err := runTrial(cfg, r, sil, exposures, lambdaTotal, allocBits, rngs[i])
+		if err != nil {
+			return fmt.Errorf("beam: %s trial %d: %w", r.Name, i, err)
+		}
+		outs[i] = out
+		return nil
+	})
+	if err != nil {
 		// An infrastructure error is not a beam observation; abort the
 		// campaign instead of biasing any channel.
-		return nil, firstErr
+		return nil, err
 	}
 
 	geo := inst.Output

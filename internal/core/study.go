@@ -25,6 +25,7 @@ import (
 	"gpurel/internal/fit"
 	"gpurel/internal/kernels"
 	"gpurel/internal/microbench"
+	"gpurel/internal/par"
 	"gpurel/internal/profiler"
 	"gpurel/internal/stats"
 	"gpurel/internal/suite"
@@ -100,42 +101,6 @@ func splitWorkers(total, n int) (outer, inner int) {
 		inner = 1
 	}
 	return outer, inner
-}
-
-// forEach runs fn(i) for i in [0, n) with at most `parallel` concurrent
-// calls and returns the first error.
-func forEach(n, parallel int, fn func(i int) error) error {
-	if parallel < 1 {
-		parallel = 1
-	}
-	if parallel > n {
-		parallel = n
-	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	work := make(chan int)
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				if err := fn(i); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	return firstErr
 }
 
 // BeamKey identifies one beam configuration of a workload.
@@ -288,7 +253,7 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 	var rfExposedBytes int
 	micros := microbench.Catalog(dev)
 	outer, innerW := splitWorkers(opts.Workers, len(micros))
-	err := forEach(len(micros), outer, func(i int) error {
+	err := par.ForEach(len(micros), outer, func(i int) error {
 		m := micros[i]
 		r, err := cache.Get(m.Name, m.Build, dev, asm.O2)
 		if err != nil {
@@ -360,7 +325,7 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 	// 2. Profiling (Table I, Figure 1), concurrent across codes.
 	entries := suite.ForDevice(dev)
 	outer, _ = splitWorkers(opts.Workers, len(entries))
-	err = forEach(len(entries), outer, func(i int) error {
+	err = par.ForEach(len(entries), outer, func(i int) error {
 		e := entries[i]
 		r, err := cache.Get(e.Name, e.Build, dev, asm.O2)
 		if err != nil {
@@ -405,7 +370,7 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 		}
 	}
 	outer, innerW = splitWorkers(opts.Workers, len(injJobs))
-	err = forEach(len(injJobs), outer, func(i int) error {
+	err = par.ForEach(len(injJobs), outer, func(i int) error {
 		j := injJobs[i]
 		r, err := cache.Get(j.e.Name, j.e.Build, dev, j.tool.OptLevel())
 		if err != nil {
@@ -460,7 +425,7 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 		}
 	}
 	outer, innerW = splitWorkers(opts.Workers, len(matrixJobs))
-	err = forEach(len(matrixJobs), outer, func(i int) error {
+	err = par.ForEach(len(matrixJobs), outer, func(i int) error {
 		e := matrixJobs[i]
 		m, err := faultinj.RunOptMatrix(faultinj.OptMatrixConfig{
 			Faults: opts.OptFaults, Workers: innerW,
@@ -503,7 +468,7 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 		}
 	}
 	outer, innerW = splitWorkers(opts.Workers, len(tlJobs))
-	err = forEach(len(tlJobs), outer, func(i int) error {
+	err = par.ForEach(len(tlJobs), outer, func(i int) error {
 		e := tlJobs[i]
 		r, err := cache.Get(e.Name, e.Build, dev, faultinj.NVBitFI.OptLevel())
 		if err != nil {
@@ -531,7 +496,7 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 	// (code, ECC) configurations.
 	keys := BeamConfigs(dev, entries)
 	outer, innerW = splitWorkers(opts.Workers, len(keys))
-	err = forEach(len(keys), outer, func(i int) error {
+	err = par.ForEach(len(keys), outer, func(i int) error {
 		key := keys[i]
 		e, err := suite.Find(entries, key.Code)
 		if err != nil {

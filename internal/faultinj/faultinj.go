@@ -20,15 +20,14 @@ package faultinj
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"gpurel/internal/analysis"
 	"gpurel/internal/asm"
 	"gpurel/internal/device"
 	"gpurel/internal/isa"
 	"gpurel/internal/kernels"
+	"gpurel/internal/par"
 	"gpurel/internal/patterns"
 	"gpurel/internal/sim"
 	"gpurel/internal/stats"
@@ -498,41 +497,17 @@ func sampleSite(rng *stats.RNG, perLaunch []uint64, total uint64) (int, uint64) 
 // simulated crash, which classifies as DUE) aborts the campaign: it must
 // surface to the caller rather than be counted as any outcome.
 func runPlans(cfg Config, r *kernels.Runner, plans []plan) ([]kernels.TrialRecord, error) {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	records := make([]kernels.TrialRecord, len(plans))
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				rec, err := r.RunTrialWithFault(plans[i].fault, plans[i].launch)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("faultinj: %s plan %d (%s): %w",
-							r.Name, i, plans[i].mode, err)
-					}
-					mu.Unlock()
-					continue
-				}
-				records[i] = rec
-			}
-		}()
-	}
-	for i := range plans {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err := par.ForEach(len(plans), cfg.Workers, func(i int) error {
+		rec, err := r.RunTrialWithFault(plans[i].fault, plans[i].launch)
+		if err != nil {
+			return fmt.Errorf("faultinj: %s plan %d (%s): %w", r.Name, i, plans[i].mode, err)
+		}
+		records[i] = rec
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return records, nil
 }

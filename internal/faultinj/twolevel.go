@@ -21,13 +21,12 @@ package faultinj
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"gpurel/internal/device"
 	"gpurel/internal/isa"
 	"gpurel/internal/kernels"
+	"gpurel/internal/par"
 	"gpurel/internal/patterns"
 	"gpurel/internal/sim"
 	"gpurel/internal/stats"
@@ -152,42 +151,19 @@ func TwoLevelEstimateWithRunner(cfg TwoLevelConfig, runner *kernels.Runner) (*Tw
 		}
 	}
 	records := make([]kernels.TrialRecord, len(jobs))
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	work := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				s := sites[jobs[i].site]
-				plan, launch := s.plan(cfg.Seed, jobs[i].site, jobs[i].sample)
-				rec, err := runner.RunTrialWithFault(plan, launch)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("faultinj: two-level %s site %d sample %d: %w",
-							runner.Name, jobs[i].site, jobs[i].sample, err)
-					}
-					mu.Unlock()
-					continue
-				}
-				records[i] = rec
-			}
-		}()
-	}
-	for i := range jobs {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err := par.ForEach(len(jobs), cfg.Workers, func(i int) error {
+		s := sites[jobs[i].site]
+		plan, launch := s.plan(cfg.Seed, jobs[i].site, jobs[i].sample)
+		rec, err := runner.RunTrialWithFault(plan, launch)
+		if err != nil {
+			return fmt.Errorf("faultinj: two-level %s site %d sample %d: %w",
+				runner.Name, jobs[i].site, jobs[i].sample, err)
+		}
+		records[i] = rec
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Fold records back into per-site tallies, in job order

@@ -13,6 +13,8 @@
 // The nondeterminism-source check (nondet.go): the deterministic
 // campaign packages must not read the wall clock or sample from an
 // ambient math/rand generator; all randomness goes through stats.RNG.
+// Nor may they, or the runner and study layers, start goroutines: their
+// parallelism goes through par.ForEach.
 //
 // The analyzer is built on go/parser and go/types only (the module has
 // no external dependencies, so golang.org/x/tools is off the table).

@@ -223,6 +223,64 @@ func main() { _ = rand.Intn(int(time.Now().Unix())) }
 	}
 }
 
+// A hand-written pool in a campaign package is flagged at its go
+// statement and pointed at par.ForEach.
+func TestGoStmtViolation(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"go.mod": "module fixture\n\ngo 1.22\n",
+		"internal/core/pool.go": `package core
+
+func Each(n int, fn func(int)) {
+	done := make(chan struct{})
+	for i := 0; i < n; i++ {
+		go func(i int) { fn(i); done <- struct{}{} }(i)
+	}
+	for i := 0; i < n; i++ {
+		<-done
+	}
+}
+`,
+	})
+	fs, err := CheckTree(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fs) != 1 || fs[0].Pos.Line != 6 || !strings.Contains(fs[0].Message, "par.ForEach") {
+		t.Fatalf("got %v, want one finding at pool.go:6 pointing at par.ForEach", fs)
+	}
+}
+
+// Goroutines stay legal where the pool itself lives, in the daemon's
+// campaign lifecycles, and outside the banned packages.
+func TestGoStmtExemptions(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"go.mod": "module fixture\n\ngo 1.22\n",
+		"internal/par/par.go": `package par
+
+func Go(fn func()) { go fn() }
+`,
+		"internal/serve/campaign.go": `package serve
+
+type Campaign struct{}
+
+func (c *Campaign) run() {}
+
+func Start(c *Campaign) { go c.run() }
+`,
+		"cmd/tool/main.go": `package main
+
+func main() { go func() {}() }
+`,
+	})
+	fs, err := CheckTree(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fs) != 0 {
+		t.Fatalf("sanctioned goroutines flagged: %v", fs)
+	}
+}
+
 // The repository itself must stay clean — this is the same gate the
 // full check tier runs via tools/gomaplint.
 func TestRepoClean(t *testing.T) {

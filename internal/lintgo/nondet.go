@@ -16,6 +16,14 @@ package lintgo
 // math/rand/v2 wrapper, and internal/serve legitimately reads the
 // clock for elapsed-time bookkeeping that never feeds a sampling
 // decision or a persisted artifact.
+//
+// The same packages, and the runner and study layers (internal/kernels,
+// internal/core), may not start goroutines of their own: a `go`
+// statement is flagged at the statement. Their parallelism goes through
+// par.ForEach, whose results land by index and whose error is the
+// lowest failing index, so a hand-written pool cannot reintroduce
+// completion-order results or first-in-time errors. internal/serve
+// stays exempt for its campaign lifecycles (`go c.run()`).
 
 import (
 	"fmt"
@@ -28,6 +36,7 @@ import (
 type nondetBan struct {
 	timeNow  bool // ban time.Now call sites
 	mathRand bool // ban math/rand and math/rand/v2 imports
+	goStmt   bool // ban go statements
 }
 
 // nondetBans maps module-relative package directories (prefix-matched,
@@ -36,10 +45,14 @@ var nondetBans = map[string]nondetBan{
 	// The simulator, injectors, classifiers, and beam campaigns are the
 	// deterministic replay core: all randomness must come through
 	// stats.RNG, and nothing in them may consult the wall clock.
-	"internal/sim":      {timeNow: true, mathRand: true},
-	"internal/faultinj": {timeNow: true, mathRand: true},
-	"internal/patterns": {timeNow: true, mathRand: true},
-	"internal/beam":     {timeNow: true, mathRand: true},
+	"internal/sim":      {timeNow: true, mathRand: true, goStmt: true},
+	"internal/faultinj": {timeNow: true, mathRand: true, goStmt: true},
+	"internal/patterns": {timeNow: true, mathRand: true, goStmt: true},
+	"internal/beam":     {timeNow: true, mathRand: true, goStmt: true},
+	// The runner layer and the study orchestrator parallelize only
+	// through par.ForEach.
+	"internal/kernels": {goStmt: true},
+	"internal/core":    {goStmt: true},
 	// stats owns the sanctioned math/rand/v2 wrapper (stats.RNG), so
 	// only the clock is banned there.
 	"internal/stats": {timeNow: true},
@@ -75,27 +88,36 @@ func (c *checker) scanNondet(f *ast.File, ban nondetBan) []Finding {
 			}
 		}
 	}
-	if ban.timeNow {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.GoStmt:
+			if ban.goStmt {
+				out = append(out, Finding{
+					Pos: c.fset.Position(n.Pos()),
+					Message: "deterministic package starts a goroutine; run index-addressed work through par.ForEach" +
+						" (results land by index, the error is the lowest failing index)",
+				})
 			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
+		case *ast.CallExpr:
+			if ban.timeNow && isTimeNow(n) {
+				out = append(out, Finding{
+					Pos: c.fset.Position(n.Pos()),
+					Message: "deterministic package calls time.Now; campaign behavior must be a pure function of the seed" +
+						" (clock reads belong in the daemon/CLI layers)",
+				})
 			}
-			pkg, ok := sel.X.(*ast.Ident)
-			if !ok || pkg.Name != "time" || sel.Sel.Name != "Now" {
-				return true
-			}
-			out = append(out, Finding{
-				Pos: c.fset.Position(call.Pos()),
-				Message: "deterministic package calls time.Now; campaign behavior must be a pure function of the seed" +
-					" (clock reads belong in the daemon/CLI layers)",
-			})
-			return true
-		})
-	}
+		}
+		return true
+	})
 	return out
+}
+
+// isTimeNow reports whether call is a `time.Now()` selector call.
+func isTimeNow(call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	pkg, ok := sel.X.(*ast.Ident)
+	return ok && pkg.Name == "time" && sel.Sel.Name == "Now"
 }

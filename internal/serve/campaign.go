@@ -11,6 +11,7 @@ import (
 	"gpurel/internal/faultinj"
 	"gpurel/internal/isa"
 	"gpurel/internal/kernels"
+	"gpurel/internal/par"
 	"gpurel/internal/patterns"
 	"gpurel/internal/stats"
 )
@@ -41,11 +42,13 @@ type Request struct {
 	MinTrials int `json:"min_trials,omitempty"`
 	Batch     int `json:"batch,omitempty"`
 
-	// Workers bounds this campaign's shard parallelism (default 4). It
-	// affects scheduling only: final counts are byte-identical across
-	// worker counts, because every trial's plan is a pure function of
-	// (Seed, class, trial index) and the set of indices run is decided
-	// at deterministic round boundaries.
+	// Workers bounds the goroutines that run this campaign's trials
+	// (default 4); each also holds the server's simulation semaphore
+	// for the length of one trial. It affects scheduling only: final
+	// counts are byte-identical across worker counts, because every
+	// trial's plan is a pure function of (Seed, class, trial index) and
+	// the set of indices run is decided at deterministic round
+	// boundaries.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -466,9 +469,11 @@ func (c *Campaign) run() {
 	// The checkpoint of a finished campaign is stale; remove it so the
 	// spool only holds resumable state.
 	os.Remove(c.checkpointPath())
+	// Count before waiters can see the state, so a client that saw
+	// "done" reads a /metrics that includes this campaign.
+	c.srv.metrics.campaignsCompleted.Add(1)
 	c.signalLocked()
 	c.mu.Unlock()
-	c.srv.metrics.campaignsCompleted.Add(1)
 }
 
 // acquireRunner gets the shared runner from the cache (building it and
@@ -539,10 +544,10 @@ func (c *Campaign) scheduleRound() []*trialJob {
 	return jobs
 }
 
-// runRound executes the scheduled trials across the worker pool,
-// bounded by the campaign's Workers and the server's global simulation
-// semaphore. The first infrastructure error aborts the campaign —
-// a failed trial is not an outcome.
+// runRound executes the scheduled trials on at most Workers goroutines,
+// each holding the server's global simulation semaphore for one trial
+// at a time. An infrastructure error (the lowest-index one, if several)
+// aborts the campaign — a failed trial is not an outcome.
 func (c *Campaign) runRound(jobs []*trialJob) error {
 	c.mu.Lock()
 	runner := c.runnerRef
@@ -553,34 +558,19 @@ func (c *Campaign) runRound(jobs []*trialJob) error {
 	}
 	c.mu.Unlock()
 
-	sem := make(chan struct{}, c.req.Workers)
-	var wg sync.WaitGroup
-	var errMu sync.Mutex
-	var firstErr error
-	for _, job := range jobs {
-		wg.Add(1)
-		go func(job *trialJob) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			c.srv.simSem <- struct{}{}
-			defer func() { <-c.srv.simSem }()
-			plan, launch := samplers[job.ci].Plan(seed, job.index)
-			rec, err := runner.RunTrialWithFault(plan, launch)
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("serve: campaign %s trial %d: %w", c.ID, job.index, err)
-				}
-				errMu.Unlock()
-				return
-			}
-			job.rec = rec
-			c.srv.metrics.TrialDone()
-		}(job)
-	}
-	wg.Wait()
-	return firstErr
+	return par.ForEach(len(jobs), c.req.Workers, func(i int) error {
+		job := jobs[i]
+		c.srv.simSem <- struct{}{}
+		defer func() { <-c.srv.simSem }()
+		plan, launch := samplers[job.ci].Plan(seed, job.index)
+		rec, err := runner.RunTrialWithFault(plan, launch)
+		if err != nil {
+			return fmt.Errorf("serve: campaign %s trial %d: %w", c.ID, job.index, err)
+		}
+		job.rec = rec
+		c.srv.metrics.TrialDone()
+		return nil
+	})
 }
 
 // settleRound folds the round's outcomes into the class tallies and
@@ -629,8 +619,8 @@ func (c *Campaign) fail(err error) {
 	c.state = StateFailed
 	c.errMsg = err.Error()
 	c.runnerRef = nil
+	c.srv.metrics.campaignsFailed.Add(1)
 	c.signalLocked()
 	c.mu.Unlock()
-	c.srv.metrics.campaignsFailed.Add(1)
 	c.srv.logf("campaign %s failed: %v", c.ID, err)
 }

@@ -16,7 +16,9 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"runtime"
@@ -258,9 +260,19 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
+// maxRequestBytes bounds a campaign request body. A Request is eight
+// scalar fields; anything near this size is not one.
+const maxRequestBytes = 1 << 20
+
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	if err == nil && dec.Decode(&struct{}{}) != io.EOF {
+		err = errors.New("trailing data after the request object")
+	}
+	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("serve: parsing request: %w", err))
 		return
 	}

@@ -184,6 +184,37 @@ func TestHTTPRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// Create bodies are read up to maxRequestBytes and strictly: an
+// oversized body, a misspelled field and data after the request object
+// each get 400 and start nothing.
+func TestHTTPRejectsMalformedBodies(t *testing.T) {
+	s, ts := testHTTPServer(t)
+	valid := `{"code":"FMXM","device":"volta","target_width":0.3,"seed":1`
+	cases := []struct{ name, body, why string }{
+		{"oversized", valid + strings.Repeat(" ", maxRequestBytes) + "}", "request body too large"},
+		{"misspelled field", `{"code":"FMXM","device":"volta","target_widht":0.3}`, `unknown field "target_widht"`},
+		{"trailing data", valid + `}{"seed":2}`, "trailing data"},
+	}
+	for _, tc := range cases {
+		resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body map[string]string
+		json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body["error"], tc.why) {
+			t.Errorf("%s: status %d, error %q; want 400 mentioning %q", tc.name, resp.StatusCode, body["error"], tc.why)
+		}
+	}
+	s.mu.Lock()
+	n := len(s.order)
+	s.mu.Unlock()
+	if n != 0 {
+		t.Errorf("rejected bodies created %d campaigns", n)
+	}
+}
+
 func TestHTTPMetrics(t *testing.T) {
 	s, ts := testHTTPServer(t)
 	c, err := s.Create(Request{Code: "FMXM", Device: "volta", TargetWidth: 0.3, Seed: 2, Workers: 8})
