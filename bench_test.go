@@ -29,6 +29,17 @@ import (
 	"gpurel/internal/suite"
 )
 
+// benchRunner builds one workload's runner at one compiler
+// configuration, failing the benchmark on a build error.
+func benchRunner(b *testing.B, name string, build kernels.Builder, dev *device.Device, opt asm.OptLevel) *kernels.Runner {
+	b.Helper()
+	r, err := kernels.NewRunner(name, build, dev, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r
+}
+
 // --- Table I ---
 
 func benchProfileSuite(b *testing.B, dev *device.Device) {
@@ -36,10 +47,7 @@ func benchProfileSuite(b *testing.B, dev *device.Device) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, e := range entries {
-			r, err := kernels.NewRunner(e.Name, e.Build, dev, asm.O2)
-			if err != nil {
-				b.Fatal(err)
-			}
+			r := benchRunner(b, e.Name, e.Build, dev, asm.O2)
 			if _, err := profiler.Profile(r); err != nil {
 				b.Fatal(err)
 			}
@@ -54,10 +62,7 @@ func BenchmarkTable1_Volta(b *testing.B)  { benchProfileSuite(b, device.V100()) 
 
 func BenchmarkFig1_InstructionMix(b *testing.B) {
 	dev := device.K40c()
-	r, err := kernels.NewRunner("FMXM", kernels.MxMBuilder(isa.F32), dev, asm.O2)
-	if err != nil {
-		b.Fatal(err)
-	}
+	r := benchRunner(b, "FMXM", kernels.MxMBuilder(isa.F32), dev, asm.O2)
 	b.ResetTimer()
 	var fma float64
 	for i := 0; i < b.N; i++ {
@@ -82,10 +87,7 @@ func benchMicroBeam(b *testing.B, dev *device.Device, micro string) {
 	if build == nil {
 		b.Fatalf("no micro %s", micro)
 	}
-	r, err := kernels.NewRunner(micro, build, dev, asm.O2)
-	if err != nil {
-		b.Fatal(err)
-	}
+	r := benchRunner(b, micro, build, dev, asm.O2)
 	b.ResetTimer()
 	var fitRate float64
 	for i := 0; i < b.N; i++ {
@@ -109,12 +111,13 @@ func BenchmarkFig3_Micro_DFMA_Volta(b *testing.B)  { benchMicroBeam(b, device.V1
 
 func BenchmarkFig4_AVF_SASSIFI(b *testing.B) {
 	dev := device.K40c()
+	r := benchRunner(b, "FMXM", kernels.MxMBuilder(isa.F32), dev, faultinj.Sassifi.OptLevel())
 	b.ResetTimer()
 	var avf float64
 	for i := 0; i < b.N; i++ {
-		res, err := faultinj.Run(faultinj.Config{
+		res, err := faultinj.RunWithRunner(faultinj.Config{
 			Tool: faultinj.Sassifi, FaultsPerClass: 15, Seed: uint64(i),
-		}, "FMXM", kernels.MxMBuilder(isa.F32), dev)
+		}, r)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -125,12 +128,13 @@ func BenchmarkFig4_AVF_SASSIFI(b *testing.B) {
 
 func BenchmarkFig4_AVF_NVBitFI(b *testing.B) {
 	dev := device.V100()
+	r := benchRunner(b, "FGEMM", kernels.GEMMBuilder(isa.F32), dev, faultinj.NVBitFI.OptLevel())
 	b.ResetTimer()
 	var avf float64
 	for i := 0; i < b.N; i++ {
-		res, err := faultinj.Run(faultinj.Config{
+		res, err := faultinj.RunWithRunner(faultinj.Config{
 			Tool: faultinj.NVBitFI, TotalFaults: 60, Seed: uint64(i),
-		}, "FGEMM", kernels.GEMMBuilder(isa.F32), dev)
+		}, r)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -143,10 +147,7 @@ func BenchmarkFig4_AVF_NVBitFI(b *testing.B) {
 
 func benchCodeBeam(b *testing.B, ecc bool) {
 	dev := device.K40c()
-	r, err := kernels.NewRunner("FMXM", kernels.MxMBuilder(isa.F32), dev, asm.O2)
-	if err != nil {
-		b.Fatal(err)
-	}
+	r := benchRunner(b, "FMXM", kernels.MxMBuilder(isa.F32), dev, asm.O2)
 	b.ResetTimer()
 	var fitRate float64
 	for i := 0; i < b.N; i++ {
@@ -169,17 +170,14 @@ func BenchmarkFig5_CodeFIT_ECCOn(b *testing.B)  { benchCodeBeam(b, true) }
 func fig6Inputs(b *testing.B) (*profiler.CodeProfile, *faultinj.Result, *fit.UnitFITs) {
 	b.Helper()
 	dev := device.K40c()
-	r, err := kernels.NewRunner("FMXM", kernels.MxMBuilder(isa.F32), dev, asm.O2)
-	if err != nil {
-		b.Fatal(err)
-	}
+	r := benchRunner(b, "FMXM", kernels.MxMBuilder(isa.F32), dev, asm.O2)
 	cp, err := profiler.Profile(r)
 	if err != nil {
 		b.Fatal(err)
 	}
-	avf, err := faultinj.Run(faultinj.Config{
+	avf, err := faultinj.RunWithRunner(faultinj.Config{
 		Tool: faultinj.Sassifi, FaultsPerClass: 15, Seed: 1,
-	}, "FMXM", kernels.MxMBuilder(isa.F32), dev)
+	}, benchRunner(b, "FMXM", kernels.MxMBuilder(isa.F32), dev, faultinj.Sassifi.OptLevel()))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -187,10 +185,7 @@ func fig6Inputs(b *testing.B) (*profiler.CodeProfile, *faultinj.Result, *fit.Uni
 	phi := map[string]float64{}
 	var rfBytes int
 	for _, m := range microbench.Catalog(dev) {
-		mr, err := kernels.NewRunner(m.Name, m.Build, dev, asm.O2)
-		if err != nil {
-			b.Fatal(err)
-		}
+		mr := benchRunner(b, m.Name, m.Build, dev, asm.O2)
 		res, err := beam.Run(beam.Config{ECC: m.Name != "RF", Trials: 40, Seed: 2}, mr)
 		if err != nil {
 			b.Fatal(err)
@@ -227,10 +222,7 @@ func BenchmarkFig6_Prediction(b *testing.B) {
 func BenchmarkDUE_Underestimation(b *testing.B) {
 	cp, avf, units := fig6Inputs(b)
 	dev := device.K40c()
-	r, err := kernels.NewRunner("FMXM", kernels.MxMBuilder(isa.F32), dev, asm.O2)
-	if err != nil {
-		b.Fatal(err)
-	}
+	r := benchRunner(b, "FMXM", kernels.MxMBuilder(isa.F32), dev, asm.O2)
 	beamRes, err := beam.Run(beam.Config{ECC: true, Trials: 80, Seed: 4}, r)
 	if err != nil {
 		b.Fatal(err)
@@ -250,14 +242,8 @@ func BenchmarkDUE_Underestimation(b *testing.B) {
 
 func BenchmarkMMAvsSoftwareMxM(b *testing.B) {
 	dev := device.V100()
-	sw, err := kernels.NewRunner("HMXM", kernels.MxMBuilder(isa.F16), dev, asm.O2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tc, err := kernels.NewRunner("HGEMM-MMA", kernels.GEMMMMABuilder(true), dev, asm.O2)
-	if err != nil {
-		b.Fatal(err)
-	}
+	sw := benchRunner(b, "HMXM", kernels.MxMBuilder(isa.F16), dev, asm.O2)
+	tc := benchRunner(b, "HGEMM-MMA", kernels.GEMMMMABuilder(true), dev, asm.O2)
 	b.ResetTimer()
 	var ratio float64
 	for i := 0; i < b.N; i++ {
@@ -280,10 +266,7 @@ func BenchmarkMMAvsSoftwareMxM(b *testing.B) {
 
 func BenchmarkSimGoldenMxM(b *testing.B) {
 	dev := device.K40c()
-	r, err := kernels.NewRunner("FMXM", kernels.MxMBuilder(isa.F32), dev, asm.O2)
-	if err != nil {
-		b.Fatal(err)
-	}
+	r := benchRunner(b, "FMXM", kernels.MxMBuilder(isa.F32), dev, asm.O2)
 	var lane uint64
 	for _, p := range r.GoldenProfiles() {
 		lane += p.LaneOps
@@ -355,10 +338,7 @@ func BenchmarkSimProfileTimeline(b *testing.B) {
 // rejoin cutoff was built for.
 func benchPerFault(b *testing.B, name string, build kernels.Builder) {
 	dev := device.K40c()
-	r, err := kernels.NewRunner(name, build, dev, asm.O2)
-	if err != nil {
-		b.Fatal(err)
-	}
+	r := benchRunner(b, name, build, dev, asm.O2)
 	nl := len(r.GoldenProfiles())
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -382,10 +362,7 @@ func benchPerFault(b *testing.B, name string, build kernels.Builder) {
 // (mid-launch triggers, SDC-heavy suffixes), not just early replays.
 func benchPerFaultUniform(b *testing.B, name string, build kernels.Builder) {
 	dev := device.K40c()
-	r, err := kernels.NewRunner(name, build, dev, asm.O2)
-	if err != nil {
-		b.Fatal(err)
-	}
+	r := benchRunner(b, name, build, dev, asm.O2)
 	ops := r.LaunchLaneOps(func(op isa.Op) bool { return !op.IsControl() })
 	var total uint64
 	for _, n := range ops {

@@ -14,6 +14,7 @@ import (
 	"gpurel/internal/profiler"
 	"gpurel/internal/report"
 	"gpurel/internal/stats"
+	"gpurel/internal/suite"
 )
 
 // ablateCmd quantifies what each term of the prediction
@@ -42,9 +43,13 @@ func ablateCmd(f *cmdFlags) func() error {
 	return func() error {
 		dev, e := f.devs[0], f.entries[0]
 		if *optMatrix {
+			runners, err := matrixRunners(dev, e)
+			if err != nil {
+				return err
+			}
 			m, err := faultinj.RunOptMatrix(faultinj.OptMatrixConfig{
 				Faults: *faults, Seed: *seed,
-			}, e.Name, e.Build, dev, nil)
+			}, runners)
 			if err != nil {
 				return err
 			}
@@ -69,9 +74,15 @@ func ablateCmd(f *cmdFlags) func() error {
 		if dev.Arch == device.Kepler {
 			tool = faultinj.Sassifi
 		}
-		avf, err := faultinj.Run(faultinj.Config{
+		avfRunner := runner
+		if tool.OptLevel() != runner.Opt {
+			if avfRunner, err = kernels.NewRunner(e.Name, e.Build, dev, tool.OptLevel()); err != nil {
+				return err
+			}
+		}
+		avf, err := faultinj.RunWithRunner(faultinj.Config{
 			Tool: tool, FaultsPerClass: *faults / 4, TotalFaults: *faults, Seed: *seed,
-		}, e.Name, e.Build, dev)
+		}, avfRunner)
 		if err != nil {
 			return err
 		}
@@ -128,4 +139,18 @@ func ablateCmd(f *cmdFlags) func() error {
 		fmt.Println("\nratio is beam/prediction (+x: beam higher; -x: prediction higher)")
 		return nil
 	}
+}
+
+// matrixRunners builds e's runner at every optimization-matrix
+// configuration, in asm.MatrixConfigs order.
+func matrixRunners(dev *device.Device, e suite.Entry) ([]*kernels.Runner, error) {
+	var runners []*kernels.Runner
+	for _, opt := range asm.MatrixConfigs() {
+		r, err := kernels.NewRunner(e.Name, e.Build, dev, opt)
+		if err != nil {
+			return nil, fmt.Errorf("matrix %s/%s at %s: %w", dev.Name, e.Name, opt, err)
+		}
+		runners = append(runners, r)
+	}
+	return runners, nil
 }

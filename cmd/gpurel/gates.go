@@ -132,15 +132,32 @@ func (c gateConfig) forEachWorkload(names []string, fn func(dev *device.Device, 
 	return nil
 }
 
+// nvbitfiCampaign builds e's runner at the NVBitFI pipeline and runs
+// the gate's campaign on it; the gate computes its static side on the
+// same runner.
+func (r *gateRun) nvbitfiCampaign(dev *device.Device, e suite.Entry) (*kernels.Runner, *faultinj.Result, error) {
+	runner, err := kernels.NewRunner(e.Name, e.Build, dev, faultinj.NVBitFI.OptLevel())
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := faultinj.RunWithRunner(faultinj.Config{
+		Tool: faultinj.NVBitFI, TotalFaults: r.size(), Seed: r.seed,
+	}, runner)
+	return runner, res, err
+}
+
 // runCrossValGate compares each workload's bit-resolved static AVF
 // against an NVBitFI campaign.
 func runCrossValGate(r *gateRun) (string, error) {
 	var cvs []*faultinj.CrossValidation
-	cfg := faultinj.Config{Tool: faultinj.NVBitFI, TotalFaults: r.size(), Seed: r.seed}
 	// Value-masking-dominated workloads (see faultinj.CrossValKernels)
 	// need -code.
 	err := r.forEachWorkload(faultinj.CrossValKernels, func(dev *device.Device, e suite.Entry) error {
-		cv, err := faultinj.CrossValidate(cfg, e.Name, e.Build, dev)
+		runner, dyn, err := r.nvbitfiCampaign(dev, e)
+		var cv *faultinj.CrossValidation
+		if err == nil {
+			cv, err = faultinj.CrossValidate(runner, dyn)
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "skip %s on %s: %v\n", e.Name, dev.Name, err)
 			return nil
@@ -162,9 +179,13 @@ func runCrossValGate(r *gateRun) (string, error) {
 func runOptGate(r *gateRun) (string, error) {
 	var ms []*faultinj.OptMatrix
 	err := r.forEachWorkload(faultinj.CrossValKernels, func(dev *device.Device, e suite.Entry) error {
+		runners, err := matrixRunners(dev, e)
+		if err != nil {
+			return err
+		}
 		m, err := faultinj.RunOptMatrix(faultinj.OptMatrixConfig{
 			Faults: r.size(), Seed: r.seed,
-		}, e.Name, e.Build, dev, nil)
+		}, runners)
 		if err != nil {
 			return err
 		}
@@ -197,13 +218,7 @@ func runTwoLevelGate(r *gateRun) (string, error) {
 			}
 			studies[dev] = study
 		}
-		runner, err := kernels.NewRunner(e.Name, e.Build, dev, faultinj.NVBitFI.OptLevel())
-		if err != nil {
-			return err
-		}
-		exact, err := faultinj.RunWithRunner(faultinj.Config{
-			Tool: faultinj.NVBitFI, TotalFaults: r.size(), Seed: r.seed,
-		}, runner)
+		runner, exact, err := r.nvbitfiCampaign(dev, e)
 		if err != nil {
 			return err
 		}
@@ -242,9 +257,12 @@ func runTwoLevelGate(r *gateRun) (string, error) {
 // delta must sit inside the tolerance.
 func runDUEModeGate(r *gateRun) (string, error) {
 	var cvs []*faultinj.DUEModeCrossVal
-	cfg := faultinj.Config{Tool: faultinj.NVBitFI, TotalFaults: r.size(), Seed: r.seed}
 	err := r.forEachWorkload(faultinj.CrossValKernels, func(dev *device.Device, e suite.Entry) error {
-		cv, err := faultinj.CrossValidateDUEModes(cfg, e.Name, e.Build, dev)
+		runner, dyn, err := r.nvbitfiCampaign(dev, e)
+		var cv *faultinj.DUEModeCrossVal
+		if err == nil {
+			cv, err = faultinj.PairDUEModes(runner, dyn)
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "skip %s on %s: %v\n", e.Name, dev.Name, err)
 			return nil

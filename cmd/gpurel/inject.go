@@ -49,8 +49,8 @@ func injectCmd(f *cmdFlags) func() error {
 		totalFaults := 0
 		for _, e := range entries {
 			codeStart := time.Now()
-			// Build the runner here (rather than through faultinj.Run) so the
-			// sub-launch replay statistics are visible after the campaign.
+			// The runner outlives the campaign so its sub-launch replay
+			// statistics can be reported.
 			runner, err := kernels.NewRunner(e.Name, e.Build, dev, cfg.Tool.OptLevel())
 			if err != nil {
 				return fmt.Errorf("injecting %s: %w", e.Name, err)

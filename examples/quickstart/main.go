@@ -37,9 +37,10 @@ func main() {
 		100*prof.Mix[isa.ClassFMA])
 
 	// Methodology 2: fault injection (Figure 4).
-	avf, err := faultinj.Run(faultinj.Config{
+	// NVBitFI injects into the O2 code the runner already holds.
+	avf, err := faultinj.RunWithRunner(faultinj.Config{
 		Tool: faultinj.NVBitFI, TotalFaults: 150, Seed: 42,
-	}, "FMXM", kernels.MxMBuilder(isa.F32), dev)
+	}, runner)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -136,17 +136,6 @@ func (v *ACEVector) Dead() bool {
 	return true
 }
 
-// DeadBits counts the provably-masked bits of the window.
-func (v *ACEVector) DeadBits() int {
-	n := 0
-	for b := 0; b < v.Width; b++ {
-		if v.Unmasked(b) <= aceEps {
-			n++
-		}
-	}
-	return n
-}
-
 // LongestDeadSpan returns the start and length of the longest
 // contiguous run of provably-masked bits.
 func (v *ACEVector) LongestDeadSpan() (start, length int) {

@@ -55,11 +55,6 @@ func (s *RegSet) Subtract(o *RegSet) {
 	}
 }
 
-// Empty reports whether the set has no members.
-func (s *RegSet) Empty() bool {
-	return s[0]|s[1]|s[2]|s[3] == 0
-}
-
 // Count returns the number of members — the register pressure when the
 // set is a liveness frontier.
 func (s *RegSet) Count() int {

@@ -98,11 +98,6 @@ func (b *Builder) DFma(dst, a, s, c isa.Reg) {
 	b.emit(isa.Instr{Op: isa.OpDFMA, Dst: dst, Srcs: [3]isa.Operand{isa.R(a), isa.R(s), isa.R(c)}})
 }
 
-// DSetp compares FP64 pairs into predicate p.
-func (b *Builder) DSetp(p isa.PredReg, cmp isa.CmpOp, a, s isa.Reg) {
-	b.emit(isa.Instr{Op: isa.OpDSETP, Dst: isa.RZ, DstP: p, Cmp: cmp, Srcs: [3]isa.Operand{isa.R(a), isa.R(s)}})
-}
-
 // --- FP16 (low half of a register) ---
 
 // HAdd emits dst = a + b in FP16.

@@ -427,19 +427,23 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 	outer, innerW = splitWorkers(opts.Workers, len(matrixJobs))
 	err = par.ForEach(len(matrixJobs), outer, func(i int) error {
 		e := matrixJobs[i]
+		var runners []*kernels.Runner
+		for _, opt := range asm.MatrixConfigs() {
+			r, err := cache.Get(e.Name, e.Build, dev, opt)
+			if err != nil {
+				return fmt.Errorf("core: opt matrix %s at %s: %w", e.Name, opt, err)
+			}
+			runners = append(runners, r)
+		}
 		m, err := faultinj.RunOptMatrix(faultinj.OptMatrixConfig{
 			Faults: opts.OptFaults, Workers: innerW,
 			Seed: opts.Seed ^ hash(e.Name) ^ 0x097a11e1,
-		}, e.Name, e.Build, dev, cache.Get)
+		}, runners)
 		if err != nil {
 			return fmt.Errorf("core: opt matrix %s: %w", e.Name, err)
 		}
-		for _, cell := range m.Cells {
-			r, err := cache.Get(e.Name, e.Build, dev, cell.Opt)
-			if err != nil {
-				return err
-			}
-			cp, err := profiler.Profile(r)
+		for ci, cell := range m.Cells {
+			cp, err := profiler.Profile(runners[ci])
 			if err != nil {
 				return fmt.Errorf("core: opt profile %s at %s: %w", e.Name, cell.Opt, err)
 			}

@@ -30,9 +30,8 @@ type ClassSampler struct {
 	Class isa.Class
 	Tool  Tool
 
-	filter    func(isa.Op) bool
-	perLaunch []uint64
-	total     uint64
+	filter func(isa.Op) bool
+	pop    population
 }
 
 // NewClassSampler prepares the sampler for one class, returning ok =
@@ -40,22 +39,15 @@ type ClassSampler struct {
 // class (nothing to sample).
 func NewClassSampler(r *kernels.Runner, tool Tool, class isa.Class) (*ClassSampler, bool) {
 	filter := classFilter(tool, class)
-	perLaunch := r.LaunchLaneOps(filter)
-	var total uint64
-	for _, c := range perLaunch {
-		total += c
-	}
-	if total == 0 {
+	pop := newPopulation(r.LaunchLaneOps(filter))
+	if pop.total == 0 {
 		return nil, false
 	}
-	return &ClassSampler{
-		Class: class, Tool: tool,
-		filter: filter, perLaunch: perLaunch, total: total,
-	}, true
+	return &ClassSampler{Class: class, Tool: tool, filter: filter, pop: pop}, true
 }
 
 // Population returns the class's injectable dynamic lane-op count.
-func (s *ClassSampler) Population() uint64 { return s.total }
+func (s *ClassSampler) Population() uint64 { return s.pop.total }
 
 // Plan returns the index-th injection plan of the campaign identified
 // by seed: a pure function of (seed, class, index), independent of how
@@ -67,7 +59,7 @@ func (s *ClassSampler) Plan(seed, index uint64) (*sim.FaultPlan, int) {
 	w1 := splitmix64(seed ^ splitmix64(uint64(s.Class)+0x51a3) ^ splitmix64(index))
 	w2 := splitmix64(w1 ^ 0x9e3779b97f4a7c15)
 	rng := stats.NewRNG(w1, w2)
-	launch, idx := sampleSite(rng, s.perLaunch, s.total)
+	launch, idx := s.pop.draw(rng)
 	return &sim.FaultPlan{
 		Kind: sim.FaultValueBit, Filter: s.filter,
 		TriggerIndex: idx, Bit: rng.IntN(64),

@@ -10,12 +10,7 @@ import (
 
 func adaptiveTestRunner(t *testing.T) *kernels.Runner {
 	t.Helper()
-	r, err := kernels.NewRunner("FMXM", kernels.MxMBuilder(isa.F32),
-		device.V100(), NVBitFI.OptLevel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
+	return testRunner(t, "FMXM", kernels.MxMBuilder(isa.F32), device.V100(), NVBitFI.OptLevel())
 }
 
 // The sampler's whole contract: Plan(seed, i) is a pure function, so

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"gpurel/internal/analysis"
-	"gpurel/internal/device"
 	"gpurel/internal/isa"
 	"gpurel/internal/kernels"
 )
@@ -202,23 +201,15 @@ func (c *CrossValidation) Agrees() bool {
 	return d <= CrossValTolerance
 }
 
-// CrossValidate runs a dynamic campaign and the static estimator over
-// one workload and pairs the results.
-func CrossValidate(cfg Config, name string, build kernels.Builder, dev *device.Device) (*CrossValidation, error) {
-	dyn, err := Run(cfg, name, build, dev)
-	if err != nil {
-		return nil, err
-	}
-	runner, err := kernels.NewRunner(name, build, dev, cfg.Tool.OptLevel())
-	if err != nil {
-		return nil, err
-	}
-	st, err := StaticEstimate(runner, cfg.Tool)
+// CrossValidate pairs a campaign the caller ran on runner with the
+// static estimate over the same runner's site population.
+func CrossValidate(runner *kernels.Runner, dyn *Result) (*CrossValidation, error) {
+	st, err := StaticEstimate(runner, dyn.Tool)
 	if err != nil {
 		return nil, err
 	}
 	return &CrossValidation{
-		Name: name, Tool: cfg.Tool, Device: dev.Name,
+		Name: runner.Name, Tool: dyn.Tool, Device: runner.Dev.Name,
 		Static: st, Dynamic: dyn,
 	}, nil
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"gpurel/internal/device"
-	"gpurel/internal/kernels"
 	"gpurel/internal/suite"
 )
 
@@ -23,7 +22,12 @@ func TestCrossValidateAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cv, err := CrossValidate(cfg, e.Name, e.Build, dev)
+		runner := testRunner(t, e.Name, e.Build, dev, cfg.Tool.OptLevel())
+		dyn, err := RunWithRunner(cfg, runner)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cv, err := CrossValidate(runner, dyn)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -59,11 +63,7 @@ func TestStaticEstimateDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() float64 {
-		runner, err := kernels.NewRunner(e.Name, e.Build, dev, NVBitFI.OptLevel())
-		if err != nil {
-			t.Fatal(err)
-		}
-		est, err := StaticEstimate(runner, NVBitFI)
+		est, err := StaticEstimate(testRunner(t, e.Name, e.Build, dev, NVBitFI.OptLevel()), NVBitFI)
 		if err != nil {
 			t.Fatal(err)
 		}

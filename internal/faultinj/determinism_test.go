@@ -22,13 +22,9 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	}
 	dev := device.K40c()
 	run := func(workers int) *Result {
-		res, err := Run(Config{
+		return campaign(t, Config{
 			Tool: Sassifi, FaultsPerClass: 12, Workers: workers, Seed: 99,
 		}, "FMXM", kernels.MxMBuilder(isa.F32), dev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
 	}
 	a, b := run(1), run(8)
 	if a.Injected != b.Injected || a.SDC != b.SDC || a.DUE != b.DUE || a.Masked != b.Masked {
@@ -58,13 +54,9 @@ func TestNVBitFIDeterministicAcrossWorkers(t *testing.T) {
 	}
 	dev := device.V100()
 	run := func(workers int) *Result {
-		res, err := Run(Config{
+		return campaign(t, Config{
 			Tool: NVBitFI, TotalFaults: 60, Workers: workers, Seed: 4242,
 		}, "FHOTSPOT", kernels.HotspotBuilder(isa.F32), dev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
 	}
 	a, b := run(1), run(8)
 	if a.SDC != b.SDC || a.DUE != b.DUE || a.Masked != b.Masked || a.Injected != b.Injected {
@@ -83,10 +75,7 @@ func TestNVBitFIDeterministicAcrossWorkers(t *testing.T) {
 func TestGoldenTimelinesRepeatable(t *testing.T) {
 	dev := device.V100()
 	build := func() []sim.Timeline {
-		r, err := kernels.NewRunner("FHOTSPOT", kernels.HotspotBuilder(isa.F32), dev, asm.O2)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := testRunner(t, "FHOTSPOT", kernels.HotspotBuilder(isa.F32), dev, asm.O2)
 		var tls []sim.Timeline
 		for _, p := range r.GoldenProfiles() {
 			tls = append(tls, p.Timeline)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"gpurel/internal/analysis"
-	"gpurel/internal/device"
 	"gpurel/internal/isa"
 	"gpurel/internal/kernels"
 	"gpurel/internal/patterns"
@@ -138,29 +137,15 @@ func (c *DUEModeCrossVal) Agrees() bool {
 	return !c.Measurable() || c.Delta() <= DUEModeTolerance
 }
 
-// CrossValidateDUEModes runs a dynamic campaign and the static mode
-// estimator over one workload and pairs the distributions.
-func CrossValidateDUEModes(cfg Config, name string, build kernels.Builder, dev *device.Device) (*DUEModeCrossVal, error) {
-	runner, err := kernels.NewRunner(name, build, dev, cfg.Tool.OptLevel())
-	if err != nil {
-		return nil, err
-	}
-	dyn, err := RunWithRunner(cfg, runner)
-	if err != nil {
-		return nil, err
-	}
-	return PairDUEModes(runner, cfg.Tool, dev.Name, dyn)
-}
-
-// PairDUEModes computes the static side against an existing campaign
-// result (sharing the caller's runner and golden profiles).
-func PairDUEModes(runner *kernels.Runner, tool Tool, devName string, dyn *Result) (*DUEModeCrossVal, error) {
-	st, err := StaticDUEModes(runner, tool)
+// PairDUEModes pairs a campaign the caller ran on runner with the
+// static DUE-mode estimate over the same runner's site population.
+func PairDUEModes(runner *kernels.Runner, dyn *Result) (*DUEModeCrossVal, error) {
+	st, err := StaticDUEModes(runner, dyn.Tool)
 	if err != nil {
 		return nil, err
 	}
 	return &DUEModeCrossVal{
-		Name: runner.Name, Tool: tool, Device: devName,
+		Name: runner.Name, Tool: dyn.Tool, Device: runner.Dev.Name,
 		Static: st, StaticMix: staticDUEMix(st),
 		DynamicMix: dyn.DUEModes.Mix(), DynamicDUEs: dyn.DUEModes.DUEs(),
 	}, nil

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"gpurel/internal/device"
-	"gpurel/internal/kernels"
 	"gpurel/internal/suite"
 )
 
@@ -32,7 +31,12 @@ func TestDUEModeCrossVal(t *testing.T) {
 			if err != nil {
 				continue // kernel not in this device's suite
 			}
-			cv, err := CrossValidateDUEModes(cfg, e.Name, e.Build, d.dev)
+			runner := testRunner(t, e.Name, e.Build, d.dev, cfg.Tool.OptLevel())
+			dyn, err := RunWithRunner(cfg, runner)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", name, d.dev.Name, err)
+			}
+			cv, err := PairDUEModes(runner, dyn)
 			if err != nil {
 				t.Fatalf("%s on %s: %v", name, d.dev.Name, err)
 			}
@@ -68,27 +72,12 @@ func TestDUEModeLedgerWorkerDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int) (Tally, error) {
-		r, err := kernels.NewRunner(e.Name, e.Build, dev, NVBitFI.OptLevel())
-		if err != nil {
-			return Tally{}, err
-		}
-		res, err := RunWithRunner(Config{
+	run := func(workers int) Tally {
+		return campaign(t, Config{
 			Tool: NVBitFI, TotalFaults: 120, Workers: workers, Seed: 99,
-		}, r)
-		if err != nil {
-			return Tally{}, err
-		}
-		return res.Tally, nil
+		}, e.Name, e.Build, dev).Tally
 	}
-	a, err := run(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := run(7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := run(1), run(7)
 	if a.DUEModes != b.DUEModes {
 		t.Errorf("DUE-mode ledger depends on worker count: 1 worker %+v, 7 workers %+v",
 			a.DUEModes, b.DUEModes)
@@ -107,11 +96,7 @@ func TestStaticDUEModesDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() [4]float64 {
-		r, err := kernels.NewRunner(e.Name, e.Build, dev, NVBitFI.OptLevel())
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := StaticDUEModes(r, NVBitFI)
+		st, err := StaticDUEModes(testRunner(t, e.Name, e.Build, dev, NVBitFI.OptLevel()), NVBitFI)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -148,12 +148,6 @@ type Config struct {
 	Workers int
 	// Seed makes the campaign reproducible.
 	Seed uint64
-	// AllowAnyOpt permits injecting into a runner built at any compiler
-	// configuration, not just the tool's native pipeline. The
-	// optimization-matrix campaigns set it: the point there is holding
-	// the injector fixed (NVBitFI site semantics) while the codegen
-	// varies, so the AVF movement is attributable to the code alone.
-	AllowAnyOpt bool
 }
 
 // BandAVF is the per-bit-band outcome of the campaign's value-bit
@@ -218,34 +212,28 @@ func opInjectable(tool Tool, op isa.Op) bool {
 	return true
 }
 
-// Run executes an injection campaign against one workload, building the
-// runner (and paying its golden run) first.
-func Run(cfg Config, name string, build kernels.Builder, dev *device.Device) (*Result, error) {
-	if cfg.Tool == Sassifi && dev.Arch != device.Kepler {
-		return nil, fmt.Errorf("faultinj: SASSIFI supports Kepler/Maxwell only, not %s", dev.Name)
-	}
-	runner, err := kernels.NewRunner(name, build, dev, cfg.Tool.OptLevel())
-	if err != nil {
-		return nil, err
-	}
-	return RunWithRunner(cfg, runner)
-}
-
 // RunWithRunner executes an injection campaign against an already-built
 // runner, reusing its cached instance, golden profiles, and golden
 // checkpoint sequences. The runner must have been built with the compiler
-// pipeline the tool's toolchain implies (Tool.OptLevel), unless
-// cfg.AllowAnyOpt relaxes the pairing for matrix campaigns.
+// pipeline the tool's toolchain implies (Tool.OptLevel).
 func RunWithRunner(cfg Config, runner *kernels.Runner) (*Result, error) {
+	if cfg.Tool == Sassifi && runner.Dev.Arch != device.Kepler {
+		return nil, fmt.Errorf("faultinj: SASSIFI supports Kepler/Maxwell only, not %s", runner.Dev.Name)
+	}
+	if runner.Opt != cfg.Tool.OptLevel() {
+		return nil, fmt.Errorf("faultinj: %s runner built at %s, %s injects at %s",
+			runner.Name, runner.Opt, cfg.Tool, cfg.Tool.OptLevel())
+	}
+	return run(cfg, runner)
+}
+
+// run is RunWithRunner without the tool/pipeline pairing check: the
+// optimization matrix holds the injector fixed (NVBitFI site semantics)
+// while the codegen varies, so the AVF movement is attributable to the
+// code alone.
+func run(cfg Config, runner *kernels.Runner) (*Result, error) {
 	dev := runner.Dev
 	name := runner.Name
-	if cfg.Tool == Sassifi && dev.Arch != device.Kepler {
-		return nil, fmt.Errorf("faultinj: SASSIFI supports Kepler/Maxwell only, not %s", dev.Name)
-	}
-	if !cfg.AllowAnyOpt && runner.Opt != cfg.Tool.OptLevel() {
-		return nil, fmt.Errorf("faultinj: %s runner built at %s, %s injects at %s (set AllowAnyOpt for matrix campaigns)",
-			name, runner.Opt, cfg.Tool, cfg.Tool.OptLevel())
-	}
 	rng := stats.NewRNG(0x1437, cfg.Seed)
 
 	plans := buildPlans(cfg, runner, rng)
@@ -314,6 +302,34 @@ type plan struct {
 	class  isa.Class
 }
 
+// population is a dynamically weighted site population: the lane-ops
+// each launch executes that a site filter admits, and their total.
+type population struct {
+	perLaunch []uint64
+	total     uint64
+}
+
+func newPopulation(perLaunch []uint64) population {
+	p := population{perLaunch: perLaunch}
+	for _, c := range perLaunch {
+		p.total += c
+	}
+	return p
+}
+
+// draw picks (launch, index-within-launch) uniformly over the population
+// with one Int64N. The population must be non-empty.
+func (p population) draw(rng *stats.RNG) (int, uint64) {
+	x := uint64(rng.Int64N(int64(p.total)))
+	for l, c := range p.perLaunch {
+		if x < c {
+			return l, x
+		}
+		x -= c
+	}
+	panic("faultinj: draw beyond the population total")
+}
+
 // buildPlans samples the campaign's fault plans from the golden dynamic
 // instruction streams.
 func buildPlans(cfg Config, r *kernels.Runner, rng *stats.RNG) []plan {
@@ -327,16 +343,12 @@ func buildPlans(cfg Config, r *kernels.Runner, rng *stats.RNG) []plan {
 		// Stratified IOV sampling per instruction class.
 		for _, class := range injectableClasses {
 			filter := classFilter(Sassifi, class)
-			perLaunch := r.LaunchLaneOps(filter)
-			var total uint64
-			for _, c := range perLaunch {
-				total += c
-			}
-			if total == 0 {
+			pop := newPopulation(r.LaunchLaneOps(filter))
+			if pop.total == 0 {
 				continue
 			}
 			for i := 0; i < n; i++ {
-				launch, idx := sampleSite(rng, perLaunch, total)
+				launch, idx := pop.draw(rng)
 				plans = append(plans, plan{
 					fault: &sim.FaultPlan{
 						Kind: sim.FaultValueBit, Filter: filter,
@@ -348,7 +360,7 @@ func buildPlans(cfg Config, r *kernels.Runner, rng *stats.RNG) []plan {
 		}
 		// IOA: destination-register corruption over all GPR writers.
 		gprFilter := func(op isa.Op) bool { return op.WritesGPR() }
-		plans = append(plans, samplePlans(cfg, r, rng, n, gprFilter, sim.FaultRegIndex, ModeIOA)...)
+		plans = append(plans, samplePlans(r, rng, n, gprFilter, sim.FaultRegIndex, ModeIOA)...)
 		// Predicate-register flips on compare instructions.
 		setpFilter := func(op isa.Op) bool {
 			switch op {
@@ -357,7 +369,7 @@ func buildPlans(cfg Config, r *kernels.Runner, rng *stats.RNG) []plan {
 			}
 			return false
 		}
-		plans = append(plans, samplePlans(cfg, r, rng, n, setpFilter, sim.FaultPredBit, ModePred)...)
+		plans = append(plans, samplePlans(r, rng, n, setpFilter, sim.FaultPredBit, ModePred)...)
 		// Stored-register bit flips (the AVF(MEM) term of Eq. 3).
 		plans = append(plans, gprPlans(r, rng, n)...)
 
@@ -367,66 +379,46 @@ func buildPlans(cfg Config, r *kernels.Runner, rng *stats.RNG) []plan {
 			n = 1000
 		}
 		filter := func(op isa.Op) bool { return opInjectable(NVBitFI, op) }
-		plans = samplePlans(cfg, r, rng, n, filter, sim.FaultValueBit, ModeIOV)
+		plans = samplePlans(r, rng, n, filter, sim.FaultValueBit, ModeIOV)
 	}
 	return plans
 }
 
-// samplePlans draws n dynamically-weighted injection sites matching the
-// filter. The class recorded per plan is resolved at classification time
-// from the filter population; for whole-population sampling the class of
-// the triggered op is unknown ahead of the run, so plans carry the class
-// of the dominant constituent. To keep per-class AVFs exact, sampling is
-// done per class with dynamic weights instead.
-func samplePlans(cfg Config, r *kernels.Runner, rng *stats.RNG, n int, filter func(isa.Op) bool, kind sim.FaultKind, mode Mode) []plan {
-	// Split the population by class so each plan knows its class.
-	classOps := make(map[isa.Class]uint64)
-	for op, cnt := range opCounts(r) {
-		if filter(op) {
-			classOps[op.ClassOf()] += cnt
-		}
+// samplePlans draws about n dynamically weighted injection sites
+// matching the filter. The population is split by instruction class so
+// each plan knows its class ahead of the run: every class with a
+// nonzero population receives its rounded proportional share of n (at
+// least one), drawn from that class's own population.
+func samplePlans(r *kernels.Runner, rng *stats.RNG, n int, filter func(isa.Op) bool, kind sim.FaultKind, mode Mode) []plan {
+	type stratum struct {
+		class  isa.Class
+		filter func(isa.Op) bool
+		pop    population
 	}
+	// Deterministic class order: the RNG consumption sequence follows it.
+	var strata []stratum
 	var total uint64
-	for _, c := range classOps {
-		total += c
-	}
-	if total == 0 {
-		return nil
-	}
-	// Deterministic class order: map iteration would randomize the RNG
-	// consumption sequence across runs.
-	var classes []isa.Class
-	for c := isa.Class(0); c < isa.ClassCount; c++ {
-		if classOps[c] > 0 {
-			classes = append(classes, c)
+	for class := isa.Class(0); class < isa.ClassCount; class++ {
+		cf := func(op isa.Op) bool { return filter(op) && op.ClassOf() == class }
+		if pop := newPopulation(r.LaunchLaneOps(cf)); pop.total > 0 {
+			strata = append(strata, stratum{class, cf, pop})
+			total += pop.total
 		}
 	}
 	var plans []plan
-	for _, class := range classes {
-		cnt := classOps[class]
-		share := int(float64(n)*float64(cnt)/float64(total) + 0.5)
-		if share == 0 && cnt > 0 {
+	for _, s := range strata {
+		share := int(float64(n)*float64(s.pop.total)/float64(total) + 0.5)
+		if share == 0 {
 			share = 1
 		}
-		cf := func(class isa.Class) func(isa.Op) bool {
-			return func(op isa.Op) bool { return filter(op) && op.ClassOf() == class }
-		}(class)
-		perLaunch := r.LaunchLaneOps(cf)
-		var ct uint64
-		for _, c := range perLaunch {
-			ct += c
-		}
-		if ct == 0 {
-			continue
-		}
 		for i := 0; i < share; i++ {
-			launch, idx := sampleSite(rng, perLaunch, ct)
+			launch, idx := s.pop.draw(rng)
 			plans = append(plans, plan{
 				fault: &sim.FaultPlan{
-					Kind: kind, Filter: cf,
+					Kind: kind, Filter: s.filter,
 					TriggerIndex: idx, Bit: rng.IntN(64),
 				},
-				launch: launch, mode: mode, class: class,
+				launch: launch, mode: mode, class: s.class,
 			})
 		}
 	}
@@ -438,17 +430,13 @@ func samplePlans(cfg Config, r *kernels.Runner, rng *stats.RNG, n int, filter fu
 // launch chosen proportionally to its dynamic length.
 func gprPlans(r *kernels.Runner, rng *stats.RNG, n int) []plan {
 	inst := r.Instance()
-	perLaunch := r.LaunchLaneOps(nil)
-	var total uint64
-	for _, c := range perLaunch {
-		total += c
-	}
-	if total == 0 {
+	pop := newPopulation(r.LaunchLaneOps(nil))
+	if pop.total == 0 {
 		return nil
 	}
 	var plans []plan
 	for i := 0; i < n; i++ {
-		launch, idx := sampleSite(rng, perLaunch, total)
+		launch, idx := pop.draw(rng)
 		l := inst.Launches[launch]
 		regs := l.Prog.NumRegs
 		if regs < 1 {
@@ -467,29 +455,6 @@ func gprPlans(r *kernels.Runner, rng *stats.RNG, n int) []plan {
 		})
 	}
 	return plans
-}
-
-func opCounts(r *kernels.Runner) map[isa.Op]uint64 {
-	out := make(map[isa.Op]uint64)
-	for _, p := range r.GoldenProfiles() {
-		for op, n := range p.PerOpLane {
-			out[op] += n
-		}
-	}
-	return out
-}
-
-// sampleSite picks (launch, index-within-launch) uniformly over the
-// filtered dynamic stream.
-func sampleSite(rng *stats.RNG, perLaunch []uint64, total uint64) (int, uint64) {
-	x := uint64(rng.Int64N(int64(total)))
-	for l, c := range perLaunch {
-		if x < c {
-			return l, x
-		}
-		x -= c
-	}
-	return len(perLaunch) - 1, perLaunch[len(perLaunch)-1] - 1
 }
 
 // runPlans executes the plans with a bounded worker pool. An

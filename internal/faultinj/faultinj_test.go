@@ -52,19 +52,15 @@ func TestNVBitFICannotInjectHalf(t *testing.T) {
 }
 
 func TestSassifiRejectsVolta(t *testing.T) {
-	_, err := Run(Config{Tool: Sassifi, FaultsPerClass: 1},
-		"FMXM", kernels.MxMBuilder(isa.F32), device.V100())
-	if err == nil {
+	r := testRunner(t, "FMXM", kernels.MxMBuilder(isa.F32), device.V100(), Sassifi.OptLevel())
+	if _, err := RunWithRunner(Config{Tool: Sassifi, FaultsPerClass: 1}, r); err == nil {
 		t.Fatal("SASSIFI must reject Volta devices")
 	}
 }
 
 func TestCampaignMxM(t *testing.T) {
 	cfg := Config{Tool: NVBitFI, TotalFaults: 60, Seed: 1}
-	res, err := Run(cfg, "FMXM", kernels.MxMBuilder(isa.F32), device.K40c())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := campaign(t, cfg, "FMXM", kernels.MxMBuilder(isa.F32), device.K40c())
 	if res.Injected < 55 {
 		t.Fatalf("injected %d, want ~60", res.Injected)
 	}
@@ -85,14 +81,8 @@ func TestCampaignMxM(t *testing.T) {
 
 func TestCampaignDeterminism(t *testing.T) {
 	cfg := Config{Tool: NVBitFI, TotalFaults: 30, Seed: 42, Workers: 2}
-	r1, err := Run(cfg, "CCL", kernels.CCLBuilder(), device.K40c())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Run(cfg, "CCL", kernels.CCLBuilder(), device.K40c())
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1 := campaign(t, cfg, "CCL", kernels.CCLBuilder(), device.K40c())
+	r2 := campaign(t, cfg, "CCL", kernels.CCLBuilder(), device.K40c())
 	if r1.SDC != r2.SDC || r1.DUE != r2.DUE || r1.Masked != r2.Masked {
 		t.Fatalf("campaign not deterministic: %+v vs %+v", r1, r2)
 	}
@@ -100,10 +90,7 @@ func TestCampaignDeterminism(t *testing.T) {
 
 func TestSassifiCampaignModes(t *testing.T) {
 	cfg := Config{Tool: Sassifi, FaultsPerClass: 20, Seed: 3}
-	res, err := Run(cfg, "FMXM", kernels.MxMBuilder(isa.F32), device.K40c())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := campaign(t, cfg, "FMXM", kernels.MxMBuilder(isa.F32), device.K40c())
 	if res.PerMode[ModeIOV] == 0 || res.PerMode[ModeIOA] == 0 || res.PerMode[ModePred] == 0 {
 		t.Fatalf("SASSIFI should exercise IOV, IOA and predicate modes: %+v", res.PerMode)
 	}

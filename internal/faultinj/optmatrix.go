@@ -6,7 +6,6 @@ import (
 
 	"gpurel/internal/analysis"
 	"gpurel/internal/asm"
-	"gpurel/internal/device"
 	"gpurel/internal/kernels"
 )
 
@@ -17,8 +16,9 @@ import (
 // spill-through-shared knobs — each cell carrying a full NVBitFI-style
 // injection campaign, the bit-resolved static AVF estimate, and the
 // static explainer metrics that account for the movement. The injector
-// is held fixed across cells (AllowAnyOpt) so every AVF delta is
-// attributable to codegen, not tool semantics.
+// is held fixed across cells (NVBitFI site semantics at every
+// configuration) so every AVF delta is attributable to codegen, not
+// tool semantics.
 
 // OptCell is one (workload, optimization configuration) cell.
 type OptCell struct {
@@ -57,35 +57,21 @@ type OptMatrixConfig struct {
 	// Seed makes the matrix reproducible; each cell derives its own
 	// stream from it and the cell's configuration.
 	Seed uint64
-	// Configs lists the configurations to run (nil: asm.MatrixConfigs).
-	Configs []asm.OptLevel
 }
 
-// RunnerFor builds (or fetches from a cache) the runner for one
-// workload at one configuration. RunOptMatrix accepts one so callers
-// with a runner cache (internal/core) pay each golden run once.
-type RunnerFor func(name string, build kernels.Builder, dev *device.Device, opt asm.OptLevel) (*kernels.Runner, error)
-
-// RunOptMatrix runs the optimization matrix for one workload: per
-// configuration, a fixed-injector NVBitFI campaign plus the static
-// estimate and explainer. runnerFor may be nil (kernels.NewRunner).
-func RunOptMatrix(mc OptMatrixConfig, name string, build kernels.Builder, dev *device.Device, runnerFor RunnerFor) (*OptMatrix, error) {
-	if runnerFor == nil {
-		runnerFor = kernels.NewRunner
+// RunOptMatrix runs the optimization matrix for one workload over the
+// caller's runners, one per configuration (asm.MatrixConfigs, in
+// order): per runner, a fixed-injector NVBitFI campaign plus the static
+// estimate and explainer.
+func RunOptMatrix(mc OptMatrixConfig, runners []*kernels.Runner) (*OptMatrix, error) {
+	if len(runners) == 0 {
+		return nil, fmt.Errorf("faultinj: matrix without runners")
 	}
-	configs := mc.Configs
-	if len(configs) == 0 {
-		configs = asm.MatrixConfigs()
-	}
-	m := &OptMatrix{Name: name, Device: dev.Name, Tool: NVBitFI}
-	for _, opt := range configs {
-		r, err := runnerFor(name, build, dev, opt)
-		if err != nil {
-			return nil, fmt.Errorf("faultinj: matrix %s/%s at %s: %w", dev.Name, name, opt, err)
-		}
+	m := &OptMatrix{Name: runners[0].Name, Device: runners[0].Dev.Name, Tool: NVBitFI}
+	for _, r := range runners {
 		cell, err := runOptCell(mc, r)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("faultinj: matrix %s/%s at %s: %w", r.Dev.Name, r.Name, r.Opt, err)
 		}
 		m.Cells = append(m.Cells, cell)
 	}
@@ -97,16 +83,13 @@ func runOptCell(mc OptMatrixConfig, r *kernels.Runner) (*OptCell, error) {
 	// Per-cell seed: distinct deterministic stream per configuration, so
 	// adding or removing one configuration does not shift the others.
 	seed := mc.Seed*0x9E3779B9 + uint64(r.Opt)
-	dyn, err := RunWithRunner(Config{
-		Tool: NVBitFI, TotalFaults: mc.Faults,
-		Workers: mc.Workers, Seed: seed, AllowAnyOpt: true,
-	}, r)
+	dyn, err := run(Config{Tool: NVBitFI, TotalFaults: mc.Faults, Workers: mc.Workers, Seed: seed}, r)
 	if err != nil {
-		return nil, fmt.Errorf("faultinj: matrix %s/%s at %s: %w", r.Dev.Name, r.Name, r.Opt, err)
+		return nil, err
 	}
 	st, err := StaticEstimate(r, NVBitFI)
 	if err != nil {
-		return nil, fmt.Errorf("faultinj: matrix %s/%s at %s: %w", r.Dev.Name, r.Name, r.Opt, err)
+		return nil, err
 	}
 	return &OptCell{Opt: r.Opt, Dynamic: dyn, Static: st, Explain: ExplainRunner(r)}, nil
 }

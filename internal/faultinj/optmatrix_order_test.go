@@ -4,7 +4,9 @@ import (
 	"reflect"
 	"testing"
 
+	"gpurel/internal/asm"
 	"gpurel/internal/device"
+	"gpurel/internal/kernels"
 	"gpurel/internal/suite"
 )
 
@@ -14,7 +16,11 @@ func runMatrix(t *testing.T, dev *device.Device, code string, mc OptMatrixConfig
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := RunOptMatrix(mc, e.Name, e.Build, dev, nil)
+	var runners []*kernels.Runner
+	for _, opt := range asm.MatrixConfigs() {
+		runners = append(runners, testRunner(t, e.Name, e.Build, dev, opt))
+	}
+	m, err := RunOptMatrix(mc, runners)
 	if err != nil {
 		t.Fatalf("%s on %s: %v", code, dev.Name, err)
 	}

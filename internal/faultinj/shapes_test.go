@@ -13,13 +13,9 @@ import (
 
 func avfOf(t *testing.T, tool Tool, name string, b kernels.Builder, dev *device.Device, n int) *Result {
 	t.Helper()
-	res, err := Run(Config{
+	return campaign(t, Config{
 		Tool: tool, FaultsPerClass: n / 4, TotalFaults: n, Seed: 77,
 	}, name, b, dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
 }
 
 func TestFig4ShapeFloatVsIntegerAVF(t *testing.T) {

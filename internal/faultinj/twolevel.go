@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"sort"
 
-	"gpurel/internal/device"
 	"gpurel/internal/isa"
 	"gpurel/internal/kernels"
 	"gpurel/internal/par"
@@ -111,21 +110,9 @@ func (t *TwoLevelResult) Speedup(exact *Result) float64 {
 // tlSite is one static site: an injectable opcode of one program,
 // aggregated over every launch that runs the program.
 type tlSite struct {
-	op        isa.Op
-	launches  []int    // launch indices running this program, ascending
-	perLaunch []uint64 // op's dynamic lane count per those launches
-	total     uint64   // dynamic occurrences of the site
-	samples   int      // level-1 simulations assigned
-}
-
-// TwoLevelEstimate builds the workload and runs the two-level
-// estimation against it.
-func TwoLevelEstimate(cfg TwoLevelConfig, name string, build kernels.Builder, dev *device.Device) (*TwoLevelResult, error) {
-	runner, err := kernels.NewRunner(name, build, dev, cfg.Tool.OptLevel())
-	if err != nil {
-		return nil, err
-	}
-	return TwoLevelEstimateWithRunner(cfg, runner)
+	op      isa.Op
+	pop     population // op's dynamic lane-ops per launch; zero on other programs' launches
+	samples int        // level-1 simulations assigned
 }
 
 // TwoLevelEstimateWithRunner runs the two-level estimation against an
@@ -180,7 +167,7 @@ func TwoLevelEstimateWithRunner(cfg TwoLevelConfig, runner *kernels.Runner) (*Tw
 	// the float accumulation is byte-stable.
 	var totalOps uint64
 	for _, s := range sites {
-		totalOps += s.total
+		totalOps += s.pop.total
 	}
 	res := &TwoLevelResult{
 		Name: runner.Name, Device: runner.Dev.Name, Tool: cfg.Tool,
@@ -189,7 +176,7 @@ func TwoLevelEstimateWithRunner(cfg TwoLevelConfig, runner *kernels.Runner) (*Tw
 	var sdcMass float64
 	for si, s := range sites {
 		t := &tallies[si]
-		w := float64(s.total) / float64(totalOps)
+		w := float64(s.pop.total) / float64(totalOps)
 		pSDC := float64(t.SDC) / float64(t.Injected)
 		pDUE := float64(t.DUE) / float64(t.Injected)
 		res.SDCAVF += w * pSDC
@@ -218,59 +205,45 @@ func TwoLevelEstimateWithRunner(cfg TwoLevelConfig, runner *kernels.Runner) (*Tw
 func twoLevelSites(cfg TwoLevelConfig, runner *kernels.Runner, budget int) []*tlSite {
 	launches := runner.Instance().Launches
 	profiles := runner.GoldenProfiles()
-	progOrder := make(map[string]int) // program name -> first-launch order
-	var progs []string
-	for _, l := range launches {
-		if _, ok := progOrder[l.Prog.Name]; !ok {
-			progOrder[l.Prog.Name] = len(progs)
+	var progs []string // program names in first-launch order
+	opSets := make(map[string]map[isa.Op]bool)
+	for li, l := range launches {
+		ops := opSets[l.Prog.Name]
+		if ops == nil {
+			ops = make(map[isa.Op]bool)
+			opSets[l.Prog.Name] = ops
 			progs = append(progs, l.Prog.Name)
+		}
+		for op := range profiles[li].PerOpLane {
+			if opInjectable(cfg.Tool, op) {
+				ops[op] = true
+			}
 		}
 	}
 	var sites []*tlSite
+	var totalOps uint64
 	for _, prog := range progs {
 		// Deterministic opcode order within the program.
-		opSet := make(map[isa.Op]bool)
-		for li, l := range launches {
-			if l.Prog.Name != prog {
-				continue
-			}
-			for op := range profiles[li].PerOpLane {
-				if opInjectable(cfg.Tool, op) {
-					opSet[op] = true
-				}
-			}
-		}
-		ops := make([]isa.Op, 0, len(opSet))
-		for op := range opSet {
+		ops := make([]isa.Op, 0, len(opSets[prog]))
+		for op := range opSets[prog] {
 			ops = append(ops, op)
 		}
 		sort.Slice(ops, func(i, j int) bool { return ops[i] < ops[j] })
 		for _, op := range ops {
-			s := &tlSite{op: op}
+			perLaunch := make([]uint64, len(launches))
 			for li, l := range launches {
-				if l.Prog.Name != prog {
-					continue
+				if l.Prog.Name == prog {
+					perLaunch[li] = profiles[li].PerOpLane[op]
 				}
-				n := profiles[li].PerOpLane[op]
-				if n == 0 {
-					continue
-				}
-				s.launches = append(s.launches, li)
-				s.perLaunch = append(s.perLaunch, n)
-				s.total += n
 			}
-			if s.total == 0 {
-				continue
+			if pop := newPopulation(perLaunch); pop.total > 0 {
+				sites = append(sites, &tlSite{op: op, pop: pop})
+				totalOps += pop.total
 			}
-			sites = append(sites, s)
 		}
 	}
-	var totalOps uint64
 	for _, s := range sites {
-		totalOps += s.total
-	}
-	for _, s := range sites {
-		s.samples = int(float64(budget)*float64(s.total)/float64(totalOps) + 0.5)
+		s.samples = int(float64(budget)*float64(s.pop.total)/float64(totalOps) + 0.5)
 		if s.samples < 1 {
 			s.samples = 1
 		}
@@ -281,23 +254,14 @@ func twoLevelSites(cfg TwoLevelConfig, runner *kernels.Runner, budget int) []*tl
 // plan derives the site's j-th level-1 fault plan purely from (seed,
 // site index, sample index), the same index-addressed determinism idiom
 // as ClassSampler.Plan: identical inputs give an identical plan on any
-// worker schedule.
+// worker schedule. It picks one dynamic occurrence of the site,
+// uniformly across its launches, and one destination bit.
 func (s *tlSite) plan(seed uint64, site, sample int) (*sim.FaultPlan, int) {
 	w1 := splitmix64(seed ^ splitmix64(uint64(s.op)+0x2c0de) ^
 		splitmix64(uint64(site)<<20|uint64(sample)))
 	w2 := splitmix64(w1 ^ 0x9e3779b97f4a7c15)
 	rng := stats.NewRNG(w1, w2)
-	// Pick one dynamic occurrence of the site, uniformly across its
-	// launches, and one destination bit.
-	x := uint64(rng.Int64N(int64(s.total)))
-	launch, idx := s.launches[len(s.launches)-1], s.perLaunch[len(s.perLaunch)-1]-1
-	for i, c := range s.perLaunch {
-		if x < c {
-			launch, idx = s.launches[i], x
-			break
-		}
-		x -= c
-	}
+	launch, idx := s.pop.draw(rng)
 	op := s.op
 	return &sim.FaultPlan{
 		Kind:         sim.FaultValueBit,

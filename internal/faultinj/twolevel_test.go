@@ -25,10 +25,7 @@ func TestTwoLevelCrossVal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runner, err := kernels.NewRunner(e.Name, e.Build, dev, NVBitFI.OptLevel())
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		runner := testRunner(t, e.Name, e.Build, dev, NVBitFI.OptLevel())
 		exact, err := RunWithRunner(Config{Tool: NVBitFI, TotalFaults: 500, Seed: 7}, runner)
 		if err != nil {
 			t.Fatalf("%s: exhaustive campaign: %v", name, err)
@@ -60,9 +57,9 @@ func TestTwoLevelCrossVal(t *testing.T) {
 func TestTwoLevelDeterministicAcrossWorkers(t *testing.T) {
 	dev := device.K40c()
 	run := func(workers int) *TwoLevelResult {
-		res, err := TwoLevelEstimate(TwoLevelConfig{
+		res, err := TwoLevelEstimateWithRunner(TwoLevelConfig{
 			Tool: NVBitFI, Workers: workers, Seed: 11, TrialBudget: 48,
-		}, "FMXM", kernels.MxMBuilder(isa.F32), dev)
+		}, testRunner(t, "FMXM", kernels.MxMBuilder(isa.F32), dev, NVBitFI.OptLevel()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -230,6 +230,3 @@ func Compare(name string, ecc bool, tool faultinj.Tool, beamFIT, predicted float
 		Ratio: stats.SignedRatio(beamFIT, predicted),
 	}
 }
-
-// ClassMix sanity-checks that a profile's class fractions sum to one.
-func ClassMix(cp *profiler.CodeProfile) map[isa.Class]float64 { return cp.Mix }

@@ -58,8 +58,7 @@ func TestPredictStaticTracksDynamic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn, err := faultinj.Run(faultinj.Config{Tool: faultinj.NVBitFI, TotalFaults: 300, Seed: 11},
-		e.Name, e.Build, dev)
+	dyn, err := faultinj.RunWithRunner(faultinj.Config{Tool: faultinj.NVBitFI, TotalFaults: 300, Seed: 11}, runner)
 	if err != nil {
 		t.Fatal(err)
 	}

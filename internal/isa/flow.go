@@ -23,20 +23,6 @@ func (in *Instr) EndsBlock() bool {
 	return false
 }
 
-// FallsThrough reports whether control can continue to the next
-// instruction. An unconditional BRA always leaves; an unconditional EXIT
-// retires every active lane; SYNC always jumps to the reconvergence
-// point. Everything else can reach the next instruction.
-func (in *Instr) FallsThrough() bool {
-	switch in.Op {
-	case OpBRA, OpEXIT:
-		return !in.Unconditional()
-	case OpSYNC:
-		return false
-	}
-	return true
-}
-
 // HasTarget reports whether Target carries a resolved instruction index
 // (BRA jumps there; SSY declares it as the reconvergence point).
 func (in *Instr) HasTarget() bool {

@@ -81,6 +81,3 @@ func (e Elem) HostMul(a, b float64) float64 { return float64(e.hMul(hval(a), hva
 func (e Elem) HostFMA(a, b, c float64) float64 {
 	return float64(e.hFMA(hval(a), hval(b), hval(c)))
 }
-
-// HostRound quantizes to the working precision.
-func (e Elem) HostRound(v float64) float64 { return float64(e.round(hval(v))) }

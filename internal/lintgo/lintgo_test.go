@@ -1,6 +1,7 @@
 package lintgo
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -278,6 +279,60 @@ func main() { go func() {}() }
 	}
 	if len(fs) != 0 {
 		t.Fatalf("sanctioned goroutines flagged: %v", fs)
+	}
+}
+
+func TestNewRunnerViolation(t *testing.T) {
+	src := `package %s
+
+import "fixture/internal/kernels"
+
+func build(b kernels.Builder) (*kernels.Runner, error) {
+	return kernels.NewRunner("W", b, nil, 0)
+}
+`
+	files := map[string]string{"go.mod": "module fixture\n\ngo 1.22\n"}
+	pkgs := []string{"faultinj", "beam", "patterns", "profiler", "core", "serve"}
+	for _, pkg := range pkgs {
+		files["internal/"+pkg+"/build.go"] = fmt.Sprintf(src, pkg)
+	}
+	fs, err := CheckTree(writeModule(t, files))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fs) != len(pkgs) {
+		t.Fatalf("got %d findings, want one per package (%d): %v", len(fs), len(pkgs), fs)
+	}
+	for _, f := range fs {
+		if f.Pos.Line != 6 || !strings.Contains(f.Message, "kernels.Cache") {
+			t.Errorf("finding %v: want line 6, pointing at the caller's runner or a kernels.Cache", f)
+		}
+	}
+}
+
+// Runners may be built where they are owned: in the runner layer
+// itself, in commands and examples, and in tests.
+func TestNewRunnerExemptions(t *testing.T) {
+	call := `(*kernels.Runner, error) { return kernels.NewRunner("W", nil, nil, 0) }`
+	root := writeModule(t, map[string]string{
+		"go.mod": "module fixture\n\ngo 1.22\n",
+		"internal/kernels/cache.go": `package kernels
+
+type Runner struct{}
+
+func NewRunner(name string, b, dev any, opt int) (*Runner, error) { return &Runner{}, nil }
+
+func get() (*Runner, error) { return NewRunner("W", nil, nil, 0) }
+`,
+		"cmd/tool/main.go":                "package main\n\nimport \"fixture/internal/kernels\"\n\nfunc build() " + call + "\n",
+		"internal/faultinj/build_test.go": "package faultinj\n\nimport \"fixture/internal/kernels\"\n\nfunc build() " + call + "\n",
+	})
+	fs, err := CheckTree(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fs) != 0 {
+		t.Fatalf("sanctioned runner builds flagged: %v", fs)
 	}
 }
 

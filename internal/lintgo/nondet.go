@@ -24,6 +24,13 @@ package lintgo
 // lowest failing index, so a hand-written pool cannot reintroduce
 // completion-order results or first-in-time errors. internal/serve
 // stays exempt for its campaign lifecycles (`go c.run()`).
+//
+// The campaign, beam, pattern and profiling layers and the study and
+// daemon layers may not build runners: a `kernels.NewRunner` selector
+// call is flagged at the call. The first four take the runner their
+// caller built; core and serve get theirs from a kernels.Cache. A
+// second runner for a workload the caller already built pays its golden
+// run again and can drift from the caller's view of the same code.
 
 import (
 	"fmt"
@@ -34,9 +41,10 @@ import (
 // nondetBan describes which ambient nondeterminism sources are banned
 // in one package subtree.
 type nondetBan struct {
-	timeNow  bool // ban time.Now call sites
-	mathRand bool // ban math/rand and math/rand/v2 imports
-	goStmt   bool // ban go statements
+	timeNow   bool // ban time.Now call sites
+	mathRand  bool // ban math/rand and math/rand/v2 imports
+	goStmt    bool // ban go statements
+	newRunner bool // ban kernels.NewRunner calls
 }
 
 // nondetBans maps module-relative package directories (prefix-matched,
@@ -46,20 +54,23 @@ var nondetBans = map[string]nondetBan{
 	// deterministic replay core: all randomness must come through
 	// stats.RNG, and nothing in them may consult the wall clock.
 	"internal/sim":      {timeNow: true, mathRand: true, goStmt: true},
-	"internal/faultinj": {timeNow: true, mathRand: true, goStmt: true},
-	"internal/patterns": {timeNow: true, mathRand: true, goStmt: true},
-	"internal/beam":     {timeNow: true, mathRand: true, goStmt: true},
+	"internal/faultinj": {timeNow: true, mathRand: true, goStmt: true, newRunner: true},
+	"internal/patterns": {timeNow: true, mathRand: true, goStmt: true, newRunner: true},
+	"internal/beam":     {timeNow: true, mathRand: true, goStmt: true, newRunner: true},
+	// The profiler measures the runner it is given.
+	"internal/profiler": {newRunner: true},
 	// The runner layer and the study orchestrator parallelize only
-	// through par.ForEach.
+	// through par.ForEach; the orchestrator gets runners from its cache.
 	"internal/kernels": {goStmt: true},
-	"internal/core":    {goStmt: true},
+	"internal/core":    {goStmt: true, newRunner: true},
 	// stats owns the sanctioned math/rand/v2 wrapper (stats.RNG), so
 	// only the clock is banned there.
 	"internal/stats": {timeNow: true},
 	// The campaign daemon reads the clock for elapsed-time bookkeeping
 	// (progress, metrics) but must never sample from an ambient
-	// generator: its trial sharding is seed-derived.
-	"internal/serve": {mathRand: true},
+	// generator: its trial sharding is seed-derived. Its runners come
+	// from the shared cache.
+	"internal/serve": {mathRand: true, newRunner: true},
 }
 
 // nondetBanFor returns the ban covering a module-relative package
@@ -99,11 +110,18 @@ func (c *checker) scanNondet(f *ast.File, ban nondetBan) []Finding {
 				})
 			}
 		case *ast.CallExpr:
-			if ban.timeNow && isTimeNow(n) {
+			if ban.timeNow && isSelectorCall(n, "time", "Now") {
 				out = append(out, Finding{
 					Pos: c.fset.Position(n.Pos()),
 					Message: "deterministic package calls time.Now; campaign behavior must be a pure function of the seed" +
 						" (clock reads belong in the daemon/CLI layers)",
+				})
+			}
+			if ban.newRunner && isSelectorCall(n, "kernels", "NewRunner") {
+				out = append(out, Finding{
+					Pos: c.fset.Position(n.Pos()),
+					Message: "package builds its own runner; take the *kernels.Runner the caller built," +
+						" or get one from a kernels.Cache (one golden run per workload)",
 				})
 			}
 		}
@@ -112,12 +130,13 @@ func (c *checker) scanNondet(f *ast.File, ban nondetBan) []Finding {
 	return out
 }
 
-// isTimeNow reports whether call is a `time.Now()` selector call.
-func isTimeNow(call *ast.CallExpr) bool {
+// isSelectorCall reports whether call is a `pkg.name(...)` selector
+// call.
+func isSelectorCall(call *ast.CallExpr, pkg, name string) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
-	pkg, ok := sel.X.(*ast.Ident)
-	return ok && pkg.Name == "time" && sel.Sel.Name == "Now"
+	id, ok := sel.X.(*ast.Ident)
+	return ok && id.Name == pkg && sel.Sel.Name == name
 }

@@ -242,11 +242,6 @@ func (g *Global) ReadWords(addr uint32, n int) []uint32 {
 	return out
 }
 
-// WriteWords copies host data into device memory at the given address.
-func (g *Global) WriteWords(addr uint32, data []uint32) {
-	copy(g.words[addr/4:], data)
-}
-
 // Shared is the per-block shared memory (scratchpad).
 type Shared struct {
 	words []uint32

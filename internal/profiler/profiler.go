@@ -6,10 +6,6 @@
 package profiler
 
 import (
-	"sort"
-
-	"gpurel/internal/asm"
-	"gpurel/internal/device"
 	"gpurel/internal/isa"
 	"gpurel/internal/kernels"
 	"gpurel/internal/sim"
@@ -118,35 +114,4 @@ func (cp *CodeProfile) ClassLaneOps() map[isa.Class]uint64 {
 		out[op.ClassOf()] += n
 	}
 	return out
-}
-
-// ClassFraction returns f(INST) for one class: the fraction of executed
-// lane-ops in that class.
-func (cp *CodeProfile) ClassFraction(c isa.Class) float64 { return cp.Mix[c] }
-
-// ProfileSuite profiles a list of workloads on one device and compiler
-// pipeline: the Table I data `gpurel profile` renders, which it
-// computes one runner at a time.
-func ProfileSuite(dev *device.Device, opt asm.OptLevel, entries []NamedBuilder) ([]*CodeProfile, error) {
-	var out []*CodeProfile
-	for _, e := range entries {
-		r, err := kernels.NewRunner(e.Name, e.Build, dev, opt)
-		if err != nil {
-			return nil, err
-		}
-		cp, err := Profile(r)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, cp)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, nil
-}
-
-// NamedBuilder pairs a workload name with its builder (kept minimal to
-// avoid a dependency on the suite package).
-type NamedBuilder struct {
-	Name  string
-	Build kernels.Builder
 }

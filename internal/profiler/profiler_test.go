@@ -140,15 +140,18 @@ func TestAggregatesFiniteAcrossSuite(t *testing.T) {
 	}
 }
 
-func TestProfileSuite(t *testing.T) {
-	out, err := ProfileSuite(device.K40c(), asm.O2, []NamedBuilder{
-		{Name: "CCL", Build: kernels.CCLBuilder()},
-		{Name: "BFS", Build: kernels.BFSBuilder()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 || out[0].Name != "BFS" {
-		t.Fatalf("suite profiling wrong: %d entries", len(out))
+// TestProfileEntries profiles two workloads through profiler.Profile,
+// one runner each, the way `gpurel profile` renders Table I.
+func TestProfileEntries(t *testing.T) {
+	for _, e := range []struct {
+		name  string
+		build kernels.Builder
+	}{
+		{"CCL", kernels.CCLBuilder()},
+		{"BFS", kernels.BFSBuilder()},
+	} {
+		if cp := profileOf(t, e.name, e.build, device.K40c()); cp.Name != e.name {
+			t.Fatalf("profile of %s is named %q", e.name, cp.Name)
+		}
 	}
 }

@@ -150,18 +150,24 @@ type ClassCounts struct {
 	DUEModes patterns.DUELedger `json:"due_modes"`
 }
 
-// classProgress is the engine's per-class accumulator.
+// classProgress is the engine's per-class accumulator: the class's
+// outcome tally (Injected counts its trials) plus its stop state.
 type classProgress struct {
-	class    isa.Class
-	sampler  *faultinj.ClassSampler // nil while paused / before build
-	trials   int
-	sdc      int
-	due      int
-	masked   int
-	patterns patterns.Ledger
-	dueModes patterns.DUELedger
-	stopped  bool
-	capHit   bool
+	faultinj.Tally
+	class   isa.Class
+	sampler *faultinj.ClassSampler // nil while paused / before build
+	stopped bool
+	capHit  bool
+}
+
+// counts is the class's deterministic tallies, as /counts and the
+// checkpoint write them.
+func (cp *classProgress) counts() ClassCounts {
+	return ClassCounts{
+		Class: cp.class.String(), Trials: cp.Injected,
+		SDC: cp.SDC, DUE: cp.DUE, Masked: cp.Masked,
+		Patterns: cp.Patterns, DUEModes: cp.DUEModes,
+	}
 }
 
 // Campaign is one adaptively-stopped injection campaign owned by a
@@ -221,20 +227,20 @@ func (c *Campaign) Status() Status {
 		State:       c.state, Error: c.errMsg,
 	}
 	for _, cp := range c.classes {
-		sdcIv := stats.Wilson(cp.sdc, cp.trials)
-		dueIv := stats.Wilson(cp.due, cp.trials)
+		sdcIv := stats.Wilson(cp.SDC, cp.Injected)
+		dueIv := stats.Wilson(cp.DUE, cp.Injected)
 		st.Classes = append(st.Classes, ClassStatus{
 			Class:  cp.class.String(),
-			Trials: cp.trials, SDC: cp.sdc, DUE: cp.due, Masked: cp.masked,
+			Trials: cp.Injected, SDC: cp.SDC, DUE: cp.DUE, Masked: cp.Masked,
 			SDCLower: sdcIv.Lower, SDCUpper: sdcIv.Upper,
 			DUELower: dueIv.Lower, DUEUpper: dueIv.Upper,
 			SDCWidth: sdcIv.Width(), DUEWidth: dueIv.Width(),
 			Stopped: cp.stopped, CapHit: cp.capHit,
 		})
-		st.Trials += cp.trials
-		st.SDC += cp.sdc
-		st.DUE += cp.due
-		st.Masked += cp.masked
+		st.Trials += cp.Injected
+		st.SDC += cp.SDC
+		st.DUE += cp.DUE
+		st.Masked += cp.Masked
 	}
 	st.BaselineTrials = len(c.classes) * stats.WorstCaseTrials(c.req.TargetWidth)
 	el := c.elapsed
@@ -259,11 +265,7 @@ func (c *Campaign) Counts() Counts {
 		Tool: c.tool.String(), Seed: c.req.Seed,
 	}
 	for _, cp := range c.classes {
-		out.Classes = append(out.Classes, ClassCounts{
-			Class: cp.class.String(), Trials: cp.trials,
-			SDC: cp.sdc, DUE: cp.due, Masked: cp.masked,
-			Patterns: cp.patterns, DUEModes: cp.dueModes,
-		})
+		out.Classes = append(out.Classes, cp.counts())
 	}
 	return out
 }
@@ -327,11 +329,7 @@ func (c *Campaign) checkpointPath() string {
 func (c *Campaign) checkpointLocked() error {
 	ck := checkpointJSON{ID: c.ID, Request: c.req, Tool: c.tool.String()}
 	for _, cp := range c.classes {
-		ck.Classes = append(ck.Classes, ClassCounts{
-			Class: cp.class.String(), Trials: cp.trials,
-			SDC: cp.sdc, DUE: cp.due, Masked: cp.masked,
-			Patterns: cp.patterns, DUEModes: cp.dueModes,
-		})
+		ck.Classes = append(ck.Classes, cp.counts())
 		if cp.stopped {
 			ck.Stopped = append(ck.Stopped, cp.class.String())
 		}
@@ -368,10 +366,11 @@ func (s *Server) loadCheckpoint(id string) (*Campaign, error) {
 			return nil, fmt.Errorf("serve: checkpoint %s: %w", id, err)
 		}
 		c.classes = append(c.classes, &classProgress{
-			class: class, trials: cc.Trials,
-			sdc: cc.SDC, due: cc.DUE, masked: cc.Masked,
-			patterns: cc.Patterns, dueModes: cc.DUEModes,
-			stopped: stopped[cc.Class], capHit: capHit[cc.Class],
+			Tally: faultinj.Tally{
+				Injected: cc.Trials, SDC: cc.SDC, DUE: cc.DUE, Masked: cc.Masked,
+				Patterns: cc.Patterns, DUEModes: cc.DUEModes,
+			},
+			class: class, stopped: stopped[cc.Class], capHit: capHit[cc.Class],
 		})
 	}
 	c.state = StatePaused
@@ -386,7 +385,6 @@ func (s *Server) loadCheckpoint(id string) (*Campaign, error) {
 // maps to one plan, and outcome tallies are order-free sums.
 func (c *Campaign) run() {
 	c.srv.metrics.campaignsActive.Add(1)
-	defer c.srv.metrics.campaignsActive.Add(-1)
 
 	c.mu.Lock()
 	c.started = time.Now()
@@ -472,6 +470,7 @@ func (c *Campaign) run() {
 	// Count before waiters can see the state, so a client that saw
 	// "done" reads a /metrics that includes this campaign.
 	c.srv.metrics.campaignsCompleted.Add(1)
+	c.srv.metrics.campaignsActive.Add(-1)
 	c.signalLocked()
 	c.mu.Unlock()
 }
@@ -528,14 +527,14 @@ func (c *Campaign) scheduleRound() []*trialJob {
 		if cp.stopped {
 			continue
 		}
-		end := cp.trials + c.req.Batch
+		end := cp.Injected + c.req.Batch
 		if end > c.req.MaxTrials {
 			end = c.req.MaxTrials
 		}
-		for i := cp.trials; i < end; i++ {
+		for i := cp.Injected; i < end; i++ {
 			jobs = append(jobs, &trialJob{ci: ci, index: uint64(i)})
 		}
-		if end >= c.req.MaxTrials && cp.trials >= c.req.MaxTrials {
+		if end >= c.req.MaxTrials && cp.Injected >= c.req.MaxTrials {
 			// Defensive: a class at cap should have been marked stopped
 			// by settleRound already.
 			cp.stopped, cp.capHit = true, true
@@ -581,33 +580,21 @@ func (c *Campaign) settleRound(jobs []*trialJob) {
 		geo = c.runnerRef.Instance().Output
 	}
 	for _, job := range jobs {
-		cp := c.classes[job.ci]
-		cp.trials++
-		ob := patterns.Observe(job.rec, geo)
-		cp.patterns.Count(ob)
-		cp.dueModes.Count(ob)
-		switch job.rec.Outcome {
-		case kernels.SDC:
-			cp.sdc++
-		case kernels.DUE:
-			cp.due++
-		default:
-			cp.masked++
-		}
+		c.classes[job.ci].Count(patterns.Observe(job.rec, geo))
 	}
 	for _, cp := range c.classes {
 		if cp.stopped {
 			continue
 		}
-		if cp.trials >= c.req.MinTrials {
-			sdcW := stats.Wilson(cp.sdc, cp.trials).Width()
-			dueW := stats.Wilson(cp.due, cp.trials).Width()
+		if cp.Injected >= c.req.MinTrials {
+			sdcW := stats.Wilson(cp.SDC, cp.Injected).Width()
+			dueW := stats.Wilson(cp.DUE, cp.Injected).Width()
 			if sdcW <= c.req.TargetWidth && dueW <= c.req.TargetWidth {
 				cp.stopped = true
 				continue
 			}
 		}
-		if cp.trials >= c.req.MaxTrials {
+		if cp.Injected >= c.req.MaxTrials {
 			cp.stopped, cp.capHit = true, true
 		}
 	}
@@ -620,6 +607,7 @@ func (c *Campaign) fail(err error) {
 	c.errMsg = err.Error()
 	c.runnerRef = nil
 	c.srv.metrics.campaignsFailed.Add(1)
+	c.srv.metrics.campaignsActive.Add(-1)
 	c.signalLocked()
 	c.mu.Unlock()
 	c.srv.logf("campaign %s failed: %v", c.ID, err)

@@ -231,6 +231,7 @@ func TestHTTPMetrics(t *testing.T) {
 	buf.ReadFrom(resp.Body)
 	body := buf.String()
 	for _, want := range []string{
+		"gpurel_campaigns_active 0\n",
 		"gpurel_campaigns_completed 1",
 		"gpurel_trials_total",
 		"gpurel_trials_per_sec",

@@ -49,9 +49,6 @@ func (r *RNG) Int64N(n int64) int64 { return r.src.Int64N(n) }
 // Float64 returns a uniform value in [0, 1).
 func (r *RNG) Float64() float64 { return r.src.Float64() }
 
-// NormFloat64 returns a standard normal variate.
-func (r *RNG) NormFloat64() float64 { return r.src.NormFloat64() }
-
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.src.Float64() < p }
 
