@@ -398,6 +398,18 @@ func BenchmarkSimPerFaultYOLOv3(b *testing.B) {
 	benchPerFault(b, "FYOLOV3", kernels.YOLOBuilder(true, isa.F32))
 }
 
+// BenchmarkSimPerFaultQuicksort and BenchmarkSimPerFaultBFS price the
+// launches whose blocks read each other's words: QUICKSORT's one launch
+// and BFS's launches 3–7 replay in log mode under the single-writer
+// certificate (DESIGN §19).
+func BenchmarkSimPerFaultQuicksort(b *testing.B) {
+	benchPerFault(b, "QUICKSORT", kernels.QuicksortBuilder())
+}
+
+func BenchmarkSimPerFaultBFS(b *testing.B) {
+	benchPerFault(b, "BFS", kernels.BFSBuilder())
+}
+
 func BenchmarkSimPerFaultFMXMUniform(b *testing.B) {
 	benchPerFaultUniform(b, "FMXM", kernels.MxMBuilder(isa.F32))
 }

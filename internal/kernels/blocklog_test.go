@@ -47,21 +47,26 @@ func runLaunchFull(t *testing.T, r *Runner, plan *sim.FaultPlan, launch int) *si
 // block passes the certificate in log mode, the checkpoint-free full
 // run of that launch keeps the golden schedule: golden cycles and
 // golden warp-instruction count. Random operation faults land on the
-// block-independent launches of four codes on both devices; both the
-// accepted and the fallen-back trials must occur, and every trial's
-// record must equal full re-simulation.
+// single-writer launches of six codes on both devices: four
+// block-independent ones, QUICKSORT's one launch and BFS's launches
+// 3–7, whose blocks read each other's words. Both the accepted and the
+// fallen-back trials must occur, and every trial's record must equal
+// full re-simulation.
 func TestLogPathKeepsGoldenSchedule(t *testing.T) {
 	if testing.Short() {
 		t.Skip("schedule sweep is heavy")
 	}
 	codes := []struct {
-		name  string
-		build Builder
+		name     string
+		build    Builder
+		launches []int // the launches to fault; nil for every one
 	}{
-		{"FMXM", MxMBuilder(isa.F32)},
-		{"FLAVA", LavaBuilder(isa.F32)},
-		{"FGAUSSIAN", GaussianBuilder()},
-		{"CCL", CCLBuilder()},
+		{"FMXM", MxMBuilder(isa.F32), nil},
+		{"FLAVA", LavaBuilder(isa.F32), nil},
+		{"FGAUSSIAN", GaussianBuilder(), nil},
+		{"CCL", CCLBuilder(), nil},
+		{"QUICKSORT", QuicksortBuilder(), nil},
+		{"BFS", BFSBuilder(), []int{3, 4, 5, 6, 7}},
 	}
 	const perCode = 30
 	accepted, fellBack := 0, 0
@@ -71,18 +76,16 @@ func TestLogPathKeepsGoldenSchedule(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var eligible []int
-			for i := range r.Instance().Launches {
-				bl, err := r.blockLog(i)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if bl.Eligible() {
+			eligible := c.launches
+			if eligible == nil {
+				for i := range r.Instance().Launches {
 					eligible = append(eligible, i)
 				}
 			}
-			if len(eligible) == 0 {
-				t.Fatalf("%s has no block-independent launch", c.name)
+			for _, i := range eligible {
+				if bl, err := r.blockLog(i); err != nil || !bl.Eligible() {
+					t.Fatalf("%s launch %d is not single-writer (%v)", c.name, i, err)
+				}
 			}
 			askLogs(t, r)
 			rng := stats.NewRNG(0x10c5, uint64(ci))
@@ -218,5 +221,237 @@ func TestFenceTripsOnCrossBlockStore(t *testing.T) {
 	t.Logf("%+v", st)
 	if st.Fenced == 0 || st.Logged == 0 {
 		t.Errorf("log stats %+v: want both fenced and accepted trials", st)
+	}
+}
+
+// handoffBuilder is a two-block kernel in which block 1 reads words
+// block 0 writes: the launch is single-writer but not
+// block-independent. Thread t of block 0 stores in[t]+1 to mid[t] and
+// out[t], and in[t]+2 to mid[32+t]. Thread t of block 1 loads mid[t]
+// at once, before block 0 stores it, and again after a delay loop,
+// after the store, and writes the early value plus twice the late one
+// to out[32+t]. Block 1 never reads mid[32+t].
+func handoffBuilder() Builder {
+	return func(dev *device.Device, opt asm.OptLevel) (*Instance, error) {
+		const n = 32
+		g := mem.NewGlobal(1 << 16)
+		// mid comes first, at a 256-byte boundary: flipping bit 7 of the
+		// address of mid[t] gives mid[32+t].
+		mid, err := g.Alloc(8 * n)
+		if err != nil {
+			return nil, err
+		}
+		in, _ := g.Alloc(4 * n)
+		out, _ := g.Alloc(8 * n)
+		want := make([]uint32, 2*n)
+		for i := 0; i < n; i++ {
+			g.SetWord(in+uint32(4*i), uint32(100+i))
+			want[i] = uint32(101 + i)
+			want[n+i] = 2 * uint32(101+i)
+		}
+		b := asm.New("handoff", opt)
+		tid, cta := b.R(), b.R()
+		b.S2R(tid, isa.SrTidX)
+		b.S2R(cta, isa.SrCtaidX)
+		p := b.P()
+		b.ISetp(p, isa.CmpEQ, isa.R(cta), isa.ImmInt(0))
+		b.IfElse(p, false, func() {
+			v, w := b.R(), b.R()
+			b.Ldg(v, emitAddr(b, tid, in, 4), 0)
+			b.IAdd(v, isa.R(v), isa.ImmInt(1))
+			m := emitAddr(b, tid, mid, 4)
+			b.Stg(m, 0, v)
+			b.IAdd(w, isa.R(v), isa.ImmInt(1))
+			b.Stg(m, 4*n, w)
+			b.Stg(emitAddr(b, tid, out, 4), 0, v)
+		}, func() {
+			m := emitAddr(b, tid, mid, 4)
+			early, late, spin, i := b.R(), b.R(), b.R(), b.R()
+			b.Ldg(early, m, 0)
+			b.MovImm(spin, 0)
+			b.ForCounter(i, 0, 100, asm.LoopOpts{}, func() {
+				b.IAdd(spin, isa.R(spin), isa.R(i))
+			})
+			b.Ldg(late, m, 0)
+			b.IAdd(late, isa.R(late), isa.R(late))
+			b.IAdd(late, isa.R(late), isa.R(early))
+			b.Stg(emitAddr(b, tid, out+4*n, 4), 0, late)
+		})
+		b.ReleaseP(p)
+		b.Exit()
+		prog, err := b.Build()
+		if err != nil {
+			return nil, err
+		}
+		return &Instance{
+			Name: "HANDOFF", Dev: dev, Global: g,
+			Launches: []Launch{{Prog: prog, GridX: 2, GridY: 1, BlockThreads: n}},
+			Check:    checkWords(out, want),
+		}, nil
+	}
+}
+
+// TestForeignReadsReplayExactly drives operation faults through the
+// triggers of a launch whose block 1 reads block 0's words, before and
+// after block 0 writes them. Every record must equal full
+// re-simulation, and all three outcomes of the foreign-read rules
+// (DESIGN §19) must occur: block 1 replays alone and its foreign loads
+// get the golden values; a fault in block 0 changes a word before
+// block 1 reads it, and the replay falls back; an address fault moves
+// a load of block 1 onto a word of block 0 it does not read in golden,
+// and the fence trips.
+func TestForeignReadsReplayExactly(t *testing.T) {
+	r, err := NewRunner("HANDOFF", handoffBuilder(), device.K40c(), asm.O0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bl, err := r.blockLog(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bl.Eligible() {
+		t.Fatal("the hand-off kernel should be single-writer")
+	}
+	askLogs(t, r)
+	var readerAlone, foreign, fenced int
+	ops := r.GoldenProfiles()[0].LaneOps
+	for trigger := uint64(0); trigger < ops; trigger += 3 {
+		for _, k := range []struct {
+			kind sim.FaultKind
+			bit  int
+		}{{sim.FaultValueBit, 3}, {sim.FaultAddrBit, 7}, {sim.FaultAddrBit, 2}} {
+			plan := &sim.FaultPlan{Kind: k.kind, TriggerIndex: trigger, Bit: k.bit}
+			g := r.pool.Get()
+			var ls sim.LogScratch
+			cfg := r.replayConfig(0)
+			cfg.Fault = clonePlan(plan)
+			res, err := sim.Replay(cfg, g, r.ckpts[0], bl, &ls)
+			r.pool.Put(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case res.LogFallback == sim.LogForeignRead:
+				foreign++
+			case res.LogFallback == sim.LogFenced:
+				fenced++
+			case res.LogFallback == sim.LogOK && res.LogBlocks == 1 && res.LogBlock == 1 && res.Outcome == sim.OutcomeOK:
+				readerAlone++
+			}
+			rec, err := r.RunTrialWithFault(clonePlan(plan), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if full := runWithFaultFull(t, r, clonePlan(plan), 0); !reflect.DeepEqual(rec, full) {
+				t.Errorf("%v bit %d at %d: checkpointed %+v, full re-sim %+v", plan.Kind, plan.Bit, trigger, rec, full)
+			}
+		}
+	}
+	t.Logf("block 1 alone %d, foreign-read fallbacks %d, fenced %d; %v", readerAlone, foreign, fenced, r.LogStats())
+	if readerAlone == 0 || foreign == 0 || fenced == 0 {
+		t.Errorf("block 1 alone %d, foreign-read fallbacks %d, fenced %d: want all three", readerAlone, foreign, fenced)
+	}
+}
+
+// relayBuilder is a two-launch kernel whose second launch reads a word
+// before its writer writes it. Launch 0 (one block) stores in[t]+1 to
+// mid[t]. In launch 1, block 1 copies mid[t] to out[t] at once, and
+// block 0 stores 7 to mid[t] after a delay loop. A fault in launch 0
+// leaves mid[t] dirty at launch 1's boundary: block 1 then replays
+// alone and must read the dirty value, not the golden one, while block
+// 0 writes mid[t] without reading it and runs golden.
+func relayBuilder() Builder {
+	return func(dev *device.Device, opt asm.OptLevel) (*Instance, error) {
+		const n = 32
+		g := mem.NewGlobal(1 << 16)
+		in, err := g.Alloc(4 * n)
+		if err != nil {
+			return nil, err
+		}
+		mid, _ := g.Alloc(4 * n)
+		out, _ := g.Alloc(4 * n)
+		wantMid, wantOut := make([]uint32, n), make([]uint32, n)
+		for i := 0; i < n; i++ {
+			g.SetWord(in+uint32(4*i), uint32(100+i))
+			wantMid[i], wantOut[i] = 7, uint32(101+i)
+		}
+		b := asm.New("relay0", opt)
+		tid, v := b.R(), b.R()
+		b.S2R(tid, isa.SrTidX)
+		b.Ldg(v, emitAddr(b, tid, in, 4), 0)
+		b.IAdd(v, isa.R(v), isa.ImmInt(1))
+		b.Stg(emitAddr(b, tid, mid, 4), 0, v)
+		b.Exit()
+		fill, err := b.Build()
+		if err != nil {
+			return nil, err
+		}
+		b = asm.New("relay1", opt)
+		tid, cta := b.R(), b.R()
+		b.S2R(tid, isa.SrTidX)
+		b.S2R(cta, isa.SrCtaidX)
+		m := emitAddr(b, tid, mid, 4)
+		p := b.P()
+		b.ISetp(p, isa.CmpEQ, isa.R(cta), isa.ImmInt(0))
+		b.IfElse(p, false, func() {
+			spin, i, seven := b.R(), b.R(), b.R()
+			b.MovImm(spin, 0)
+			b.ForCounter(i, 0, 100, asm.LoopOpts{}, func() {
+				b.IAdd(spin, isa.R(spin), isa.R(i))
+			})
+			b.MovImm(seven, 7)
+			b.Stg(m, 0, seven)
+		}, func() {
+			v := b.R()
+			b.Ldg(v, m, 0)
+			b.Stg(emitAddr(b, tid, out, 4), 0, v)
+		})
+		b.ReleaseP(p)
+		b.Exit()
+		relay, err := b.Build()
+		if err != nil {
+			return nil, err
+		}
+		return &Instance{
+			Name: "RELAY", Dev: dev, Global: g,
+			Launches: []Launch{
+				{Prog: fill, GridX: 1, GridY: 1, BlockThreads: n},
+				{Prog: relay, GridX: 2, GridY: 1, BlockThreads: n},
+			},
+			Check: checkAll(checkWords(mid, wantMid), checkWords(out, wantOut)),
+		}, nil
+	}
+}
+
+// TestForeignReadBeforeWriteSeesDirtyWord drives value faults through
+// every trigger of RELAY's first launch. Its second launch replays only
+// block 1, which reads mid[t] before block 0 writes it: the replay must
+// give block 1 the dirty value, so the corrupted words reach out[] as
+// SDCs, exactly as in full re-simulation.
+func TestForeignReadBeforeWriteSeesDirtyWord(t *testing.T) {
+	r, err := NewRunner("RELAY", relayBuilder(), device.K40c(), asm.O0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bl, err := r.blockLog(1); err != nil || !bl.Eligible() {
+		t.Fatalf("RELAY's second launch should be single-writer (%v)", err)
+	}
+	askLogs(t, r)
+	sdc := 0
+	for trigger := uint64(0); trigger < r.GoldenProfiles()[0].LaneOps; trigger++ {
+		plan := &sim.FaultPlan{Kind: sim.FaultValueBit, TriggerIndex: trigger, Bit: int(trigger % 32)}
+		rec, err := r.RunTrialWithFault(clonePlan(plan), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Outcome == SDC {
+			sdc++
+		}
+		if full := runWithFaultFull(t, r, clonePlan(plan), 0); !reflect.DeepEqual(rec, full) {
+			t.Errorf("trigger %d: checkpointed %+v, full re-sim %+v", trigger, rec, full)
+		}
+	}
+	if st := r.LogStats(); sdc == 0 || st.Logged == 0 {
+		t.Errorf("%d SDCs, log stats %v: want SDCs through launch 1 replayed in log mode", sdc, st)
 	}
 }

@@ -50,7 +50,7 @@ func runWithFaultFull(t *testing.T, r *Runner, plan *sim.FaultPlan, faultLaunch 
 // askLogs asks for every launch's block log up to the recording
 // threshold, so every later trial of r takes the log paths wherever
 // they apply, whatever order trials reach the launches in.
-func askLogs(t *testing.T, r *Runner) {
+func askLogs(t testing.TB, r *Runner) {
 	t.Helper()
 	for i := range r.Instance().Launches {
 		for k := 0; k < logAfter; k++ {
@@ -185,12 +185,13 @@ func TestRunnerReusableAfterFaults(t *testing.T) {
 // gets triggers spread across the whole launch, and the checkpointed
 // verdict must match full re-simulation for each. The test also pins
 // how often the images engaged (restores used, rejoins cut off), and
-// how often the block log took over at the fire: equivalence proven
+// how often the block log ran the fault launch: equivalence proven
 // only on replays that bypassed the images would prove nothing, and a
 // change in checkpoint placement, start picking, or log eligibility
 // moves the counts. Rejoins are few because an operation fault's
-// replay switches to log mode at the fire, before any image could be
-// rejoined; storage faults and log fallbacks still rejoin.
+// replay runs its faulted block alone in log mode from the start
+// image, and never rejoins; storage faults and log fallbacks still
+// rejoin.
 func TestSubLaunchReplayAcrossFaultKinds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence sweep is heavy")
@@ -242,7 +243,7 @@ func TestSubLaunchReplayAcrossFaultKinds(t *testing.T) {
 	if restores != 39 || rejoins != 5 {
 		t.Errorf("sub-launch replay over 40 faults: %d restores, %d rejoins; want 39 and 5", restores, rejoins)
 	}
-	if got, want := r.LogStats(), (LogStats{Logged: 16, PCMismatch: 1}); got != want {
+	if got, want := r.LogStats(), (LogStats{Logged: 16, Prefixed: 17, PCMismatch: 1}); got != want {
 		t.Errorf("log-mode stats over 40 faults: %+v, want %+v", got, want)
 	}
 }
@@ -386,9 +387,9 @@ func TestRunnerCheckpointLayout(t *testing.T) {
 		images    int
 		footprint int
 	}{
-		{"FMXM", MxMBuilder(isa.F32), 1, 22, 6611592},
-		{"FGAUSSIAN", GaussianBuilder(), 46, 0, 5396936},
-		{"FHOTSPOT", HotspotBuilder(isa.F32), 4, 8, 5474080},
+		{"FMXM", MxMBuilder(isa.F32), 1, 22, 6923592},
+		{"FGAUSSIAN", GaussianBuilder(), 46, 0, 5474036},
+		{"FHOTSPOT", HotspotBuilder(isa.F32), 4, 8, 5579040},
 	}
 	for _, dev := range []*device.Device{device.K40c(), device.V100()} {
 		for _, c := range cases {

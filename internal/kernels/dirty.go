@@ -50,10 +50,9 @@ func (r *Runner) blockLog(i int) (*sim.BlockLog, error) {
 
 // Fallback reasons counted by LogStats: the sim.LogFallback reasons
 // (indexed by their value; LogOK's slot stays zero), plus a launch that
-// had to run under the cycle engine because it is not
-// block-independent.
+// had to run under the cycle engine because it is not single-writer.
 const (
-	fallbackIneligible = int(sim.LogMultiDUE) + 1
+	fallbackIneligible = int(sim.LogForeignRead) + 1
 	fallbackKinds      = fallbackIneligible + 1
 )
 
@@ -67,34 +66,40 @@ func (r *Runner) countFallback(f sim.LogFallback) {
 // fire point (DESIGN §19).
 type LogStats struct {
 	// Logged counts launches finished in log mode: fault launches
-	// whose faulted block finished alone, and later launches that
-	// replayed only the blocks reading a dirty word.
+	// whose faulted block ran alone, and later launches that replayed
+	// only the blocks reading a dirty word.
 	Logged uint64
+	// Prefixed counts fault launches whose pre-fire prefix ran in log
+	// mode, from the start image, whether the replay was then accepted
+	// or fell back.
+	Prefixed uint64
 	// Skipped counts later launches no block of which reads a dirty word.
 	Skipped uint64
 	// Fallbacks to the cycle engine, by reason: a warp left its golden
 	// pc sequence, an access crossed the block fence, a DUE while more
-	// than one block replayed, and launches that are not
-	// block-independent (an operation fault's launch, or a later launch
-	// with dirty words).
-	PCMismatch, Fenced, MultiDUE, Ineligible uint64
+	// than one block replayed, a block that did not replay would have
+	// read a non-golden value, and launches that are not single-writer
+	// (an operation fault's launch, or a later launch with dirty words).
+	PCMismatch, Fenced, MultiDUE, ForeignRead, Ineligible uint64
 }
 
 // String renders the stats for a progress line.
 func (s LogStats) String() string {
-	return fmt.Sprintf("log-mode launches %d, skipped %d, fallbacks pc %d fence %d multi-block DUE %d ineligible %d",
-		s.Logged, s.Skipped, s.PCMismatch, s.Fenced, s.MultiDUE, s.Ineligible)
+	return fmt.Sprintf("log-mode launches %d (fault launches from the start image %d), skipped %d, fallbacks pc %d fence %d multi-block DUE %d foreign read %d ineligible %d",
+		s.Logged, s.Prefixed, s.Skipped, s.PCMismatch, s.Fenced, s.MultiDUE, s.ForeignRead, s.Ineligible)
 }
 
 // LogStats reports the log-mode accounting of the runner's replays.
 func (r *Runner) LogStats() LogStats {
 	return LogStats{
-		Logged:     r.logged.Load(),
-		Skipped:    r.skipped.Load(),
-		PCMismatch: r.fallbacks[sim.LogPCMismatch].Load(),
-		Fenced:     r.fallbacks[sim.LogFenced].Load(),
-		MultiDUE:   r.fallbacks[sim.LogMultiDUE].Load(),
-		Ineligible: r.fallbacks[fallbackIneligible].Load(),
+		Logged:      r.logged.Load(),
+		Prefixed:    r.prefixed.Load(),
+		Skipped:     r.skipped.Load(),
+		PCMismatch:  r.fallbacks[sim.LogPCMismatch].Load(),
+		Fenced:      r.fallbacks[sim.LogFenced].Load(),
+		MultiDUE:    r.fallbacks[sim.LogMultiDUE].Load(),
+		ForeignRead: r.fallbacks[sim.LogForeignRead].Load(),
+		Ineligible:  r.fallbacks[fallbackIneligible].Load(),
 	}
 }
 

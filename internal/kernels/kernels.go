@@ -172,12 +172,12 @@ type TrialRecord struct {
 // same seed.
 //
 // Past the fault launch a replay carries memory as the golden boundary
-// plus a sparse dirty set, and on block-independent launches it replays
+// plus a sparse dirty set, and on single-writer launches it replays
 // only the blocks a fault can reach, alone, from their golden issue
 // logs (sim.BlockLog, DESIGN §19): the faulted block of an operation
-// fault, and in each later launch the blocks whose golden reads meet
-// the dirty set. A launch no block of which reads a dirty word is
-// skipped.
+// fault, from the fault's start image, and in each later launch the
+// blocks whose golden reads meet the dirty set. A launch no block of
+// which reads a dirty word is skipped.
 type Runner struct {
 	Name  string
 	Build Builder
@@ -211,6 +211,7 @@ type Runner struct {
 	subRestores atomic.Uint64 // replays started from a sub-launch image
 	subRejoins  atomic.Uint64 // replays cut off at a sub-launch rejoin
 	logged      atomic.Uint64 // launches finished in log mode
+	prefixed    atomic.Uint64 // fault launches run in log mode from the start image
 	skipped     atomic.Uint64 // later launches no block of which reads a dirty word
 	fallbacks   [fallbackKinds]atomic.Uint64
 
@@ -280,7 +281,7 @@ func newRunner(name string, build Builder, dev *device.Device, opt asm.OptLevel,
 // checkpoints, the final memory, and every launch's block log at the
 // size it takes once recorded (sim.BlockLogBytes), charged from the
 // start so the cache budgets a runner by what it will hold. A launch
-// found not block-independent keeps no log, so its charge is an upper
+// found not single-writer keeps no log, so its charge is an upper
 // bound. The replay scratch pool is excluded — it grows with concurrent
 // replays, not with cache residency. kernels.Cache charges this
 // against its byte budget when deciding evictions.
@@ -336,14 +337,14 @@ func (r *Runner) LaunchLaneOps(filter func(op isa.Op) bool) []uint64 {
 // starts from the latest golden checkpoint preceding the plan's trigger,
 // and a replay whose state rejoins golden — at a sub-launch image or a
 // launch boundary — is masked without simulating the rest of the
-// program. On block-independent launches an operation fault's block
-// finishes alone in log mode, and each later launch replays only the
-// blocks that read a dirty word (sim.BlockLog); anything the log
-// certificate cannot vouch for re-runs under the cycle engine. The
-// watchdog is set to a small multiple of the golden cycle count so
-// hangs resolve quickly. SDC trials additionally carry a budget-capped
-// diff of the output region against the final golden memory
-// (TrialRecord).
+// program. On single-writer launches an operation fault's block runs
+// alone in log mode from the start image, and each later launch
+// replays only the blocks that read a dirty word (sim.BlockLog);
+// anything the log certificate cannot vouch for re-runs under the
+// cycle engine. The watchdog is set to a small multiple of the golden
+// cycle count so hangs resolve quickly. SDC trials additionally carry
+// a budget-capped diff of the output region against the final golden
+// memory (TrialRecord).
 //
 // On an infrastructure error the record's Outcome is DUE, but callers
 // must treat the error as fatal to the trial, not as a classification:
@@ -361,7 +362,7 @@ func (r *Runner) RunTrialWithFault(plan *sim.FaultPlan, faultLaunch int) (TrialR
 	}
 
 	// The fault launch replays from its checkpoint sequence (sim.Replay
-	// restores g), switching to log mode at the fire when it can.
+	// restores g), in log mode when it can.
 	var bl *sim.BlockLog
 	if plan.Kind < sim.FaultRFBit {
 		var err error
@@ -380,6 +381,9 @@ func (r *Runner) RunTrialWithFault(plan *sim.FaultPlan, faultLaunch int) (TrialR
 	}
 	if res.StartImage > 0 {
 		r.subRestores.Add(1)
+	}
+	if res.LogBlocks > 0 || res.LogFallback != sim.LogOK {
+		r.prefixed.Add(1)
 	}
 	r.countFallback(res.LogFallback)
 	if res.Outcome == sim.OutcomeDUE {

@@ -2,30 +2,39 @@
 // (DESIGN §19). A golden re-simulation of a launch (RecordBlockLog)
 // records, per block, the ordered (warp, pc) of every warp-instruction
 // the block issues, stamped with its position in the launch's global
-// issue order, plus which blocks read and write each global word. A
-// launch is block-independent when no word one block writes is read or
-// written by another (an atomic counts as both).
+// issue order (its seq) and with the lanes it executed; which blocks
+// read and write each global word; and the launch's foreign reads, the
+// loads of a word by a block that is not the word's writer. A launch
+// is single-writer when every word written in golden has exactly one
+// writer block (an atomic counts as a read and a write).
 //
 // In log mode a block issues its logged instructions in golden order,
 // through the same issue path as the cycle engine, with no scheduler,
 // no scoreboard wait and no other block. The result is exact under a
-// certificate checked as the block runs:
+// certificate checked as the replayed blocks run:
 //
 //  1. every warp issues exactly its golden pc sequence and ends where
-//     golden ends, and
-//  2. every global access passes the block's fence: a load touches only
-//     words no other block writes in golden, a store only words no
-//     other block reads or writes.
+//     golden ends;
+//  2. every global access passes the block's fence: a store touches
+//     only words the block writes in golden or no block accesses, and a
+//     load of a word another block writes is one of the block's golden
+//     foreign reads at that seq, unless that writer replays too; and
+//  3. every golden foreign read of a replayed block's word by a block
+//     that does not replay finds its golden value in memory at its seq.
 //
 // The scheduler reads a warp's pc sequence and the static decode of
 // each pc, never data, so under (1) the full faulted run keeps the
-// golden schedule; under (2) the other blocks then read golden inputs
-// and run golden, and the replayed blocks see exactly the memory they
-// see in log mode. Any doubt falls back to the cycle engine.
+// golden schedule. By induction over seq, (2) and (3) then give every
+// block that does not replay golden inputs, so it runs golden, and a
+// replayed block's foreign read gets what the full run reads: the
+// recorded golden value once the writer had written the word, the
+// launch-start memory before. Any doubt falls back to the cycle engine.
 package sim
 
 import (
 	"fmt"
+	"math"
+	"sort"
 
 	"gpurel/internal/device"
 	"gpurel/internal/mem"
@@ -45,12 +54,15 @@ const (
 	LogFenced
 	// LogMultiDUE: a DUE while more than one block replayed.
 	LogMultiDUE
+	// LogForeignRead: a block that did not replay would have read a
+	// non-golden value from a replayed block's word.
+	LogForeignRead
 )
 
 // Per-word access marks of a BlockLog. A word's mark is noAccessor,
 // manyReaders (read by two or more blocks, written by none), or the one
-// block that accesses it, with soleWritten set when that block writes
-// it.
+// block that writes it, with soleWritten set, or the one block that
+// reads it and nothing else.
 const (
 	noAccessor  = -1
 	manyReaders = -2
@@ -65,37 +77,61 @@ type logEntry struct {
 	pc   uint16
 }
 
+// foreignRead is one golden load of a word by a block that is not the
+// word's writer: its seq, the reader, the word and the value it read,
+// and whether the writer had written the word before (otherwise the
+// value is the launch-start memory's).
+type foreignRead struct {
+	seq, word, val uint32
+	reader         int32
+	written        bool
+}
+
+// foreignReadBytes is the size of a foreignRead.
+const foreignReadBytes = 20
+
+// maxForeignReads caps a launch's foreign reads at one per four golden
+// warp-instructions; a launch with more keeps no log. The densest
+// single-writer launch of the suite, BFS's sixth (523 foreign reads in
+// 2,208 warp-instructions), stays under it.
+func maxForeignReads(warpInstrs uint64) int { return int(warpInstrs / 4) }
+
 // BlockLog is one launch's golden block record. A launch that is not
-// block-independent keeps none of it (Eligible is false).
+// single-writer keeps none of it (Eligible is false).
 type BlockLog struct {
 	eligible bool
 	blocks   int
 
-	off []int32    // issue log of block c: ent[off[c]:off[c+1]]
-	ent []logEntry //
-	acc []int32    // per allocated word: the access mark
-	rd  []uint64   // per allocated word: bit c%64 for each reader c (optional)
+	off   []int32    // issue log of block c: ent[off[c]:off[c+1]]
+	ent   []logEntry //
+	lanes []uint8    // per entry: the lanes it executed (0 for control flow)
+	order []int32    // per seq: the index of its entry in ent
+	acc   []int32    // per allocated word: the access mark
+	rd    []uint64   // per allocated word: bit c%64 for each reader c (optional)
 
 	wOff  []int32  // golden writes of block c: wList[wOff[c]:wOff[c+1]]
 	wList []uint32 // word indices
+
+	frd []foreignRead // the golden foreign reads, by seq
 }
 
-// BlockLogBytes is the memory a launch's BlockLog takes, from the
+// BlockLogBytes bounds the memory a launch's BlockLog takes, from the
 // launch's golden warp-instruction count, its block count, and its
-// allocated words (null guard included): 8 bytes per logged
-// instruction, two offset tables, and per word 4 bytes of access mark,
-// 4 bytes of golden write list at its bound of one entry per word, and,
-// with readers, 8 bytes of reader mask.
+// allocated words (null guard included): per logged instruction 8
+// bytes of issue log, 1 byte of lane count and 4 bytes of seq index;
+// the foreign reads at their cap; two offset tables; and per word 4
+// bytes of access mark, 4 bytes of golden write list at its bound of
+// one entry per word, and, with readers, 8 bytes of reader mask.
 func BlockLogBytes(warpInstrs uint64, blocks, words int, readers bool) int {
 	perWord := 8
 	if readers {
 		perWord += 8
 	}
-	return 8*int(warpInstrs) + 8*(blocks+1) + perWord*words
+	return 13*int(warpInstrs) + foreignReadBytes*maxForeignReads(warpInstrs) + 8*(blocks+1) + perWord*words
 }
 
-// Eligible reports whether the launch is block-independent, so its
-// blocks can replay in log mode.
+// Eligible reports whether the launch is single-writer, so its blocks
+// can replay in log mode.
 func (bl *BlockLog) Eligible() bool { return bl != nil && bl.eligible }
 
 // Blocks returns the launch's block count.
@@ -119,45 +155,105 @@ func (bl *BlockLog) Writes(c int) []uint32 { return bl.wList[bl.wOff[c]:bl.wOff[
 // with readers has the masks.
 func (bl *BlockLog) ReaderMask(word uint32) uint64 { return bl.rd[word] }
 
-// logRecorder collects a golden launch's issue log and access marks. It
-// is the global-memory fence of the recording run, allowing every access.
+// readsFrom returns the index of the first foreign read at or after seq.
+func (bl *BlockLog) readsFrom(seq uint32) int {
+	return sort.Search(len(bl.frd), func(i int) bool { return bl.frd[i].seq >= seq })
+}
+
+// foreignRead returns block c's golden foreign read of word at seq, or
+// nil when it has none.
+func (bl *BlockLog) foreignRead(seq uint32, c int32, word uint32) *foreignRead {
+	for i := bl.readsFrom(seq); i < len(bl.frd) && bl.frd[i].seq == seq; i++ {
+		if fr := &bl.frd[i]; fr.word == word && fr.reader == c {
+			return fr
+		}
+	}
+	return nil
+}
+
+// writer returns the block that writes the word in golden, or -1.
+func (bl *BlockLog) writer(word uint32) int32 {
+	if m := bl.acc[word]; m >= 0 && m&soleWritten != 0 {
+		return m &^ soleWritten
+	}
+	return -1
+}
+
+// logRecorder collects a golden launch's block log. It is the
+// global-memory fence of the recording runs, allowing every access. The
+// first run records the issue log and the access marks; on a
+// single-writer launch with foreign reads, a second run, with the
+// writers known, records the foreign reads.
 type logRecorder struct {
-	cur  int32 // block issuing now
-	all  []recEntry
-	acc  []int32
-	rd   []uint64
-	dep  bool // some written word is accessed by two blocks
-	wide bool // a pc or warp index does not fit a logEntry
+	g       *mem.Global
+	cur     int32  // block issuing now
+	seq     uint32 // issues so far
+	all     []recEntry
+	acc     []int32
+	rd      []uint64
+	multi   bool // a word has two writer blocks
+	foreign bool // a block accesses a word another block writes
+	wide    bool // a pc or warp index does not fit a logEntry
+
+	second bool
+	frd    []foreignRead
+	max    int      // cap of frd
+	over   bool     // a foreign read past the cap
+	wrote  []uint64 // per word, set once its writer stored it
 }
 
 type recEntry struct {
-	cta  int32
-	warp uint16
-	pc   uint16
+	cta   int32
+	warp  uint16
+	pc    uint16
+	lanes uint8
 }
 
 func (r *logRecorder) issue(w *warpState, pc int32) {
 	r.cur = int32(w.block.cta)
+	r.seq++
+	if r.second {
+		return
+	}
 	if pc > 0xffff || w.widx > 0xffff {
 		r.wide = true
 	}
 	r.all = append(r.all, recEntry{cta: r.cur, warp: uint16(w.widx), pc: uint16(pc)})
 }
 
+// executed notes the lanes the current non-control issue executes.
+func (r *logRecorder) executed(lanes int) {
+	if !r.second {
+		r.all[len(r.all)-1].lanes = uint8(lanes)
+	}
+}
+
 func (r *logRecorder) Allow(word, n uint32, a mem.Access) bool {
+	if r.second {
+		r.recordForeign(word, n, a)
+		return true
+	}
+	write := a&mem.Write != 0
 	for w := word; w < word+n; w++ {
 		m := r.acc[w]
 		switch {
 		case m == noAccessor:
 			m = r.cur
-		case m >= 0 && m&^soleWritten == r.cur:
-		default:
-			if m >= 0 && m&soleWritten != 0 || a&mem.Write != 0 {
-				r.dep = true
+		case m&^soleWritten == r.cur:
+		case m >= 0 && m&soleWritten != 0:
+			// Another block writes the word.
+			if write {
+				r.multi = true
 			}
+			r.foreign = true
+		case write:
+			// Only other blocks read the word so far: cur writes it.
+			m = r.cur
+			r.foreign = true
+		default:
 			m = manyReaders
 		}
-		if a&mem.Write != 0 && m >= 0 {
+		if write && m == r.cur {
 			m |= soleWritten
 		}
 		r.acc[w] = m
@@ -168,38 +264,93 @@ func (r *logRecorder) Allow(word, n uint32, a mem.Access) bool {
 	return true
 }
 
+// recordForeign notes the foreign reads of an access in the second run,
+// once per word and issue, with the value the load reads.
+func (r *logRecorder) recordForeign(word, n uint32, a mem.Access) {
+	seq := r.seq - 1
+	for w := word; w < word+n; w++ {
+		m := r.acc[w]
+		if m < 0 || m&soleWritten == 0 {
+			continue
+		}
+		if m&^soleWritten == r.cur {
+			if a&mem.Write != 0 {
+				r.wrote[w/64] |= 1 << (w % 64)
+			}
+			continue
+		}
+		dup := false
+		for k := len(r.frd) - 1; k >= 0 && r.frd[k].seq == seq && !dup; k-- {
+			dup = r.frd[k].word == w
+		}
+		switch {
+		case dup:
+		case len(r.frd) == r.max:
+			r.over = true
+		default:
+			r.frd = append(r.frd, foreignRead{seq: seq, word: w, val: r.g.Word(w * 4), reader: r.cur,
+				written: r.wrote[w/64]>>(w%64)&1 != 0})
+		}
+	}
+}
+
+// run re-simulates the launch from its golden boundary with the
+// recorder as the engine's log hook and the memory's fence, and returns
+// the launch's block count.
+func (r *logRecorder) run(cfg Config, global *mem.Global, boundary *LaunchImage) (int, error) {
+	e, err := newEngine(cfg, global)
+	if err != nil {
+		return 0, err
+	}
+	e.logRec = r
+	global.Restore(boundary.Mem)
+	global.SetFence(r)
+	res := e.run()
+	blocks := e.totalBlock
+	e.release()
+	if res.Outcome != OutcomeOK {
+		return 0, fmt.Errorf("sim: recording %s: golden launch raised %s", cfg.Program.Name, res.DUEReason)
+	}
+	return blocks, nil
+}
+
 // RecordBlockLog re-simulates a launch from its golden boundary (the
 // first image of its RunGolden sequence) on global, with recording on,
 // and returns its BlockLog. cfg must describe the golden launch, and
 // warpInstrs is its golden warp-instruction count (Profile.WarpInstrs),
 // which sizes the log. readers asks for the reader masks: only a launch
 // that follows another needs them, to find the blocks its dirty input
-// reaches.
+// reaches. A launch whose blocks read each other's words is simulated
+// twice: the foreign reads are recorded once every word's writer is
+// known.
 func RecordBlockLog(cfg Config, global *mem.Global, boundary *LaunchImage, warpInstrs uint64, readers bool) (*BlockLog, error) {
-	e, err := newEngine(cfg, global)
-	if err != nil {
-		return nil, err
-	}
 	words := boundary.Mem.AllocatedBytes() / 4
-	rec := &logRecorder{all: make([]recEntry, 0, warpInstrs), acc: make([]int32, words)}
+	rec := &logRecorder{g: global, all: make([]recEntry, 0, warpInstrs), acc: make([]int32, words)}
 	if readers {
 		rec.rd = make([]uint64, words)
 	}
 	for i := range rec.acc {
 		rec.acc[i] = noAccessor
 	}
-	e.logRec = rec
-	global.Restore(boundary.Mem)
-	global.SetFence(rec)
-	res := e.run()
-	blocks := e.totalBlock
-	e.release()
-	if res.Outcome != OutcomeOK {
-		return nil, fmt.Errorf("sim: recording %s: golden launch raised %s", cfg.Program.Name, res.DUEReason)
+	blocks, err := rec.run(cfg, global, boundary)
+	if err != nil {
+		return nil, err
 	}
 	bl := &BlockLog{blocks: blocks}
-	if rec.dep || rec.wide || len(rec.all) > 1<<32-1 {
+	if rec.multi || rec.wide || len(rec.all) > math.MaxUint32 {
 		return bl, nil
+	}
+	if rec.foreign {
+		rec.second, rec.seq = true, 0
+		rec.max = maxForeignReads(warpInstrs)
+		rec.wrote = make([]uint64, words/64+1)
+		if _, err := rec.run(cfg, global, boundary); err != nil {
+			return nil, err
+		}
+		if rec.over {
+			return bl, nil
+		}
+		bl.frd = append([]foreignRead(nil), rec.frd...)
 	}
 	bl.eligible = true
 	bl.off = make([]int32, blocks+1)
@@ -210,10 +361,15 @@ func RecordBlockLog(cfg Config, global *mem.Global, boundary *LaunchImage, warpI
 		bl.off[c+1] += bl.off[c]
 	}
 	bl.ent = make([]logEntry, len(rec.all))
+	bl.lanes = make([]uint8, len(rec.all))
+	bl.order = make([]int32, len(rec.all))
 	fill := make([]int32, blocks)
 	copy(fill, bl.off)
 	for seq, r := range rec.all {
-		bl.ent[fill[r.cta]] = logEntry{seq: uint32(seq), warp: r.warp, pc: r.pc}
+		k := fill[r.cta]
+		bl.ent[k] = logEntry{seq: uint32(seq), warp: r.warp, pc: r.pc}
+		bl.lanes[k] = r.lanes
+		bl.order[seq] = k
 		fill[r.cta]++
 	}
 	bl.acc, bl.rd = rec.acc, rec.rd
@@ -240,6 +396,48 @@ func RecordBlockLog(cfg Config, global *mem.Global, boundary *LaunchImage, warpI
 	return bl, nil
 }
 
+// fireSite is where an operation fault fires in golden: the block, the
+// issue's position in the block's log, and the filtered trigger clock
+// before the issue.
+type fireSite struct {
+	cta   int
+	pos   int32
+	clock uint64
+}
+
+// locateFire maps the plan's filtered trigger to the issue it fires on,
+// walking the golden issue order forward from the image (the plan's
+// start image). ok is false when the launch ends first.
+func (bl *BlockLog) locateFire(dec []decoded, img *LaunchImage, plan *FaultPlan) (fireSite, bool) {
+	clock := img.FilteredOps(plan.Filter)
+	for s := img.warpInstrs; s < uint64(len(bl.order)); s++ {
+		k := bl.order[s]
+		n := uint64(bl.lanes[k])
+		if n == 0 || !plan.matches(dec[bl.ent[k].pc].op) {
+			continue
+		}
+		if plan.TriggerIndex < clock+n {
+			c := sort.Search(bl.blocks, func(c int) bool { return bl.off[c+1] > k })
+			return fireSite{cta: c, pos: k - bl.off[c], clock: clock}, true
+		}
+		clock += n
+	}
+	return fireSite{}, false
+}
+
+// filteredLanes sums the lanes that advance the plan's trigger clock
+// over block c's log positions [from, to).
+func (bl *BlockLog) filteredLanes(dec []decoded, c int, from, to int32, plan *FaultPlan) uint64 {
+	var n uint64
+	log := bl.entries(c)
+	for p := from; p < to; p++ {
+		if l := bl.lanes[bl.off[c]+p]; l > 0 && plan.matches(dec[log[p].pc].op) {
+			n += uint64(l)
+		}
+	}
+	return n
+}
+
 // LogScratch is the caller-owned state of a trial's log-mode replays,
 // reusable across launches and trials: the block fence and the
 // executor's cursors. Stores collects the word index of every global
@@ -251,14 +449,19 @@ type LogScratch struct {
 	fence  blockFence
 	blocks []*blockState
 	pos    []int32
+	in     []uint64 // the replayed blocks, as a bitset over CTAs
+	fr     int      // the next foreign read rule 3 vets
 }
 
-// blockFence confines the global accesses of the block replaying now.
+// blockFence confines the global accesses of the block replaying now,
+// the issue of seq.
 type blockFence struct {
+	ls      *LogScratch
 	bl      *BlockLog
+	g       *mem.Global
 	block   int32
+	seq     uint32
 	tripped bool
-	stores  *[]uint32
 }
 
 func (f *blockFence) Allow(word, n uint32, a mem.Access) bool {
@@ -270,65 +473,95 @@ func (f *blockFence) Allow(word, n uint32, a mem.Access) bool {
 		}
 		m := acc[w]
 		own := m >= 0 && m&^soleWritten == f.block
-		if a&mem.Write != 0 {
+		switch {
+		case a&mem.Write != 0:
 			if m != noAccessor && !own {
 				f.tripped = true
 				return false
 			}
-			*f.stores = append(*f.stores, w)
-		} else if m >= 0 && m&soleWritten != 0 && !own {
-			f.tripped = true
-			return false
+			f.ls.Stores = append(f.ls.Stores, w)
+		case own || m < 0 || m&soleWritten == 0 || f.ls.replays(m&^soleWritten):
+			// No other block writes the word, or its writer replays too,
+			// before this issue: memory holds what the full run reads.
+		default:
+			fr := f.bl.foreignRead(f.seq, f.block, w)
+			if fr == nil {
+				f.tripped = true
+				return false
+			}
+			if fr.written {
+				f.g.SetWord(w*4, fr.val)
+			}
 		}
 	}
 	return true
 }
 
 // arm resets the scratch for a replay of bl's launch on global and
-// installs the fence (vetting block 0 until the executor names one).
+// installs the fence.
 func (ls *LogScratch) arm(bl *BlockLog, global *mem.Global) {
 	ls.Stores = ls.Stores[:0]
-	ls.fence = blockFence{bl: bl, stores: &ls.Stores}
+	ls.fence = blockFence{ls: ls, bl: bl, g: global}
 	ls.blocks, ls.pos = ls.blocks[:0], ls.pos[:0]
+	n := (bl.blocks + 63) / 64
+	if cap(ls.in) < n {
+		ls.in = make([]uint64, n)
+	}
+	ls.in = ls.in[:n]
+	clear(ls.in)
 	global.SetFence(&ls.fence)
 }
+
+// add makes blk a replayed block, issuing next its log entry pos.
+func (ls *LogScratch) add(blk *blockState, pos int32) {
+	ls.blocks = append(ls.blocks, blk)
+	ls.pos = append(ls.pos, pos)
+	ls.in[blk.cta/64] |= 1 << (blk.cta % 64)
+}
+
+// replays reports whether block c is one of the replayed blocks.
+func (ls *LogScratch) replays(c int32) bool { return ls.in[c/64]>>(c%64)&1 != 0 }
 
 // disarm drops the scratch's references into the engine's storage and
 // the launch's log, so a pooled scratch pins neither.
 func (ls *LogScratch) disarm() {
 	clear(ls.blocks)
 	ls.blocks = ls.blocks[:0]
-	ls.fence.bl = nil
+	ls.fence = blockFence{}
 }
 
-// switchToLog is the faulted issue of an armed Replay: the issue goes
-// on under its block's fence, and the cycle loop stops after it so the
-// block continues alone in log mode (Replay).
-func (e *engine) switchToLog(w *warpState, pc int32) {
-	blk := w.block
-	e.logBlk = blk
-	e.stop = true
-	e.lg.arm(e.lgLog, e.glob)
-	e.lg.fence.block = int32(blk.cta)
-	// The cycle engine ran golden up to this issue, so it is the entry
-	// at the block's issue count; the check guards the log itself.
-	pos := blk.issued - 1
-	if ent := e.lgLog.ent[e.lgLog.off[blk.cta]+pos]; int(ent.warp) != w.widx || int32(ent.pc) != pc {
-		panic(fmt.Sprintf("sim: block log of %s disagrees with golden at block %d issue %d", e.prog.Name, blk.cta, pos))
+// pending reports whether a foreign read before seq awaits vetReads; it
+// is the inline test the executor makes before every issue.
+func (ls *LogScratch) pending(bl *BlockLog, seq uint32) bool {
+	return ls.fr < len(bl.frd) && bl.frd[ls.fr].seq < seq
+}
+
+// vetReads checks certificate rule 3 for the foreign reads not yet
+// vetted whose seq precedes seq: a replayed block's word read by a
+// block that does not replay must hold the value the read saw in
+// golden.
+func (ls *LogScratch) vetReads(bl *BlockLog, g *mem.Global, seq uint32) bool {
+	for ; ls.fr < len(bl.frd) && bl.frd[ls.fr].seq < seq; ls.fr++ {
+		fr := &bl.frd[ls.fr]
+		if ls.replays(bl.writer(fr.word)) && !ls.replays(fr.reader) && g.Word(fr.word*4) != fr.val {
+			return false
+		}
 	}
-	e.lg.blocks = append(e.lg.blocks, blk)
-	e.lg.pos = append(e.lg.pos, blk.issued)
+	return true
 }
 
 // runLog issues the logged instructions of the scratch's blocks from
 // their cursors, merged in golden global order, and checks the
-// certificate. It returns LogOK when every block reached the end of its
-// log with every warp where golden ends, or when the single replayed
-// block raised a DUE with every warp's next pc still golden (the DUE is
-// then the launch's outcome); otherwise the reason to fall back.
-func (e *engine) runLog(bl *BlockLog) LogFallback {
+// certificate; from is the seq the replay starts at, so the foreign
+// reads before it are not vetted. It returns LogOK when every block
+// reached the end of its log with every warp where golden ends, or when
+// the single replayed block raised a DUE with every warp's next pc
+// still golden (the DUE is then the launch's outcome); otherwise the
+// reason to fall back.
+func (e *engine) runLog(bl *BlockLog, from uint32) LogFallback {
 	ls := e.lg
 	blocks, pos := ls.blocks, ls.pos
+	ls.fr = bl.readsFrom(from)
 	// No block may become resident behind a retiring one.
 	e.nextBlock = e.totalBlock
 	var slots [device.UnitCount]int
@@ -339,6 +572,9 @@ func (e *engine) runLog(bl *BlockLog) LogFallback {
 		blk := blocks[0]
 		log := bl.entries(blk.cta)
 		for p := int(pos[0]); p < len(log); p++ {
+			if ls.pending(bl, log[p].seq) && !ls.vetReads(bl, e.glob, log[p].seq) {
+				return LogForeignRead
+			}
 			if fb, stop := e.logIssue(blk, log[p], slots[:]); stop {
 				if fb == LogOK && !pendingGolden(blk, log[p+1:], blk.warps[log[p].warp]) {
 					fb = LogPCMismatch
@@ -360,6 +596,9 @@ func (e *engine) runLog(bl *BlockLog) LogFallback {
 			}
 			ent := bl.ent[bl.off[blocks[k].cta]+pos[k]]
 			pos[k]++
+			if ls.pending(bl, ent.seq) && !ls.vetReads(bl, e.glob, ent.seq) {
+				return LogForeignRead
+			}
 			if fb, stop := e.logIssue(blocks[k], ent, slots[:]); stop {
 				if fb == LogOK {
 					fb = LogMultiDUE
@@ -367,6 +606,9 @@ func (e *engine) runLog(bl *BlockLog) LogFallback {
 				return fb
 			}
 		}
+	}
+	if !ls.vetReads(bl, e.glob, math.MaxUint32) {
+		return LogForeignRead
 	}
 	for _, blk := range blocks {
 		for _, w := range blk.warps {
@@ -391,7 +633,7 @@ func (e *engine) logIssue(blk *blockState, ent logEntry, slots []int) (fb LogFal
 	if top == nil || top.pc != int32(ent.pc) {
 		return LogPCMismatch, true
 	}
-	e.lg.fence.block = int32(blk.cta)
+	e.lg.fence.block, e.lg.fence.seq = int32(blk.cta), ent.seq
 	e.issue(&e.st.logSM, w, top, slots)
 	switch {
 	case e.due == "":
@@ -435,15 +677,52 @@ func pendingGolden(blk *blockState, rest []logEntry, due *warpState) bool {
 	return true
 }
 
-// ReplayBlocks replays the blocks ctas of a block-independent launch
-// alone, in log mode, from the launch boundary, on global as the caller
+// replayFaulted runs an operation fault's launch in log mode from the
+// plan's start image img: only the block the fault fires in, alone,
+// from its state in the image (its first instruction if it was not yet
+// resident), through the fire to its end. Memory is the image's. The
+// filtered trigger clock is seeded so that the fault fires on the issue
+// and lane it fires on under the cycle engine. ok is false, and nothing
+// ran, when the plan's trigger lies past the launch's last issue.
+func (e *engine) replayFaulted(bl *BlockLog, ls *LogScratch, img *LaunchImage) (blk *blockState, fb LogFallback, ok bool) {
+	site, ok := bl.locateFire(e.dec, img, e.fault)
+	if !ok {
+		return nil, LogOK, false
+	}
+	e.lg = ls
+	e.glob.Restore(img.Mem)
+	ls.arm(bl, e.glob)
+	for i := range img.blocks {
+		if img.blocks[i].cta == site.cta {
+			blk = e.materializeBlock(&img.blocks[i])
+			e.liveBlocks++
+			break
+		}
+	}
+	if blk == nil {
+		blk = e.startBlock(site.cta)
+	}
+	e.filteredOps = site.clock - bl.filteredLanes(e.dec, site.cta, blk.issued, site.pos, e.fault)
+	ls.add(blk, blk.issued)
+	fb = e.runLog(bl, uint32(img.warpInstrs))
+	ls.disarm()
+	// The prefix replays golden, so the fault fires exactly there; the
+	// check guards the log itself.
+	if !e.fault.Fired || e.fired.cta != site.cta || e.fired.issue != site.pos {
+		panic(fmt.Sprintf("sim: block log of %s disagrees with golden at block %d issue %d", e.prog.Name, site.cta, site.pos))
+	}
+	return blk, fb, true
+}
+
+// ReplayBlocks replays the blocks ctas of a single-writer launch alone,
+// in log mode, from the launch boundary, on global as the caller
 // materialized it (the launch's golden boundary plus the trial's dirty
 // words). With Result.LogFallback set the replay was abandoned and
 // global is clobbered: the caller re-materializes it and runs the
 // launch with Run.
 func ReplayBlocks(cfg Config, global *mem.Global, bl *BlockLog, ctas []int32, ls *LogScratch) (*Result, error) {
 	if !bl.Eligible() {
-		return nil, fmt.Errorf("sim: ReplayBlocks needs a block-independent launch")
+		return nil, fmt.Errorf("sim: ReplayBlocks needs a single-writer launch")
 	}
 	e, err := newEngine(cfg, global)
 	if err != nil {
@@ -452,10 +731,9 @@ func ReplayBlocks(cfg Config, global *mem.Global, bl *BlockLog, ctas []int32, ls
 	e.lg = ls
 	ls.arm(bl, global)
 	for _, c := range ctas {
-		ls.blocks = append(ls.blocks, e.startBlock(int(c)))
-		ls.pos = append(ls.pos, 0)
+		ls.add(e.startBlock(int(c)), 0)
 	}
-	fb := e.runLog(bl)
+	fb := e.runLog(bl, 0)
 	ls.disarm()
 	res := e.result()
 	res.LogBlocks, res.LogFallback = len(ctas), fb

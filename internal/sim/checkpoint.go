@@ -8,8 +8,8 @@
 // image captured at the same cycle and stops as soon as it matches.
 // Past the end of the launch, the runner diffs global memory against
 // the next launch's boundary instead (internal/kernels). On a
-// block-independent launch an operation fault's replay leaves the
-// cycle engine at the fire instead of rejoining (blocklog.go).
+// single-writer launch an operation fault's replay runs only the
+// faulted block, in log mode, instead of rejoining (blocklog.go).
 //
 // Both directions are exact, not heuristic. The engine is deterministic,
 // so a replay whose entire future-relevant state (register file,

@@ -249,18 +249,21 @@ type engine struct {
 
 	due     string
 	dueMode DUEMode
-	// stop ends the scheduling loops: set by a DUE, and by the switch of
-	// a Replay into log mode at the faulted issue (blocklog.go).
-	stop bool
+
+	// fired is where an operation fault fired: the block, the issue's
+	// position in the block's issue log, and the lane (skipWholeInstr
+	// for FaultSkip).
+	fired struct {
+		cta   int
+		issue int32
+		lane  int
+	}
 
 	// Block logs (blocklog.go). logRec records a launch's golden issue
-	// log and access sets (RecordBlockLog). lg arms a Replay's switch
-	// into log mode: lgLog is the launch's log, and logBlk the block
-	// the switch took at the faulted issue.
+	// log and access sets (RecordBlockLog); lg is the state of a
+	// log-mode replay.
 	logRec *logRecorder
 	lg     *LogScratch
-	lgLog  *BlockLog
-	logBlk *blockState
 
 	// st is the launch storage this engine carves its block, warp, and
 	// SM state from; it travels with the engine through enginePool.
@@ -552,7 +555,6 @@ func (e *engine) raiseDUE(mode DUEMode, format string, args ...any) {
 	}
 	e.due = fmt.Sprintf(format, args...)
 	e.dueMode = mode
-	e.stop = true
 }
 
 // run executes the launch to completion or DUE.
@@ -562,7 +564,7 @@ func (e *engine) run() *Result {
 }
 
 // simulate runs the cycle loop until the launch completes, a DUE is
-// raised, the replay rejoins golden, or a Replay switches to log mode.
+// raised, or the replay rejoins golden.
 func (e *engine) simulate() {
 	if e.nextBlock == 0 {
 		// At the launch boundary (fresh, or restored by Replay), the
@@ -624,18 +626,18 @@ func (e *engine) simulate() {
 					continue
 				}
 				e.scheduleOne(sm, sched, slots[:])
-				if e.stop {
+				if e.due != "" {
 					break
 				}
 			}
-			if e.stop {
+			if e.due != "" {
 				break
 			}
 			if e.issuedThisCycle == issuedBefore {
 				sm.quietUntil = sm.quiet(e.cycle)
 			}
 		}
-		if e.stop {
+		if e.due != "" {
 			break
 		}
 		if e.issuedThisCycle == 0 && (e.liveBlocks > 0 || e.nextBlock < e.totalBlock) {
@@ -840,8 +842,8 @@ func (e *engine) tryWarp(sm *smState, sched, wi int, w *warpState, slots []int) 
 	for {
 		ctrl := e.issue(sm, w, top, slots)
 		issued++
-		if ctrl || e.stop {
-			break // do not dual-issue past control flow, a DUE, or a switch
+		if ctrl || e.due != "" {
+			break // do not dual-issue past control flow or a DUE
 		}
 		if issued >= e.dev.IssuePerScheduler {
 			break
@@ -981,10 +983,13 @@ func (e *engine) issue(sm *smState, w *warpState, top *simtEntry, slots []int) b
 	if !e.lean {
 		e.perOpLane[d.op] += uint64(lanes)
 	}
+	if e.logRec != nil {
+		e.logRec.executed(lanes)
+	}
 	faultLane := e.armFault(d.op, active, lanes)
 	e.laneOps += uint64(lanes)
-	if faultLane != noFault && e.lg != nil {
-		e.switchToLog(w, pc)
+	if faultLane != noFault {
+		e.fired.cta, e.fired.issue, e.fired.lane = w.block.cta, w.block.issued-1, faultLane
 	}
 
 	if active != 0 && faultLane != skipWholeInstr {

@@ -101,12 +101,13 @@ type Result struct {
 	// for a sub-launch image. Zero for Run and RunGolden.
 	StartImage int
 
-	// LogBlocks is the number of blocks that finished the launch alone
-	// in log mode (blocklog.go): the faulted block of a Replay that
-	// switched at the fire (then LogBlock names it), or the blocks of a
-	// ReplayBlocks. Global memory then holds only their effect: every
-	// other block's words are as the replay started (Replay: as at the
-	// fire). Zero when the cycle engine finished the launch.
+	// LogBlocks is the number of blocks that ran the launch alone in
+	// log mode (blocklog.go): the faulted block of a Replay (then
+	// LogBlock names it), or the blocks of a ReplayBlocks. Global memory
+	// then holds only their effect: the words no replayed block writes
+	// are as the replay started (Replay: as at its start image), or hold
+	// a golden value a replayed block read there. Zero when the cycle
+	// engine ran the launch.
 	LogBlocks int
 	LogBlock  int
 
@@ -219,12 +220,13 @@ func RunGolden(cfg Config, global *mem.Global, budget int) (*Result, []*LaunchIm
 // fault has fired, it stops with Result.RejoinedGolden at the first
 // later image its full state matches.
 //
-// Given the launch's BlockLog, block-independent, and an operation
-// fault, the faulted issue instead switches the replay to log mode:
-// the faulted block finishes alone under its fence (Result.LogBlocks,
-// ls.Stores), and any certificate failure re-runs the launch with the
-// cycle engine (Result.LogFallback). bl may be nil; with a log, ls
-// holds the log-mode state.
+// Given the launch's BlockLog, single-writer, and an operation fault,
+// the replay instead runs in log mode from that checkpoint: the block
+// the fault fires in replays alone, from its state there, through the
+// fire to its end (Result.LogBlocks, ls.Stores), and any certificate
+// failure re-runs the launch with the cycle engine
+// (Result.LogFallback). bl may be nil; with a log, ls holds the
+// log-mode state.
 func Replay(cfg Config, global *mem.Global, seq []*LaunchImage, bl *BlockLog, ls *LogScratch) (*Result, error) {
 	if cfg.Fault == nil || len(seq) == 0 {
 		return nil, fmt.Errorf("sim: Replay needs a fault plan and a checkpoint sequence")
@@ -248,27 +250,24 @@ func replay(cfg Config, global *mem.Global, seq []*LaunchImage, bl *BlockLog, ls
 	if err != nil {
 		return nil, err
 	}
-	if bl.Eligible() && cfg.Fault.Kind < FaultRFBit {
-		e.lg, e.lgLog = ls, bl
-	}
 	start := startImage(seq, cfg.Fault)
-	e.golden = seq[start+1:]
-	e.restoreImage(seq[start])
-	e.simulate()
-	fb := LogOK
-	if e.logBlk != nil {
-		switch {
-		case ls.fence.tripped:
-			fb = LogFenced
-		case e.due == "":
-			fb = e.runLog(bl)
-		}
-		ls.disarm()
+	var (
+		blk    *blockState
+		fb     LogFallback
+		logged bool
+	)
+	if bl.Eligible() && cfg.Fault.Kind < FaultRFBit {
+		blk, fb, logged = e.replayFaulted(bl, ls, seq[start])
+	}
+	if !logged {
+		e.golden = seq[start+1:]
+		e.restoreImage(seq[start])
+		e.simulate()
 	}
 	res := e.result()
 	res.StartImage = start
-	if e.logBlk != nil {
-		res.LogBlocks, res.LogBlock, res.LogFallback = 1, e.logBlk.cta, fb
+	if logged {
+		res.LogBlocks, res.LogBlock, res.LogFallback = 1, blk.cta, fb
 	}
 	e.release()
 	return res, nil
