@@ -1,7 +1,10 @@
 package kernels
 
 import (
+	"fmt"
+	"io"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gpurel/internal/asm"
@@ -39,6 +42,33 @@ func runLaunchFull(t *testing.T, r *Runner, plan *sim.FaultPlan, launch int) *si
 		}
 	}
 	return nil
+}
+
+// replayFaultLaunch runs only launch launch of a trial of r with plan,
+// with the launch's block log recorded, and returns its Result. A
+// non-nil trace receives the issues of the launch (sim.Config.Trace).
+func replayFaultLaunch(t *testing.T, r *Runner, plan *sim.FaultPlan, launch int, trace io.Writer) sim.Result {
+	t.Helper()
+	tr := r.trials.Get().(*sim.Trial)
+	defer r.trials.Put(tr)
+	cfg := r.replayConfig(launch)
+	cfg.Fault, cfg.Trace = plan, trace
+	res, err := tr.Launch(cfg, r.ckpts[launch], r.boundary(launch+1), func() (*sim.BlockLog, error) { return r.blockLog(launch) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// onlyBlock reports whether every issue of a trace is block cta's.
+func onlyBlock(trace string, cta int) bool {
+	tag := fmt.Sprintf(" cta%03d ", cta)
+	for _, line := range strings.Split(strings.TrimSuffix(trace, "\n"), "\n") {
+		if !strings.Contains(line, tag) {
+			return false
+		}
+	}
+	return trace != ""
 }
 
 // TestLogPathKeepsGoldenSchedule pins the scheduling argument behind
@@ -97,20 +127,11 @@ func TestLogPathKeepsGoldenSchedule(t *testing.T) {
 					TriggerIndex: rng.Uint64() % golden.LaneOps,
 					Bit:          rng.IntN(64),
 				}
-				bl, _ := r.blockLog(launch)
-				g := r.pool.Get()
-				var ls sim.LogScratch
-				cfg := r.replayConfig(launch)
-				cfg.Fault = clonePlan(plan)
-				res, err := sim.Replay(cfg, g, r.ckpts[launch], bl, &ls)
-				r.pool.Put(g)
-				if err != nil {
-					t.Fatal(err)
-				}
+				res := replayFaultLaunch(t, r, clonePlan(plan), launch, nil)
 				switch {
 				case res.LogFallback != sim.LogOK:
 					fellBack++
-				case res.LogBlocks == 1:
+				case res.Logged:
 					accepted++
 					if res.Outcome == sim.OutcomeDUE {
 						break // the DUE ends the launch early
@@ -321,21 +342,14 @@ func TestForeignReadsReplayExactly(t *testing.T) {
 			bit  int
 		}{{sim.FaultValueBit, 3}, {sim.FaultAddrBit, 7}, {sim.FaultAddrBit, 2}} {
 			plan := &sim.FaultPlan{Kind: k.kind, TriggerIndex: trigger, Bit: k.bit}
-			g := r.pool.Get()
-			var ls sim.LogScratch
-			cfg := r.replayConfig(0)
-			cfg.Fault = clonePlan(plan)
-			res, err := sim.Replay(cfg, g, r.ckpts[0], bl, &ls)
-			r.pool.Put(g)
-			if err != nil {
-				t.Fatal(err)
-			}
+			var trace strings.Builder
+			res := replayFaultLaunch(t, r, clonePlan(plan), 0, &trace)
 			switch {
 			case res.LogFallback == sim.LogForeignRead:
 				foreign++
 			case res.LogFallback == sim.LogFenced:
 				fenced++
-			case res.LogFallback == sim.LogOK && res.LogBlocks == 1 && res.LogBlock == 1 && res.Outcome == sim.OutcomeOK:
+			case res.LogFallback == sim.LogOK && res.Logged && onlyBlock(trace.String(), 1) && res.Outcome == sim.OutcomeOK:
 				readerAlone++
 			}
 			rec, err := r.RunTrialWithFault(clonePlan(plan), 0)
@@ -453,5 +467,51 @@ func TestForeignReadBeforeWriteSeesDirtyWord(t *testing.T) {
 	}
 	if st := r.LogStats(); sdc == 0 || st.Logged == 0 {
 		t.Errorf("%d SDCs, log stats %v: want SDCs through launch 1 replayed in log mode", sdc, st)
+	}
+}
+
+// redSumBuilder is a two-launch, two-block kernel whose blocks both
+// RED.ADD into one word, so neither launch is single-writer and every
+// launch runs on the cycle engine (sim.LogIneligible). In launch 0
+// thread t of block c adds in[32c+t] to sum[0]; in launch 1 it loads
+// sum[0] and adds in[32c+t]+sum[0] to sum[1].
+func redSumBuilder() Builder {
+	return func(dev *device.Device, opt asm.OptLevel) (*Instance, error) {
+		const n = 64
+		g := mem.NewGlobal(1 << 16)
+		in, err := g.Alloc(4 * n)
+		if err != nil {
+			return nil, err
+		}
+		sum, _ := g.Alloc(8)
+		var s0 uint32
+		for i := 0; i < n; i++ {
+			g.SetWord(in+uint32(4*i), uint32(100+i))
+			s0 += uint32(100 + i)
+		}
+		var launches []Launch
+		for l := uint32(0); l < 2; l++ {
+			b := asm.New(fmt.Sprintf("redsum%d", l), opt)
+			gid := emitGID(b)
+			v, base := b.R(), b.R()
+			b.Ldg(v, emitAddr(b, gid, in, 4), 0)
+			b.MovImm(base, sum)
+			if l == 1 {
+				s := b.R()
+				b.Ldg(s, base, 0)
+				b.IAdd(v, isa.R(v), isa.R(s))
+			}
+			b.RedAdd(base, 4*l, v)
+			b.Exit()
+			prog, err := b.Build()
+			if err != nil {
+				return nil, err
+			}
+			launches = append(launches, Launch{Prog: prog, GridX: 2, GridY: 1, BlockThreads: n / 2})
+		}
+		return &Instance{
+			Name: "REDSUM", Dev: dev, Global: g, Launches: launches,
+			Check: checkWords(sum, []uint32{s0, s0 + n*s0}),
+		}, nil
 	}
 }

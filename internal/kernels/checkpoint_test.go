@@ -79,8 +79,9 @@ func clonePlan(p *sim.FaultPlan) *sim.FaultPlan {
 // re-simulating the whole program. Covers single-launch kernels
 // (FMXM and FLAVA block-independent, QUICKSORT not) and multi-launch
 // kernels (FLUD and CCL block-independent in every launch, BFS in only
-// some) so the skip-prefix, cutoff-suffix, log-replay and fallback
-// paths are all exercised.
+// some, REDSUM in none) so the skip-prefix, cutoff-suffix, log-replay
+// and fallback paths, and the cycle engine on launches that are not
+// single-writer, are all exercised.
 func TestCheckpointedRunMatchesFullResimulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence sweep is heavy")
@@ -98,6 +99,7 @@ func TestCheckpointedRunMatchesFullResimulation(t *testing.T) {
 		{"FLUD", LUDBuilder()},                // multi-launch
 		{"CCL", CCLBuilder()},                 // multi-launch
 		{"BFS", BFSBuilder()},                 // multi-launch, some cross-block
+		{"REDSUM", redSumBuilder()},           // multi-launch, two writers
 	}
 	single := map[string]bool{"FMXM": true, "FLAVA": true, "QUICKSORT": true}
 	const perKernel = 40
@@ -139,6 +141,9 @@ func TestCheckpointedRunMatchesFullResimulation(t *testing.T) {
 					t.Fatalf("case %d: kind %v launch %d trigger %d bit %d: checkpointed %+v, full re-sim %+v",
 						i, plan.Kind, launch, plan.TriggerIndex, plan.Bit, rec, full)
 				}
+			}
+			if st := r.LogStats(); c.name == "REDSUM" && st.Ineligible == 0 {
+				t.Errorf("REDSUM log stats %+v: want launches run on the cycle engine as ineligible", st)
 			}
 		})
 	}

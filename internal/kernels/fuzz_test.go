@@ -17,7 +17,8 @@ import (
 // path: HANDOFF's blocks read each other's words, CROSSSTORE's store
 // can cross to the other block, RELAY's second launch reads a word
 // before its writer does, QUICKSORT's one launch has foreign reads,
-// and BFS mixes block-independent launches with ones that are not.
+// BFS mixes block-independent launches with ones that are not, and
+// REDSUM's two launches each have a word with two writers.
 // Every log is recorded before the first plan. The seed corpus runs
 // under plain go test; go test -fuzz=FuzzReplayMatchesFull explores
 // further.
@@ -32,6 +33,7 @@ func FuzzReplayMatchesFull(f *testing.F) {
 		{"RELAY", relayBuilder(), asm.O0},
 		{"QUICKSORT", QuicksortBuilder(), asm.O2},
 		{"BFS", BFSBuilder(), asm.O2},
+		{"REDSUM", redSumBuilder(), asm.O0},
 	}
 	runners := make([]*Runner, len(codes))
 	for i, c := range codes {
@@ -59,6 +61,8 @@ func FuzzReplayMatchesFull(f *testing.F) {
 		{4, 5, uint8(sim.FaultAddrBit), 2500, 9, true},
 		{4, 1, uint8(sim.FaultRFBit), 800, 5, false},
 		{4, 6, uint8(sim.FaultGlobalBit), 3000, 0, false},
+		{5, 0, uint8(sim.FaultValueBit), 40, 4, false},
+		{5, 1, uint8(sim.FaultAddrBit), 70, 3, true},
 	} {
 		f.Add(s.code, s.launch, s.kind, s.trigger, s.bit, s.gpr)
 	}

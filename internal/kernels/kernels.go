@@ -171,13 +171,14 @@ type TrialRecord struct {
 // campaign outcomes are bit-identical to full re-simulation for the
 // same seed.
 //
-// Past the fault launch a replay carries memory as the golden boundary
-// plus a sparse dirty set, and on single-writer launches it replays
-// only the blocks a fault can reach, alone, from their golden issue
-// logs (sim.BlockLog, DESIGN §19): the faulted block of an operation
-// fault, from the fault's start image, and in each later launch the
-// blocks whose golden reads meet the dirty set. A launch no block of
-// which reads a dirty word is skipped.
+// A trial runs on a pooled sim.Trial, one launch step at a time
+// (DESIGN §19). Past the fault launch it carries memory as the golden
+// boundary plus a sparse dirty set, and on single-writer launches it
+// replays only the blocks a fault can reach, alone, from their golden
+// issue logs (sim.BlockLog), which the runner records lazily: the
+// faulted block of an operation fault, from the fault's start image,
+// and in each later launch the blocks whose golden reads meet the dirty
+// set. A launch no block of which reads a dirty word is skipped.
 type Runner struct {
 	Name  string
 	Build Builder
@@ -188,23 +189,18 @@ type Runner struct {
 	// ckpts[i] is launch i's golden checkpoint sequence; ckpts[i][0] is
 	// its boundary. final is device memory after the last launch: the
 	// last dirty-set diff and the SDC diff read it.
-	ckpts [][]*sim.LaunchImage
-	final *mem.Snapshot
-	// pool recycles the working memories of faulted replays, sized at
-	// the golden run's allocation high-water mark rather than the
-	// instance's capacity: builders allocate host-side, and every kernel
-	// access is bounds-checked against the high-water mark, so a replay
-	// never touches a word above it.
-	pool           *mem.Pool
+	ckpts          [][]*sim.LaunchImage
+	final          *mem.Snapshot
 	goldenProfiles []sim.Profile
 	goldenCycles   []int64
 
-	// logs[i] is launch i's block log, recorded on first use (blockLog);
-	// scratch recycles the trials' dirty sets and log-mode state. It is
-	// held by pointer: the runtime's pool registry must not reach (and
-	// keep alive) the Runner through it.
-	logs    []launchLog
-	scratch *sync.Pool
+	// logs[i] is launch i's block log, recorded on first use (blockLog).
+	// trials recycles the trials' replay state (sim.Trial), its memory
+	// sized at the golden run's allocation high-water mark. It is held
+	// by pointer: the runtime's pool registry must not reach (and keep
+	// alive) the Runner through it.
+	logs   []launchLog
+	trials *sync.Pool
 
 	// Replay accounting (read via ReplayStats and LogStats; atomic
 	// because campaigns call RunTrialWithFault from many goroutines).
@@ -213,7 +209,7 @@ type Runner struct {
 	logged      atomic.Uint64 // launches finished in log mode
 	prefixed    atomic.Uint64 // fault launches run in log mode from the start image
 	skipped     atomic.Uint64 // later launches no block of which reads a dirty word
-	fallbacks   [fallbackKinds]atomic.Uint64
+	fallbacks   [sim.LogIneligible + 1]atomic.Uint64
 
 	// Static analyses, one per launch (Analyses), drawn from memo: the
 	// owning cache's, or a private one outside a cache.
@@ -267,9 +263,8 @@ func newRunner(name string, build Builder, dev *device.Device, opt asm.OptLevel,
 	for _, seq := range r.ckpts {
 		hwm = max(hwm, seq[0].Mem.AllocatedBytes())
 	}
-	r.pool = mem.NewPool(hwm)
 	r.logs = make([]launchLog, len(inst.Launches))
-	r.scratch = &sync.Pool{New: func() any { return &trialScratch{seen: make([]uint64, hwm/256+1)} }}
+	r.trials = &sync.Pool{New: func() any { return sim.NewTrial(hwm) }}
 	if !inst.Check(inst.Global) {
 		return nil, fmt.Errorf("kernels: golden run of %s fails its own check", name)
 	}
@@ -282,7 +277,7 @@ func newRunner(name string, build Builder, dev *device.Device, opt asm.OptLevel,
 // size it takes once recorded (sim.BlockLogBytes), charged from the
 // start so the cache budgets a runner by what it will hold. A launch
 // found not single-writer keeps no log, so its charge is an upper
-// bound. The replay scratch pool is excluded — it grows with concurrent
+// bound. The trial pool is excluded — it grows with concurrent
 // replays, not with cache residency. kernels.Cache charges this
 // against its byte budget when deciding evictions.
 func (r *Runner) MemoryFootprint() int {
@@ -333,15 +328,12 @@ func (r *Runner) LaunchLaneOps(filter func(op isa.Op) bool) []uint64 {
 }
 
 // RunTrialWithFault executes the workload with the fault plan applied to
-// the given launch, using the checkpointed engine: the fault launch
-// starts from the latest golden checkpoint preceding the plan's trigger,
-// and a replay whose state rejoins golden — at a sub-launch image or a
-// launch boundary — is masked without simulating the rest of the
-// program. On single-writer launches an operation fault's block runs
-// alone in log mode from the start image, and each later launch
-// replays only the blocks that read a dirty word (sim.BlockLog);
-// anything the log certificate cannot vouch for re-runs under the
-// cycle engine. The watchdog is set to a small multiple of the golden
+// the given launch, using the checkpointed engine: one sim.Trial runs
+// the fault launch and each launch after it (Trial.Launch: start
+// images, rejoins, the dirty set, block logs and every fallback), and
+// the trial stops as soon as its state rejoins golden, at a sub-launch
+// image or a launch boundary, as Masked without simulating the rest of
+// the program. The watchdog is set to a small multiple of the golden
 // cycle count so hangs resolve quickly. SDC trials additionally carry
 // a budget-capped diff of the output region against the final golden
 // memory (TrialRecord).
@@ -353,133 +345,29 @@ func (r *Runner) RunTrialWithFault(plan *sim.FaultPlan, faultLaunch int) (TrialR
 	if faultLaunch < 0 || faultLaunch >= len(r.inst.Launches) {
 		return TrialRecord{Outcome: DUE}, fmt.Errorf("kernels: %s has no launch %d", r.Name, faultLaunch)
 	}
-	g := r.pool.Get()
-	defer r.pool.Put(g)
-	ts := r.scratch.Get().(*trialScratch)
-	defer r.scratch.Put(ts)
-	fail := func(i int, err error) (TrialRecord, error) {
-		return TrialRecord{Outcome: DUE}, fmt.Errorf("kernels: %s launch %d: %w", r.Name, i, err)
-	}
-
-	// The fault launch replays from its checkpoint sequence (sim.Replay
-	// restores g), in log mode when it can.
-	var bl *sim.BlockLog
-	if plan.Kind < sim.FaultRFBit {
-		var err error
-		if bl, err = r.logFor(faultLaunch); err != nil {
-			return fail(faultLaunch, err)
+	t := r.trials.Get().(*sim.Trial)
+	defer r.trials.Put(t)
+	for i := faultLaunch; i < len(r.inst.Launches); i++ {
+		cfg := r.replayConfig(i)
+		if i == faultLaunch {
+			cfg.Fault = plan
 		}
-		if bl != nil && !bl.Eligible() {
-			r.fallbacks[fallbackIneligible].Add(1)
+		res, err := t.Launch(cfg, r.ckpts[i], r.boundary(i+1), func() (*sim.BlockLog, error) { return r.logFor(i) })
+		if err != nil {
+			return TrialRecord{Outcome: DUE}, fmt.Errorf("kernels: %s launch %d: %w", r.Name, i, err)
 		}
-	}
-	cfg := r.replayConfig(faultLaunch)
-	cfg.Fault = plan
-	res, err := sim.Replay(cfg, g, r.ckpts[faultLaunch], bl, &ts.log)
-	if err != nil {
-		return fail(faultLaunch, err)
-	}
-	if res.StartImage > 0 {
-		r.subRestores.Add(1)
-	}
-	if res.LogBlocks > 0 || res.LogFallback != sim.LogOK {
-		r.prefixed.Add(1)
-	}
-	r.countFallback(res.LogFallback)
-	if res.Outcome == sim.OutcomeDUE {
-		return TrialRecord{Outcome: DUE, DUEMode: res.DUEMode}, nil
-	}
-	// Sub-launch rejoin cutoff: the replay's full state matched a
-	// golden mid-launch image after the fault fired, so the rest of the
-	// launch — and the remaining launches — replay golden.
-	if res.RejoinedGolden {
-		r.subRejoins.Add(1)
-		return TrialRecord{Outcome: Masked}, nil
-	}
-	// From here on memory is the golden boundary plus ts.dirty; g holds
-	// exactly that only while materialized.
-	materialized := res.LogBlocks == 0
-	if next := r.boundary(faultLaunch + 1); materialized {
-		ts.diff(g, next)
-	} else {
-		// Only the faulted block's words can differ from golden.
-		r.logged.Add(1)
-		ts.begin()
-		ts.add(g, next, bl.Writes(res.LogBlock))
-		ts.add(g, next, ts.log.Stores)
-		ts.end()
-	}
-	launches := r.inst.Launches
-	for i := faultLaunch + 1; i < len(launches); i++ {
-		// Boundary cutoff: with memory bit-identical to golden, the
-		// remaining launches replay the golden execution exactly and
-		// the comparator must pass.
-		if len(ts.dirty) == 0 {
+		r.count(&res, i == faultLaunch)
+		switch {
+		case res.Outcome == sim.OutcomeDUE:
+			return TrialRecord{Outcome: DUE, DUEMode: res.DUEMode}, nil
+		case res.RejoinedGolden || t.Clean():
+			// The replay's full state matched a golden image, or memory
+			// is bit-identical to the golden boundary: the rest of the
+			// program replays golden, and the comparator must pass.
 			return TrialRecord{Outcome: Masked}, nil
 		}
-		cur, next := r.ckpts[i][0].Mem, r.boundary(i+1)
-		bl, err := r.logFor(i)
-		if err != nil {
-			return fail(i, err)
-		}
-		cfg := r.replayConfig(i)
-		switch {
-		case bl == nil:
-		case bl.Eligible():
-			ctas := ts.readers(bl)
-			if len(ctas) == 0 {
-				// No block reads a dirty word: every block runs golden,
-				// and the words they write become golden again.
-				r.skipped.Add(1)
-				ts.dropWritten(bl)
-				materialized = false
-				continue
-			}
-			if !materialized {
-				ts.materialize(g, cur)
-			}
-			res, err := sim.ReplayBlocks(cfg, g, bl, ctas, &ts.log)
-			if err != nil {
-				return fail(i, err)
-			}
-			materialized = false
-			if res.LogFallback == sim.LogOK {
-				r.logged.Add(1)
-				if res.Outcome == sim.OutcomeDUE {
-					return TrialRecord{Outcome: DUE, DUEMode: res.DUEMode}, nil
-				}
-				ts.begin()
-				ts.keepUnwritten(g, next, bl)
-				for _, c := range ctas {
-					ts.add(g, next, bl.Writes(int(c)))
-				}
-				ts.add(g, next, ts.log.Stores)
-				ts.end()
-				continue
-			}
-			r.countFallback(res.LogFallback)
-		default:
-			r.fallbacks[fallbackIneligible].Add(1)
-		}
-		if !materialized {
-			ts.materialize(g, cur)
-		}
-		res, err := sim.Run(cfg, g)
-		if err != nil {
-			return fail(i, err)
-		}
-		if res.Outcome == sim.OutcomeDUE {
-			return TrialRecord{Outcome: DUE, DUEMode: res.DUEMode}, nil
-		}
-		ts.diff(g, next)
-		materialized = true
 	}
-	if len(ts.dirty) == 0 {
-		return TrialRecord{Outcome: Masked}, nil
-	}
-	if !materialized {
-		ts.materialize(g, r.final)
-	}
+	g := t.Memory(r.final)
 	if !r.inst.Check(g) {
 		rec := TrialRecord{Outcome: SDC}
 		r.captureDiff(g, &rec)

@@ -93,21 +93,3 @@ func TestEqualSnapshotFindsSingleBitDiff(t *testing.T) {
 		}
 	}
 }
-
-func TestPoolRecyclesMatchingCapacity(t *testing.T) {
-	p := NewPool(1 << 16)
-	g := p.Get()
-	if g.CapacityBytes() != 1<<16 {
-		t.Fatalf("pool Global capacity = %d", g.CapacityBytes())
-	}
-	if _, err := g.Alloc(128); err != nil {
-		t.Fatal(err)
-	}
-	p.Put(g)
-	// A foreign-capacity Global must be rejected, not poison the pool.
-	p.Put(NewGlobal(1 << 10))
-	g2 := p.Get()
-	if g2.CapacityBytes() != 1<<16 {
-		t.Fatalf("recycled Global capacity = %d", g2.CapacityBytes())
-	}
-}

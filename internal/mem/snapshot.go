@@ -2,21 +2,18 @@
 // immutable copy of the allocated region of a Global, cheap to restore
 // and to compare against. Every golden checkpoint the simulator records
 // (internal/sim LaunchImage, the launch boundary included) holds one as
-// its global memory. A faulted replay restores the snapshot of the
-// checkpoint it starts from, and the fault-injection runner diffs
-// memory against the next launch boundary's snapshot (AppendDiff) to
-// carry only the words a fault dirtied, and to detect architecturally
-// masked faults without replaying the rest of the program.
+// its global memory. A faulted trial (internal/sim Trial) restores the
+// snapshot of the checkpoint it starts from, and diffs memory against
+// the next launch boundary's snapshot (AppendDiff) to carry only the
+// words a fault dirtied, and to detect architecturally masked faults
+// without replaying the rest of the program.
 package mem
-
-import "sync"
 
 // Snapshot is a frozen copy of the allocated region of a Global. It is
 // safe for concurrent use once created.
 type Snapshot struct {
-	words    []uint32 // copy of the allocated words (including the null guard)
-	hwm      uint32   // allocation high-water mark at capture time, bytes
-	capacity int      // capacity of the source Global, bytes
+	words []uint32 // copy of the allocated words (including the null guard)
+	hwm   uint32   // allocation high-water mark at capture time, bytes
 }
 
 // CapacityBytes returns the total capacity of the Global in bytes.
@@ -40,9 +37,8 @@ func (s *Snapshot) AllocatedBytes() int { return int(s.hwm) }
 func (g *Global) Snapshot() *Snapshot {
 	n := int(g.hwm) / 4
 	s := &Snapshot{
-		words:    make([]uint32, n),
-		hwm:      g.hwm,
-		capacity: g.CapacityBytes(),
+		words: make([]uint32, n),
+		hwm:   g.hwm,
 	}
 	copy(s.words, g.words[:n])
 	return s
@@ -115,41 +111,4 @@ func (g *Global) AppendDiff(s *Snapshot, dst []uint32) []uint32 {
 		}
 	}
 	return dst
-}
-
-// Pool recycles Global instances of one capacity so that per-fault
-// setup does not allocate (and zero) the whole device memory. Pooled
-// instances keep the invariant that words above hwm are zero.
-//
-// A pool serving snapshot restores only needs the capacity of the
-// largest snapshot it restores (Snapshot.AllocatedBytes): a restored
-// Global never allocates, and its accesses are bounds-checked against
-// the restored high-water mark. Sizing the pool there instead of at the
-// source Global's capacity keeps each pooled memory at the size the
-// workload actually uses, which is what bounds the resident memory of
-// a many-worker campaign.
-type Pool struct {
-	capacity int
-	p        sync.Pool
-}
-
-// NewPool creates a pool of Globals with the given capacity in bytes;
-// for snapshot restores, the largest snapshot's AllocatedBytes.
-func NewPool(capacity int) *Pool {
-	pl := &Pool{capacity: capacity}
-	pl.p.New = func() any { return NewGlobal(pl.capacity) }
-	return pl
-}
-
-// Get returns a Global from the pool (or a fresh one). Its contents are
-// unspecified below its hwm; restore a Snapshot before use.
-func (p *Pool) Get() *Global { return p.p.Get().(*Global) }
-
-// Put returns a Global to the pool. Only Globals obtained from Get (or
-// with the pool's capacity) may be returned.
-func (p *Pool) Put(g *Global) {
-	if g == nil || g.CapacityBytes() != p.capacity {
-		return
-	}
-	p.p.Put(g)
 }

@@ -57,6 +57,9 @@ const (
 	// LogForeignRead: a block that did not replay would have read a
 	// non-golden value from a replayed block's word.
 	LogForeignRead
+	// LogIneligible: the launch is not single-writer, so log mode was
+	// never tried.
+	LogIneligible
 )
 
 // Per-word access marks of a BlockLog. A word's mark is noAccessor,
@@ -107,7 +110,10 @@ type BlockLog struct {
 	lanes []uint8    // per entry: the lanes it executed (0 for control flow)
 	order []int32    // per seq: the index of its entry in ent
 	acc   []int32    // per allocated word: the access mark
-	rd    []uint64   // per allocated word: bit c%64 for each reader c (optional)
+	// rd is, per allocated word, its golden readers folded onto 64
+	// bits: bit c%64 for every block c that reads it, a superset of the
+	// readers past 64 blocks. Only a log recorded with readers has it.
+	rd []uint64
 
 	wOff  []int32  // golden writes of block c: wList[wOff[c]:wOff[c+1]]
 	wList []uint32 // word indices
@@ -134,11 +140,8 @@ func BlockLogBytes(warpInstrs uint64, blocks, words int, readers bool) int {
 // can replay in log mode.
 func (bl *BlockLog) Eligible() bool { return bl != nil && bl.eligible }
 
-// Blocks returns the launch's block count.
-func (bl *BlockLog) Blocks() int { return bl.blocks }
-
-// Written reports whether some block writes the word in golden.
-func (bl *BlockLog) Written(word uint32) bool {
+// written reports whether some block writes the word in golden.
+func (bl *BlockLog) written(word uint32) bool {
 	a := bl.acc[word]
 	return a >= 0 && a&soleWritten != 0
 }
@@ -146,14 +149,8 @@ func (bl *BlockLog) Written(word uint32) bool {
 // entries returns block c's issue log.
 func (bl *BlockLog) entries(c int) []logEntry { return bl.ent[bl.off[c]:bl.off[c+1]] }
 
-// Writes returns the words block c writes in golden, ascending.
-func (bl *BlockLog) Writes(c int) []uint32 { return bl.wList[bl.wOff[c]:bl.wOff[c+1]] }
-
-// ReaderMask returns the word's golden readers folded onto 64 bits: bit
-// c%64 is set for every block c that reads the word. With more than 64
-// blocks the mask names a superset of the readers. Only a log recorded
-// with readers has the masks.
-func (bl *BlockLog) ReaderMask(word uint32) uint64 { return bl.rd[word] }
+// writes returns the words block c writes in golden, ascending.
+func (bl *BlockLog) writes(c int) []uint32 { return bl.wList[bl.wOff[c]:bl.wOff[c+1]] }
 
 // readsFrom returns the index of the first foreign read at or after seq.
 func (bl *BlockLog) readsFrom(seq uint32) int {
@@ -297,14 +294,14 @@ func (r *logRecorder) recordForeign(word, n uint32, a mem.Access) {
 // run re-simulates the launch from its golden boundary with the
 // recorder as the engine's log hook and the memory's fence, and returns
 // the launch's block count.
-func (r *logRecorder) run(cfg Config, global *mem.Global, boundary *LaunchImage) (int, error) {
-	e, err := newEngine(cfg, global)
+func (r *logRecorder) run(cfg Config, boundary *LaunchImage) (int, error) {
+	e, err := newEngine(cfg, r.g)
 	if err != nil {
 		return 0, err
 	}
 	e.logRec = r
-	global.Restore(boundary.Mem)
-	global.SetFence(r)
+	r.g.Restore(boundary.Mem)
+	r.g.SetFence(r)
 	res := e.run()
 	blocks := e.totalBlock
 	e.release()
@@ -315,24 +312,24 @@ func (r *logRecorder) run(cfg Config, global *mem.Global, boundary *LaunchImage)
 }
 
 // RecordBlockLog re-simulates a launch from its golden boundary (the
-// first image of its RunGolden sequence) on global, with recording on,
-// and returns its BlockLog. cfg must describe the golden launch, and
+// first image of its RunGolden sequence), with recording on, and
+// returns its BlockLog. cfg must describe the golden launch, and
 // warpInstrs is its golden warp-instruction count (Profile.WarpInstrs),
 // which sizes the log. readers asks for the reader masks: only a launch
 // that follows another needs them, to find the blocks its dirty input
 // reaches. A launch whose blocks read each other's words is simulated
 // twice: the foreign reads are recorded once every word's writer is
 // known.
-func RecordBlockLog(cfg Config, global *mem.Global, boundary *LaunchImage, warpInstrs uint64, readers bool) (*BlockLog, error) {
+func RecordBlockLog(cfg Config, boundary *LaunchImage, warpInstrs uint64, readers bool) (*BlockLog, error) {
 	words := boundary.Mem.AllocatedBytes() / 4
-	rec := &logRecorder{g: global, all: make([]recEntry, 0, warpInstrs), acc: make([]int32, words)}
+	rec := &logRecorder{g: mem.NewGlobal(4 * words), all: make([]recEntry, 0, warpInstrs), acc: make([]int32, words)}
 	if readers {
 		rec.rd = make([]uint64, words)
 	}
 	for i := range rec.acc {
 		rec.acc[i] = noAccessor
 	}
-	blocks, err := rec.run(cfg, global, boundary)
+	blocks, err := rec.run(cfg, boundary)
 	if err != nil {
 		return nil, err
 	}
@@ -344,7 +341,7 @@ func RecordBlockLog(cfg Config, global *mem.Global, boundary *LaunchImage, warpI
 		rec.second, rec.seq = true, 0
 		rec.max = maxForeignReads(warpInstrs)
 		rec.wrote = make([]uint64, words/64+1)
-		if _, err := rec.run(cfg, global, boundary); err != nil {
+		if _, err := rec.run(cfg, boundary); err != nil {
 			return nil, err
 		}
 		if rec.over {
@@ -438,13 +435,12 @@ func (bl *BlockLog) filteredLanes(dec []decoded, c int, from, to int32, plan *Fa
 	return n
 }
 
-// LogScratch is the caller-owned state of a trial's log-mode replays,
-// reusable across launches and trials: the block fence and the
-// executor's cursors. Stores collects the word index of every global
-// store the replayed blocks made (repeats included); Replay and
-// ReplayBlocks reset it.
-type LogScratch struct {
-	Stores []uint32
+// logScratch is a Trial's log-mode state, reusable across launches and
+// trials: the block fence and the executor's cursors. stores collects
+// the word index of every global store the replayed blocks made
+// (repeats included); arm resets it.
+type logScratch struct {
+	stores []uint32
 
 	fence  blockFence
 	blocks []*blockState
@@ -456,7 +452,7 @@ type LogScratch struct {
 // blockFence confines the global accesses of the block replaying now,
 // the issue of seq.
 type blockFence struct {
-	ls      *LogScratch
+	ls      *logScratch
 	bl      *BlockLog
 	g       *mem.Global
 	block   int32
@@ -479,7 +475,7 @@ func (f *blockFence) Allow(word, n uint32, a mem.Access) bool {
 				f.tripped = true
 				return false
 			}
-			f.ls.Stores = append(f.ls.Stores, w)
+			f.ls.stores = append(f.ls.stores, w)
 		case own || m < 0 || m&soleWritten == 0 || f.ls.replays(m&^soleWritten):
 			// No other block writes the word, or its writer replays too,
 			// before this issue: memory holds what the full run reads.
@@ -497,11 +493,12 @@ func (f *blockFence) Allow(word, n uint32, a mem.Access) bool {
 	return true
 }
 
-// arm resets the scratch for a replay of bl's launch on global and
-// installs the fence.
-func (ls *LogScratch) arm(bl *BlockLog, global *mem.Global) {
-	ls.Stores = ls.Stores[:0]
-	ls.fence = blockFence{ls: ls, bl: bl, g: global}
+// arm makes the scratch engine e's log-mode state for a replay of bl's
+// launch, reset, and installs the fence on e's memory.
+func (ls *logScratch) arm(e *engine, bl *BlockLog) {
+	e.lg = ls
+	ls.stores = ls.stores[:0]
+	ls.fence = blockFence{ls: ls, bl: bl, g: e.glob}
 	ls.blocks, ls.pos = ls.blocks[:0], ls.pos[:0]
 	n := (bl.blocks + 63) / 64
 	if cap(ls.in) < n {
@@ -509,22 +506,22 @@ func (ls *LogScratch) arm(bl *BlockLog, global *mem.Global) {
 	}
 	ls.in = ls.in[:n]
 	clear(ls.in)
-	global.SetFence(&ls.fence)
+	e.glob.SetFence(&ls.fence)
 }
 
 // add makes blk a replayed block, issuing next its log entry pos.
-func (ls *LogScratch) add(blk *blockState, pos int32) {
+func (ls *logScratch) add(blk *blockState, pos int32) {
 	ls.blocks = append(ls.blocks, blk)
 	ls.pos = append(ls.pos, pos)
 	ls.in[blk.cta/64] |= 1 << (blk.cta % 64)
 }
 
 // replays reports whether block c is one of the replayed blocks.
-func (ls *LogScratch) replays(c int32) bool { return ls.in[c/64]>>(c%64)&1 != 0 }
+func (ls *logScratch) replays(c int32) bool { return ls.in[c/64]>>(c%64)&1 != 0 }
 
 // disarm drops the scratch's references into the engine's storage and
 // the launch's log, so a pooled scratch pins neither.
-func (ls *LogScratch) disarm() {
+func (ls *logScratch) disarm() {
 	clear(ls.blocks)
 	ls.blocks = ls.blocks[:0]
 	ls.fence = blockFence{}
@@ -532,7 +529,7 @@ func (ls *LogScratch) disarm() {
 
 // pending reports whether a foreign read before seq awaits vetReads; it
 // is the inline test the executor makes before every issue.
-func (ls *LogScratch) pending(bl *BlockLog, seq uint32) bool {
+func (ls *logScratch) pending(bl *BlockLog, seq uint32) bool {
 	return ls.fr < len(bl.frd) && bl.frd[ls.fr].seq < seq
 }
 
@@ -540,7 +537,7 @@ func (ls *LogScratch) pending(bl *BlockLog, seq uint32) bool {
 // vetted whose seq precedes seq: a replayed block's word read by a
 // block that does not replay must hold the value the read saw in
 // golden.
-func (ls *LogScratch) vetReads(bl *BlockLog, g *mem.Global, seq uint32) bool {
+func (ls *logScratch) vetReads(bl *BlockLog, g *mem.Global, seq uint32) bool {
 	for ; ls.fr < len(bl.frd) && bl.frd[ls.fr].seq < seq; ls.fr++ {
 		fr := &bl.frd[ls.fr]
 		if ls.replays(bl.writer(fr.word)) && !ls.replays(fr.reader) && g.Word(fr.word*4) != fr.val {
@@ -551,15 +548,16 @@ func (ls *LogScratch) vetReads(bl *BlockLog, g *mem.Global, seq uint32) bool {
 }
 
 // runLog issues the logged instructions of the scratch's blocks from
-// their cursors, merged in golden global order, and checks the
-// certificate; from is the seq the replay starts at, so the foreign
-// reads before it are not vetted. It returns LogOK when every block
+// their cursors, merged in golden global order, checks the certificate,
+// and disarms the scratch; from is the seq the replay starts at, so the
+// foreign reads before it are not vetted. It returns LogOK when every block
 // reached the end of its log with every warp where golden ends, or when
 // the single replayed block raised a DUE with every warp's next pc
 // still golden (the DUE is then the launch's outcome); otherwise the
 // reason to fall back.
 func (e *engine) runLog(bl *BlockLog, from uint32) LogFallback {
 	ls := e.lg
+	defer ls.disarm()
 	blocks, pos := ls.blocks, ls.pos
 	ls.fr = bl.readsFrom(from)
 	// No block may become resident behind a retiring one.
@@ -682,16 +680,16 @@ func pendingGolden(blk *blockState, rest []logEntry, due *warpState) bool {
 // from its state in the image (its first instruction if it was not yet
 // resident), through the fire to its end. Memory is the image's. The
 // filtered trigger clock is seeded so that the fault fires on the issue
-// and lane it fires on under the cycle engine. ok is false, and nothing
-// ran, when the plan's trigger lies past the launch's last issue.
-func (e *engine) replayFaulted(bl *BlockLog, ls *LogScratch, img *LaunchImage) (blk *blockState, fb LogFallback, ok bool) {
+// and lane it fires on under the cycle engine. blk is nil, and nothing
+// ran, when the plan's trigger lies past the launch's last issue. The
+// error reports a log that disagrees with the run it recorded.
+func (e *engine) replayFaulted(bl *BlockLog, ls *logScratch, img *LaunchImage) (blk *blockState, fb LogFallback, err error) {
 	site, ok := bl.locateFire(e.dec, img, e.fault)
 	if !ok {
-		return nil, LogOK, false
+		return nil, LogOK, nil
 	}
-	e.lg = ls
 	e.glob.Restore(img.Mem)
-	ls.arm(bl, e.glob)
+	ls.arm(e, bl)
 	for i := range img.blocks {
 		if img.blocks[i].cta == site.cta {
 			blk = e.materializeBlock(&img.blocks[i])
@@ -705,38 +703,10 @@ func (e *engine) replayFaulted(bl *BlockLog, ls *LogScratch, img *LaunchImage) (
 	e.filteredOps = site.clock - bl.filteredLanes(e.dec, site.cta, blk.issued, site.pos, e.fault)
 	ls.add(blk, blk.issued)
 	fb = e.runLog(bl, uint32(img.warpInstrs))
-	ls.disarm()
 	// The prefix replays golden, so the fault fires exactly there; the
 	// check guards the log itself.
 	if !e.fault.Fired || e.fired.cta != site.cta || e.fired.issue != site.pos {
-		panic(fmt.Sprintf("sim: block log of %s disagrees with golden at block %d issue %d", e.prog.Name, site.cta, site.pos))
+		return nil, fb, fmt.Errorf("sim: block log of %s disagrees with golden at block %d issue %d", e.prog.Name, site.cta, site.pos)
 	}
-	return blk, fb, true
-}
-
-// ReplayBlocks replays the blocks ctas of a single-writer launch alone,
-// in log mode, from the launch boundary, on global as the caller
-// materialized it (the launch's golden boundary plus the trial's dirty
-// words). With Result.LogFallback set the replay was abandoned and
-// global is clobbered: the caller re-materializes it and runs the
-// launch with Run.
-func ReplayBlocks(cfg Config, global *mem.Global, bl *BlockLog, ctas []int32, ls *LogScratch) (*Result, error) {
-	if !bl.Eligible() {
-		return nil, fmt.Errorf("sim: ReplayBlocks needs a single-writer launch")
-	}
-	e, err := newEngine(cfg, global)
-	if err != nil {
-		return nil, err
-	}
-	e.lg = ls
-	ls.arm(bl, global)
-	for _, c := range ctas {
-		ls.add(e.startBlock(int(c)), 0)
-	}
-	fb := e.runLog(bl, 0)
-	ls.disarm()
-	res := e.result()
-	res.LogBlocks, res.LogFallback = len(ctas), fb
-	e.release()
-	return res, nil
+	return blk, fb, nil
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"gpurel/internal/asm"
@@ -99,7 +100,7 @@ func TestFireSiteMatchesCycleEngine(t *testing.T) {
 	if len(seq) < 8 {
 		t.Fatalf("%d checkpoints; want sub-launch images to start from", len(seq))
 	}
-	bl, err := RecordBlockLog(cfg, g, seq[0], golden.WarpInstrs, false)
+	bl, err := RecordBlockLog(cfg, seq[0], golden.WarpInstrs, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestFireSiteMatchesCycleEngine(t *testing.T) {
 		c := op.ClassOf()
 		return c == isa.ClassFMA || c == isa.ClassMUL || c == isa.ClassADD
 	}
-	var ls LogScratch
+	var ls logScratch
 	for _, f := range []struct {
 		name   string
 		filter func(isa.Op) bool
@@ -148,9 +149,13 @@ func TestFireSiteMatchesCycleEngine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, _, ok := e.replayFaulted(bl, &ls, seq[start])
+			blk, _, err := e.replayFaulted(bl, &ls, seq[start])
 			got := e.fired
 			e.release()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ok := blk != nil
 			switch {
 			case ok != cycle.Fired || ok != (trigger < total):
 				t.Fatalf("%s trigger %d of %d: log mode fires %v, the cycle engine %v", f.name, trigger, total, ok, cycle.Fired)
@@ -163,5 +168,43 @@ func TestFireSiteMatchesCycleEngine(t *testing.T) {
 		if fromImage == 0 {
 			t.Errorf("%s: no trigger started from a sub-launch image", f.name)
 		}
+	}
+}
+
+// TestLogDisagreementIsAnError bumps one recorded lane count of a block
+// log, so the log maps a trigger onto an issue the fault does not fire
+// on: the fault launch step must return an error, which fails the
+// trial, instead of panicking. The intact log replays the same plan.
+func TestLogDisagreementIsAnError(t *testing.T) {
+	const blocks, threads = 5, 40
+	g := mem.NewGlobal(1 << 20)
+	in, _ := g.Alloc(blocks * threads * 4)
+	out, _ := g.Alloc(blocks * threads * 4)
+	cfg := Config{Device: device.K40c(), Program: buildFireMap(t, in, out), GridX: blocks, GridY: 1, BlockThreads: threads}
+	golden, seq := goldenImages(t, cfg, g)
+	final := g.Snapshot()
+	bl, err := RecordBlockLog(cfg, seq[0], golden.WarpInstrs, false)
+	if err != nil || !bl.Eligible() {
+		t.Fatalf("fire-map log: eligible %v, %v", bl.Eligible(), err)
+	}
+	// The first issue that advances the trigger clock; the trigger is
+	// the lane-op just past it.
+	k := bl.order[0]
+	for s := 1; bl.lanes[k] == 0; s++ {
+		k = bl.order[s]
+	}
+	plan := FaultPlan{Kind: FaultValueBit, TriggerIndex: uint64(bl.lanes[k])}
+	launch := func() error {
+		p := plan
+		cfg.Fault = &p
+		_, err := NewTrial(final.AllocatedBytes()).Launch(cfg, seq[:1], final, func() (*BlockLog, error) { return bl, nil })
+		return err
+	}
+	if err := launch(); err != nil {
+		t.Fatalf("intact log: %v", err)
+	}
+	bl.lanes[k]++
+	if err := launch(); err == nil || !strings.Contains(err.Error(), "disagrees with golden") {
+		t.Fatalf("log with a bumped lane count gave %v, want a disagreement error", err)
 	}
 }

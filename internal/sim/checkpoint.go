@@ -2,12 +2,12 @@
 // ordered checkpoint sequence. Its first entry is the launch boundary,
 // an image with nothing launched and nothing resident: global memory
 // before the launch. The rest are full-state sub-launch images captured
-// every so many lane-operations. A faulted replay (Replay) (a) starts
-// from the latest checkpoint that provably precedes its trigger, and
-// (b) once its fault has fired, compares itself against the golden
-// image captured at the same cycle and stops as soon as it matches.
-// Past the end of the launch, the runner diffs global memory against
-// the next launch's boundary instead (internal/kernels). On a
+// every so many lane-operations. The fault launch of a trial
+// (Trial.Launch) (a) starts from the latest checkpoint that provably
+// precedes its trigger, and (b) once its fault has fired, compares
+// itself against the golden image captured at the same cycle and stops
+// as soon as it matches. Past the end of the launch, the trial diffs
+// global memory against the next launch's boundary instead. On a
 // single-writer launch an operation fault's replay runs only the
 // faulted block, in log mode, instead of rejoining (blocklog.go).
 //

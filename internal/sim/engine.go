@@ -232,7 +232,7 @@ type engine struct {
 
 	// Checkpointing (checkpoint.go). rec records sub-launch images
 	// during a golden run (RunGolden); golden/gIdx drive the rejoin
-	// cutoff during a fault replay (Replay): golden holds the images
+	// cutoff during a fault launch (Trial.Launch): golden holds the images
 	// after the replay's start, and once the fault has fired, the
 	// replay compares its full state against the golden image captured
 	// at the same cycle and stops early on a match.
@@ -261,9 +261,9 @@ type engine struct {
 
 	// Block logs (blocklog.go). logRec records a launch's golden issue
 	// log and access sets (RecordBlockLog); lg is the state of a
-	// log-mode replay.
+	// log-mode replay (Trial).
 	logRec *logRecorder
-	lg     *LogScratch
+	lg     *logScratch
 
 	// st is the launch storage this engine carves its block, warp, and
 	// SM state from; it travels with the engine through enginePool.
@@ -301,7 +301,7 @@ type launchStore struct {
 }
 
 // enginePool recycles engines together with their launchStore. Run,
-// RunGolden, and Replay return the engine once the Result is built;
+// RunGolden, and Trial.Launch return the engine once the Result is built;
 // nothing a Result or LaunchImage holds points into recycled storage
 // (capture copies, the timeline is allocated per launch, PerOpLane is a
 // fresh map).
@@ -378,7 +378,7 @@ func (st *launchStore) reset(nsm, nsched int) []smState {
 
 // newEngine takes an engine from enginePool and sets it up at the
 // launch boundary, with no blocks launched; run launches the initial
-// residency wave, unless Replay restored a sub-launch image first. The
+// residency wave, unless a trial restored a sub-launch image first. The
 // caller releases the engine.
 func newEngine(cfg Config, global *mem.Global) (*engine, error) {
 	if err := validate(cfg); err != nil {
@@ -560,14 +560,15 @@ func (e *engine) raiseDUE(mode DUEMode, format string, args ...any) {
 // run executes the launch to completion or DUE.
 func (e *engine) run() *Result {
 	e.simulate()
-	return e.result()
+	res := e.result()
+	return &res
 }
 
 // simulate runs the cycle loop until the launch completes, a DUE is
 // raised, or the replay rejoins golden.
 func (e *engine) simulate() {
 	if e.nextBlock == 0 {
-		// At the launch boundary (fresh, or restored by Replay), the
+		// At the launch boundary (fresh, or restored by a trial), the
 		// initial wave fills SMs round-robin up to the residency limit.
 		for slot := 0; slot < e.occ.BlocksPerSM; slot++ {
 			for s := range e.sms {
@@ -682,8 +683,8 @@ func (e *engine) simulate() {
 }
 
 // result builds the launch's Result from the engine's final state.
-func (e *engine) result() *Result {
-	res := &Result{
+func (e *engine) result() Result {
+	res := Result{
 		RejoinedGolden: e.rejoined,
 		Profile: Profile{
 			Cycles:           e.cycle,

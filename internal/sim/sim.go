@@ -89,31 +89,30 @@ type Result struct {
 	DUEReason string
 	Profile   Profile
 
-	// RejoinedGolden reports that a faulted replay stopped early because
-	// its full state matched a golden sub-launch image (Replay): the
-	// rest of the launch — and therefore the program — would replay the
-	// golden run exactly, so the fault is architecturally masked. The
-	// Profile of such a run covers only the simulated prefix.
+	// The rest of a Result describes one launch of a Trial; Run and
+	// RunGolden leave it zero.
+
+	// RejoinedGolden reports that the fault launch stopped early because
+	// its full state matched a golden sub-launch image: the rest of the
+	// launch — and therefore the program — would replay the golden run
+	// exactly, so the fault is architecturally masked. The Profile of
+	// such a run covers only the simulated prefix.
 	RejoinedGolden bool
 
 	// StartImage is the index, in the golden checkpoint sequence, of the
-	// checkpoint a Replay started from: 0 for the launch boundary, more
-	// for a sub-launch image. Zero for Run and RunGolden.
+	// checkpoint the fault launch started from: 0 for the launch
+	// boundary, more for a sub-launch image.
 	StartImage int
 
-	// LogBlocks is the number of blocks that ran the launch alone in
-	// log mode (blocklog.go): the faulted block of a Replay (then
-	// LogBlock names it), or the blocks of a ReplayBlocks. Global memory
-	// then holds only their effect: the words no replayed block writes
-	// are as the replay started (Replay: as at its start image), or hold
-	// a golden value a replayed block read there. Zero when the cycle
-	// engine ran the launch.
-	LogBlocks int
-	LogBlock  int
+	// Logged reports that the launch ran in log mode (blocklog.go): only
+	// the blocks a fault can reach ran, alone, in their golden issue
+	// order. Skipped reports that a launch after the fault launch ran no
+	// block at all, since none reads a dirty word.
+	Logged, Skipped bool
 
-	// LogFallback is why a log-mode attempt was abandoned (LogOK when
-	// none was). Replay then re-ran the launch with the cycle engine;
-	// ReplayBlocks leaves that to its caller.
+	// LogFallback is why the launch ran on the cycle engine although it
+	// asked for its block log: a log-mode attempt was abandoned, or the
+	// launch is not single-writer (LogIneligible). LogOK otherwise.
 	LogFallback LogFallback
 }
 
@@ -190,7 +189,7 @@ func Run(cfg Config, global *mem.Global) (*Result, error) {
 }
 
 // RunGolden simulates a fault-free launch like Run and returns its
-// checkpoint sequence for Replay: first the launch boundary (global
+// checkpoint sequence for Trial.Launch: first the launch boundary (global
 // memory before the launch), then full-state sub-launch images on the
 // checkpoint policy (checkpoint.go). budget is the bytes the sub-launch
 // images may take, each charged its memory snapshot plus the block
@@ -211,66 +210,6 @@ func RunGolden(cfg Config, global *mem.Global, budget int) (*Result, []*LaunchIm
 	}
 	e.release()
 	return res, seq, nil
-}
-
-// Replay runs a faulted launch (cfg.Fault set) from the golden
-// checkpoint sequence seq that RunGolden returned for the same launch.
-// It restores the latest checkpoint preceding the fault's trigger,
-// global memory included, so only the suffix is simulated; once the
-// fault has fired, it stops with Result.RejoinedGolden at the first
-// later image its full state matches.
-//
-// Given the launch's BlockLog, single-writer, and an operation fault,
-// the replay instead runs in log mode from that checkpoint: the block
-// the fault fires in replays alone, from its state there, through the
-// fire to its end (Result.LogBlocks, ls.Stores), and any certificate
-// failure re-runs the launch with the cycle engine
-// (Result.LogFallback). bl may be nil; with a log, ls holds the
-// log-mode state.
-func Replay(cfg Config, global *mem.Global, seq []*LaunchImage, bl *BlockLog, ls *LogScratch) (*Result, error) {
-	if cfg.Fault == nil || len(seq) == 0 {
-		return nil, fmt.Errorf("sim: Replay needs a fault plan and a checkpoint sequence")
-	}
-	plan := *cfg.Fault
-	res, err := replay(cfg, global, seq, bl, ls)
-	if err != nil || res.LogFallback == LogOK {
-		return res, err
-	}
-	*cfg.Fault = plan
-	fb := res.LogFallback
-	if res, err = replay(cfg, global, seq, nil, nil); err != nil {
-		return nil, err
-	}
-	res.LogFallback = fb
-	return res, nil
-}
-
-func replay(cfg Config, global *mem.Global, seq []*LaunchImage, bl *BlockLog, ls *LogScratch) (*Result, error) {
-	e, err := newEngine(cfg, global)
-	if err != nil {
-		return nil, err
-	}
-	start := startImage(seq, cfg.Fault)
-	var (
-		blk    *blockState
-		fb     LogFallback
-		logged bool
-	)
-	if bl.Eligible() && cfg.Fault.Kind < FaultRFBit {
-		blk, fb, logged = e.replayFaulted(bl, ls, seq[start])
-	}
-	if !logged {
-		e.golden = seq[start+1:]
-		e.restoreImage(seq[start])
-		e.simulate()
-	}
-	res := e.result()
-	res.StartImage = start
-	if logged {
-		res.LogBlocks, res.LogBlock, res.LogFallback = 1, blk.cta, fb
-	}
-	e.release()
-	return res, nil
 }
 
 func validate(cfg Config) error {
