@@ -165,43 +165,32 @@ func BenchmarkFig5_CodeFIT_ECCOn(b *testing.B)  { benchCodeBeam(b, true) }
 
 // --- Figure 6 + §VII-B ---
 
-// fig6Inputs builds the prediction inputs once (profiling + injection +
-// micro beams for one code), so the benchmark isolates the model itself.
+// fig6Inputs builds the prediction inputs once (profiling + injection
+// for one code, and the study's micro-benchmark calibration), so the
+// benchmark isolates the model itself.
 func fig6Inputs(b *testing.B) (*profiler.CodeProfile, *faultinj.Result, *fit.UnitFITs) {
 	b.Helper()
 	dev := device.K40c()
-	r := benchRunner(b, "FMXM", kernels.MxMBuilder(isa.F32), dev, asm.O2)
+	cache := kernels.NewCache(0)
+	_, units, err := core.Calibrate(dev, core.Options{MicroTrials: 40, Seed: 2}, cache)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, err := cache.Get("FMXM", kernels.MxMBuilder(isa.F32), dev, asm.O2)
+	if err != nil {
+		b.Fatal(err)
+	}
 	cp, err := profiler.Profile(r)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ir, err := cache.Get("FMXM", kernels.MxMBuilder(isa.F32), dev, faultinj.Sassifi.OptLevel())
 	if err != nil {
 		b.Fatal(err)
 	}
 	avf, err := faultinj.RunWithRunner(faultinj.Config{
 		Tool: faultinj.Sassifi, FaultsPerClass: 15, Seed: 1,
-	}, benchRunner(b, "FMXM", kernels.MxMBuilder(isa.F32), dev, faultinj.Sassifi.OptLevel()))
-	if err != nil {
-		b.Fatal(err)
-	}
-	micro := map[string]*beam.Result{}
-	phi := map[string]float64{}
-	var rfBytes int
-	for _, m := range microbench.Catalog(dev) {
-		mr := benchRunner(b, m.Name, m.Build, dev, asm.O2)
-		res, err := beam.Run(beam.Config{ECC: m.Name != "RF", Trials: 40, Seed: 2}, mr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		micro[m.Name] = res
-		mp, err := profiler.Profile(mr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		phi[m.Name] = mp.Phi()
-		if m.Name == "RF" {
-			l := mr.Instance().Launches[0]
-			rfBytes = l.GridX * l.GridY * l.BlockThreads * l.Prog.NumRegs * 4
-		}
-	}
-	units, err := fit.FromMicroResults(dev.Name, micro, nil, phi, nil, rfBytes)
+	}, ir)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -213,7 +202,7 @@ func BenchmarkFig6_Prediction(b *testing.B) {
 	b.ResetTimer()
 	var pred float64
 	for i := 0; i < b.N; i++ {
-		p := fit.Predict(cp, avf, units, false)
+		p := fit.Predict(cp, avf, units, false, fit.Ablation{})
 		pred = p.SDCFIT
 	}
 	b.ReportMetric(pred, "pred-SDC-FIT-au")
@@ -230,7 +219,7 @@ func BenchmarkDUE_Underestimation(b *testing.B) {
 	b.ResetTimer()
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		p := fit.Predict(cp, avf, units, true)
+		p := fit.Predict(cp, avf, units, true, fit.Ablation{})
 		if p.DUEFIT > 0 {
 			ratio = beamRes.DUEFIT.Rate / p.DUEFIT
 		}

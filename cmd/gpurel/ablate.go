@@ -6,11 +6,11 @@ import (
 
 	"gpurel/internal/asm"
 	"gpurel/internal/beam"
+	"gpurel/internal/core"
 	"gpurel/internal/device"
 	"gpurel/internal/faultinj"
 	"gpurel/internal/fit"
 	"gpurel/internal/kernels"
-	"gpurel/internal/microbench"
 	"gpurel/internal/profiler"
 	"gpurel/internal/report"
 	"gpurel/internal/stats"
@@ -21,7 +21,8 @@ import (
 // model contributes by re-running the Figure-6 comparison for one code
 // with individual terms disabled: Equation 4's phi factor, the
 // full-utilization normalization, the §V-A de-masking, and Equation 3's
-// memory term.
+// memory term. The unit FITs are the study's own (core.Calibrate, with
+// -trials beam trials per micro-benchmark).
 //
 //	gpurel ablate -device kepler -code FMXM -ecc=false
 //
@@ -61,8 +62,17 @@ func ablateCmd(f *cmdFlags) func() error {
 			return nil
 		}
 
-		// Gather the inputs: profile, AVF, micro-benchmark unit FITs, beam.
-		runner, err := kernels.NewRunner(e.Name, e.Build, dev, asm.O2)
+		// Gather the inputs: the study's calibration, then the code's
+		// profile, AVF and beam, all from one cache.
+		cache := kernels.NewCache(0)
+		_, units, err := core.Calibrate(dev, core.Options{
+			MicroTrials: *trials, Seed: *seed,
+			Progress: func(f string, a ...any) { fmt.Fprintf(os.Stderr, f+"\n", a...) },
+		}, cache)
+		if err != nil {
+			return err
+		}
+		runner, err := cache.Get(e.Name, e.Build, dev, asm.O2)
 		if err != nil {
 			return err
 		}
@@ -74,41 +84,13 @@ func ablateCmd(f *cmdFlags) func() error {
 		if dev.Arch == device.Kepler {
 			tool = faultinj.Sassifi
 		}
-		avfRunner := runner
-		if tool.OptLevel() != runner.Opt {
-			if avfRunner, err = kernels.NewRunner(e.Name, e.Build, dev, tool.OptLevel()); err != nil {
-				return err
-			}
+		avfRunner, err := cache.Get(e.Name, e.Build, dev, tool.OptLevel())
+		if err != nil {
+			return err
 		}
 		avf, err := faultinj.RunWithRunner(faultinj.Config{
 			Tool: tool, FaultsPerClass: *faults / 4, TotalFaults: *faults, Seed: *seed,
 		}, avfRunner)
-		if err != nil {
-			return err
-		}
-		micro := map[string]*beam.Result{}
-		phi := map[string]float64{}
-		var rfBytes int
-		for _, m := range microbench.Catalog(dev) {
-			mr, err := kernels.NewRunner(m.Name, m.Build, dev, asm.O2)
-			if err != nil {
-				return err
-			}
-			res, err := beam.Run(beam.Config{ECC: m.Name != "RF", Trials: *trials, Seed: *seed}, mr)
-			if err != nil {
-				return err
-			}
-			micro[m.Name] = res
-			if mp, err := profiler.Profile(mr); err == nil {
-				phi[m.Name] = mp.Phi()
-			}
-			if m.Name == "RF" {
-				l := mr.Instance().Launches[0]
-				rfBytes = l.GridX * l.GridY * l.BlockThreads * l.Prog.NumRegs * 4
-			}
-			fmt.Fprintf(os.Stderr, "micro %s done\n", m.Name)
-		}
-		units, err := fit.FromMicroResults(dev.Name, micro, nil, phi, nil, rfBytes)
 		if err != nil {
 			return err
 		}
@@ -132,7 +114,7 @@ func ablateCmd(f *cmdFlags) func() error {
 			{"without memory term (Eq. 3)", fit.Ablation{NoMemTerm: true}},
 		}
 		for _, r := range rows {
-			p := fit.PredictAblated(cp, avf, units, *ecc, r.ab)
+			p := fit.Predict(cp, avf, units, *ecc, r.ab)
 			fmt.Printf("%-28s  %12.4f  %+9.1fx\n",
 				r.name, p.SDCFIT, stats.SignedRatio(beamRes.SDCFIT.Rate, p.SDCFIT))
 		}

@@ -351,9 +351,3 @@ func (h *HiddenEstimate) WithResidency(m MeasuredResidency) *HiddenEstimate {
 	out.Exposure = total * m.SMCyclesPerCycle
 	return &out
 }
-
-// MeasuredHiddenEstimate builds a measured estimate directly from a
-// residency measurement, without a static baseline.
-func MeasuredHiddenEstimate(name string, m MeasuredResidency) *HiddenEstimate {
-	return (&HiddenEstimate{Name: name}).WithResidency(m)
-}

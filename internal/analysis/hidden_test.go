@@ -206,7 +206,7 @@ func TestCombineHidden(t *testing.T) {
 // raw sensitivity lines and the shares follow directly.
 func TestWithResidencyShares(t *testing.T) {
 	m := MeasuredResidency{WarpsPerSMCycle: 10, SMCyclesPerCycle: 2}
-	h := MeasuredHiddenEstimate("flat", m)
+	h := (&HiddenEstimate{Name: "flat"}).WithResidency(m)
 	if !h.Measured {
 		t.Fatal("WithResidency must mark the estimate as measured")
 	}
@@ -260,7 +260,7 @@ func TestWithResidencyModulation(t *testing.T) {
 // workload whose telemetry never sampled) still yields finite shares:
 // the per-SM sensitivity floor keeps the total weight positive.
 func TestWithResidencyZeroIsFinite(t *testing.T) {
-	h := MeasuredHiddenEstimate("zero", MeasuredResidency{})
+	h := (&HiddenEstimate{Name: "zero"}).WithResidency(MeasuredResidency{})
 	checkShares(t, h)
 	if h.Exposure != 0 {
 		t.Errorf("zero SM residency must zero the exposure, got %.6f", h.Exposure)

@@ -106,15 +106,6 @@ func (r *Result) HiddenDUEFraction() float64 {
 	return 0
 }
 
-// HiddenShare returns the fraction of hidden strikes that landed in one
-// resource, or 0 when the campaign sampled no hidden strikes.
-func (r *Result) HiddenShare(h device.HiddenResource) float64 {
-	if s := r.BySource[SrcHidden]; s.Strikes > 0 {
-		return float64(r.ByHidden[h].Strikes) / float64(s.Strikes)
-	}
-	return 0
-}
-
 // exposure captures the strike-rate budget of one launch.
 type exposure struct {
 	launch int

@@ -219,10 +219,21 @@ func eccOffOnVolta(e suite.Entry) bool { return !e.Library }
 
 // RunDevice executes the complete single-device study.
 func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
+	// One build per (workload, opt level): the golden run, profiles, and
+	// checkpoint sequences are shared across the calibration, profiling,
+	// injection, and beam phases. Budget 0: a study never evicts.
+	cache := kernels.NewCache(0)
+
+	// 1. Micro-benchmark beam campaigns (Figure 3) and the unit FITs.
+	microBeam, units, err := Calibrate(dev, opts, cache)
+	if err != nil {
+		return nil, err
+	}
 	opts.defaults()
 	ds := &DeviceStudy{
 		Dev:                      dev,
-		MicroBeam:                make(map[string]*beam.Result),
+		MicroBeam:                microBeam,
+		Units:                    units,
 		Profiles:                 make(map[string]*profiler.CodeProfile),
 		AVF:                      make(map[faultinj.Tool]map[string]*faultinj.Result),
 		StaticAVF:                make(map[string]*analysis.Estimate),
@@ -236,95 +247,11 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 		DUEUnderestimate:         make(map[bool]float64),
 		DUEMeasuredUnderestimate: make(map[bool]float64),
 	}
-
-	// One build per (workload, opt level): the golden run, profiles, and
-	// checkpoint sequences are shared across the profiling,
-	// injection, and beam phases. Budget 0: a study never evicts.
-	cache := kernels.NewCache(0)
-	var mu sync.Mutex // guards the ds maps and micro accumulators
-
-	// 1. Micro-benchmark beam campaigns (Figure 3). ECC is enabled for
-	// all micro-benchmarks except RF (§V-B). Micros run concurrently;
-	// each campaign result depends only on its own seed, so the split
-	// does not change any number.
-	microAVF := make(map[string]float64)
-	microPhi := make(map[string]float64)
-	microHidden := make(map[string]float64)
-	var rfExposedBytes int
-	micros := microbench.Catalog(dev)
-	outer, innerW := splitWorkers(opts.Workers, len(micros))
-	err := par.ForEach(len(micros), outer, func(i int) error {
-		m := micros[i]
-		r, err := cache.Get(m.Name, m.Build, dev, asm.O2)
-		if err != nil {
-			return fmt.Errorf("core: micro %s: %w", m.Name, err)
-		}
-		if mp, err := profiler.Profile(r); err == nil {
-			mu.Lock()
-			microPhi[m.Name] = mp.Phi()
-			mu.Unlock()
-		}
-		// The micro's own measured hidden exposure calibrates the
-		// measured DUE correction (fit.MeasuredHiddenDUEBase).
-		mh := faultinj.MeasuredHidden(r)
-		mu.Lock()
-		microHidden[m.Name] = mh.DUEExposure()
-		mu.Unlock()
-		ecc := m.Name != "RF"
-		res, err := beam.Run(beam.Config{
-			ECC: ecc, Trials: opts.MicroTrials, Workers: innerW,
-			Seed: opts.Seed ^ hash(m.Name),
-		}, r)
-		if err != nil {
-			return fmt.Errorf("core: micro beam %s: %w", m.Name, err)
-		}
-		mu.Lock()
-		ds.MicroBeam[m.Name] = res
-		mu.Unlock()
-		opts.Progress("micro beam %-6s on %s: SDC %.2f DUE %.2f a.u.",
-			m.Name, dev.Name, res.SDCFIT.Rate, res.DUEFIT.Rate)
-
-		if m.Name == "RF" {
-			l := r.Instance().Launches[0]
-			mu.Lock()
-			rfExposedBytes = l.GridX * l.GridY * l.BlockThreads * l.Prog.NumRegs * 4
-			microAVF[m.Name] = 1 // every stored bit is checked
-			mu.Unlock()
-			return nil
-		}
-		// Micro AVF via direct injection on the unit under test.
-		tool := faultinj.NVBitFI
-		if dev.Arch == device.Kepler {
-			tool = faultinj.Sassifi
-		}
-		ir, err := cache.Get(m.Name, m.Build, dev, tool.OptLevel())
-		if err != nil {
-			return fmt.Errorf("core: micro %s at %s opt: %w", m.Name, tool, err)
-		}
-		avfRes, err := faultinj.RunWithRunner(faultinj.Config{
-			Tool: tool, FaultsPerClass: opts.MicroAVFFaults,
-			TotalFaults: opts.MicroAVFFaults * 3,
-			Workers:     innerW, Seed: opts.Seed ^ hash(m.Name) ^ 0xa7f5a17,
-		}, ir)
-		if err == nil {
-			mu.Lock()
-			microAVF[m.Name] = avfRes.SDCAVF.P
-			mu.Unlock()
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	units, err := fit.FromMicroResults(dev.Name, ds.MicroBeam, microAVF, microPhi, microHidden, rfExposedBytes)
-	if err != nil {
-		return nil, err
-	}
-	ds.Units = units
+	var mu sync.Mutex // guards the ds maps
 
 	// 2. Profiling (Table I, Figure 1), concurrent across codes.
 	entries := suite.ForDevice(dev)
-	outer, _ = splitWorkers(opts.Workers, len(entries))
+	outer, _ := splitWorkers(opts.Workers, len(entries))
 	err = par.ForEach(len(entries), outer, func(i int) error {
 		e := entries[i]
 		r, err := cache.Get(e.Name, e.Build, dev, asm.O2)
@@ -369,7 +296,7 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 			}
 		}
 	}
-	outer, innerW = splitWorkers(opts.Workers, len(injJobs))
+	outer, innerW := splitWorkers(opts.Workers, len(injJobs))
 	err = par.ForEach(len(injJobs), outer, func(i int) error {
 		j := injJobs[i]
 		r, err := cache.Get(j.e.Name, j.e.Build, dev, j.tool.OptLevel())
@@ -530,6 +457,95 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 	return ds, nil
 }
 
+// Calibrate runs the micro-benchmark beam campaigns of Figure 3 and
+// turns them into the unit FITs the Eq. 1-4 predictor takes: each
+// micro's beam FITs with its own measured AVF (the §V-A de-masking),
+// its own phi (the Eq. 4 normalization) and its measured hidden DUE
+// exposure, plus the register-file storage FIT per byte. It returns
+// the micro beam results and the unit FITs. ECC is enabled for all
+// micro-benchmarks except RF (§V-B). Runners come from cache. Micros
+// run concurrently; each campaign result depends only on its own seed,
+// so the split does not change any number.
+func Calibrate(dev *device.Device, opts Options, cache *kernels.Cache) (map[string]*beam.Result, *fit.UnitFITs, error) {
+	opts.defaults()
+	var mu sync.Mutex // guards the micro accumulators
+	microBeam := make(map[string]*beam.Result)
+	microAVF := make(map[string]float64)
+	microPhi := make(map[string]float64)
+	microHidden := make(map[string]float64)
+	var rfExposedBytes int
+	micros := microbench.Catalog(dev)
+	outer, innerW := splitWorkers(opts.Workers, len(micros))
+	err := par.ForEach(len(micros), outer, func(i int) error {
+		m := micros[i]
+		r, err := cache.Get(m.Name, m.Build, dev, asm.O2)
+		if err != nil {
+			return fmt.Errorf("core: micro %s: %w", m.Name, err)
+		}
+		if mp, err := profiler.Profile(r); err == nil {
+			mu.Lock()
+			microPhi[m.Name] = mp.Phi()
+			mu.Unlock()
+		}
+		// The micro's own measured hidden exposure calibrates the
+		// measured DUE correction (fit.MeasuredHiddenDUEBase).
+		mh := faultinj.MeasuredHidden(r)
+		mu.Lock()
+		microHidden[m.Name] = mh.DUEExposure()
+		mu.Unlock()
+		ecc := m.Name != "RF"
+		res, err := beam.Run(beam.Config{
+			ECC: ecc, Trials: opts.MicroTrials, Workers: innerW,
+			Seed: opts.Seed ^ hash(m.Name),
+		}, r)
+		if err != nil {
+			return fmt.Errorf("core: micro beam %s: %w", m.Name, err)
+		}
+		mu.Lock()
+		microBeam[m.Name] = res
+		mu.Unlock()
+		opts.Progress("micro beam %-6s on %s: SDC %.2f DUE %.2f a.u.",
+			m.Name, dev.Name, res.SDCFIT.Rate, res.DUEFIT.Rate)
+
+		if m.Name == "RF" {
+			l := r.Instance().Launches[0]
+			mu.Lock()
+			rfExposedBytes = l.GridX * l.GridY * l.BlockThreads * l.Prog.NumRegs * 4
+			microAVF[m.Name] = 1 // every stored bit is checked
+			mu.Unlock()
+			return nil
+		}
+		// Micro AVF via direct injection on the unit under test.
+		tool := faultinj.NVBitFI
+		if dev.Arch == device.Kepler {
+			tool = faultinj.Sassifi
+		}
+		ir, err := cache.Get(m.Name, m.Build, dev, tool.OptLevel())
+		if err != nil {
+			return fmt.Errorf("core: micro %s at %s opt: %w", m.Name, tool, err)
+		}
+		avfRes, err := faultinj.RunWithRunner(faultinj.Config{
+			Tool: tool, FaultsPerClass: opts.MicroAVFFaults,
+			TotalFaults: opts.MicroAVFFaults * 3,
+			Workers:     innerW, Seed: opts.Seed ^ hash(m.Name) ^ 0xa7f5a17,
+		}, ir)
+		if err == nil {
+			mu.Lock()
+			microAVF[m.Name] = avfRes.SDCAVF.P
+			mu.Unlock()
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	units, err := fit.FromMicroResults(dev.Name, microBeam, microAVF, microPhi, microHidden, rfExposedBytes)
+	if err != nil {
+		return nil, nil, err
+	}
+	return microBeam, units, nil
+}
+
 // matrixKernel reports whether a workload is in the optimization-matrix
 // population (the injection cross-validation set: the matrix gate
 // compares static and dynamic orderings, which needs kernels where the
@@ -618,7 +634,7 @@ func (ds *DeviceStudy) Finalize(voltaAVF map[string]*faultinj.Result) error {
 			if !ok {
 				continue
 			}
-			pred := fit.Predict(cp, avf, ds.Units, key.ECC)
+			pred := fit.Predict(cp, avf, ds.Units, key.ECC, fit.Ablation{})
 			// Fold in the hidden-resource DUE term (§VII-B) — the part
 			// of the DUE rate the injector-fed AVFs cannot see — from the
 			// golden run's residency telemetry.

@@ -3,7 +3,6 @@ package faultinj
 import (
 	"gpurel/internal/analysis"
 	"gpurel/internal/beam"
-	"gpurel/internal/device"
 	"gpurel/internal/kernels"
 	"gpurel/internal/sim"
 )
@@ -100,20 +99,6 @@ func (c *HiddenCrossValidation) StaticDUEGivenStrike() float64 { return c.Static
 
 // BeamDUEGivenStrike is the campaign's measured hidden DUE fraction.
 func (c *HiddenCrossValidation) BeamDUEGivenStrike() float64 { return c.Beam.HiddenDUEFraction() }
-
-// StaticShare returns the model's strike share for one hidden resource.
-func (c *HiddenCrossValidation) StaticShare(h device.HiddenResource) float64 {
-	switch h {
-	case device.HiddenScheduler:
-		return c.Static.SchedulerShare
-	case device.HiddenInstrPipe:
-		return c.Static.InstrPipeShare
-	case device.HiddenMemPath:
-		return c.Static.MemPathShare
-	default:
-		return c.Static.HostIfaceShare
-	}
-}
 
 // MeasuredDUEGivenStrike is the measured-residency model's P(DUE |
 // hidden strike), or 0 when the validation ran without telemetry.

@@ -49,11 +49,8 @@ func TestHiddenCrossValAgreement(t *testing.T) {
 		if got := cv.Beam.HiddenStrikes(); got < 30 {
 			t.Errorf("%s: only %d hidden strikes; the pinned list promises a usable sample", name, got)
 		}
-		sum := 0.0
-		for h := device.HiddenResource(0); h < device.HiddenCount; h++ {
-			sum += cv.StaticShare(h)
-		}
-		if sum < 0.999 || sum > 1.001 {
+		s := cv.Static
+		if sum := s.SchedulerShare + s.InstrPipeShare + s.MemPathShare + s.HostIfaceShare; sum < 0.999 || sum > 1.001 {
 			t.Errorf("%s: static shares sum to %.6f, want 1", name, sum)
 		}
 	}

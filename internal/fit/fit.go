@@ -141,18 +141,43 @@ type Prediction struct {
 	DUEByMode map[string]float64
 }
 
-// Predict applies Equations 1-4 to one workload.
+// Ablation switches individual terms of the prediction model off, to
+// quantify what each contributes: the "which assumptions matter"
+// analysis of DESIGN.md §5 and `gpurel ablate`. The zero value is the
+// paper's model.
+type Ablation struct {
+	// NoPhi drops Equation 4 entirely: no occupancy*IPC scaling. The
+	// paper introduces phi precisely because predictions without it are
+	// unusable (§IV-B).
+	NoPhi bool
+	// NoMicroPhiNorm applies the application's phi but does not express
+	// the micro-benchmark FITs at full utilization first (the paper's
+	// literal Eq. 2 reading).
+	NoMicroPhiNorm bool
+	// NoDemask uses the micro-benchmark FITs as measured instead of
+	// dividing out their own AVFs (§V-A).
+	NoDemask bool
+	// NoMemTerm drops Equation 3's memory summation even with ECC off.
+	NoMemTerm bool
+}
+
+// Predict applies Equations 1-4 to one workload, less the terms ab
+// switches off (the zero Ablation keeps them all).
 //
 // The AVF result may come from a proxy campaign when the paper's tooling
 // cannot instrument the code directly (proprietary libraries on Kepler,
 // FP16 anywhere); the caller selects the proxy, as the paper does
 // (§III-D, §VI).
-func Predict(cp *profiler.CodeProfile, avf *faultinj.Result, units *UnitFITs, ecc bool) Prediction {
+func Predict(cp *profiler.CodeProfile, avf *faultinj.Result, units *UnitFITs, ecc bool, ab Ablation) Prediction {
 	p := Prediction{
 		Name:    cp.Name,
 		ECC:     ecc,
 		Phi:     cp.Phi(),
 		PerUnit: make(map[string]float64),
+	}
+	phi := p.Phi
+	if ab.NoPhi {
+		phi = 1
 	}
 	var covered uint64
 	// Numeric op order keeps the Eq. 2 accumulation deterministic (map
@@ -179,16 +204,22 @@ func Predict(cp *profiler.CodeProfile, avf *faultinj.Result, units *UnitFITs, ec
 		// De-mask the micro-benchmark FIT by its own AVF (§V-A) and
 		// express it at full utilization by dividing out the micro's
 		// own phi before applying the application's (Eq. 4).
-		scale := p.Phi / units.MicroPhi[unit]
-		unitSDC := fitSDC / units.MicroAVF[unit]
-		sdc := f * classAVF.SDCAVF.P * unitSDC * scale
+		scale := phi
+		if !ab.NoPhi && !ab.NoMicroPhiNorm {
+			scale = phi / units.MicroPhi[unit]
+		}
+		demask := units.MicroAVF[unit]
+		if ab.NoDemask {
+			demask = 1
+		}
+		sdc := f * classAVF.SDCAVF.P * (fitSDC / demask) * scale
 		p.InstSDC += sdc
 		p.PerUnit[unit] += sdc
-		p.InstDUE += f * classAVF.DUEAVF.P * (units.DUE[unit] / units.MicroAVF[unit]) * scale
+		p.InstDUE += f * classAVF.DUEAVF.P * (units.DUE[unit] / demask) * scale
 	}
 	p.Covered = float64(covered) / float64(cp.TotalLaneOps)
 
-	if !ecc {
+	if !ecc && !ab.NoMemTerm {
 		memAVFSDC := avf.SDCAVF.P
 		memAVFDUE := avf.DUEAVF.P
 		if gpr, ok := avf.ByMode[faultinj.ModeGPR]; ok && gpr.Injected > 0 {

@@ -88,8 +88,8 @@ func fakeAVF() *faultinj.Result {
 
 func TestPredictHandComputed(t *testing.T) {
 	cp, avf, units := fakeProfile(), fakeAVF(), fakeUnits()
-	p := Predict(cp, avf, units, true) // ECC on: no memory term
-	phi := 1.0                         // 2.0 * 0.5
+	p := Predict(cp, avf, units, true, Ablation{}) // ECC on: no memory term
+	phi := 1.0                                     // 2.0 * 0.5
 
 	wantFFMA := 0.6 * 0.4 * (6.0 / 0.9) * phi
 	wantLDST := 0.2 * 0.2 * (2.0 / 0.95) * phi
@@ -109,8 +109,8 @@ func TestPredictHandComputed(t *testing.T) {
 
 func TestPredictMemoryTermECCOff(t *testing.T) {
 	cp, avf, units := fakeProfile(), fakeAVF(), fakeUnits()
-	on := Predict(cp, avf, units, true)
-	off := Predict(cp, avf, units, false)
+	on := Predict(cp, avf, units, true, Ablation{})
+	off := Predict(cp, avf, units, false, Ablation{})
 	if off.SDCFIT <= on.SDCFIT {
 		t.Fatal("disabling ECC must add the memory term")
 	}
@@ -122,10 +122,10 @@ func TestPredictMemoryTermECCOff(t *testing.T) {
 
 func TestPredictPhiScaling(t *testing.T) {
 	cp, avf, units := fakeProfile(), fakeAVF(), fakeUnits()
-	base := Predict(cp, avf, units, true)
+	base := Predict(cp, avf, units, true, Ablation{})
 	cp2 := *cp
 	cp2.IPC = 4.0 // doubled phi
-	doubled := Predict(&cp2, avf, units, true)
+	doubled := Predict(&cp2, avf, units, true, Ablation{})
 	if math.Abs(doubled.SDCFIT-2*base.SDCFIT) > 1e-9 {
 		t.Fatalf("phi must scale the instruction term linearly: %g vs %g", doubled.SDCFIT, base.SDCFIT)
 	}
@@ -133,9 +133,9 @@ func TestPredictPhiScaling(t *testing.T) {
 
 func TestPredictMicroPhiNormalization(t *testing.T) {
 	cp, avf, units := fakeProfile(), fakeAVF(), fakeUnits()
-	base := Predict(cp, avf, units, true)
+	base := Predict(cp, avf, units, true, Ablation{})
 	units.MicroPhi["FFMA"] = 0.5 // the micro only ran at half utilization
-	boosted := Predict(cp, avf, units, true)
+	boosted := Predict(cp, avf, units, true, Ablation{})
 	if boosted.SDCFIT <= base.SDCFIT {
 		t.Fatal("lower micro phi must raise the inferred unit FIT")
 	}
@@ -195,13 +195,39 @@ func statsRateFromCounts(events, trials int) stats.RateEstimate {
 	return stats.NewRateEstimate(events, float64(trials))
 }
 
-func TestAblationZeroValueMatchesPredict(t *testing.T) {
+// TestPredictPinned pins Predict's outputs on the fakes, at both ECC
+// states, for the paper's model and each single switched-off term. The
+// fakes get a phi of 0.3 and two micros below full utilization, so every
+// switch moves the numbers.
+func TestPredictPinned(t *testing.T) {
 	cp, avf, units := fakeProfile(), fakeAVF(), fakeUnits()
-	for _, ecc := range []bool{false, true} {
-		a := Predict(cp, avf, units, ecc)
-		b := PredictAblated(cp, avf, units, ecc, Ablation{})
-		if math.Abs(a.SDCFIT-b.SDCFIT) > 1e-12 || math.Abs(a.DUEFIT-b.DUEFIT) > 1e-12 {
-			t.Fatalf("zero ablation must match Predict: %g vs %g", a.SDCFIT, b.SDCFIT)
+	cp.IPC = 0.6
+	units.MicroPhi["FFMA"] = 0.5
+	units.MicroPhi["IADD"] = 0.8
+	for _, tc := range []struct {
+		ab                  Ablation
+		ecc                 bool
+		sdcFIT, dueFIT, mem float64
+	}{
+		{Ablation{}, true, 1.3602631578947366, 0.31176315789473685, 0},
+		{Ablation{}, false, 7.360263157894737, 0.41176315789473683, 6},
+		{Ablation{NoPhi: true}, true, 2.684210526315789, 0.9842105263157895, 0},
+		{Ablation{NoPhi: true}, false, 8.68421052631579, 1.0842105263157895, 6},
+		{Ablation{NoMicroPhiNorm: true}, true, 0.8052631578947368, 0.2952631578947369, 0},
+		{Ablation{NoMicroPhiNorm: true}, false, 6.8052631578947365, 0.39526315789473687, 6},
+		{Ablation{NoDemask: true}, true, 1.263, 0.29610000000000003, 0},
+		{Ablation{NoDemask: true}, false, 7.263, 0.3961, 6},
+		{Ablation{NoMemTerm: true}, true, 1.3602631578947366, 0.31176315789473685, 0},
+		{Ablation{NoMemTerm: true}, false, 1.3602631578947366, 0.31176315789473685, 0},
+	} {
+		p := Predict(cp, avf, units, tc.ecc, tc.ab)
+		for _, v := range []struct {
+			name      string
+			got, want float64
+		}{{"SDCFIT", p.SDCFIT, tc.sdcFIT}, {"DUEFIT", p.DUEFIT, tc.dueFIT}, {"MemSDC", p.MemSDC, tc.mem}} {
+			if math.Abs(v.got-v.want) > 1e-12*math.Max(1, math.Abs(v.want)) {
+				t.Errorf("%+v ecc=%v: %s = %v, want %v", tc.ab, tc.ecc, v.name, v.got, v.want)
+			}
 		}
 	}
 }
@@ -209,8 +235,8 @@ func TestAblationZeroValueMatchesPredict(t *testing.T) {
 func TestAblationNoPhi(t *testing.T) {
 	cp, avf, units := fakeProfile(), fakeAVF(), fakeUnits()
 	cp.IPC = 0.2 // phi = 0.1
-	base := PredictAblated(cp, avf, units, true, Ablation{})
-	noPhi := PredictAblated(cp, avf, units, true, Ablation{NoPhi: true})
+	base := Predict(cp, avf, units, true, Ablation{})
+	noPhi := Predict(cp, avf, units, true, Ablation{NoPhi: true})
 	if noPhi.SDCFIT <= base.SDCFIT {
 		t.Fatal("dropping phi for a low-utilization code must inflate the prediction")
 	}
@@ -221,8 +247,8 @@ func TestAblationNoPhi(t *testing.T) {
 
 func TestAblationNoDemask(t *testing.T) {
 	cp, avf, units := fakeProfile(), fakeAVF(), fakeUnits()
-	base := PredictAblated(cp, avf, units, true, Ablation{})
-	raw := PredictAblated(cp, avf, units, true, Ablation{NoDemask: true})
+	base := Predict(cp, avf, units, true, Ablation{})
+	raw := Predict(cp, avf, units, true, Ablation{NoDemask: true})
 	if raw.SDCFIT >= base.SDCFIT {
 		t.Fatal("skipping the de-masking must lower the prediction (micro AVFs < 1)")
 	}
@@ -230,8 +256,8 @@ func TestAblationNoDemask(t *testing.T) {
 
 func TestAblationNoMemTerm(t *testing.T) {
 	cp, avf, units := fakeProfile(), fakeAVF(), fakeUnits()
-	with := PredictAblated(cp, avf, units, false, Ablation{})
-	without := PredictAblated(cp, avf, units, false, Ablation{NoMemTerm: true})
+	with := Predict(cp, avf, units, false, Ablation{})
+	without := Predict(cp, avf, units, false, Ablation{NoMemTerm: true})
 	if without.MemSDC != 0 || without.SDCFIT >= with.SDCFIT {
 		t.Fatal("NoMemTerm must drop the Eq. 3 contribution")
 	}

@@ -18,7 +18,7 @@ import (
 // the matrix's natural operating point: the knobs vary logic codegen,
 // and the logic AVF is what the instruction term sees.
 func PredictOptCell(cp *profiler.CodeProfile, cell *faultinj.OptCell, units *UnitFITs, ecc bool) Prediction {
-	p := Predict(cp, cell.Dynamic, units, ecc)
+	p := Predict(cp, cell.Dynamic, units, ecc, Ablation{})
 	cell.PredSDCFIT = p.SDCFIT
 	cell.PredDUEFIT = p.DUEFIT
 	return p

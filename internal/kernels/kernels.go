@@ -65,9 +65,6 @@ type OutputRegion struct {
 // F16 elements are stored one per word, low half).
 func (o *OutputRegion) ElemWords() int { return o.DType.Regs() }
 
-// WordCount returns the region size in 32-bit words.
-func (o *OutputRegion) WordCount() int { return o.Rows * o.Cols * o.ElemWords() }
-
 // Locate maps a byte address to its (row, col) element coordinates.
 // ok is false when the address falls outside the region.
 func (o *OutputRegion) Locate(addr uint32) (row, col int, ok bool) {

@@ -118,7 +118,11 @@ func TestSmokeYOLO(t *testing.T) {
 		for _, p := range r.GoldenProfiles() {
 			lane += p.LaneOps
 			cyc += p.Cycles
-			fma += p.ClassLaneOps()[isa.ClassFMA]
+			for op, n := range p.PerOpLane {
+				if op.ClassOf() == isa.ClassFMA {
+					fma += n
+				}
+			}
 		}
 		t.Logf("%s: launches=%d cycles=%d laneops=%d fma%%=%.0f", c.name, len(r.GoldenProfiles()), cyc, lane, 100*float64(fma)/float64(lane))
 	}

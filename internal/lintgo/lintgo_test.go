@@ -336,6 +336,53 @@ func get() (*Runner, error) { return NewRunner("W", nil, nil, 0) }
 	}
 }
 
+func TestFromMicroResultsViolation(t *testing.T) {
+	src := `package main
+
+import "fixture/internal/fit"
+
+func units() (*fit.UnitFITs, error) {
+	return fit.FromMicroResults("D", nil, nil, nil, nil, 4)
+}
+`
+	files := map[string]string{"go.mod": "module fixture\n\ngo 1.22\n"}
+	dirs := []string{"cmd/tool", "examples/demo"}
+	for _, dir := range dirs {
+		files[dir+"/main.go"] = src
+	}
+	fs, err := CheckTree(writeModule(t, files))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fs) != len(dirs) {
+		t.Fatalf("got %d findings, want one per directory (%d): %v", len(fs), len(dirs), fs)
+	}
+	for _, f := range fs {
+		if f.Pos.Line != 6 || !strings.Contains(f.Message, "core.Calibrate") {
+			t.Errorf("finding %v: want line 6, pointing at core.Calibrate", f)
+		}
+	}
+}
+
+// The predictor is calibrated where the study is run, and tests may
+// calibrate fakes.
+func TestFromMicroResultsExemptions(t *testing.T) {
+	call := `(*fit.UnitFITs, error) { return fit.FromMicroResults("D", nil, nil, nil, nil, 4) }`
+	root := writeModule(t, map[string]string{
+		"go.mod":                     "module fixture\n\ngo 1.22\n",
+		"internal/core/study.go":     "package core\n\nimport \"fixture/internal/fit\"\n\nfunc calibrate() " + call + "\n",
+		"cmd/tool/main_test.go":      "package main\n\nimport \"fixture/internal/fit\"\n\nfunc units() " + call + "\n",
+		"examples/demo/demo_test.go": "package main\n\nimport \"fixture/internal/fit\"\n\nfunc units() " + call + "\n",
+	})
+	fs, err := CheckTree(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fs) != 0 {
+		t.Fatalf("sanctioned calibrations flagged: %v", fs)
+	}
+}
+
 // The repository itself must stay clean — this is the same gate the
 // full check tier runs via tools/gomaplint.
 func TestRepoClean(t *testing.T) {

@@ -31,6 +31,11 @@ package lintgo
 // caller built; core and serve get theirs from a kernels.Cache. A
 // second runner for a workload the caller already built pays its golden
 // run again and can drift from the caller's view of the same code.
+//
+// Commands and examples may not calibrate the predictor themselves: a
+// `fit.FromMicroResults` selector call is flagged at the call. They take
+// their unit FITs from core.Calibrate, so every prediction de-masks by
+// the same measured micro AVFs as the study's.
 
 import (
 	"fmt"
@@ -45,6 +50,7 @@ type nondetBan struct {
 	mathRand  bool // ban math/rand and math/rand/v2 imports
 	goStmt    bool // ban go statements
 	newRunner bool // ban kernels.NewRunner calls
+	fromMicro bool // ban fit.FromMicroResults calls
 }
 
 // nondetBans maps module-relative package directories (prefix-matched,
@@ -71,6 +77,9 @@ var nondetBans = map[string]nondetBan{
 	// generator: its trial sharding is seed-derived. Its runners come
 	// from the shared cache.
 	"internal/serve": {mathRand: true, newRunner: true},
+	// Commands and examples predict from the study's calibration.
+	"cmd":      {fromMicro: true},
+	"examples": {fromMicro: true},
 }
 
 // nondetBanFor returns the ban covering a module-relative package
@@ -122,6 +131,13 @@ func (c *checker) scanNondet(f *ast.File, ban nondetBan) []Finding {
 					Pos: c.fset.Position(n.Pos()),
 					Message: "package builds its own runner; take the *kernels.Runner the caller built," +
 						" or get one from a kernels.Cache (one golden run per workload)",
+				})
+			}
+			if ban.fromMicro && isSelectorCall(n, "fit", "FromMicroResults") {
+				out = append(out, Finding{
+					Pos: c.fset.Position(n.Pos()),
+					Message: "package calibrates the predictor itself; take the unit FITs from core.Calibrate" +
+						" (the study's micro campaigns and measured micro AVFs)",
 				})
 			}
 		}

@@ -248,12 +248,6 @@ type Shared struct {
 	size  uint32 // bytes
 }
 
-// NewShared creates a shared-memory region of the given size in bytes.
-func NewShared(size int) *Shared {
-	s := SharedOn(make([]uint32, SharedWords(size)), size)
-	return &s
-}
-
 // SharedWords returns the number of 32-bit words backing a shared-memory
 // region of the given size in bytes.
 func SharedWords(size int) int { return (size + 3) / 4 }

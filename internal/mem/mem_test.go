@@ -152,7 +152,7 @@ func TestOutOfMemory(t *testing.T) {
 }
 
 func TestSharedMemory(t *testing.T) {
-	s := NewShared(1024)
+	s := SharedOn(make([]uint32, SharedWords(1024)), 1024)
 	if s.Size() != 1024 {
 		t.Fatalf("size = %d", s.Size())
 	}
@@ -178,14 +178,15 @@ func TestSharedMemory(t *testing.T) {
 }
 
 func TestSharedFlipBit(t *testing.T) {
-	s := NewShared(64)
+	s := SharedOn(make([]uint32, SharedWords(64)), 64)
 	s.FlipBit(37)
 	v, _ := s.Load32(4)
 	if v != 1<<5 {
 		t.Fatalf("bit 37 should be word 1 bit 5, got %x", v)
 	}
 	// Zero-size region: no-op, no panic.
-	NewShared(0).FlipBit(3)
+	empty := SharedOn(nil, 0)
+	empty.FlipBit(3)
 }
 
 func popcount(x uint32) int {

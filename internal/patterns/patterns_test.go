@@ -148,7 +148,7 @@ func TestClassifyErrors(t *testing.T) {
 	if _, err := Classify(kernels.TrialRecord{Outcome: kernels.SDC}, geo); !errors.Is(err, ErrEmptyDiff) {
 		t.Errorf("empty diff: got %v, want ErrEmptyDiff", err)
 	}
-	outside := kernels.CorruptWord{Addr: geo.Base + uint32(geo.WordCount()*4), Golden: 1, Observed: 2}
+	outside := kernels.CorruptWord{Addr: geo.Base + uint32(geo.Rows*geo.Cols*geo.ElemWords()*4), Golden: 1, Observed: 2}
 	if _, err := Classify(sdc(outside), geo); !errors.Is(err, ErrOutsideOutput) {
 		t.Errorf("corruption past the region: got %v, want ErrOutsideOutput", err)
 	}

@@ -167,15 +167,6 @@ func (p *Profile) AchievedOccupancy(dev *device.Device) float64 {
 	return float64(p.ActiveWarpCycles) / float64(p.SMCycles) / float64(dev.MaxWarpsPerSM)
 }
 
-// ClassLaneOps aggregates lane-op counts by Figure-1 instruction class.
-func (p *Profile) ClassLaneOps() map[isa.Class]uint64 {
-	out := make(map[isa.Class]uint64, isa.ClassCount)
-	for op, n := range p.PerOpLane {
-		out[op.ClassOf()] += n
-	}
-	return out
-}
-
 // Run launches the kernel and simulates it to completion. The engine
 // state comes from a pool and goes back to it once the Result is built.
 func Run(cfg Config, global *mem.Global) (*Result, error) {

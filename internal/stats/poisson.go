@@ -186,9 +186,3 @@ func normalQuantile(p float64) float64 {
 			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
 	}
 }
-
-// NormalQuantile exposes the standard normal quantile function.
-func NormalQuantile(p float64) float64 { return normalQuantile(p) }
-
-// RegGammaP exposes the regularized lower incomplete gamma function.
-func RegGammaP(a, x float64) float64 { return regGammaP(a, x) }

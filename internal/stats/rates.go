@@ -30,27 +30,6 @@ func NewRateEstimate(events int, exposure float64) RateEstimate {
 	}
 }
 
-// RelativeHalfWidth returns the half-width of the CI relative to the rate,
-// a convenient "is this statistically solid" check. Returns +Inf when the
-// rate is zero.
-func (e RateEstimate) RelativeHalfWidth() float64 {
-	if e.Rate == 0 {
-		return math.Inf(1)
-	}
-	return (e.CI.Upper - e.CI.Lower) / 2 / e.Rate
-}
-
-// Scale converts the estimate to a different exposure unit by multiplying
-// rate and bounds by f (e.g. cross-section in cm^2 -> FIT via flux*1e9h).
-func (e RateEstimate) Scale(f float64) RateEstimate {
-	return RateEstimate{
-		Events:   e.Events,
-		Exposure: e.Exposure / f,
-		Rate:     e.Rate * f,
-		CI:       PoissonCI{Lower: e.CI.Lower * f, Upper: e.CI.Upper * f},
-	}
-}
-
 // Proportion is a binomial proportion estimate with a Wilson 95% interval,
 // used for AVFs (observed errors / injected faults). The paper sizes its
 // injection campaigns so that 95% confidence intervals are below 5% (§III-D).
@@ -129,18 +108,4 @@ func GeomMeanAbsSigned(ratios []float64) float64 {
 		return -g
 	}
 	return g
-}
-
-// Normalize divides every value by the reference and returns the result in
-// "arbitrary units", the presentation used by Figures 3 and 5. It panics if
-// ref is zero.
-func Normalize(values []float64, ref float64) []float64 {
-	if ref == 0 {
-		panic("stats: normalization reference is zero")
-	}
-	out := make([]float64, len(values))
-	for i, v := range values {
-		out[i] = v / ref
-	}
-	return out
 }

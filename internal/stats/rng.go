@@ -1,7 +1,7 @@
 // Package stats provides the statistical substrate shared by every
 // experimental methodology in this repository: deterministic random number
 // generation, Poisson counting statistics with exact confidence intervals,
-// histograms, and normalization helpers.
+// Wilson proportions, and the signed-ratio helpers of Figure 6.
 //
 // All stochastic components in the simulator, the fault injectors, and the
 // beam campaigns draw exclusively from *stats.RNG so that every experiment

@@ -171,10 +171,6 @@ func TestRateEstimate(t *testing.T) {
 	if e.CI.Lower >= e.Rate || e.CI.Upper <= e.Rate {
 		t.Fatalf("CI %+v does not bracket rate %g", e.CI, e.Rate)
 	}
-	s := e.Scale(1e9)
-	if math.Abs(s.Rate-5) > 1e-12 {
-		t.Fatalf("scaled rate = %g, want 5", s.Rate)
-	}
 }
 
 func TestRateEstimatePanicsOnZeroExposure(t *testing.T) {
@@ -260,16 +256,6 @@ func TestGeomMeanAbsSigned(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	out := Normalize([]float64{2, 4, 8}, 2)
-	want := []float64{1, 2, 4}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("normalize[%d] = %g, want %g", i, out[i], want[i])
-		}
-	}
-}
-
 func TestExponentialMean(t *testing.T) {
 	r := NewRNG(11, 13)
 	sum := 0.0
@@ -279,19 +265,6 @@ func TestExponentialMean(t *testing.T) {
 	}
 	if m := sum / float64(n); math.Abs(m-0.5) > 0.02 {
 		t.Fatalf("Exponential(2) mean %g, want 0.5", m)
-	}
-}
-
-func TestRelativeHalfWidth(t *testing.T) {
-	e := NewRateEstimate(100, 1000)
-	w := e.RelativeHalfWidth()
-	// Poisson with 100 events: ~±20% relative half-width.
-	if w < 0.15 || w > 0.25 {
-		t.Fatalf("relative half-width %g, want ~0.2", w)
-	}
-	zero := NewRateEstimate(0, 1000)
-	if !math.IsInf(zero.RelativeHalfWidth(), 1) {
-		t.Fatal("zero-event estimate has undefined relative width")
 	}
 }
 
