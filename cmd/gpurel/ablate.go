@@ -2,27 +2,25 @@ package main
 
 import (
 	"fmt"
-	"os"
 
-	"gpurel/internal/asm"
-	"gpurel/internal/beam"
 	"gpurel/internal/core"
-	"gpurel/internal/device"
 	"gpurel/internal/faultinj"
 	"gpurel/internal/fit"
 	"gpurel/internal/kernels"
 	"gpurel/internal/profiler"
 	"gpurel/internal/report"
 	"gpurel/internal/stats"
-	"gpurel/internal/suite"
 )
 
 // ablateCmd quantifies what each term of the prediction
 // model contributes by re-running the Figure-6 comparison for one code
 // with individual terms disabled: Equation 4's phi factor, the
 // full-utilization normalization, the §V-A de-masking, and Equation 3's
-// memory term. The unit FITs are the study's own (core.Calibrate, with
-// -trials beam trials per micro-benchmark).
+// memory term. Its inputs are the study's own campaigns, sized as repro
+// sizes them (core.Calibrate, core.InjectCampaign with NVBitFI on Volta
+// and SASSIFI on Kepler, core.BeamCampaign), so at repro's flags the
+// full-model row is repro's Figure-6 prediction for that code, ECC
+// state and injector. A code core.Injectable rules out is an error.
 //
 //	gpurel ablate -device kepler -code FMXM -ecc=false
 //
@@ -43,8 +41,9 @@ func ablateCmd(f *cmdFlags) func() error {
 	csv := f.csv()
 	return func() error {
 		dev, e := f.devs[0], f.entries[0]
+		cache := kernels.NewCache(0)
 		if *optMatrix {
-			runners, err := matrixRunners(dev, e)
+			runners, err := core.MatrixRunners(dev, e, cache)
 			if err != nil {
 				return err
 			}
@@ -62,39 +61,24 @@ func ablateCmd(f *cmdFlags) func() error {
 			return nil
 		}
 
-		// Gather the inputs: the study's calibration, then the code's
-		// profile, AVF and beam, all from one cache.
-		cache := kernels.NewCache(0)
-		_, units, err := core.Calibrate(dev, core.Options{
-			MicroTrials: *trials, Seed: *seed,
-			Progress: func(f string, a ...any) { fmt.Fprintf(os.Stderr, f+"\n", a...) },
-		}, cache)
+		// Gather the study's inputs from one cache: the code's injection
+		// campaign (first, so a code no injector covers fails fast), the
+		// calibration, and the code's beam campaign and profile.
+		opts := studyOptions(*trials, *faults, 0, *seed)
+		opts.Progress = f.progress
+		avf, _, err := core.InjectCampaign(dev, core.Injectors(dev)[0], e, opts, 0, cache)
 		if err != nil {
 			return err
 		}
-		runner, err := cache.Get(e.Name, e.Build, dev, asm.O2)
+		_, units, err := core.Calibrate(dev, opts, cache)
+		if err != nil {
+			return err
+		}
+		beamRes, runner, err := core.BeamCampaign(dev, e, *ecc, opts, 0, cache)
 		if err != nil {
 			return err
 		}
 		cp, err := profiler.Profile(runner)
-		if err != nil {
-			return err
-		}
-		tool := faultinj.NVBitFI
-		if dev.Arch == device.Kepler {
-			tool = faultinj.Sassifi
-		}
-		avfRunner, err := cache.Get(e.Name, e.Build, dev, tool.OptLevel())
-		if err != nil {
-			return err
-		}
-		avf, err := faultinj.RunWithRunner(faultinj.Config{
-			Tool: tool, FaultsPerClass: *faults / 4, TotalFaults: *faults, Seed: *seed,
-		}, avfRunner)
-		if err != nil {
-			return err
-		}
-		beamRes, err := beam.Run(beam.Config{ECC: *ecc, Trials: *trials, Seed: *seed}, runner)
 		if err != nil {
 			return err
 		}
@@ -121,18 +105,4 @@ func ablateCmd(f *cmdFlags) func() error {
 		fmt.Println("\nratio is beam/prediction (+x: beam higher; -x: prediction higher)")
 		return nil
 	}
-}
-
-// matrixRunners builds e's runner at every optimization-matrix
-// configuration, in asm.MatrixConfigs order.
-func matrixRunners(dev *device.Device, e suite.Entry) ([]*kernels.Runner, error) {
-	var runners []*kernels.Runner
-	for _, opt := range asm.MatrixConfigs() {
-		r, err := kernels.NewRunner(e.Name, e.Build, dev, opt)
-		if err != nil {
-			return nil, fmt.Errorf("matrix %s/%s at %s: %w", dev.Name, e.Name, opt, err)
-		}
-		runners = append(runners, r)
-	}
-	return runners, nil
 }

@@ -1,25 +1,16 @@
 package main
 
 import (
-	"fmt"
 	"io"
 	"os"
 	"strings"
 	"testing"
-
-	"gpurel/internal/asm"
-	"gpurel/internal/core"
-	"gpurel/internal/device"
-	"gpurel/internal/faultinj"
-	"gpurel/internal/fit"
-	"gpurel/internal/kernels"
-	"gpurel/internal/profiler"
-	"gpurel/internal/suite"
 )
 
 // TestAblateSmoke runs a tiny model ablation end to end: it exits 0,
-// prints one row per model variant, and its full-model row is
-// fit.Predict on core.Calibrate's unit FITs, the study's calibration.
+// prints one row per model variant, and reports the calibration's
+// micro-benchmark campaigns on the stderr it was given.
+// TestCommandsPrintStudyRows checks the rows themselves.
 func TestAblateSmoke(t *testing.T) {
 	out, stderr, code := captureRun(t, "ablate", "-device", "volta", "-code", "FMXM", "-trials", "4", "-faults", "8")
 	if code != 0 {
@@ -34,39 +25,8 @@ func TestAblateSmoke(t *testing.T) {
 	if len(rows) != 5 {
 		t.Fatalf("%d model rows, want 5:\n%s", len(rows), out)
 	}
-
-	dev := device.V100()
-	e, err := suite.Find(suite.ForDevice(dev), "FMXM")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := kernels.NewCache(0)
-	_, units, err := core.Calibrate(dev, core.Options{MicroTrials: 4, Seed: 1}, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := cache.Get(e.Name, e.Build, dev, asm.O2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := profiler.Profile(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ir, err := cache.Get(e.Name, e.Build, dev, faultinj.NVBitFI.OptLevel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	avf, err := faultinj.RunWithRunner(faultinj.Config{
-		Tool: faultinj.NVBitFI, FaultsPerClass: 2, TotalFaults: 8, Seed: 1,
-	}, ir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := fit.Predict(cp, avf, units, false, fit.Ablation{})
-	want := fmt.Sprintf("%.4f", p.SDCFIT)
-	if fields := strings.Fields(rows[0]); fields[len(fields)-2] != want {
-		t.Errorf("full-model row %q, want predicted %s (fit.Predict on core.Calibrate's units)", rows[0], want)
+	if !strings.Contains(stderr, "micro beam FADD ") {
+		t.Errorf("stderr lacks the calibration's micro beam lines:\n%s", stderr)
 	}
 }
 

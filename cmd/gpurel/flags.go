@@ -4,8 +4,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"time"
 
 	"gpurel/internal/asm"
+	"gpurel/internal/core"
 	"gpurel/internal/device"
 	"gpurel/internal/suite"
 )
@@ -58,6 +60,32 @@ func (f *cmdFlags) workers() *int {
 
 func (f *cmdFlags) quiet() *bool {
 	return f.Bool("quiet", false, "suppress progress and log lines on stderr")
+}
+
+// progress writes one line to the subcommand's stderr.
+func (f *cmdFlags) progress(format string, args ...any) {
+	fmt.Fprintf(f.Output(), format+"\n", args...)
+}
+
+// summary reports the wall-clock/throughput line every beam and
+// injection campaign ends with: n trials (or faults) since start.
+func (f *cmdFlags) summary(n int, unit string, start time.Time) {
+	elapsed := time.Since(start)
+	f.progress("campaign total: %d %s in %s (%.0f %s/s)",
+		n, unit, elapsed.Round(time.Millisecond), float64(n)/elapsed.Seconds(), unit)
+}
+
+// studyOptions sizes core's campaigns from the shared flags as repro
+// sizes its study, so at repro's flags a subcommand prints its numbers.
+func studyOptions(trials, faults, workers int, seed uint64) core.Options {
+	return core.Options{
+		MicroTrials:     trials,
+		CodeTrials:      trials,
+		SassifiPerClass: faults / 4,
+		NVBitFITotal:    faults,
+		Workers:         workers,
+		Seed:            seed,
+	}
 }
 
 // parse parses args and resolves the names. A bad flag, which the flag

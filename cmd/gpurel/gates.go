@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"os"
 	"strings"
 
 	"gpurel/internal/asm"
@@ -35,6 +34,8 @@ type gateConfig struct {
 	faults int    // -faults: campaign size override (0: the gate's own)
 	seed   uint64
 	csv    bool
+	// progress receives the skip, done and failure lines.
+	progress func(format string, args ...any)
 }
 
 // gateRun is one run of a gate under the flags.
@@ -95,9 +96,9 @@ func runGates(gs []Gate, c gateConfig) error {
 	return status
 }
 
-// failf reports a workload outside the gate's tolerance on stderr.
+// failf reports a workload outside the gate's tolerance.
 func (r *gateRun) failf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "gate %s: %s\n", r.Name, fmt.Sprintf(format, args...))
+	r.progress("gate %s: %s", r.Name, fmt.Sprintf(format, args...))
 	r.failed = true
 }
 
@@ -159,11 +160,11 @@ func runCrossValGate(r *gateRun) (string, error) {
 			cv, err = faultinj.CrossValidate(runner, dyn)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "skip %s on %s: %v\n", e.Name, dev.Name, err)
+			r.progress("skip %s on %s: %v", e.Name, dev.Name, err)
 			return nil
 		}
 		cvs = append(cvs, cv)
-		fmt.Fprintf(os.Stderr, "done %s on %s\n", e.Name, dev.Name)
+		r.progress("done %s on %s", e.Name, dev.Name)
 		if !cv.Agrees() {
 			r.failf("%s on %s outside ±%.2f (delta %+.3f)",
 				cv.Name, cv.Device, r.Tolerance, cv.Delta())
@@ -179,7 +180,7 @@ func runCrossValGate(r *gateRun) (string, error) {
 func runOptGate(r *gateRun) (string, error) {
 	var ms []*faultinj.OptMatrix
 	err := r.forEachWorkload(faultinj.CrossValKernels, func(dev *device.Device, e suite.Entry) error {
-		runners, err := matrixRunners(dev, e)
+		runners, err := core.MatrixRunners(dev, e, kernels.NewCache(0))
 		if err != nil {
 			return err
 		}
@@ -191,7 +192,7 @@ func runOptGate(r *gateRun) (string, error) {
 		}
 		ms = append(ms, m)
 		conc, disc := m.OrderingAgreement(r.Tolerance)
-		fmt.Fprintf(os.Stderr, "done %s on %s: %d concordant, %d discordant\n",
+		r.progress("done %s on %s: %d concordant, %d discordant",
 			e.Name, dev.Name, conc, disc)
 		if !m.OrderingAgrees() {
 			r.failf("%s on %s: static ordering contradicts injection (%d discordant pairs at eps %.2f)",
@@ -230,7 +231,7 @@ func runTwoLevelGate(r *gateRun) (string, error) {
 		}
 		study.AVF[faultinj.NVBitFI][e.Name] = exact
 		study.TwoLevel[e.Name] = tl
-		fmt.Fprintf(os.Stderr, "done %s on %s: exact %.3f, two-level %.3f (%d vs %d trials)\n",
+		r.progress("done %s on %s: exact %.3f, two-level %.3f (%d vs %d trials)",
 			e.Name, dev.Name, exact.SDCAVF.P, tl.SDCAVF, exact.Injected, tl.Trials)
 		if !tl.Agrees(exact) {
 			r.failf("%s on %s outside ±%.2f (delta %+.3f)",
@@ -264,11 +265,11 @@ func runDUEModeGate(r *gateRun) (string, error) {
 			cv, err = faultinj.PairDUEModes(runner, dyn)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "skip %s on %s: %v\n", e.Name, dev.Name, err)
+			r.progress("skip %s on %s: %v", e.Name, dev.Name, err)
 			return nil
 		}
 		cvs = append(cvs, cv)
-		fmt.Fprintf(os.Stderr, "done %s on %s: delta %.3f over %d typed DUEs\n",
+		r.progress("done %s on %s: delta %.3f over %d typed DUEs",
 			e.Name, dev.Name, cv.Delta(), cv.DynamicDUEs)
 		if !cv.Agrees() {
 			r.failf("%s on %s outside %.2f (L-inf delta %.3f over %d typed DUEs)",
@@ -293,11 +294,11 @@ func runHiddenGate(r *gateRun) (string, error) {
 			hcv, err = faultinj.CrossValidateHidden(bcfg, runner)
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "skip hidden %s on %s: %v\n", e.Name, dev.Name, err)
+			r.progress("skip hidden %s on %s: %v", e.Name, dev.Name, err)
 			return nil
 		}
 		hcvs = append(hcvs, hcv)
-		fmt.Fprintf(os.Stderr, "done hidden %s on %s\n", e.Name, dev.Name)
+		r.progress("done hidden %s on %s", e.Name, dev.Name)
 		if !hcv.MeasuredAgrees() {
 			r.failf("%s on %s outside ±%.2f (delta %+.3f)",
 				hcv.Name, hcv.Device, r.Tolerance, hcv.MeasuredDelta())

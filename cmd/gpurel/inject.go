@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"time"
 
@@ -15,8 +14,11 @@ import (
 	"gpurel/internal/suite"
 )
 
-// injectCmd runs architecture-level fault-injection campaigns in the style
-// of SASSIFI and NVBitFI and reports the AVFs of Figure 4.
+// injectCmd runs the study's architecture-level fault-injection
+// campaigns in the style of SASSIFI and NVBitFI (core.InjectCampaign)
+// and reports the AVFs of Figure 4; at repro's -faults and -seed it
+// prints repro's rows. Without -code it covers every workload
+// core.Injectable admits; an explicit -code it rules out is an error.
 //
 //	gpurel inject -device kepler -tool sassifi            all codes
 //	gpurel inject -device volta -code FGEMM -faults 2000  one code
@@ -43,31 +45,35 @@ func injectCmd(f *cmdFlags) func() error {
 		}
 		defer pprofutil.Stop()
 
-		cfg := faultinj.Config{Tool: tool, FaultsPerClass: *faults / 4, TotalFaults: *faults, Workers: *workers, Seed: *seed}
+		opts := studyOptions(0, *faults, *workers, *seed)
+		cache := kernels.NewCache(0)
 		ds := &core.DeviceStudy{Dev: dev, AVF: map[faultinj.Tool]map[string]*faultinj.Result{tool: {}}}
 		start := time.Now()
 		totalFaults := 0
+		var skipped error
 		for _, e := range entries {
-			codeStart := time.Now()
-			// The runner outlives the campaign so its sub-launch replay
-			// statistics can be reported.
-			runner, err := kernels.NewRunner(e.Name, e.Build, dev, cfg.Tool.OptLevel())
-			if err != nil {
-				return fmt.Errorf("injecting %s: %w", e.Name, err)
+			if err := core.Injectable(dev, tool, e); err != nil && len(f.entries) == 0 {
+				f.progress("skip %s: %v", e.Name, err)
+				skipped = err
+				continue
 			}
-			res, err := faultinj.RunWithRunner(cfg, runner)
+			codeStart := time.Now()
+			res, runner, err := core.InjectCampaign(dev, tool, e, opts, *workers, cache)
 			if err != nil {
-				return fmt.Errorf("injecting %s: %w", e.Name, err)
+				return err
 			}
 			ds.AVF[tool][e.Name] = res
 			totalFaults += res.Injected
 			el := time.Since(codeStart)
 			restores, rejoins := runner.ReplayStats()
-			fmt.Fprintf(os.Stderr, "done %s: %d faults in %s (%.0f faults/s; sub-launch restores %d, rejoins %d; %s)\n",
+			f.progress("done %s: %d faults in %s (%.0f faults/s; sub-launch restores %d, rejoins %d; %s)",
 				e.Name, res.Injected, el.Round(time.Millisecond), float64(res.Injected)/el.Seconds(),
 				restores, rejoins, runner.LogStats())
 		}
-		summary(totalFaults, "faults", start)
+		if len(ds.AVF[tool]) == 0 {
+			return skipped
+		}
+		f.summary(totalFaults, "faults", start)
 		fmt.Print(report.Figure4(ds, *csv))
 
 		// Per-class detail for single-code runs.

@@ -70,7 +70,7 @@ func lintCmd(f *cmdFlags) func() error {
 			if err != nil {
 				return err
 			}
-			return runGates(gs, gateConfig{devs: f.devs, code: *f.codeName, faults: *faults, seed: *seed, csv: *csv})
+			return runGates(gs, gateConfig{devs: f.devs, code: *f.codeName, faults: *faults, seed: *seed, csv: *csv, progress: f.progress})
 		}
 
 		var reports []progReport

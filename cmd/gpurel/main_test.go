@@ -31,6 +31,8 @@ func TestExitStatus(t *testing.T) {
 		{[]string{"inject", "-tool", "sasifi"}, 2},
 		{[]string{"inject", "-device", "kepler", "-code", "NOPE"}, 2},
 		{[]string{"inject", "-device", "volta", "-tool", "sassifi", "-code", "FMXM"}, 1},
+		{[]string{"inject", "-device", "volta", "-code", "HMXM"}, 1},
+		{[]string{"inject", "-device", "kepler", "-tool", "sassifi", "-code", "FGEMM"}, 1},
 		{[]string{"beam", "-device", "kepler"}, 2},
 		{[]string{"beam", "-device", "kepler", "-code", "NOPE"}, 2},
 		{[]string{"profile", "-device", "pascal"}, 2},
@@ -39,6 +41,7 @@ func TestExitStatus(t *testing.T) {
 		{[]string{"sassdump", "-opt", "bogus"}, 2},
 		{[]string{"ablate", "-device", "volta", "-code", "NOPE"}, 2},
 		{[]string{"ablate", "-code", ""}, 2},
+		{[]string{"ablate", "-device", "volta", "-code", "HMXM"}, 1},
 		{[]string{"sassdump", "-code", ""}, 2},
 		{[]string{"inject", "-device", "all"}, 2},
 		{[]string{"repro", "-device", "pascal"}, 2},

@@ -53,16 +53,9 @@ func reproCmd(f *cmdFlags) func() error {
 			return nil
 		}
 
-		opts := core.Options{
-			MicroTrials:     *trials,
-			CodeTrials:      *trials,
-			SassifiPerClass: *faults / 4,
-			NVBitFITotal:    *faults,
-			Workers:         *workers,
-			Seed:            *seed,
-		}
+		opts := studyOptions(*trials, *faults, *workers, *seed)
 		if !*quiet {
-			opts.Progress = func(f string, a ...any) { fmt.Fprintf(os.Stderr, f+"\n", a...) }
+			opts.Progress = f.progress
 		}
 		start := time.Now()
 		studies, err := runStudy(f.devs, opts)

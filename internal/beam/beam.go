@@ -148,7 +148,7 @@ func Run(cfg Config, r *kernels.Runner) (*Result, error) {
 			laneOps:      p.LaneOps,
 			gridBlocks:   l.GridX * l.GridY,
 			blockThreads: l.BlockThreads,
-			numRegs:      maxInt(l.Prog.NumRegs, 1),
+			numRegs:      max(l.Prog.NumRegs, 1),
 			sharedBytes:  l.Prog.SharedMem,
 		}
 		// Iterate opcodes in numeric order: summing in map order would
@@ -346,7 +346,7 @@ func storageStrike(cfg Config, r *kernels.Runner, sil *device.SiliconModel,
 		return kernels.TrialRecord{Outcome: kernels.Masked}, nil // corrected SBU
 	}
 	plan := &sim.FaultPlan{
-		TriggerIndex: uint64(rng.Int64N(int64(maxU64(ex.laneOps, 1)))),
+		TriggerIndex: uint64(rng.Int64N(int64(max(ex.laneOps, 1)))),
 		Bit:          rng.IntN(64),
 	}
 	switch src {
@@ -358,10 +358,10 @@ func storageStrike(cfg Config, r *kernels.Runner, sil *device.SiliconModel,
 	case SrcShared:
 		plan.Kind = sim.FaultSharedBit
 		plan.Block = rng.IntN(ex.gridBlocks)
-		plan.BitIdx = rng.Uint64() % uint64(maxInt(ex.sharedBytes*8, 1))
+		plan.BitIdx = rng.Uint64() % uint64(max(ex.sharedBytes*8, 1))
 	case SrcGlobal:
 		plan.Kind = sim.FaultGlobalBit
-		plan.BitIdx = rng.Uint64() % uint64(maxInt(int(allocBits), 1))
+		plan.BitIdx = rng.Uint64() % uint64(max(int(allocBits), 1))
 	}
 	return r.RunTrialWithFault(plan, ex.launch)
 }
@@ -392,18 +392,4 @@ func hiddenStrike(sil *device.SiliconModel, ex *exposure, rng *stats.RNG) (devic
 	default:
 		return h, kernels.TrialRecord{Outcome: kernels.Masked}
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -86,21 +86,8 @@ func (o *Options) defaults() {
 // splitWorkers divides a worker budget between n concurrent campaigns
 // (outer) and the parallelism inside each campaign (inner).
 func splitWorkers(total, n int) (outer, inner int) {
-	if n < 1 {
-		n = 1
-	}
-	outer = total
-	if outer > n {
-		outer = n
-	}
-	if outer < 1 {
-		outer = 1
-	}
-	inner = total / outer
-	if inner < 1 {
-		inner = 1
-	}
-	return outer, inner
+	outer = max(min(total, n), 1)
+	return outer, max(total/outer, 1)
 }
 
 // BeamKey identifies one beam configuration of a workload.
@@ -209,13 +196,11 @@ func BeamConfigs(dev *device.Device, entries []suite.Entry) []BeamKey {
 				keys = append(keys, BeamKey{e.Name, false})
 			}
 		} else {
-			keys = append(keys, BeamKey{e.Name, !eccOffOnVolta(e)})
+			keys = append(keys, BeamKey{e.Name, e.Library})
 		}
 	}
 	return keys
 }
-
-func eccOffOnVolta(e suite.Entry) bool { return !e.Library }
 
 // RunDevice executes the complete single-device study.
 func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
@@ -279,19 +264,15 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 
 	// 3. Injection campaigns (Figure 4), concurrent across (tool, code)
 	// pairs; each campaign reuses the cached runner for its pipeline.
-	tools := []faultinj.Tool{faultinj.NVBitFI}
-	if dev.Arch == device.Kepler {
-		tools = []faultinj.Tool{faultinj.Sassifi, faultinj.NVBitFI}
-	}
 	type injJob struct {
 		tool faultinj.Tool
 		e    suite.Entry
 	}
 	var injJobs []injJob
-	for _, tool := range tools {
+	for _, tool := range Injectors(dev) {
 		ds.AVF[tool] = make(map[string]*faultinj.Result)
 		for _, e := range entries {
-			if injectable(dev, tool, e) {
+			if Injectable(dev, tool, e) == nil {
 				injJobs = append(injJobs, injJob{tool, e})
 			}
 		}
@@ -299,17 +280,9 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 	outer, innerW := splitWorkers(opts.Workers, len(injJobs))
 	err = par.ForEach(len(injJobs), outer, func(i int) error {
 		j := injJobs[i]
-		r, err := cache.Get(j.e.Name, j.e.Build, dev, j.tool.OptLevel())
+		res, r, err := InjectCampaign(dev, j.tool, j.e, opts, innerW, cache)
 		if err != nil {
-			return fmt.Errorf("core: %s on %s: %w", j.tool, j.e.Name, err)
-		}
-		res, err := faultinj.RunWithRunner(faultinj.Config{
-			Tool: j.tool, FaultsPerClass: opts.SassifiPerClass,
-			TotalFaults: opts.NVBitFITotal, Workers: innerW,
-			Seed: opts.Seed ^ hash(j.e.Name) ^ uint64(j.tool),
-		}, r)
-		if err != nil {
-			return fmt.Errorf("core: %s on %s: %w", j.tool, j.e.Name, err)
+			return err
 		}
 		// The static counterparts of the NVBitFI campaign: deterministic,
 		// injection-free, and the other side of the cross-validation
@@ -354,13 +327,9 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 	outer, innerW = splitWorkers(opts.Workers, len(matrixJobs))
 	err = par.ForEach(len(matrixJobs), outer, func(i int) error {
 		e := matrixJobs[i]
-		var runners []*kernels.Runner
-		for _, opt := range asm.MatrixConfigs() {
-			r, err := cache.Get(e.Name, e.Build, dev, opt)
-			if err != nil {
-				return fmt.Errorf("core: opt matrix %s at %s: %w", e.Name, opt, err)
-			}
-			runners = append(runners, r)
+		runners, err := MatrixRunners(dev, e, cache)
+		if err != nil {
+			return err
 		}
 		m, err := faultinj.RunOptMatrix(faultinj.OptMatrixConfig{
 			Faults: opts.OptFaults, Workers: innerW,
@@ -394,7 +363,7 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 	// cache, so this costs only the level-1 site samples.
 	var tlJobs []suite.Entry
 	for _, e := range matrixJobs {
-		if injectable(dev, faultinj.NVBitFI, e) {
+		if Injectable(dev, faultinj.NVBitFI, e) == nil {
 			tlJobs = append(tlJobs, e)
 		}
 	}
@@ -433,16 +402,9 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 		if err != nil {
 			return err
 		}
-		r, err := cache.Get(e.Name, e.Build, dev, asm.O2)
+		res, _, err := BeamCampaign(dev, e, key.ECC, opts, innerW, cache)
 		if err != nil {
 			return err
-		}
-		res, err := beam.Run(beam.Config{
-			ECC: key.ECC, Trials: opts.CodeTrials, Workers: innerW,
-			Seed: opts.Seed ^ hash(e.Name) ^ boolBit(key.ECC),
-		}, r)
-		if err != nil {
-			return fmt.Errorf("core: beam %s ecc=%v: %w", e.Name, key.ECC, err)
 		}
 		mu.Lock()
 		ds.Beam[key] = res
@@ -462,10 +424,10 @@ func RunDevice(dev *device.Device, opts Options) (*DeviceStudy, error) {
 // micro's beam FITs with its own measured AVF (the §V-A de-masking),
 // its own phi (the Eq. 4 normalization) and its measured hidden DUE
 // exposure, plus the register-file storage FIT per byte. It returns
-// the micro beam results and the unit FITs. ECC is enabled for all
-// micro-benchmarks except RF (§V-B). Runners come from cache. Micros
-// run concurrently; each campaign result depends only on its own seed,
-// so the split does not change any number.
+// the micro beam results and the unit FITs, and fails if any micro's
+// beam campaign, profile or AVF campaign fails. Runners come from
+// cache. Micros run concurrently; each campaign result depends only on
+// its own seed, so the split does not change any number.
 func Calibrate(dev *device.Device, opts Options, cache *kernels.Cache) (map[string]*beam.Result, *fit.UnitFITs, error) {
 	opts.defaults()
 	var mu sync.Mutex // guards the micro accumulators
@@ -478,31 +440,21 @@ func Calibrate(dev *device.Device, opts Options, cache *kernels.Cache) (map[stri
 	outer, innerW := splitWorkers(opts.Workers, len(micros))
 	err := par.ForEach(len(micros), outer, func(i int) error {
 		m := micros[i]
-		r, err := cache.Get(m.Name, m.Build, dev, asm.O2)
+		res, r, err := MicroBeamCampaign(dev, m, opts, innerW, cache)
 		if err != nil {
-			return fmt.Errorf("core: micro %s: %w", m.Name, err)
+			return err
 		}
-		if mp, err := profiler.Profile(r); err == nil {
-			mu.Lock()
-			microPhi[m.Name] = mp.Phi()
-			mu.Unlock()
+		mp, err := profiler.Profile(r)
+		if err != nil {
+			return fmt.Errorf("core: micro profile %s: %w", m.Name, err)
 		}
 		// The micro's own measured hidden exposure calibrates the
 		// measured DUE correction (fit.MeasuredHiddenDUEBase).
 		mh := faultinj.MeasuredHidden(r)
 		mu.Lock()
-		microHidden[m.Name] = mh.DUEExposure()
-		mu.Unlock()
-		ecc := m.Name != "RF"
-		res, err := beam.Run(beam.Config{
-			ECC: ecc, Trials: opts.MicroTrials, Workers: innerW,
-			Seed: opts.Seed ^ hash(m.Name),
-		}, r)
-		if err != nil {
-			return fmt.Errorf("core: micro beam %s: %w", m.Name, err)
-		}
-		mu.Lock()
 		microBeam[m.Name] = res
+		microPhi[m.Name] = mp.Phi()
+		microHidden[m.Name] = mh.DUEExposure()
 		mu.Unlock()
 		opts.Progress("micro beam %-6s on %s: SDC %.2f DUE %.2f a.u.",
 			m.Name, dev.Name, res.SDCFIT.Rate, res.DUEFIT.Rate)
@@ -516,10 +468,7 @@ func Calibrate(dev *device.Device, opts Options, cache *kernels.Cache) (map[stri
 			return nil
 		}
 		// Micro AVF via direct injection on the unit under test.
-		tool := faultinj.NVBitFI
-		if dev.Arch == device.Kepler {
-			tool = faultinj.Sassifi
-		}
+		tool := Injectors(dev)[0]
 		ir, err := cache.Get(m.Name, m.Build, dev, tool.OptLevel())
 		if err != nil {
 			return fmt.Errorf("core: micro %s at %s opt: %w", m.Name, tool, err)
@@ -529,11 +478,12 @@ func Calibrate(dev *device.Device, opts Options, cache *kernels.Cache) (map[stri
 			TotalFaults: opts.MicroAVFFaults * 3,
 			Workers:     innerW, Seed: opts.Seed ^ hash(m.Name) ^ 0xa7f5a17,
 		}, ir)
-		if err == nil {
-			mu.Lock()
-			microAVF[m.Name] = avfRes.SDCAVF.P
-			mu.Unlock()
+		if err != nil {
+			return fmt.Errorf("core: micro AVF %s: %w", m.Name, err)
 		}
+		mu.Lock()
+		microAVF[m.Name] = avfRes.SDCAVF.P
+		mu.Unlock()
 		return nil
 	})
 	if err != nil {
@@ -559,37 +509,6 @@ func matrixKernel(name string) bool {
 	return false
 }
 
-// injectable reports whether the tool can instrument the entry on the
-// device (§III-D, §VI).
-func injectable(dev *device.Device, tool faultinj.Tool, e suite.Entry) bool {
-	if dev.Arch == device.Kepler && e.Library {
-		return false // no injector supports proprietary libraries on Kepler
-	}
-	if tool == faultinj.NVBitFI && e.FP16 {
-		return false // NVBitFI cannot inject into half-precision kernels
-	}
-	if tool == faultinj.Sassifi && e.FP16 {
-		return false // Kepler has no FP16 anyway
-	}
-	return true
-}
-
-func hash(s string) uint64 {
-	var h uint64 = 1469598103934665603
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-func boolBit(b bool) uint64 {
-	if b {
-		return 1 << 40
-	}
-	return 0
-}
-
 // sortedBeamKeys returns the map's keys ordered by (code, ECC off
 // first), for deterministic iteration.
 func sortedBeamKeys(m map[BeamKey]*beam.Result) []BeamKey {
@@ -612,12 +531,6 @@ func sortedBeamKeys(m map[BeamKey]*beam.Result) []BeamKey {
 // itself).
 func (ds *DeviceStudy) Finalize(voltaAVF map[string]*faultinj.Result) error {
 	entries := suite.ForDevice(ds.Dev)
-	var tools []faultinj.Tool
-	if ds.Dev.Arch == device.Kepler {
-		tools = []faultinj.Tool{faultinj.Sassifi, faultinj.NVBitFI}
-	} else {
-		tools = []faultinj.Tool{faultinj.NVBitFI}
-	}
 	// Iterate beam configurations in sorted order: Comparisons is an
 	// ordered artifact, and the DUE ratio accumulation below must not
 	// pick up ULP noise from map iteration order.
@@ -629,7 +542,7 @@ func (ds *DeviceStudy) Finalize(voltaAVF map[string]*faultinj.Result) error {
 			return err
 		}
 		cp := ds.Profiles[key.Code]
-		for _, tool := range tools {
+		for _, tool := range Injectors(ds.Dev) {
 			avf, ok := ds.resolveAVF(tool, e, voltaAVF)
 			if !ok {
 				continue

@@ -126,17 +126,23 @@ func TestInjectableMatrix(t *testing.T) {
 		}
 		return e
 	}
-	if injectable(k, faultinj.Sassifi, find(kepler, "FGEMM")) {
-		t.Fatal("SASSIFI cannot instrument CUBLAS on Kepler")
-	}
-	if injectable(v, faultinj.NVBitFI, find(volta, "HGEMM")) {
-		t.Fatal("NVBitFI cannot instrument half-precision kernels")
-	}
-	if !injectable(v, faultinj.NVBitFI, find(volta, "FGEMM")) {
-		t.Fatal("NVBitFI instruments libraries on Volta")
-	}
-	if !injectable(k, faultinj.Sassifi, find(kepler, "FMXM")) {
-		t.Fatal("plain codes are injectable")
+	for _, tc := range []struct {
+		dev   *device.Device
+		tool  faultinj.Tool
+		e     suite.Entry
+		ok    bool
+		label string
+	}{
+		{k, faultinj.Sassifi, find(kepler, "FGEMM"), false, "SASSIFI cannot instrument CUBLAS on Kepler"},
+		{k, faultinj.NVBitFI, find(kepler, "FGEMM"), false, "NVBitFI cannot instrument CUBLAS on Kepler"},
+		{v, faultinj.NVBitFI, find(volta, "HGEMM"), false, "NVBitFI cannot instrument half-precision kernels"},
+		{v, faultinj.Sassifi, find(volta, "FMXM"), false, "SASSIFI instruments Kepler only"},
+		{v, faultinj.NVBitFI, find(volta, "FGEMM"), true, "NVBitFI instruments libraries on Volta"},
+		{k, faultinj.Sassifi, find(kepler, "FMXM"), true, "plain codes are injectable"},
+	} {
+		if err := Injectable(tc.dev, tc.tool, tc.e); (err == nil) != tc.ok {
+			t.Errorf("%s on %s under %s: Injectable = %v; %s", tc.e.Name, tc.dev.Name, tc.tool, err, tc.label)
+		}
 	}
 }
 

@@ -383,6 +383,32 @@ func TestFromMicroResultsExemptions(t *testing.T) {
 	}
 }
 
+// Commands take their beam campaigns from core; examples, core itself
+// and tests may run beam.Run.
+func TestBeamRunViolation(t *testing.T) {
+	call := "func trial(r *kernels.Runner) (*beam.Result, error) { return beam.Run(beam.Config{Trials: 4}, r) }\n"
+	src := func(pkg string) string {
+		return "package " + pkg + "\n\nimport (\n\t\"fixture/internal/beam\"\n\t\"fixture/internal/kernels\"\n)\n\n" + call
+	}
+	fs, err := CheckTree(writeModule(t, map[string]string{
+		"go.mod":                    "module fixture\n\ngo 1.22\n",
+		"cmd/tool/main.go":          src("main"),
+		"cmd/tool/main_test.go":     src("main"),
+		"examples/demo/main.go":     src("main"),
+		"internal/core/campaign.go": src("core"),
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fs) != 1 {
+		t.Fatalf("got %d findings, want 1 (the command's beam.Run): %v", len(fs), fs)
+	}
+	if f := fs[0]; !strings.HasSuffix(f.Pos.Filename, "cmd/tool/main.go") || f.Pos.Line != 8 ||
+		!strings.Contains(f.Message, "core.BeamCampaign") {
+		t.Errorf("finding %v: want cmd/tool/main.go:8, pointing at core.BeamCampaign", f)
+	}
+}
+
 // The repository itself must stay clean — this is the same gate the
 // full check tier runs via tools/gomaplint.
 func TestRepoClean(t *testing.T) {

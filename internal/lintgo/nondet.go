@@ -35,7 +35,9 @@ package lintgo
 // Commands and examples may not calibrate the predictor themselves: a
 // `fit.FromMicroResults` selector call is flagged at the call. They take
 // their unit FITs from core.Calibrate, so every prediction de-masks by
-// the same measured micro AVFs as the study's.
+// the same measured micro AVFs as the study's. Commands (not examples,
+// whose campaigns are illustrative) also may not call `beam.Run`: they
+// take the study's beam campaigns from core.
 
 import (
 	"fmt"
@@ -51,6 +53,7 @@ type nondetBan struct {
 	goStmt    bool // ban go statements
 	newRunner bool // ban kernels.NewRunner calls
 	fromMicro bool // ban fit.FromMicroResults calls
+	beamRun   bool // ban beam.Run calls
 }
 
 // nondetBans maps module-relative package directories (prefix-matched,
@@ -77,8 +80,9 @@ var nondetBans = map[string]nondetBan{
 	// generator: its trial sharding is seed-derived. Its runners come
 	// from the shared cache.
 	"internal/serve": {mathRand: true, newRunner: true},
-	// Commands and examples predict from the study's calibration.
-	"cmd":      {fromMicro: true},
+	// Commands and examples predict from the study's calibration;
+	// commands also run the study's beam campaigns.
+	"cmd":      {fromMicro: true, beamRun: true},
 	"examples": {fromMicro: true},
 }
 
@@ -138,6 +142,13 @@ func (c *checker) scanNondet(f *ast.File, ban nondetBan) []Finding {
 					Pos: c.fset.Position(n.Pos()),
 					Message: "package calibrates the predictor itself; take the unit FITs from core.Calibrate" +
 						" (the study's micro campaigns and measured micro AVFs)",
+				})
+			}
+			if ban.beamRun && isSelectorCall(n, "beam", "Run") {
+				out = append(out, Finding{
+					Pos: c.fset.Position(n.Pos()),
+					Message: "command runs its own beam campaign; take it from core.BeamCampaign or" +
+						" core.MicroBeamCampaign (sized and seeded as the study's)",
 				})
 			}
 		}

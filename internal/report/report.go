@@ -116,15 +116,7 @@ func Figure1(ds *core.DeviceStudy, csv bool) string {
 // Figure3 renders the micro-benchmark FIT rates, normalized to the
 // device's lowest measured DUE rate, as in the paper.
 func Figure3(ds *core.DeviceStudy, csv bool) string {
-	ref := math.Inf(1)
-	for _, r := range ds.MicroBeam {
-		if r.DUEFIT.Rate > 0 && r.DUEFIT.Rate < ref {
-			ref = r.DUEFIT.Rate
-		}
-	}
-	if math.IsInf(ref, 1) {
-		ref = 1
-	}
+	ref := lowestMicroDUE(ds)
 	t := &table{header: []string{"micro", "SDC [a.u.]", "DUE [a.u.]", "SDC CI95"}}
 	for _, m := range microbench.Catalog(ds.Dev) {
 		r, ok := ds.MicroBeam[m.Name]
@@ -138,6 +130,21 @@ func Figure3(ds *core.DeviceStudy, csv bool) string {
 	}
 	return finish(t, csv, fmt.Sprintf(
 		"Figure 3 — micro-benchmark FIT on %s (normalized to lowest DUE; RF measured with ECC off)", ds.Dev.Name))
+}
+
+// lowestMicroDUE is the normalization of Figures 3 and 5: the lowest
+// nonzero micro-benchmark DUE rate (1 when there is none).
+func lowestMicroDUE(ds *core.DeviceStudy) float64 {
+	ref := math.Inf(1)
+	for _, r := range ds.MicroBeam {
+		if r.DUEFIT.Rate > 0 && r.DUEFIT.Rate < ref {
+			ref = r.DUEFIT.Rate
+		}
+	}
+	if math.IsInf(ref, 1) {
+		return 1
+	}
+	return ref
 }
 
 // Figure4 renders the per-code AVFs per injector.
@@ -163,15 +170,7 @@ func Figure4(ds *core.DeviceStudy, csv bool) string {
 // Figure5 renders the beam-measured code FIT rates, normalized to the
 // lowest micro-benchmark DUE as in Figure 3.
 func Figure5(ds *core.DeviceStudy, csv bool) string {
-	ref := math.Inf(1)
-	for _, r := range ds.MicroBeam {
-		if r.DUEFIT.Rate > 0 && r.DUEFIT.Rate < ref {
-			ref = r.DUEFIT.Rate
-		}
-	}
-	if math.IsInf(ref, 1) {
-		ref = 1
-	}
+	ref := lowestMicroDUE(ds)
 	t := &table{header: []string{"code", "ECC", "SDC [a.u.]", "DUE [a.u.]", "SDC events", "trials"}}
 	for _, ecc := range []bool{false, true} {
 		for _, name := range suiteOrder(ds) {

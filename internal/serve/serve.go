@@ -25,6 +25,7 @@ import (
 	"strings"
 	"sync"
 
+	"gpurel/internal/core"
 	"gpurel/internal/device"
 	"gpurel/internal/faultinj"
 	"gpurel/internal/kernels"
@@ -141,8 +142,8 @@ func requestTool(name string) (faultinj.Tool, error) {
 }
 
 // validate resolves and checks a request against the workload matrix:
-// the suite must carry the code on that device, and the injector must
-// be able to instrument it (§III-D, §VI restrictions).
+// the suite must carry the code on that device, and core.Injectable
+// must admit the campaign (§III-D, §VI restrictions).
 func validate(req *Request) (faultinj.Tool, error) {
 	req.defaults()
 	dev, err := requestDevice(req.Device)
@@ -153,18 +154,12 @@ func validate(req *Request) (faultinj.Tool, error) {
 	if err != nil {
 		return 0, err
 	}
-	if tool == faultinj.Sassifi && dev.Arch != device.Kepler {
-		return 0, fmt.Errorf("serve: SASSIFI instruments Kepler only, not %s", dev.Name)
-	}
 	e, err := suite.Find(suite.ForDevice(dev), req.Code)
 	if err != nil {
 		return 0, err
 	}
-	if dev.Arch == device.Kepler && e.Library {
-		return 0, fmt.Errorf("serve: no injector instruments proprietary-library code %s on Kepler", e.Name)
-	}
-	if tool == faultinj.NVBitFI && e.FP16 {
-		return 0, fmt.Errorf("serve: NVBitFI cannot inject into half-precision code %s", e.Name)
+	if err := core.Injectable(dev, tool, e); err != nil {
+		return 0, err
 	}
 	if req.TargetWidth > 1 {
 		return 0, fmt.Errorf("serve: target_width %g out of (0, 1]", req.TargetWidth)
