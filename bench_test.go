@@ -319,12 +319,14 @@ func BenchmarkSimProfileTimeline(b *testing.B) {
 
 // benchPerFault measures the marginal cost of one injected fault under
 // the checkpointed engine: a golden runner is built once, then each
-// iteration restores the nearest golden image (sub-launch or launch
-// boundary), simulates the faulted suffix, and cuts off as soon as the
-// state rejoins golden. Triggers cycle through the first fifty filtered
-// lane-ops — the definition the BENCH_v*.json snapshots and the CI gate
-// track — so the metric prices the early-fault replay the sub-launch
-// rejoin cutoff was built for.
+// iteration runs one trial launch step by launch step (sim.Trial): the
+// fault launch from its start image, in log mode where it can, then
+// each later launch skipped, replayed for its reader blocks alone, or
+// re-run, until the trial ends or memory is golden again. Block logs
+// are recorded by the first iterations that need them. Triggers cycle
+// through the first fifty filtered lane-ops — the definition the
+// BENCH_v*.json snapshots and the CI gate track — so the metric prices
+// early-fault replays.
 func benchPerFault(b *testing.B, name string, build kernels.Builder) {
 	dev := device.K40c()
 	r := benchRunner(b, name, build, dev, asm.O2)
@@ -414,6 +416,14 @@ func BenchmarkSimPerFaultYOLOv3Uniform(b *testing.B) {
 // launch.
 func BenchmarkSimPerFaultGaussianUniform(b *testing.B) {
 	benchPerFaultUniform(b, "FGAUSSIAN", kernels.GaussianBuilder())
+}
+
+// BenchmarkSimPerFaultFLUDUniform prices reader replays: a fault in one
+// of FLUD's 46 launches dirties words that many blocks of the later
+// launches read, and those blocks replay in log mode one after another
+// (DESIGN §19).
+func BenchmarkSimPerFaultFLUDUniform(b *testing.B) {
+	benchPerFaultUniform(b, "FLUD", kernels.LUDBuilder())
 }
 
 // BenchmarkSimSnapshotRestore isolates the memory-checkpoint substrate:

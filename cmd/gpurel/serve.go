@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"os"
+	"sync"
 
 	"gpurel/internal/kernels"
 	"gpurel/internal/serve"
@@ -25,27 +25,9 @@ import (
 // counts byte-identical to an uninterrupted run.
 func serveCmd(f *cmdFlags) func() error {
 	addr := f.String("addr", "127.0.0.1:8397", "listen address")
-	workers := f.workers()
-	cacheBytes := f.Int64("cache-bytes", serve.DefaultCacheBytes,
-		fmt.Sprintf("runner-cache budget in bytes (default 4x the %d-byte per-runner image budget)",
-			kernels.ImageBudgetBytes))
-	spool := f.String("spool", "", "campaign checkpoint directory (default: fresh temp dir)")
-	pprofFlag := f.Bool("pprof", false, "expose /debug/pprof (operator profiling surface)")
-	quiet := f.quiet()
+	opts := serveOptions(f)
 	return func() error {
-		logf := func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
-		if *quiet {
-			logf = nil
-		}
-		srv, err := serve.New(serve.Options{
-			SimWorkers:  *workers,
-			CacheBytes:  *cacheBytes,
-			SpoolDir:    *spool,
-			EnablePprof: *pprofFlag,
-			Logf:        logf,
-		})
+		srv, err := serve.New(opts())
 		if err != nil {
 			return err
 		}
@@ -58,5 +40,35 @@ func serveCmd(f *cmdFlags) func() error {
 		}
 		fmt.Printf("gpurel serve listening on http://%s (spool %s)\n", ln.Addr(), srv.SpoolDir())
 		return http.Serve(ln, srv.Handler())
+	}
+}
+
+// serveOptions defines the daemon's flags and returns the options they
+// give once parsed. Log lines go to the subcommand's stderr behind a
+// lock, since campaign goroutines log concurrently.
+func serveOptions(f *cmdFlags) func() serve.Options {
+	workers := f.workers()
+	cacheBytes := f.Int64("cache-bytes", serve.DefaultCacheBytes,
+		fmt.Sprintf("runner-cache budget in bytes (default 4x the %d-byte per-runner image budget)",
+			kernels.ImageBudgetBytes))
+	spool := f.String("spool", "", "campaign checkpoint directory (default: fresh temp dir)")
+	pprofFlag := f.Bool("pprof", false, "expose /debug/pprof (operator profiling surface)")
+	quiet := f.quiet()
+	return func() serve.Options {
+		o := serve.Options{
+			SimWorkers:  *workers,
+			CacheBytes:  *cacheBytes,
+			SpoolDir:    *spool,
+			EnablePprof: *pprofFlag,
+		}
+		if !*quiet {
+			var mu sync.Mutex
+			o.Logf = func(format string, args ...any) {
+				mu.Lock()
+				defer mu.Unlock()
+				f.progress(format, args...)
+			}
+		}
+		return o
 	}
 }

@@ -515,3 +515,62 @@ func redSumBuilder() Builder {
 		}, nil
 	}
 }
+
+// gatherBuilder is a two-launch kernel whose second launch gathers
+// through indices the first writes. Launch 0 (one block) stores in[t]
+// to idx[t]. In launch 1 thread t of block c loads idx[t] and stores
+// data[idx[t]]+c to out[32c+t]. Both blocks of launch 1 read every
+// index, so a fault on one in launch 0 replays both, one after the
+// other; an index flipped far out of range raises a DUE in the first.
+func gatherBuilder() Builder {
+	return func(dev *device.Device, opt asm.OptLevel) (*Instance, error) {
+		const n = 32
+		g := mem.NewGlobal(1 << 16)
+		in, err := g.Alloc(4 * n)
+		if err != nil {
+			return nil, err
+		}
+		idx, _ := g.Alloc(4 * n)
+		data, _ := g.Alloc(4 * n)
+		out, _ := g.Alloc(4 * 2 * n)
+		wantIdx, wantOut := make([]uint32, n), make([]uint32, 2*n)
+		for i := 0; i < n; i++ {
+			k := uint32(n - 1 - i)
+			g.SetWord(in+uint32(4*i), k)
+			g.SetWord(data+uint32(4*i), uint32(1000+i))
+			wantIdx[i] = k
+			wantOut[i], wantOut[n+i] = 1000+k, 1001+k
+		}
+		b := asm.New("gather0", opt)
+		tid, v := b.R(), b.R()
+		b.S2R(tid, isa.SrTidX)
+		b.Ldg(v, emitAddr(b, tid, in, 4), 0)
+		b.Stg(emitAddr(b, tid, idx, 4), 0, v)
+		b.Exit()
+		fill, err := b.Build()
+		if err != nil {
+			return nil, err
+		}
+		b = asm.New("gather1", opt)
+		tid, cta, k, v := b.R(), b.R(), b.R(), b.R()
+		b.S2R(tid, isa.SrTidX)
+		b.S2R(cta, isa.SrCtaidX)
+		b.Ldg(k, emitAddr(b, tid, idx, 4), 0)
+		b.Ldg(v, emitAddr(b, k, data, 4), 0)
+		b.IAdd(v, isa.R(v), isa.R(cta))
+		b.Stg(emitAddr(b, emitGID(b), out, 4), 0, v)
+		b.Exit()
+		gather, err := b.Build()
+		if err != nil {
+			return nil, err
+		}
+		return &Instance{
+			Name: "GATHER", Dev: dev, Global: g,
+			Launches: []Launch{
+				{Prog: fill, GridX: 1, GridY: 1, BlockThreads: n},
+				{Prog: gather, GridX: 2, GridY: 1, BlockThreads: n},
+			},
+			Check: checkAll(checkWords(idx, wantIdx), checkWords(out, wantOut)),
+		}, nil
+	}
+}

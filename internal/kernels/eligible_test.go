@@ -31,7 +31,7 @@ func TestSuiteLaunchesAreSingleWriter(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i := range r.Instance().Launches {
-					if ok, err := r.LogEligible(i); err != nil || !ok {
+					if bl, err := r.BlockLog(i); err != nil || !bl.Eligible() {
 						t.Errorf("%s on %s at %v: launch %d is not single-writer (%v)", e.Name, c.dev.Name, opt, i, err)
 					}
 				}

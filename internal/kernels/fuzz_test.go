@@ -17,8 +17,10 @@ import (
 // path: HANDOFF's blocks read each other's words, CROSSSTORE's store
 // can cross to the other block, RELAY's second launch reads a word
 // before its writer does, QUICKSORT's one launch has foreign reads,
-// BFS mixes block-independent launches with ones that are not, and
-// REDSUM's two launches each have a word with two writers.
+// BFS mixes block-independent launches with ones that are not,
+// REDSUM's two launches each have a word with two writers, and a fault
+// in FLUD's first launches dirties words that 24 blocks of a later
+// launch read, which replay one after another.
 // Every log is recorded before the first plan. The seed corpus runs
 // under plain go test; go test -fuzz=FuzzReplayMatchesFull explores
 // further.
@@ -34,6 +36,7 @@ func FuzzReplayMatchesFull(f *testing.F) {
 		{"QUICKSORT", QuicksortBuilder(), asm.O2},
 		{"BFS", BFSBuilder(), asm.O2},
 		{"REDSUM", redSumBuilder(), asm.O0},
+		{"FLUD", LUDBuilder(), asm.O2},
 	}
 	runners := make([]*Runner, len(codes))
 	for i, c := range codes {
@@ -63,6 +66,8 @@ func FuzzReplayMatchesFull(f *testing.F) {
 		{4, 6, uint8(sim.FaultGlobalBit), 3000, 0, false},
 		{5, 0, uint8(sim.FaultValueBit), 40, 4, false},
 		{5, 1, uint8(sim.FaultAddrBit), 70, 3, true},
+		{6, 0, uint8(sim.FaultValueBit), 40, 4, false},
+		{6, 2, uint8(sim.FaultValueBit), 141, 12, false},
 	} {
 		f.Add(s.code, s.launch, s.kind, s.trigger, s.bit, s.gpr)
 	}

@@ -339,6 +339,12 @@ func (r *Runner) LaunchLaneOps(filter func(op isa.Op) bool) []uint64 {
 // must treat the error as fatal to the trial, not as a classification:
 // an errored trial is neither Masked nor a DUE observation.
 func (r *Runner) RunTrialWithFault(plan *sim.FaultPlan, faultLaunch int) (TrialRecord, error) {
+	return r.runTrial(plan, faultLaunch, nil)
+}
+
+// runTrial is RunTrialWithFault, handing each launch step's result to
+// seen unless it is nil.
+func (r *Runner) runTrial(plan *sim.FaultPlan, faultLaunch int, seen func(launch int, res sim.Result)) (TrialRecord, error) {
 	if faultLaunch < 0 || faultLaunch >= len(r.inst.Launches) {
 		return TrialRecord{Outcome: DUE}, fmt.Errorf("kernels: %s has no launch %d", r.Name, faultLaunch)
 	}
@@ -354,6 +360,9 @@ func (r *Runner) RunTrialWithFault(plan *sim.FaultPlan, faultLaunch int) (TrialR
 			return TrialRecord{Outcome: DUE}, fmt.Errorf("kernels: %s launch %d: %w", r.Name, i, err)
 		}
 		r.count(&res, i == faultLaunch)
+		if seen != nil {
+			seen(i, res)
+		}
 		switch {
 		case res.Outcome == sim.OutcomeDUE:
 			return TrialRecord{Outcome: DUE, DUEMode: res.DUEMode}, nil

@@ -1,0 +1,150 @@
+package kernels_test
+
+import (
+	"fmt"
+	"reflect"
+	"sync"
+	"testing"
+
+	"gpurel/internal/asm"
+	"gpurel/internal/device"
+	"gpurel/internal/isa"
+	"gpurel/internal/kernels"
+	"gpurel/internal/sim"
+	"gpurel/internal/stats"
+	"gpurel/internal/suite"
+)
+
+// replayPath names a way a launch step of a trial ran.
+type replayPath string
+
+const (
+	pathFaultLogged replayPath = "fault launch in log mode"
+	pathLoggedDUE   replayPath = "DUE decided in log mode"
+	pathSkipped     replayPath = "later launch skipped"
+	pathSerial      replayPath = "several reader blocks one after another"
+	pathMerged      replayPath = "several reader blocks merged by seq"
+)
+
+// TestReplayMatchesFullAtSuiteScale is the exactness sweep of the
+// checkpointed replay (DESIGN §19): on every suite code of both studied
+// devices at O1 and O2, plus the REDSUM and GATHER test kernels, random
+// plans of all eight fault kinds must give exactly the TrialRecord of
+// full re-simulation, with every block log recorded. It also asserts that
+// the sweep took every replay path: a fault launch in log mode, a DUE
+// decided in log mode, a skipped later launch, reader blocks run one
+// after another and merged by seq, and every log fallback reason.
+func TestReplayMatchesFullAtSuiteScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("suite-scale equivalence sweep is heavy")
+	}
+	type job struct {
+		name    string
+		build   kernels.Builder
+		dev     *device.Device
+		opt     asm.OptLevel
+		perKind int // plans of each fault kind
+	}
+	var jobs []job
+	for _, dev := range []*device.Device{device.K40c(), device.V100()} {
+		for _, opt := range []asm.OptLevel{asm.O1, asm.O2} {
+			for _, e := range suite.ForDevice(dev) {
+				jobs = append(jobs, job{e.Name, e.Build, dev, opt, 8})
+			}
+		}
+	}
+	// No suite launch has two writers of a word, and no suite trial
+	// sampled here raises a DUE while several blocks replay: REDSUM and
+	// GATHER take those two fallbacks.
+	jobs = append(jobs,
+		job{"REDSUM", kernels.RedSumBuilder(), device.K40c(), asm.O1, 8},
+		job{"GATHER", kernels.GatherBuilder(), device.K40c(), asm.O1, 64})
+
+	var mu sync.Mutex
+	taken := map[replayPath]int{}
+	fallbacks := map[sim.LogFallback]int{}
+	t.Run("codes", func(t *testing.T) {
+		for k, j := range jobs {
+			t.Run(fmt.Sprintf("%s/%s/%v", j.dev.Name, j.name, j.opt), func(t *testing.T) {
+				t.Parallel()
+				r, err := kernels.NewRunner(j.name, j.build, j.dev, j.opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				kernels.AskLogs(t, r)
+				merges := make([]bool, len(r.Instance().Launches))
+				for i := range merges {
+					bl, err := r.BlockLog(i)
+					if err != nil {
+						t.Fatal(err)
+					}
+					merges[i] = bl.ForeignReads() > 0
+				}
+				seen := func(fault int) func(int, sim.Result) {
+					return func(i int, res sim.Result) {
+						mu.Lock()
+						defer mu.Unlock()
+						switch {
+						case res.LogFallback != sim.LogOK:
+							fallbacks[res.LogFallback]++
+						case res.Skipped:
+							taken[pathSkipped]++
+						case !res.Logged:
+						case res.Outcome == sim.OutcomeDUE:
+							taken[pathLoggedDUE]++
+						case i == fault:
+							taken[pathFaultLogged]++
+						case res.Replayed > 1 && merges[i]:
+							taken[pathMerged]++
+						case res.Replayed > 1:
+							taken[pathSerial]++
+						}
+					}
+				}
+				rng := stats.NewRNG(0x5eeb, uint64(k))
+				lanes := r.GoldenProfiles()
+				for kind := sim.FaultKind(0); kind < 8; kind++ {
+					for n := 0; n < j.perKind; n++ {
+						launch := rng.IntN(len(lanes))
+						plan := &sim.FaultPlan{
+							Kind:         kind,
+							TriggerIndex: uint64(rng.Int64N(int64(lanes[launch].LaneOps + 1))),
+							Bit:          rng.IntN(64),
+							Block:        rng.IntN(4),
+							Thread:       rng.IntN(64),
+							Reg:          rng.IntN(8),
+							BitIdx:       rng.Uint64() % 4096,
+						}
+						if n%2 == 1 {
+							plan.Filter = isa.Op.WritesGPR
+						}
+						fast := *plan
+						rec, err := r.RunTrialSeen(&fast, launch, seen(launch))
+						if err != nil {
+							t.Fatal(err)
+						}
+						full := *plan
+						if want := r.RunWithFaultFull(t, &full, launch); !reflect.DeepEqual(rec, want) {
+							t.Fatalf("%v launch %d trigger %d bit %d: checkpointed %+v, full re-sim %+v",
+								kind, launch, plan.TriggerIndex, plan.Bit, rec, want)
+						}
+					}
+				}
+			})
+		}
+	})
+	t.Logf("paths %v, fallbacks %v", taken, fallbacks)
+	for _, p := range []replayPath{pathFaultLogged, pathLoggedDUE, pathSkipped, pathSerial, pathMerged} {
+		if taken[p] == 0 {
+			t.Errorf("no trial took the path %q", p)
+		}
+	}
+	for fb, name := range map[sim.LogFallback]string{
+		sim.LogPCMismatch: "pc mismatch", sim.LogFenced: "fence", sim.LogMultiDUE: "multi-block DUE",
+		sim.LogForeignRead: "foreign read", sim.LogIneligible: "ineligible",
+	} {
+		if fallbacks[fb] == 0 {
+			t.Errorf("no launch fell back for a %s", name)
+		}
+	}
+}

@@ -16,9 +16,10 @@
 //  1. every warp issues exactly its golden pc sequence and ends where
 //     golden ends;
 //  2. every global access passes the block's fence: a store touches
-//     only words the block writes in golden or no block accesses, and a
-//     load of a word another block writes is one of the block's golden
-//     foreign reads at that seq, unless that writer replays too; and
+//     only words the block accesses in golden or no block accesses, and
+//     a load of a word another block writes is one of the block's golden
+//     foreign reads at that seq, unless the replayed blocks merge by seq
+//     and that writer replays too; and
 //  3. every golden foreign read of a replayed block's word by a block
 //     that does not replay finds its golden value in memory at its seq.
 //
@@ -29,6 +30,13 @@
 // replayed block's foreign read gets what the full run reads: the
 // recorded golden value once the writer had written the word, the
 // launch-start memory before. Any doubt falls back to the cycle engine.
+//
+// A launch without foreign reads replays its blocks one after another,
+// each to the end of its log. The fence then keeps every block from
+// seeing another replayed block's stores: a store to a word the block
+// does not write in golden trips, and so does a load of another block's
+// written word. Every store then lands on a word only its own block
+// reads or writes, and each block's run is the same in any order.
 package sim
 
 import (
@@ -139,6 +147,10 @@ func BlockLogBytes(warpInstrs uint64, blocks, words int, readers bool) int {
 // Eligible reports whether the launch is single-writer, so its blocks
 // can replay in log mode.
 func (bl *BlockLog) Eligible() bool { return bl != nil && bl.eligible }
+
+// ForeignReads returns the number of the launch's golden foreign reads.
+// Replayed blocks of a launch with none run one after another.
+func (bl *BlockLog) ForeignReads() int { return len(bl.frd) }
 
 // written reports whether some block writes the word in golden.
 func (bl *BlockLog) written(word uint32) bool {
@@ -450,13 +462,15 @@ type logScratch struct {
 }
 
 // blockFence confines the global accesses of the block replaying now,
-// the issue of seq.
+// the issue of seq. serial reports that several blocks replay one after
+// another, so none may see another's stores.
 type blockFence struct {
 	ls      *logScratch
 	bl      *BlockLog
 	g       *mem.Global
 	block   int32
 	seq     uint32
+	serial  bool
 	tripped bool
 }
 
@@ -464,26 +478,30 @@ func (f *blockFence) Allow(word, n uint32, a mem.Access) bool {
 	acc := f.bl.acc
 	for w := word; w < word+n; w++ {
 		if int(w) >= len(acc) {
-			f.tripped = true
-			return false
+			return f.trip()
 		}
 		m := acc[w]
 		own := m >= 0 && m&^soleWritten == f.block
 		switch {
 		case a&mem.Write != 0:
 			if m != noAccessor && !own {
-				f.tripped = true
-				return false
+				return f.trip()
+			}
+			// Serial blocks store only to words they write in golden.
+			if f.serial && (m < 0 || m&soleWritten == 0) {
+				return f.trip()
 			}
 			f.ls.stores = append(f.ls.stores, w)
-		case own || m < 0 || m&soleWritten == 0 || f.ls.replays(m&^soleWritten):
-			// No other block writes the word, or its writer replays too,
-			// before this issue: memory holds what the full run reads.
+		case own || m < 0 || m&soleWritten == 0:
+			// No other block writes the word: memory holds what the full
+			// run reads.
+		case !f.serial && f.ls.replays(m&^soleWritten):
+			// The writer replays too, merged by seq: memory holds what
+			// the full run reads at this issue.
 		default:
 			fr := f.bl.foreignRead(f.seq, f.block, w)
 			if fr == nil {
-				f.tripped = true
-				return false
+				return f.trip()
 			}
 			if fr.written {
 				f.g.SetWord(w*4, fr.val)
@@ -491,6 +509,11 @@ func (f *blockFence) Allow(word, n uint32, a mem.Access) bool {
 		}
 	}
 	return true
+}
+
+func (f *blockFence) trip() bool {
+	f.tripped = true
+	return false
 }
 
 // arm makes the scratch engine e's log-mode state for a replay of bl's
@@ -548,17 +571,18 @@ func (ls *logScratch) vetReads(bl *BlockLog, g *mem.Global, seq uint32) bool {
 }
 
 // runLog issues the logged instructions of the scratch's blocks from
-// their cursors, merged in golden global order, checks the certificate,
-// and disarms the scratch; from is the seq the replay starts at, so the
-// foreign reads before it are not vetted. It returns LogOK when every block
-// reached the end of its log with every warp where golden ends, or when
-// the single replayed block raised a DUE with every warp's next pc
-// still golden (the DUE is then the launch's outcome); otherwise the
-// reason to fall back.
+// their cursors, checks the certificate, and disarms the scratch; from
+// is the seq the replay starts at, so the foreign reads before it are
+// not vetted. A lone block, or the blocks of a launch without foreign
+// reads, run one after another, each to the end of its log; the blocks
+// of a launch with foreign reads merge in golden global order. It
+// returns LogOK when every block reached the end of its log with every
+// warp where golden ends, or when a lone replayed block raised a DUE
+// with every warp's next pc still golden (the DUE is then the launch's
+// outcome); otherwise the reason to fall back.
 func (e *engine) runLog(bl *BlockLog, from uint32) LogFallback {
 	ls := e.lg
 	defer ls.disarm()
-	blocks, pos := ls.blocks, ls.pos
 	ls.fr = bl.readsFrom(from)
 	// No block may become resident behind a retiring one.
 	e.nextBlock = e.totalBlock
@@ -566,49 +590,22 @@ func (e *engine) runLog(bl *BlockLog, from uint32) LogFallback {
 	for u := range slots {
 		slots[u] = 1 << 62
 	}
-	if len(blocks) == 1 {
-		blk := blocks[0]
-		log := bl.entries(blk.cta)
-		for p := int(pos[0]); p < len(log); p++ {
-			if ls.pending(bl, log[p].seq) && !ls.vetReads(bl, e.glob, log[p].seq) {
-				return LogForeignRead
-			}
-			if fb, stop := e.logIssue(blk, log[p], slots[:]); stop {
-				if fb == LogOK && !pendingGolden(blk, log[p+1:], blk.warps[log[p].warp]) {
-					fb = LogPCMismatch
-				}
-				return fb
-			}
-		}
-	} else {
-		for {
-			k := -1
-			var best uint32
-			for i, blk := range blocks {
-				if p := bl.off[blk.cta] + pos[i]; p < bl.off[blk.cta+1] && (k < 0 || bl.ent[p].seq < best) {
-					k, best = i, bl.ent[p].seq
-				}
-			}
-			if k < 0 {
-				break
-			}
-			ent := bl.ent[bl.off[blocks[k].cta]+pos[k]]
-			pos[k]++
-			if ls.pending(bl, ent.seq) && !ls.vetReads(bl, e.glob, ent.seq) {
-				return LogForeignRead
-			}
-			if fb, stop := e.logIssue(blocks[k], ent, slots[:]); stop {
-				if fb == LogOK {
-					fb = LogMultiDUE
-				}
-				return fb
-			}
-		}
+	if len(ls.blocks) > 1 && len(bl.frd) > 0 {
+		return e.mergeLog(bl, slots[:])
 	}
+	ls.fence.serial = len(ls.blocks) > 1
+	return e.serialLog(bl, slots[:])
+}
+
+// logEnd checks the certificate once every replayed block has issued
+// its whole log: rule 3 for the foreign reads left, and every warp
+// done.
+func (e *engine) logEnd(bl *BlockLog) LogFallback {
+	ls := e.lg
 	if !ls.vetReads(bl, e.glob, math.MaxUint32) {
 		return LogForeignRead
 	}
-	for _, blk := range blocks {
+	for _, blk := range ls.blocks {
 		for _, w := range blk.warps {
 			if !w.done {
 				return LogPCMismatch
@@ -616,6 +613,62 @@ func (e *engine) runLog(bl *BlockLog, from uint32) LogFallback {
 		}
 	}
 	return LogOK
+}
+
+// serialLog runs each replayed block's log to its end, one block after
+// another. Only a lone block has foreign reads to vet as it goes.
+func (e *engine) serialLog(bl *BlockLog, slots []int) LogFallback {
+	ls := e.lg
+	for i, blk := range ls.blocks {
+		log := bl.entries(blk.cta)
+		for p := int(ls.pos[i]); p < len(log); p++ {
+			if ls.pending(bl, log[p].seq) && !ls.vetReads(bl, e.glob, log[p].seq) {
+				return LogForeignRead
+			}
+			if fb, stop := e.logIssue(blk, log[p], slots); stop {
+				switch {
+				case fb != LogOK:
+				case len(ls.blocks) > 1:
+					fb = LogMultiDUE
+				case !pendingGolden(blk, log[p+1:], blk.warps[log[p].warp]):
+					fb = LogPCMismatch
+				}
+				return fb
+			}
+		}
+	}
+	return e.logEnd(bl)
+}
+
+// mergeLog issues the replayed blocks' logs merged by seq, vetting the
+// foreign reads before each issue.
+func (e *engine) mergeLog(bl *BlockLog, slots []int) LogFallback {
+	ls := e.lg
+	blocks, pos := ls.blocks, ls.pos
+	for {
+		k := -1
+		var best uint32
+		for i, blk := range blocks {
+			if p := bl.off[blk.cta] + pos[i]; p < bl.off[blk.cta+1] && (k < 0 || bl.ent[p].seq < best) {
+				k, best = i, bl.ent[p].seq
+			}
+		}
+		if k < 0 {
+			break
+		}
+		ent := bl.ent[bl.off[blocks[k].cta]+pos[k]]
+		pos[k]++
+		if ls.pending(bl, ent.seq) && !ls.vetReads(bl, e.glob, ent.seq) {
+			return LogForeignRead
+		}
+		if fb, stop := e.logIssue(blocks[k], ent, slots); stop {
+			if fb == LogOK {
+				fb = LogMultiDUE
+			}
+			return fb
+		}
+	}
+	return e.logEnd(bl)
 }
 
 // logIssue issues one logged instruction of blk after checking that

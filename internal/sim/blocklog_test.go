@@ -208,3 +208,141 @@ func TestLogDisagreementIsAnError(t *testing.T) {
 		t.Fatalf("log with a bumped lane count gave %v, want a disagreement error", err)
 	}
 }
+
+// strayLaunch is a two-block launch for the serial fence: thread g
+// loads arr[lidx[g]] and stores it, plus one, to arr[sidx[g]]. In
+// golden block c reads arr[32c, 32c+32) and writes arr[64+32c,
+// 96+32c), and no block accesses arr[128, 192). The launch has no
+// foreign reads, so a replay of both blocks runs them one after the
+// other.
+type strayLaunch struct {
+	cfg             Config
+	boundary, next  *mem.Snapshot
+	bl              *BlockLog
+	sidx, lidx, arr uint32
+}
+
+func newStrayLaunch(t *testing.T) *strayLaunch {
+	t.Helper()
+	const blocks, threads = 2, 32
+	g := mem.NewGlobal(1 << 20)
+	s := &strayLaunch{}
+	s.sidx, _ = g.Alloc(blocks * threads * 4)
+	s.lidx, _ = g.Alloc(blocks * threads * 4)
+	s.arr, _ = g.Alloc(192 * 4)
+	for i := uint32(0); i < blocks*threads; i++ {
+		g.SetWord(s.lidx+4*i, i)
+		g.SetWord(s.sidx+4*i, 64+i)
+		g.SetWord(s.arr+4*i, 7*i)
+	}
+	b := asm.New("stray", asm.O1)
+	gi := gid(b)
+	si, li, v := b.R(), b.R(), b.R()
+	b.Ldg(si, elemAddr(b, gi, s.sidx, 4), 0)
+	b.Ldg(li, elemAddr(b, gi, s.lidx, 4), 0)
+	b.Ldg(v, elemAddr(b, li, s.arr, 4), 0)
+	b.IAdd(v, isa.R(v), isa.ImmInt(1))
+	b.Stg(elemAddr(b, si, s.arr, 4), 0, v)
+	b.Exit()
+	prog, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.cfg = Config{Device: device.K40c(), Program: prog, GridX: blocks, GridY: 1, BlockThreads: threads}
+	s.boundary = g.Snapshot()
+	res, err := Run(s.cfg, g)
+	if err != nil || res.Outcome != OutcomeOK {
+		t.Fatalf("golden run: %v %v", res, err)
+	}
+	s.next = g.Snapshot()
+	s.bl, err = RecordBlockLog(s.cfg, &LaunchImage{Mem: s.boundary}, res.Profile.WarpInstrs, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.bl.Eligible() || len(s.bl.frd) != 0 {
+		t.Fatalf("stray launch: eligible %v with %d foreign reads; want eligible with none", s.bl.Eligible(), len(s.bl.frd))
+	}
+	return s
+}
+
+// replay runs the launch as a later launch of a trial whose dirty set
+// sets each word at addr to its value, checks the result against Run
+// on the same memory, and returns the trial's launch result.
+func (s *strayLaunch) replay(t *testing.T, set map[uint32]uint32) Result {
+	t.Helper()
+	tr := NewTrial(s.boundary.AllocatedBytes())
+	want := mem.NewGlobal(s.boundary.AllocatedBytes())
+	want.Restore(s.boundary)
+	for addr, v := range set {
+		tr.dirty = append(tr.dirty, dirtyWord{addr / 4, v})
+		want.SetWord(addr, v)
+	}
+	got, err := tr.Launch(s.cfg, []*LaunchImage{{Mem: s.boundary}}, s.next, func() (*BlockLog, error) { return s.bl, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := Run(s.cfg, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Outcome != full.Outcome || got.DUEMode != full.DUEMode {
+		t.Fatalf("trial outcome %v (%v), Run %v (%v)", got.Outcome, got.DUEMode, full.Outcome, full.DUEMode)
+	}
+	if got.Outcome == OutcomeOK {
+		m := tr.Memory(s.next)
+		for addr := uint32(0); int(addr) < s.boundary.AllocatedBytes(); addr += 4 {
+			if v, w := m.Word(addr), want.Word(addr); v != w {
+				t.Fatalf("word %#x: trial %#x, Run %#x", addr, v, w)
+			}
+		}
+	}
+	return got
+}
+
+// TestSerialReplayFence pins the serial log mode of a launch without
+// foreign reads: two replayed blocks run one after another when neither
+// can see the other's stores, and the fence trips whenever one could,
+// in either block order: on any store to a word the block does not
+// write in golden, and on a load of the other block's written word. A
+// load of a word no block accesses stays in log mode. A DUE in the
+// second block falls back as a multi-block DUE. Every result equals Run
+// on the trial's memory.
+func TestSerialReplayFence(t *testing.T) {
+	s := newStrayLaunch(t)
+	const blockB = 32 // the first thread of block 1
+	cases := []struct {
+		name string
+		set  map[uint32]uint32
+		want LogFallback
+	}{
+		{"no stray access", map[uint32]uint32{s.arr: 99, s.arr + 4*blockB: 98}, LogOK},
+		{"block 1 loads a no-accessor word",
+			map[uint32]uint32{s.arr: 99, s.lidx + 4*blockB: 128}, LogOK},
+		{"block 0 stores a no-accessor word no block loads",
+			map[uint32]uint32{s.sidx: 128, s.arr + 4*blockB: 98}, LogFenced},
+		{"block 0 stores a no-accessor word block 1 loads",
+			map[uint32]uint32{s.sidx: 128, s.lidx + 4*blockB: 128}, LogFenced},
+		{"block 1 stores a no-accessor word block 0 loads",
+			map[uint32]uint32{s.sidx + 4*blockB: 128, s.lidx: 128}, LogFenced},
+		{"block 0 stores a word only it reads, block 1 loads it",
+			map[uint32]uint32{s.sidx: 0, s.lidx + 4*blockB: 0}, LogFenced},
+		{"block 1 loads a word block 0 writes",
+			map[uint32]uint32{s.arr: 99, s.lidx + 4*blockB: 64}, LogFenced},
+		{"DUE in the second block",
+			map[uint32]uint32{s.arr: 99, s.lidx + 4*blockB: 1 << 28}, LogMultiDUE},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			res := s.replay(t, c.set)
+			if res.LogFallback != c.want {
+				t.Fatalf("fallback %v, want %v", res.LogFallback, c.want)
+			}
+			if c.want == LogOK && (!res.Logged || res.Replayed != 2) {
+				t.Fatalf("logged %v with %d blocks; want both blocks in log mode", res.Logged, res.Replayed)
+			}
+			if c.want == LogMultiDUE && res.Outcome != OutcomeDUE {
+				t.Fatalf("outcome %v, want a DUE", res.Outcome)
+			}
+		})
+	}
+}

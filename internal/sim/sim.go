@@ -109,6 +109,8 @@ type Result struct {
 	// order. Skipped reports that a launch after the fault launch ran no
 	// block at all, since none reads a dirty word.
 	Logged, Skipped bool
+	// Replayed is the number of blocks a Logged launch ran.
+	Replayed int
 
 	// LogFallback is why the launch ran on the cycle engine although it
 	// asked for its block log: a log-mode attempt was abandoned, or the

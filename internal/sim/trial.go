@@ -180,7 +180,11 @@ func (t *Trial) logged(e *engine, fb LogFallback, next *mem.Snapshot, bl *BlockL
 	e.release()
 	t.materialized = false
 	res.LogFallback, res.Logged = fb, fb == LogOK
-	if res.Logged && res.Outcome == OutcomeOK {
+	if !res.Logged {
+		return res
+	}
+	res.Replayed = len(t.ctas)
+	if res.Outcome == OutcomeOK {
 		t.settle(next, bl)
 	}
 	return res

@@ -57,10 +57,11 @@ if [ "${1:-}" = "bench" ]; then
     # no timing claims). Then the
     # timed per-fault gate: re-time the BenchmarkSimPerFault* suite,
     # emit the snapshot JSON benchdiff consumes (bench-new.json; stable
-    # path, gitignored, uploaded by CI), and compare it against two
-    # committed points: BENCH_v1.json, and BENCH_v4.json, the newest,
-    # which adds QUICKSORT and BFS. An entry in both answers to each, so
-    # to the tighter of the two. The time band is wide (see
+    # path, gitignored, uploaded by CI), and compare it against three
+    # committed points: BENCH_v1.json; BENCH_v4.json, which adds
+    # QUICKSORT and BFS; and BENCH_v5.json, the newest, which adds
+    # FLUDUniform. An entry in several answers to each, so to the
+    # tightest of them. The time band is wide (see
     # tools/benchdiff) because CI runners are not the snapshot machine;
     # it exists to catch algorithmic regressions of the replay path,
     # not single-digit-percent noise. Allocations per op are gated with
@@ -75,6 +76,8 @@ if [ "${1:-}" = "bench" ]; then
     go run ./tools/benchdiff compare -band 2.0 BENCH_v1.json bench-new.json
     echo "== benchdiff compare BENCH_v4.json bench-new.json"
     go run ./tools/benchdiff compare -band 2.0 BENCH_v4.json bench-new.json
+    echo "== benchdiff compare BENCH_v5.json bench-new.json"
+    go run ./tools/benchdiff compare -band 2.0 BENCH_v5.json bench-new.json
     echo "checks passed"
     exit 0
 fi
