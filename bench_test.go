@@ -299,7 +299,7 @@ func BenchmarkSimProfileTimeline(b *testing.B) {
 				SampleTimeline: sample,
 			}, inst.Global)
 			if err != nil || res.Outcome != sim.OutcomeOK {
-				b.Fatalf("golden run failed: %v %v", err, res.DUEReason)
+				b.Fatalf("golden run failed: %v %v", err, res.DUEReason())
 			}
 		}
 	}
@@ -354,23 +354,12 @@ func benchPerFault(b *testing.B, name string, build kernels.Builder) {
 func benchPerFaultUniform(b *testing.B, name string, build kernels.Builder) {
 	dev := device.K40c()
 	r := benchRunner(b, name, build, dev, asm.O2)
-	ops := r.LaunchLaneOps(func(op isa.Op) bool { return !op.IsControl() })
-	var total uint64
-	for _, n := range ops {
-		total += n
-	}
-	rng := stats.NewRNG(0xb7e151628aed2a6a, 0x9e3779b97f4a7c15)
+	next := uniformPlans(r)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t := uint64(rng.Int64N(int64(total)))
-		launch := 0
-		for launch < len(ops)-1 && t >= ops[launch] {
-			t -= ops[launch]
-			launch++
-		}
-		plan := &sim.FaultPlan{Kind: sim.FaultValueBit, TriggerIndex: t, Bit: rng.IntN(32)}
-		if _, err := r.RunTrialWithFault(plan, launch); err != nil {
+		plan, launch := next()
+		if _, err := r.RunTrialWithFault(&plan, launch); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -378,6 +367,51 @@ func benchPerFaultUniform(b *testing.B, name string, build kernels.Builder) {
 	if s := b.Elapsed().Seconds(); s > 0 {
 		b.ReportMetric(float64(b.N)/s, "faults/s")
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/fault")
+	}
+}
+
+// uniformPlans returns benchPerFaultUniform's plan sequence on r: each
+// call gives the next value-bit fault, its trigger drawn uniformly over
+// the golden non-control lane-ops with a fixed-seed RNG, and the launch
+// it lands in.
+func uniformPlans(r *kernels.Runner) func() (sim.FaultPlan, int) {
+	ops := r.LaunchLaneOps(func(op isa.Op) bool { return !op.IsControl() })
+	var total uint64
+	for _, n := range ops {
+		total += n
+	}
+	rng := stats.NewRNG(0xb7e151628aed2a6a, 0x9e3779b97f4a7c15)
+	return func() (sim.FaultPlan, int) {
+		t := uint64(rng.Int64N(int64(total)))
+		launch := 0
+		for launch < len(ops)-1 && t >= ops[launch] {
+			t -= ops[launch]
+			launch++
+		}
+		return sim.FaultPlan{Kind: sim.FaultValueBit, TriggerIndex: t, Bit: rng.IntN(32)}, launch
+	}
+}
+
+// TestPerFaultUniformLogStats pins how the first 600 plans of
+// BenchmarkSimPerFaultFMXMUniform replay (DESIGN §19): the launches
+// finished in log mode, the accesses the fence resolved from golden
+// write seqs, and the fallbacks by reason. Unlike the benchmark's
+// times, the counts do not depend on the host.
+func TestPerFaultUniformLogStats(t *testing.T) {
+	r, err := kernels.NewRunner("FMXM", kernels.MxMBuilder(isa.F32), device.K40c(), asm.O2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := uniformPlans(r)
+	for i := 0; i < 600; i++ {
+		plan, launch := next()
+		if _, err := r.RunTrialWithFault(&plan, launch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := kernels.LogStats{Logged: 585, Prefixed: 593, Resolved: 169, PCMismatch: 8}
+	if got := r.LogStats(); got != want {
+		t.Errorf("log stats %+v, want %+v", got, want)
 	}
 }
 

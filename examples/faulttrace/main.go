@@ -69,7 +69,7 @@ func run(fault *sim.FaultPlan) (trace string, out []uint32) {
 		log.Fatal(err)
 	}
 	if res.Outcome != sim.OutcomeOK {
-		log.Fatalf("DUE: %s", res.DUEReason)
+		log.Fatalf("DUE: %s", res.DUEReason())
 	}
 	return buf.String(), g.ReadWords(outBase, 32)
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"gpurel/internal/asm"
 	"gpurel/internal/beam"
@@ -21,10 +20,13 @@ import (
 // SASSIFI and NVBitFI on Kepler, NVBitFI elsewhere. The first measures
 // the micro-benchmark AVFs.
 func Injectors(dev *device.Device) []faultinj.Tool {
-	if dev.Arch == device.Kepler {
-		return []faultinj.Tool{faultinj.Sassifi, faultinj.NVBitFI}
+	var tools []faultinj.Tool
+	for _, t := range []faultinj.Tool{faultinj.Sassifi, faultinj.NVBitFI} {
+		if t.Instruments(dev) == nil {
+			tools = append(tools, t)
+		}
 	}
-	return []faultinj.Tool{faultinj.NVBitFI}
+	return tools
 }
 
 // Injectable reports why tool cannot instrument e on dev, or nil when it
@@ -33,9 +35,10 @@ func Injectors(dev *device.Device) []faultinj.Tool {
 // into half-precision code. With Injectors, it is the one rule for which
 // injection campaigns exist.
 func Injectable(dev *device.Device, tool faultinj.Tool, e suite.Entry) error {
+	if err := tool.Instruments(dev); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
 	switch {
-	case !slices.Contains(Injectors(dev), tool):
-		return fmt.Errorf("core: %s does not instrument %s", tool, dev.Name)
 	case dev.Arch == device.Kepler && e.Library:
 		return fmt.Errorf("core: no injector instruments proprietary-library code %s on Kepler", e.Name)
 	case e.FP16:

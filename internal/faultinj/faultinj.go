@@ -61,6 +61,16 @@ func ParseTool(name string) (Tool, error) {
 	return 0, fmt.Errorf("unknown tool %q (want sassifi or nvbitfi)", name)
 }
 
+// Instruments reports why the tool cannot instrument code on dev, or nil
+// when it can: SASSIFI instruments Kepler only (§III-D). It is the one
+// device rule of the injectors.
+func (t Tool) Instruments(dev *device.Device) error {
+	if t == Sassifi && dev.Arch != device.Kepler {
+		return fmt.Errorf("%s does not instrument %s", t, dev.Name)
+	}
+	return nil
+}
+
 // OptLevel returns the compiler pipeline the tool's toolchain implies.
 func (t Tool) OptLevel() asm.OptLevel {
 	if t == Sassifi {
@@ -217,8 +227,8 @@ func opInjectable(tool Tool, op isa.Op) bool {
 // checkpoint sequences. The runner must have been built with the compiler
 // pipeline the tool's toolchain implies (Tool.OptLevel).
 func RunWithRunner(cfg Config, runner *kernels.Runner) (*Result, error) {
-	if cfg.Tool == Sassifi && runner.Dev.Arch != device.Kepler {
-		return nil, fmt.Errorf("faultinj: SASSIFI supports Kepler/Maxwell only, not %s", runner.Dev.Name)
+	if err := cfg.Tool.Instruments(runner.Dev); err != nil {
+		return nil, fmt.Errorf("faultinj: %w", err)
 	}
 	if runner.Opt != cfg.Tool.OptLevel() {
 		return nil, fmt.Errorf("faultinj: %s runner built at %s, %s injects at %s",

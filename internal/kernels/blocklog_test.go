@@ -251,8 +251,11 @@ func TestFenceTripsOnCrossBlockStore(t *testing.T) {
 // out[t], and in[t]+2 to mid[32+t]. Thread t of block 1 loads mid[t]
 // at once, before block 0 stores it, and again after a delay loop,
 // after the store, and writes the early value plus twice the late one
-// to out[32+t]. Block 1 never reads mid[32+t].
-func handoffBuilder() Builder {
+// to out[32+t]. Block 1 never reads mid[32+t]. With twice, block 0
+// stores in[t]+2 to mid[32+t] once more after a delay loop longer than
+// block 1's, so block 1's late load comes between block 0's two writes
+// of mid[32+t].
+func handoffBuilder(twice bool) Builder {
 	return func(dev *device.Device, opt asm.OptLevel) (*Instance, error) {
 		const n = 32
 		g := mem.NewGlobal(1 << 16)
@@ -285,6 +288,14 @@ func handoffBuilder() Builder {
 			b.IAdd(w, isa.R(v), isa.ImmInt(1))
 			b.Stg(m, 4*n, w)
 			b.Stg(emitAddr(b, tid, out, 4), 0, v)
+			if twice {
+				spin, i := b.R(), b.R()
+				b.MovImm(spin, 0)
+				b.ForCounter(i, 0, 120, asm.LoopOpts{}, func() {
+					b.IAdd(spin, isa.R(spin), isa.R(i))
+				})
+				b.Stg(m, 4*n, w)
+			}
 		}, func() {
 			m := emitAddr(b, tid, mid, 4)
 			early, late, spin, i := b.R(), b.R(), b.R(), b.R()
@@ -315,55 +326,73 @@ func handoffBuilder() Builder {
 // TestForeignReadsReplayExactly drives operation faults through the
 // triggers of a launch whose block 1 reads block 0's words, before and
 // after block 0 writes them. Every record must equal full
-// re-simulation, and all three outcomes of the foreign-read rules
-// (DESIGN §19) must occur: block 1 replays alone and its foreign loads
-// get the golden values; a fault in block 0 changes a word before
-// block 1 reads it, and the replay falls back; an address fault moves
-// a load of block 1 onto a word of block 0 it does not read in golden,
-// and the fence trips.
+// re-simulation, and all four outcomes of the foreign-read and
+// write-seq rules (DESIGN §19) must occur. On HANDOFF block 1 replays
+// alone and its foreign loads get the golden values; a fault in block 0
+// changes a word before block 1 reads it, and the replay falls back;
+// and an address fault moves a load of block 1 onto mid[32+t], a word
+// of block 0 it does not read in golden, before its one write or past
+// it, and the fence resolves the load. On the variant that writes
+// mid[32+t] twice, block 1's moved late load falls between the two
+// writes, and the fence trips; its delay loop makes it the longer
+// launch, so it runs only the address faults onto mid[32+t], at a
+// coarser stride.
 func TestForeignReadsReplayExactly(t *testing.T) {
-	r, err := NewRunner("HANDOFF", handoffBuilder(), device.K40c(), asm.O0)
-	if err != nil {
-		t.Fatal(err)
+	type kind struct {
+		kind sim.FaultKind
+		bit  int
 	}
-	bl, err := r.blockLog(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bl.Eligible() {
-		t.Fatal("the hand-off kernel should be single-writer")
-	}
-	askLogs(t, r)
-	var readerAlone, foreign, fenced int
-	ops := r.GoldenProfiles()[0].LaneOps
-	for trigger := uint64(0); trigger < ops; trigger += 3 {
-		for _, k := range []struct {
-			kind sim.FaultKind
-			bit  int
-		}{{sim.FaultValueBit, 3}, {sim.FaultAddrBit, 7}, {sim.FaultAddrBit, 2}} {
-			plan := &sim.FaultPlan{Kind: k.kind, TriggerIndex: trigger, Bit: k.bit}
-			var trace strings.Builder
-			res := replayFaultLaunch(t, r, clonePlan(plan), 0, &trace)
-			switch {
-			case res.LogFallback == sim.LogForeignRead:
-				foreign++
-			case res.LogFallback == sim.LogFenced:
-				fenced++
-			case res.LogFallback == sim.LogOK && res.Logged && onlyBlock(trace.String(), 1) && res.Outcome == sim.OutcomeOK:
-				readerAlone++
-			}
-			rec, err := r.RunTrialWithFault(clonePlan(plan), 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if full := runWithFaultFull(t, r, clonePlan(plan), 0); !reflect.DeepEqual(rec, full) {
-				t.Errorf("%v bit %d at %d: checkpointed %+v, full re-sim %+v", plan.Kind, plan.Bit, trigger, rec, full)
+	var readerAlone, foreign, resolved, fenced int
+	for _, v := range []struct {
+		twice  bool
+		stride uint64
+		kinds  []kind
+	}{
+		{false, 3, []kind{{sim.FaultValueBit, 3}, {sim.FaultAddrBit, 7}, {sim.FaultAddrBit, 2}}},
+		{true, 5, []kind{{sim.FaultAddrBit, 7}}},
+	} {
+		r, err := NewRunner("HANDOFF", handoffBuilder(v.twice), device.K40c(), asm.O0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bl, err := r.blockLog(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bl.Eligible() {
+			t.Fatal("the hand-off kernel should be single-writer")
+		}
+		askLogs(t, r)
+		ops := r.GoldenProfiles()[0].LaneOps
+		for trigger := uint64(0); trigger < ops; trigger += v.stride {
+			for _, k := range v.kinds {
+				plan := &sim.FaultPlan{Kind: k.kind, TriggerIndex: trigger, Bit: k.bit}
+				var trace strings.Builder
+				res := replayFaultLaunch(t, r, clonePlan(plan), 0, &trace)
+				switch {
+				case res.LogFallback == sim.LogForeignRead:
+					foreign++
+				case res.LogFallback == sim.LogFenced:
+					fenced++
+				case res.Resolved > 0:
+					resolved++
+				case res.Logged && onlyBlock(trace.String(), 1) && res.Outcome == sim.OutcomeOK:
+					readerAlone++
+				}
+				rec, err := r.RunTrialWithFault(clonePlan(plan), 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if full := runWithFaultFull(t, r, clonePlan(plan), 0); !reflect.DeepEqual(rec, full) {
+					t.Errorf("twice %v, %v bit %d at %d: checkpointed %+v, full re-sim %+v", v.twice, plan.Kind, plan.Bit, trigger, rec, full)
+				}
 			}
 		}
+		t.Logf("twice %v: %v", v.twice, r.LogStats())
 	}
-	t.Logf("block 1 alone %d, foreign-read fallbacks %d, fenced %d; %v", readerAlone, foreign, fenced, r.LogStats())
-	if readerAlone == 0 || foreign == 0 || fenced == 0 {
-		t.Errorf("block 1 alone %d, foreign-read fallbacks %d, fenced %d: want all three", readerAlone, foreign, fenced)
+	t.Logf("block 1 alone %d, foreign-read fallbacks %d, resolved %d, fenced %d", readerAlone, foreign, resolved, fenced)
+	if readerAlone == 0 || foreign == 0 || resolved == 0 || fenced == 0 {
+		t.Errorf("block 1 alone %d, foreign-read fallbacks %d, resolved %d, fenced %d: want all four", readerAlone, foreign, resolved, fenced)
 	}
 }
 

@@ -382,7 +382,9 @@ func TestReplayDeterminismAcrossWorkers(t *testing.T) {
 // MemoryFootprint, which kernels.Cache evicts by. A boundary is charged
 // its memory snapshot only; a sub-launch image adds the block-state
 // allowance; every launch adds its block log (sim.BlockLogBytes), whose
-// reader masks only launches after the first carry. The values are the
+// reader masks only launches after the first carry, and whose write
+// list and write seqs are charged per written word, bounded by the
+// launch's golden store lanes (Runner.storeWords). The values are the
 // same on both devices.
 func TestRunnerCheckpointLayout(t *testing.T) {
 	cases := []struct {
@@ -392,9 +394,9 @@ func TestRunnerCheckpointLayout(t *testing.T) {
 		images    int
 		footprint int
 	}{
-		{"FMXM", MxMBuilder(isa.F32), 1, 22, 6923592},
-		{"FGAUSSIAN", GaussianBuilder(), 46, 0, 5474036},
-		{"FHOTSPOT", HotspotBuilder(isa.F32), 4, 8, 5579040},
+		{"FMXM", MxMBuilder(isa.F32), 1, 22, 6923336},
+		{"FGAUSSIAN", GaussianBuilder(), 46, 0, 5307700},
+		{"FHOTSPOT", HotspotBuilder(isa.F32), 4, 8, 5578016},
 	}
 	for _, dev := range []*device.Device{device.K40c(), device.V100()} {
 		for _, c := range cases {

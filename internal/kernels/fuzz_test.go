@@ -20,7 +20,11 @@ import (
 // BFS mixes block-independent launches with ones that are not,
 // REDSUM's two launches each have a word with two writers, and a fault
 // in FLUD's first launches dirties words that 24 blocks of a later
-// launch read, which replay one after another.
+// launch read, which replay one after another. The FMXM address faults,
+// and QUICKSORT's at trigger 44,199, move a lone replayed block's
+// access onto another block's written word, and the fence resolves it
+// from the word's golden write seqs: a load before its first write, a
+// store past its last access, and (QUICKSORT) a load past it.
 // Every log is recorded before the first plan. The seed corpus runs
 // under plain go test; go test -fuzz=FuzzReplayMatchesFull explores
 // further.
@@ -30,13 +34,14 @@ func FuzzReplayMatchesFull(f *testing.F) {
 		build Builder
 		opt   asm.OptLevel
 	}{
-		{"HANDOFF", handoffBuilder(), asm.O0},
+		{"HANDOFF", handoffBuilder(false), asm.O0},
 		{"CROSSSTORE", crossStoreBuilder(), asm.O0},
 		{"RELAY", relayBuilder(), asm.O0},
 		{"QUICKSORT", QuicksortBuilder(), asm.O2},
 		{"BFS", BFSBuilder(), asm.O2},
 		{"REDSUM", redSumBuilder(), asm.O0},
 		{"FLUD", LUDBuilder(), asm.O2},
+		{"FMXM", MxMBuilder(isa.F32), asm.O2},
 	}
 	runners := make([]*Runner, len(codes))
 	for i, c := range codes {
@@ -68,6 +73,10 @@ func FuzzReplayMatchesFull(f *testing.F) {
 		{5, 1, uint8(sim.FaultAddrBit), 70, 3, true},
 		{6, 0, uint8(sim.FaultValueBit), 40, 4, false},
 		{6, 2, uint8(sim.FaultValueBit), 141, 12, false},
+		{7, 0, uint8(sim.FaultAddrBit), 20_917, 14, false},
+		{7, 0, uint8(sim.FaultAddrBit), 519_693, 12, true},
+		{7, 0, uint8(sim.FaultAddrBit), 716_623, 7, false},
+		{3, 0, uint8(sim.FaultAddrBit), 44_199, 9, false},
 	} {
 		f.Add(s.code, s.launch, s.kind, s.trigger, s.bit, s.gpr)
 	}

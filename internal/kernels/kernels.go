@@ -206,6 +206,7 @@ type Runner struct {
 	logged      atomic.Uint64 // launches finished in log mode
 	prefixed    atomic.Uint64 // fault launches run in log mode from the start image
 	skipped     atomic.Uint64 // later launches no block of which reads a dirty word
+	resolved    atomic.Uint64 // accesses of lone replayed blocks resolved from write seqs
 	fallbacks   [sim.LogIneligible + 1]atomic.Uint64
 
 	// Static analyses, one per launch (Analyses), drawn from memo: the
@@ -249,7 +250,7 @@ func newRunner(name string, build Builder, dev *device.Device, opt asm.OptLevel,
 		}
 		if res.Outcome != sim.OutcomeOK {
 			return nil, fmt.Errorf("kernels: golden run of %s launch %d crashed: %s",
-				name, i, res.DUEReason)
+				name, i, res.DUEReason())
 		}
 		r.goldenProfiles = append(r.goldenProfiles, res.Profile)
 		r.goldenCycles = append(r.goldenCycles, res.Profile.Cycles)
@@ -284,9 +285,22 @@ func (r *Runner) MemoryFootprint() int {
 			total += img.FootprintBytes()
 		}
 		l := r.inst.Launches[i]
-		total += sim.BlockLogBytes(r.goldenProfiles[i].WarpInstrs, l.GridX*l.GridY, seq[0].Mem.AllocatedBytes()/4, i > 0)
+		total += sim.BlockLogBytes(r.goldenProfiles[i].WarpInstrs, l.GridX*l.GridY, seq[0].Mem.AllocatedBytes()/4, r.storeWords(i), i > 0)
 	}
 	return total
+}
+
+// storeWords bounds the words launch i writes in golden: its global
+// store lanes, each as wide as its widest store, and its reduction lanes.
+func (r *Runner) storeWords(i int) int {
+	width := uint64(1)
+	for _, in := range r.inst.Launches[i].Prog.Instrs {
+		if in.Op == isa.OpSTG && in.Wide {
+			width = 2
+		}
+	}
+	lanes := r.goldenProfiles[i].PerOpLane
+	return int(lanes[isa.OpSTG]*width + lanes[isa.OpRED])
 }
 
 // Instance returns the cached build artifacts: assembled programs,

@@ -56,6 +56,7 @@ func (r *Runner) count(res *sim.Result, fault bool) {
 	}
 	if res.Logged {
 		r.logged.Add(1)
+		r.resolved.Add(uint64(res.Resolved))
 	}
 	if res.Skipped {
 		r.skipped.Add(1)
@@ -81,6 +82,10 @@ type LogStats struct {
 	Prefixed uint64
 	// Skipped counts later launches no block of which reads a dirty word.
 	Skipped uint64
+	// Resolved counts the accesses of log-mode launches' lone replayed
+	// blocks to another block's written word that the fence resolved
+	// from its golden write seqs instead of falling back.
+	Resolved uint64
 	// Fallbacks to the cycle engine, by reason: a warp left its golden
 	// pc sequence, an access crossed the block fence, a DUE while more
 	// than one block replayed, a block that did not replay would have
@@ -91,8 +96,8 @@ type LogStats struct {
 
 // String renders the stats for a progress line.
 func (s LogStats) String() string {
-	return fmt.Sprintf("log-mode launches %d (fault launches from the start image %d), skipped %d, fallbacks pc %d fence %d multi-block DUE %d foreign read %d ineligible %d",
-		s.Logged, s.Prefixed, s.Skipped, s.PCMismatch, s.Fenced, s.MultiDUE, s.ForeignRead, s.Ineligible)
+	return fmt.Sprintf("log-mode launches %d (fault launches from the start image %d), skipped %d, resolved accesses %d, fallbacks pc %d fence %d multi-block DUE %d foreign read %d ineligible %d",
+		s.Logged, s.Prefixed, s.Skipped, s.Resolved, s.PCMismatch, s.Fenced, s.MultiDUE, s.ForeignRead, s.Ineligible)
 }
 
 // LogStats reports the log-mode accounting of the runner's replays.
@@ -101,6 +106,7 @@ func (r *Runner) LogStats() LogStats {
 		Logged:      r.logged.Load(),
 		Prefixed:    r.prefixed.Load(),
 		Skipped:     r.skipped.Load(),
+		Resolved:    r.resolved.Load(),
 		PCMismatch:  r.fallbacks[sim.LogPCMismatch].Load(),
 		Fenced:      r.fallbacks[sim.LogFenced].Load(),
 		MultiDUE:    r.fallbacks[sim.LogMultiDUE].Load(),

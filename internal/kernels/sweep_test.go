@@ -24,7 +24,13 @@ const (
 	pathSkipped     replayPath = "later launch skipped"
 	pathSerial      replayPath = "several reader blocks one after another"
 	pathMerged      replayPath = "several reader blocks merged by seq"
+	pathResolved    replayPath = "lone block's foreign access resolved from write seqs"
 )
+
+// maxFenced bounds the sweep's fence fallbacks (18 are taken), so that
+// a change that makes lone replayed blocks resolve fewer accesses of
+// other blocks' written words from their write seqs shows.
+const maxFenced = 20
 
 // TestReplayMatchesFullAtSuiteScale is the exactness sweep of the
 // checkpointed replay (DESIGN §19): on every suite code of both studied
@@ -33,7 +39,9 @@ const (
 // full re-simulation, with every block log recorded. It also asserts that
 // the sweep took every replay path: a fault launch in log mode, a DUE
 // decided in log mode, a skipped later launch, reader blocks run one
-// after another and merged by seq, and every log fallback reason.
+// after another and merged by seq, a lone block's access of another
+// block's word resolved from its write seqs, and every log fallback
+// reason; and that the fence falls back at most maxFenced times.
 func TestReplayMatchesFullAtSuiteScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite-scale equivalence sweep is heavy")
@@ -84,6 +92,9 @@ func TestReplayMatchesFullAtSuiteScale(t *testing.T) {
 					return func(i int, res sim.Result) {
 						mu.Lock()
 						defer mu.Unlock()
+						if res.Resolved > 0 {
+							taken[pathResolved]++
+						}
 						switch {
 						case res.LogFallback != sim.LogOK:
 							fallbacks[res.LogFallback]++
@@ -134,7 +145,7 @@ func TestReplayMatchesFullAtSuiteScale(t *testing.T) {
 		}
 	})
 	t.Logf("paths %v, fallbacks %v", taken, fallbacks)
-	for _, p := range []replayPath{pathFaultLogged, pathLoggedDUE, pathSkipped, pathSerial, pathMerged} {
+	for _, p := range []replayPath{pathFaultLogged, pathLoggedDUE, pathSkipped, pathSerial, pathMerged, pathResolved} {
 		if taken[p] == 0 {
 			t.Errorf("no trial took the path %q", p)
 		}
@@ -146,5 +157,8 @@ func TestReplayMatchesFullAtSuiteScale(t *testing.T) {
 		if fallbacks[fb] == 0 {
 			t.Errorf("no launch fell back for a %s", name)
 		}
+	}
+	if n := fallbacks[sim.LogFenced]; n > maxFenced {
+		t.Errorf("%d fence fallbacks, want at most %d", n, maxFenced)
 	}
 }

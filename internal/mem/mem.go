@@ -17,7 +17,8 @@ import (
 
 // AccessError reports an invalid memory access. The simulator converts it
 // into a DUE, like the CUDA runtime converting an illegal address into an
-// API error.
+// API error. A Global returns its one AccessError, overwritten by its
+// next invalid access, so a faulting global access allocates nothing.
 type AccessError struct {
 	Space string
 	Addr  uint32
@@ -36,8 +37,9 @@ const nullGuard = 256
 // Global is the device memory of one simulated GPU context.
 type Global struct {
 	words []uint32
-	hwm   uint32 // allocation high-water mark, bytes
-	fence Fence  // nil unless a Fence vets accesses (SetFence)
+	hwm   uint32      // allocation high-water mark, bytes
+	fence Fence       // nil unless a Fence vets accesses (SetFence)
+	err   AccessError // the latest invalid access
 }
 
 // Access classifies a global access for a Fence: loads read, stores
@@ -110,19 +112,27 @@ func (g *Global) Reset() {
 }
 
 func (g *Global) check(addr uint32, bytes uint32, a Access) error {
-	if addr%bytes != 0 {
-		return &AccessError{Space: "global", Addr: addr, Kind: "unaligned"}
-	}
-	if addr < nullGuard {
-		return &AccessError{Space: "global", Addr: addr, Kind: "null"}
-	}
-	if addr+bytes > g.hwm || addr+bytes < addr {
-		return &AccessError{Space: "global", Addr: addr, Kind: "out of bounds"}
+	if addr%bytes != 0 || addr < nullGuard || addr+bytes > g.hwm || addr+bytes < addr {
+		return g.invalid(addr, bytes)
 	}
 	if g.fence != nil && !g.fence.Allow(addr/4, bytes/4, a) {
 		return ErrFenced
 	}
 	return nil
+}
+
+// invalid records the invalid access of bytes at addr as the memory's
+// AccessError and returns it.
+func (g *Global) invalid(addr, bytes uint32) error {
+	kind := "out of bounds"
+	switch {
+	case addr%bytes != 0:
+		kind = "unaligned"
+	case addr < nullGuard:
+		kind = "null"
+	}
+	g.err = AccessError{Space: "global", Addr: addr, Kind: kind}
+	return &g.err
 }
 
 // Load32 reads a 32-bit word.

@@ -3,10 +3,12 @@
 // records, per block, the ordered (warp, pc) of every warp-instruction
 // the block issues, stamped with its position in the launch's global
 // issue order (its seq) and with the lanes it executed; which blocks
-// read and write each global word; and the launch's foreign reads, the
-// loads of a word by a block that is not the word's writer. A launch
-// is single-writer when every word written in golden has exactly one
-// writer block (an atomic counts as a read and a write).
+// read and write each global word; per written word the seqs of its
+// first golden write and of its last golden access; and the launch's
+// foreign reads, the loads of a word by a block that is not the word's
+// writer. A launch is single-writer when every word written in golden
+// has exactly one writer block (an atomic counts as a read and a
+// write).
 //
 // In log mode a block issues its logged instructions in golden order,
 // through the same issue path as the cycle engine, with no scheduler,
@@ -19,7 +21,10 @@
 //     only words the block accesses in golden or no block accesses, and
 //     a load of a word another block writes is one of the block's golden
 //     foreign reads at that seq, unless the replayed blocks merge by seq
-//     and that writer replays too; and
+//     and that writer replays too. A lone replayed block may also load
+//     another block's written word before its first golden write or at
+//     or past its last golden access, and store to it at or past its
+//     last access; and
 //  3. every golden foreign read of a replayed block's word by a block
 //     that does not replay finds its golden value in memory at its seq.
 //
@@ -29,7 +34,11 @@
 // block that does not replay golden inputs, so it runs golden, and a
 // replayed block's foreign read gets what the full run reads: the
 // recorded golden value once the writer had written the word, the
-// launch-start memory before. Any doubt falls back to the cycle engine.
+// launch-start memory before. A lone block's other loads of a written
+// word read the launch-start value before its first write, and the
+// next boundary's value (or the block's own later store) past its last
+// access; its store past the last access is read by no other block.
+// Any doubt falls back to the cycle engine.
 //
 // A launch without foreign reads replays its blocks one after another,
 // each to the end of its log. The fence then keeps every block from
@@ -42,6 +51,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"gpurel/internal/device"
@@ -125,23 +135,28 @@ type BlockLog struct {
 
 	wOff  []int32  // golden writes of block c: wList[wOff[c]:wOff[c+1]]
 	wList []uint32 // word indices
+	// Parallel to wList: one past the seq of the word's first golden
+	// write, and one past the seq of its last golden access by any block.
+	wFirst, wLast []uint32
 
 	frd []foreignRead // the golden foreign reads, by seq
 }
 
 // BlockLogBytes bounds the memory a launch's BlockLog takes, from the
-// launch's golden warp-instruction count, its block count, and its
-// allocated words (null guard included): per logged instruction 8
-// bytes of issue log, 1 byte of lane count and 4 bytes of seq index;
-// the foreign reads at their cap; two offset tables; and per word 4
-// bytes of access mark, 4 bytes of golden write list at its bound of
-// one entry per word, and, with readers, 8 bytes of reader mask.
-func BlockLogBytes(warpInstrs uint64, blocks, words int, readers bool) int {
-	perWord := 8
+// launch's golden warp-instruction count, its block count, its
+// allocated words (null guard included), and a bound on the words it
+// writes in golden (capped at words): per logged instruction 8 bytes of
+// issue log, 1 byte of lane count and 4 bytes of seq index; the foreign
+// reads at their cap; two offset tables; per word 4 bytes of access
+// mark and, with readers, 8 bytes of reader mask; and per written word
+// 4 bytes of golden write list and 8 bytes of write seqs.
+func BlockLogBytes(warpInstrs uint64, blocks, words, written int, readers bool) int {
+	perWord := 4
 	if readers {
 		perWord += 8
 	}
-	return 13*int(warpInstrs) + foreignReadBytes*maxForeignReads(warpInstrs) + 8*(blocks+1) + perWord*words
+	return 13*int(warpInstrs) + foreignReadBytes*maxForeignReads(warpInstrs) + 8*(blocks+1) +
+		perWord*words + 12*min(written, words)
 }
 
 // Eligible reports whether the launch is single-writer, so its blocks
@@ -180,6 +195,14 @@ func (bl *BlockLog) foreignRead(seq uint32, c int32, word uint32) *foreignRead {
 	return nil
 }
 
+// writeSeqs returns one past the seq of the first golden write of word,
+// which block c writes, and one past the seq of its last golden access.
+func (bl *BlockLog) writeSeqs(c int32, word uint32) (first, last uint32) {
+	i, _ := slices.BinarySearch(bl.writes(int(c)), word)
+	k := int(bl.wOff[c]) + i
+	return bl.wFirst[k], bl.wLast[k]
+}
+
 // writer returns the block that writes the word in golden, or -1.
 func (bl *BlockLog) writer(word uint32) int32 {
 	if m := bl.acc[word]; m >= 0 && m&soleWritten != 0 {
@@ -190,9 +213,9 @@ func (bl *BlockLog) writer(word uint32) int32 {
 
 // logRecorder collects a golden launch's block log. It is the
 // global-memory fence of the recording runs, allowing every access. The
-// first run records the issue log and the access marks; on a
-// single-writer launch with foreign reads, a second run, with the
-// writers known, records the foreign reads.
+// first run records the issue log, the access marks and the write
+// seqs; on a single-writer launch with foreign reads, a second run,
+// with the writers known, records the foreign reads.
 type logRecorder struct {
 	g       *mem.Global
 	cur     int32  // block issuing now
@@ -203,6 +226,9 @@ type logRecorder struct {
 	multi   bool // a word has two writer blocks
 	foreign bool // a block accesses a word another block writes
 	wide    bool // a pc or warp index does not fit a logEntry
+	// Per word: one past the seq of its first write, and of its last
+	// access; 0 when there is none.
+	first, last []uint32
 
 	second bool
 	frd    []foreignRead
@@ -244,6 +270,10 @@ func (r *logRecorder) Allow(word, n uint32, a mem.Access) bool {
 	}
 	write := a&mem.Write != 0
 	for w := word; w < word+n; w++ {
+		r.last[w] = r.seq
+		if write && r.first[w] == 0 {
+			r.first[w] = r.seq
+		}
 		m := r.acc[w]
 		switch {
 		case m == noAccessor:
@@ -318,7 +348,7 @@ func (r *logRecorder) run(cfg Config, boundary *LaunchImage) (int, error) {
 	blocks := e.totalBlock
 	e.release()
 	if res.Outcome != OutcomeOK {
-		return 0, fmt.Errorf("sim: recording %s: golden launch raised %s", cfg.Program.Name, res.DUEReason)
+		return 0, fmt.Errorf("sim: recording %s: golden launch raised %s", cfg.Program.Name, res.DUEReason())
 	}
 	return blocks, nil
 }
@@ -334,7 +364,8 @@ func (r *logRecorder) run(cfg Config, boundary *LaunchImage) (int, error) {
 // known.
 func RecordBlockLog(cfg Config, boundary *LaunchImage, warpInstrs uint64, readers bool) (*BlockLog, error) {
 	words := boundary.Mem.AllocatedBytes() / 4
-	rec := &logRecorder{g: mem.NewGlobal(4 * words), all: make([]recEntry, 0, warpInstrs), acc: make([]int32, words)}
+	rec := &logRecorder{g: mem.NewGlobal(4 * words), all: make([]recEntry, 0, warpInstrs), acc: make([]int32, words),
+		first: make([]uint32, words), last: make([]uint32, words)}
 	if readers {
 		rec.rd = make([]uint64, words)
 	}
@@ -394,11 +425,13 @@ func RecordBlockLog(cfg Config, boundary *LaunchImage, warpInstrs uint64, reader
 		bl.wOff[c+1] += bl.wOff[c]
 	}
 	bl.wList = make([]uint32, nw)
+	bl.wFirst, bl.wLast = make([]uint32, nw), make([]uint32, nw)
 	copy(fill, bl.wOff)
 	for w, m := range bl.acc {
 		if m >= 0 && m&soleWritten != 0 {
 			c := m &^ soleWritten
-			bl.wList[fill[c]] = uint32(w)
+			k := fill[c]
+			bl.wList[k], bl.wFirst[k], bl.wLast[k] = uint32(w), rec.first[w], rec.last[w]
 			fill[c]++
 		}
 	}
@@ -450,9 +483,14 @@ func (bl *BlockLog) filteredLanes(dec []decoded, c int, from, to int32, plan *Fa
 // logScratch is a Trial's log-mode state, reusable across launches and
 // trials: the block fence and the executor's cursors. stores collects
 // the word index of every global store the replayed blocks made
-// (repeats included); arm resets it.
+// (repeats included); past lists the other blocks' written words a lone
+// replayed block has loaded or stored past their last golden access,
+// and resolved counts the accesses the fence resolved from write seqs.
+// arm resets them.
 type logScratch struct {
-	stores []uint32
+	stores   []uint32
+	past     []uint32
+	resolved int
 
 	fence  blockFence
 	blocks []*blockState
@@ -463,14 +501,19 @@ type logScratch struct {
 
 // blockFence confines the global accesses of the block replaying now,
 // the issue of seq. serial reports that several blocks replay one after
-// another, so none may see another's stores.
+// another, so none may see another's stores; lone that one block
+// replays, so the others run golden and its accesses of their written
+// words resolve from the write seqs. next is the golden memory after
+// the launch.
 type blockFence struct {
 	ls      *logScratch
 	bl      *BlockLog
 	g       *mem.Global
+	next    *mem.Snapshot
 	block   int32
 	seq     uint32
 	serial  bool
+	lone    bool
 	tripped bool
 }
 
@@ -484,11 +527,13 @@ func (f *blockFence) Allow(word, n uint32, a mem.Access) bool {
 		own := m >= 0 && m&^soleWritten == f.block
 		switch {
 		case a&mem.Write != 0:
-			if m != noAccessor && !own {
-				return f.trip()
-			}
-			// Serial blocks store only to words they write in golden.
-			if f.serial && (m < 0 || m&soleWritten == 0) {
+			switch {
+			case m == noAccessor || own:
+				// Serial blocks store only to words they write in golden.
+				if f.serial && (m < 0 || m&soleWritten == 0) {
+					return f.trip()
+				}
+			case m < 0 || m&soleWritten == 0 || !f.resolveStore(m&^soleWritten, w):
 				return f.trip()
 			}
 			f.ls.stores = append(f.ls.stores, w)
@@ -499,16 +544,69 @@ func (f *blockFence) Allow(word, n uint32, a mem.Access) bool {
 			// The writer replays too, merged by seq: memory holds what
 			// the full run reads at this issue.
 		default:
-			fr := f.bl.foreignRead(f.seq, f.block, w)
-			if fr == nil {
+			if fr := f.bl.foreignRead(f.seq, f.block, w); fr != nil {
+				if fr.written {
+					f.g.SetWord(w*4, fr.val)
+				}
+			} else if !f.resolveLoad(m&^soleWritten, w) {
 				return f.trip()
-			}
-			if fr.written {
-				f.g.SetWord(w*4, fr.val)
 			}
 		}
 	}
 	return true
+}
+
+// resolveStore reports whether a lone block's store or atomic to word,
+// which block c writes in golden, stands: it comes at or past the
+// word's last golden access, so no other block accesses the word again
+// in the full run. Memory first holds what the full run holds there
+// (pastAccess), which an atomic reads.
+func (f *blockFence) resolveStore(c int32, word uint32) bool {
+	if !f.lone {
+		return false
+	}
+	if _, last := f.bl.writeSeqs(c, word); f.seq+1 < last {
+		return false
+	}
+	f.pastAccess(word)
+	return true
+}
+
+// resolveLoad reports whether a lone block's unrecorded load of word,
+// which block c writes in golden, reads what the full run reads, and
+// makes memory hold it. Before the word's first golden write memory
+// holds the launch-start value, as in the full run: the block started
+// from an image at or before the load, and every change the replay
+// makes to the word comes after its first golden write. At or past its
+// last golden access memory is made to hold what the full run holds
+// (pastAccess). In between it trips.
+func (f *blockFence) resolveLoad(c int32, word uint32) bool {
+	if !f.lone {
+		return false
+	}
+	first, last := f.bl.writeSeqs(c, word)
+	switch {
+	case f.seq+1 < first:
+		f.ls.resolved++
+	case f.seq+1 < last:
+		return false
+	default:
+		f.pastAccess(word)
+	}
+	return true
+}
+
+// pastAccess makes memory hold what the full run holds at an access of
+// the lone block to word, another block's written word, at or past its
+// last golden access: the next boundary's value, the writer's last
+// golden store, unless the block has loaded or stored the word before
+// in this replay, and then what memory already holds.
+func (f *blockFence) pastAccess(word uint32) {
+	if !slices.Contains(f.ls.past, word) {
+		f.g.SetWord(word*4, f.next.Word(word*4))
+		f.ls.past = append(f.ls.past, word)
+	}
+	f.ls.resolved++
 }
 
 func (f *blockFence) trip() bool {
@@ -517,11 +615,12 @@ func (f *blockFence) trip() bool {
 }
 
 // arm makes the scratch engine e's log-mode state for a replay of bl's
-// launch, reset, and installs the fence on e's memory.
-func (ls *logScratch) arm(e *engine, bl *BlockLog) {
+// launch, whose golden memory after it is next, reset, and installs the
+// fence on e's memory.
+func (ls *logScratch) arm(e *engine, bl *BlockLog, next *mem.Snapshot) {
 	e.lg = ls
-	ls.stores = ls.stores[:0]
-	ls.fence = blockFence{ls: ls, bl: bl, g: e.glob}
+	ls.stores, ls.past, ls.resolved = ls.stores[:0], ls.past[:0], 0
+	ls.fence = blockFence{ls: ls, bl: bl, g: e.glob, next: next}
 	ls.blocks, ls.pos = ls.blocks[:0], ls.pos[:0]
 	n := (bl.blocks + 63) / 64
 	if cap(ls.in) < n {
@@ -593,7 +692,7 @@ func (e *engine) runLog(bl *BlockLog, from uint32) LogFallback {
 	if len(ls.blocks) > 1 && len(bl.frd) > 0 {
 		return e.mergeLog(bl, slots[:])
 	}
-	ls.fence.serial = len(ls.blocks) > 1
+	ls.fence.serial, ls.fence.lone = len(ls.blocks) > 1, len(ls.blocks) == 1
 	return e.serialLog(bl, slots[:])
 }
 
@@ -687,7 +786,7 @@ func (e *engine) logIssue(blk *blockState, ent logEntry, slots []int) (fb LogFal
 	e.lg.fence.block, e.lg.fence.seq = int32(blk.cta), ent.seq
 	e.issue(&e.st.logSM, w, top, slots)
 	switch {
-	case e.due == "":
+	case e.dueMode == DUENone:
 		return LogOK, false
 	case e.lg.fence.tripped:
 		return LogFenced, true
@@ -736,13 +835,13 @@ func pendingGolden(blk *blockState, rest []logEntry, due *warpState) bool {
 // and lane it fires on under the cycle engine. blk is nil, and nothing
 // ran, when the plan's trigger lies past the launch's last issue. The
 // error reports a log that disagrees with the run it recorded.
-func (e *engine) replayFaulted(bl *BlockLog, ls *logScratch, img *LaunchImage) (blk *blockState, fb LogFallback, err error) {
+func (e *engine) replayFaulted(bl *BlockLog, ls *logScratch, img *LaunchImage, next *mem.Snapshot) (blk *blockState, fb LogFallback, err error) {
 	site, ok := bl.locateFire(e.dec, img, e.fault)
 	if !ok {
 		return nil, LogOK, nil
 	}
 	e.glob.Restore(img.Mem)
-	ls.arm(e, bl)
+	ls.arm(e, bl, next)
 	for i := range img.blocks {
 		if img.blocks[i].cta == site.cta {
 			blk = e.materializeBlock(&img.blocks[i])

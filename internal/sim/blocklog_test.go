@@ -70,7 +70,7 @@ func goldenImages(t *testing.T, cfg Config, g *mem.Global) (*Profile, []*LaunchI
 	seq = append(seq, e.rec.images...)
 	e.release()
 	if res.Outcome != OutcomeOK {
-		t.Fatalf("golden run: %s", res.DUEReason)
+		t.Fatalf("golden run: %s", res.DUEReason())
 	}
 	return &res.Profile, seq
 }
@@ -97,6 +97,7 @@ func TestFireSiteMatchesCycleEngine(t *testing.T) {
 	dev.NumSMs = 2
 	cfg := Config{Device: &dev, Program: buildFireMap(t, in, out), GridX: blocks, GridY: 1, BlockThreads: threads}
 	golden, seq := goldenImages(t, cfg, g)
+	final := g.Snapshot()
 	if len(seq) < 8 {
 		t.Fatalf("%d checkpoints; want sub-launch images to start from", len(seq))
 	}
@@ -149,7 +150,7 @@ func TestFireSiteMatchesCycleEngine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			blk, _, err := e.replayFaulted(bl, &ls, seq[start])
+			blk, _, err := e.replayFaulted(bl, &ls, seq[start], final)
 			got := e.fired
 			e.release()
 			if err != nil {
@@ -216,10 +217,33 @@ func TestLogDisagreementIsAnError(t *testing.T) {
 // foreign reads, so a replay of both blocks runs them one after the
 // other.
 type strayLaunch struct {
-	cfg             Config
-	boundary, next  *mem.Snapshot
-	bl              *BlockLog
+	loggedLaunch
 	sidx, lidx, arr uint32
+}
+
+// loggedLaunch is a launch of a test kernel with its golden boundary,
+// its golden memory after it, and its block log, reader masks included.
+type loggedLaunch struct {
+	cfg            Config
+	boundary, next *mem.Snapshot
+	bl             *BlockLog
+}
+
+// recordLaunch runs the launch golden on g, which holds its inputs, and
+// records its block log.
+func recordLaunch(t *testing.T, cfg Config, g *mem.Global) loggedLaunch {
+	t.Helper()
+	l := loggedLaunch{cfg: cfg, boundary: g.Snapshot()}
+	res, err := Run(cfg, g)
+	if err != nil || res.Outcome != OutcomeOK {
+		t.Fatalf("golden run: %v %v", res, err)
+	}
+	l.next = g.Snapshot()
+	l.bl, err = RecordBlockLog(cfg, &LaunchImage{Mem: l.boundary}, res.Profile.WarpInstrs, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
 }
 
 func newStrayLaunch(t *testing.T) *strayLaunch {
@@ -248,17 +272,7 @@ func newStrayLaunch(t *testing.T) *strayLaunch {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.cfg = Config{Device: device.K40c(), Program: prog, GridX: blocks, GridY: 1, BlockThreads: threads}
-	s.boundary = g.Snapshot()
-	res, err := Run(s.cfg, g)
-	if err != nil || res.Outcome != OutcomeOK {
-		t.Fatalf("golden run: %v %v", res, err)
-	}
-	s.next = g.Snapshot()
-	s.bl, err = RecordBlockLog(s.cfg, &LaunchImage{Mem: s.boundary}, res.Profile.WarpInstrs, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s.loggedLaunch = recordLaunch(t, Config{Device: device.K40c(), Program: prog, GridX: blocks, GridY: 1, BlockThreads: threads}, g)
 	if !s.bl.Eligible() || len(s.bl.frd) != 0 {
 		t.Fatalf("stray launch: eligible %v with %d foreign reads; want eligible with none", s.bl.Eligible(), len(s.bl.frd))
 	}
@@ -268,7 +282,7 @@ func newStrayLaunch(t *testing.T) *strayLaunch {
 // replay runs the launch as a later launch of a trial whose dirty set
 // sets each word at addr to its value, checks the result against Run
 // on the same memory, and returns the trial's launch result.
-func (s *strayLaunch) replay(t *testing.T, set map[uint32]uint32) Result {
+func (s *loggedLaunch) replay(t *testing.T, set map[uint32]uint32) Result {
 	t.Helper()
 	tr := NewTrial(s.boundary.AllocatedBytes())
 	want := mem.NewGlobal(s.boundary.AllocatedBytes())
@@ -344,5 +358,138 @@ func TestSerialReplayFence(t *testing.T) {
 				t.Fatalf("outcome %v, want a DUE", res.Outcome)
 			}
 		})
+	}
+}
+
+// seqsLaunch is a two-block launch for the write-seq rules of a lone
+// replayed block. Thread g runs, with delay loops of n1, n2 and n3
+// iterations (block 0: 10, 20, 1; block 1: 5, 15, 40):
+//
+//	x := arr[ld1[g]]; delay n1; arr[wr[g]] = x+1
+//	delay n2; y := arr[ld2[g]]; arr[wr[g]] = x+y
+//	delay n3; z := arr[ld3[g]]; arr[late[g]] = y+z
+//	arr[128+g] = arr[rel[g]]; atomically arr[red[g]] += z
+//
+// In golden ld1 = ld2 = ld3 = g and wr = late = rel = red = 64+g: block
+// c reads arr[32c, 32c+32), writes each word of arr[64+32c, 96+32c)
+// three times, reloads it and adds to it, and writes arr[128+32c,
+// 160+32c). Block
+// 1's first load comes before block 0's first write, its second between
+// block 0's first two writes, and its third after block 0's last
+// access. The launch has no foreign reads.
+type seqsLaunch struct {
+	loggedLaunch
+	ld1, ld2, ld3, wr, late, rel, red, arr uint32
+}
+
+func newSeqsLaunch(t *testing.T) *seqsLaunch {
+	t.Helper()
+	const blocks, threads = 2, 32
+	g := mem.NewGlobal(1 << 20)
+	s := &seqsLaunch{}
+	for _, p := range []*uint32{&s.ld1, &s.ld2, &s.ld3, &s.wr, &s.late, &s.rel, &s.red} {
+		*p, _ = g.Alloc(blocks * threads * 4)
+	}
+	s.arr, _ = g.Alloc(192 * 4)
+	for i := uint32(0); i < blocks*threads; i++ {
+		for _, a := range []uint32{s.ld1, s.ld2, s.ld3} {
+			g.SetWord(a+4*i, i)
+		}
+		for _, a := range []uint32{s.wr, s.late, s.rel, s.red} {
+			g.SetWord(a+4*i, 64+i)
+		}
+	}
+	for i := uint32(0); i < 192; i++ {
+		g.SetWord(s.arr+4*i, 1000+7*i)
+	}
+	b := asm.New("seqs", asm.O1)
+	gi := gid(b)
+	cta, n := b.R(), b.R()
+	b.S2R(cta, isa.SrCtaidX)
+	p := b.P()
+	delay := func(label string, base, perBlock int32) {
+		b.IMad(n, isa.R(cta), isa.ImmInt(perBlock), isa.ImmInt(base))
+		b.Label(label)
+		b.IAdd(n, isa.R(n), isa.ImmInt(-1))
+		b.ISetp(p, isa.CmpGT, isa.R(n), isa.ImmInt(0))
+		b.BraIf(p, false, label)
+	}
+	// elem emits the address of arr[idx[g]].
+	elem := func(idx uint32) isa.Reg {
+		i := b.R()
+		b.Ldg(i, elemAddr(b, gi, idx, 4), 0)
+		return elemAddr(b, i, s.arr, 4)
+	}
+	x, y, z, v := b.R(), b.R(), b.R(), b.R()
+	b.Ldg(x, elem(s.ld1), 0)
+	delay("d1", 10, -5)
+	b.IAdd(v, isa.R(x), isa.ImmInt(1))
+	b.Stg(elem(s.wr), 0, v)
+	delay("d2", 20, -5)
+	b.Ldg(y, elem(s.ld2), 0)
+	b.IAdd(v, isa.R(x), isa.R(y))
+	b.Stg(elem(s.wr), 0, v)
+	delay("d3", 1, 39)
+	b.Ldg(z, elem(s.ld3), 0)
+	b.IAdd(v, isa.R(y), isa.R(z))
+	b.Stg(elem(s.late), 0, v)
+	b.Ldg(v, elem(s.rel), 0)
+	b.Stg(elemAddr(b, gi, s.arr+128*4, 4), 0, v)
+	b.RedAdd(elem(s.red), 0, z)
+	b.Exit()
+	prog, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.loggedLaunch = recordLaunch(t, Config{Device: device.K40c(), Program: prog, GridX: blocks, GridY: 1, BlockThreads: threads}, g)
+	if !s.bl.Eligible() || len(s.bl.frd) != 0 {
+		t.Fatalf("seqs launch: eligible %v with %d foreign reads; want eligible with none", s.bl.Eligible(), len(s.bl.frd))
+	}
+	return s
+}
+
+// TestFenceResolvesFromWriteSeqs pins the fence rules a lone replayed
+// block resolves from golden write seqs (DESIGN §19): block 1, the one
+// reader of a dirty index, loads block 0's word arr[64] before its first
+// golden write, or past its last golden access, or stores to it past
+// its last access and reloads its own store, or adds to it atomically
+// past its last access, and stays in log mode; a
+// load between block 0's writes trips the fence. With a dirty word
+// block 0 reads as well, both blocks replay one after another, and each
+// of those accesses trips the fence. Every result equals Run on the
+// trial's memory, the stored word included.
+func TestFenceResolvesFromWriteSeqs(t *testing.T) {
+	s := newSeqsLaunch(t)
+	const b1 = 4 * 32     // the first thread of block 1, as a byte offset
+	const w0 = 64         // block 0's first written word of arr
+	dirty0 := s.arr + 4*0 // a word only block 0 reads
+	cases := []struct {
+		name string
+		set  map[uint32]uint32
+		want LogFallback
+	}{
+		{"load before the first write", map[uint32]uint32{s.ld1 + b1: w0}, LogOK},
+		{"load past the last access", map[uint32]uint32{s.ld3 + b1: w0}, LogOK},
+		{"store past the last access", map[uint32]uint32{s.late + b1: w0}, LogOK},
+		{"reload of its own resolved store", map[uint32]uint32{s.late + b1: w0, s.rel + b1: w0}, LogOK},
+		{"atomic past the last access", map[uint32]uint32{s.red + b1: w0}, LogOK},
+		{"load between two writes", map[uint32]uint32{s.ld2 + b1: w0}, LogFenced},
+		{"two blocks: load before the first write", map[uint32]uint32{dirty0: 5, s.ld1 + b1: w0}, LogFenced},
+		{"two blocks: load past the last access", map[uint32]uint32{dirty0: 5, s.ld3 + b1: w0}, LogFenced},
+		{"two blocks: store past the last access", map[uint32]uint32{dirty0: 5, s.late + b1: w0}, LogFenced},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			res := s.replay(t, c.set)
+			if res.LogFallback != c.want {
+				t.Fatalf("fallback %v, want %v", res.LogFallback, c.want)
+			}
+			if c.want == LogOK && (!res.Logged || res.Replayed != 1 || res.Resolved == 0) {
+				t.Fatalf("logged %v with %d blocks and %d resolved accesses; want block 1 alone in log mode, resolved", res.Logged, res.Replayed, res.Resolved)
+			}
+		})
+	}
+	if got := s.replay(t, map[uint32]uint32{dirty0: 5}); !got.Logged || got.Replayed != 1 || got.Resolved != 0 {
+		t.Fatalf("block 0 alone: logged %v with %d blocks, %d resolved; want it alone in log mode, nothing resolved", got.Logged, got.Replayed, got.Resolved)
 	}
 }

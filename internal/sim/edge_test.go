@@ -42,7 +42,7 @@ func TestExplicitSyncJumpsToReconvergence(t *testing.T) {
 	}
 	res, _ := Run(Config{Device: device.K40c(), Program: prog, GridX: 1, GridY: 1, BlockThreads: 32}, g)
 	if res.Outcome != OutcomeOK {
-		t.Fatalf("DUE: %s", res.DUEReason)
+		t.Fatalf("DUE: %s", res.DUEReason())
 	}
 	for i := 0; i < 32; i++ {
 		want := uint32(0)
@@ -281,7 +281,7 @@ func TestDeterministicUnderFaultPlans(t *testing.T) {
 		}
 		res, _ := Run(Config{Device: device.K40c(), Program: prog, GridX: 1, GridY: 1, BlockThreads: 64, Fault: fp}, g)
 		if res.Outcome != OutcomeOK {
-			t.Fatal(res.DUEReason)
+			t.Fatal(res.DUEReason())
 		}
 		if got := g.Word(oBase + 17*4); got != (17*3)^(1<<9) {
 			t.Fatalf("trial %d: lane 17 = %d", trial, got)

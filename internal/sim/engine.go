@@ -247,8 +247,10 @@ type engine struct {
 	issuedThisCycle int
 	nextReady       int64
 
-	due     string
+	// dueMode is the mechanism of the run's DUE, DUENone until one is
+	// raised; due is its detail.
 	dueMode DUEMode
+	due     dueCause
 
 	// fired is where an operation fault fired: the block, the issue's
 	// position in the block's issue log, and the lane (skipWholeInstr
@@ -546,15 +548,42 @@ func (e *engine) checkBarrier(sm *smState, blk *blockState) {
 }
 
 // raiseDUE records a detected unrecoverable error: the typed mechanism
-// plus its human-readable detail. The detail string doubles as the
-// "a DUE is pending" sentinel the scheduling loops poll, so it is never
-// empty. Only the first raise of a run sticks.
-func (e *engine) raiseDUE(mode DUEMode, format string, args ...any) {
-	if e.due != "" {
+// plus its human-readable detail. The mode doubles as the "a DUE is
+// pending" sentinel the scheduling loops poll. Only the first raise of
+// a run sticks.
+func (e *engine) raiseDUE(mode DUEMode, reason string) {
+	if e.dueMode == DUENone {
+		e.dueMode, e.due = mode, dueCause{text: reason}
+	}
+}
+
+// raiseAccess raises the illegal-address DUE of a failed global or
+// shared access. An AccessError is kept by value and formatted only
+// when Result.DUEReason is read: a faulted replay reads only the mode.
+func (e *engine) raiseAccess(err error) {
+	if e.dueMode != DUENone {
 		return
 	}
-	e.due = fmt.Sprintf(format, args...)
-	e.dueMode = mode
+	e.dueMode = DUEIllegalAddress
+	if ae, ok := err.(*mem.AccessError); ok {
+		e.due = dueCause{access: *ae}
+	} else {
+		e.due = dueCause{text: err.Error()}
+	}
+}
+
+// dueCause is the detail of a DUE: a fixed reason, or an illegal
+// access.
+type dueCause struct {
+	text   string
+	access mem.AccessError
+}
+
+func (c *dueCause) String() string {
+	if c.access.Kind != "" {
+		return c.access.Error()
+	}
+	return c.text
 }
 
 // run executes the launch to completion or DUE.
@@ -627,18 +656,18 @@ func (e *engine) simulate() {
 					continue
 				}
 				e.scheduleOne(sm, sched, slots[:])
-				if e.due != "" {
+				if e.dueMode != DUENone {
 					break
 				}
 			}
-			if e.due != "" {
+			if e.dueMode != DUENone {
 				break
 			}
 			if e.issuedThisCycle == issuedBefore {
 				sm.quietUntil = sm.quiet(e.cycle)
 			}
 		}
-		if e.due != "" {
+		if e.dueMode != DUENone {
 			break
 		}
 		if e.issuedThisCycle == 0 && (e.liveBlocks > 0 || e.nextBlock < e.totalBlock) {
@@ -712,10 +741,10 @@ func (e *engine) result() Result {
 			}
 		}
 	}
-	if e.due != "" {
+	if e.dueMode != DUENone {
 		res.Outcome = OutcomeDUE
 		res.DUEMode = e.dueMode
-		res.DUEReason = e.due
+		res.due = e.due
 	}
 	return res
 }
@@ -843,7 +872,7 @@ func (e *engine) tryWarp(sm *smState, sched, wi int, w *warpState, slots []int) 
 	for {
 		ctrl := e.issue(sm, w, top, slots)
 		issued++
-		if ctrl || e.due != "" {
+		if ctrl || e.dueMode != DUENone {
 			break // do not dual-issue past control flow or a DUE
 		}
 		if issued >= e.dev.IssuePerScheduler {
@@ -924,7 +953,7 @@ func (e *engine) ready(w *warpState, top *simtEntry, slots []int) bool {
 func (e *engine) issue(sm *smState, w *warpState, top *simtEntry, slots []int) bool {
 	pc := top.pc
 	if int(pc) >= len(e.dec) || pc < 0 {
-		e.raiseDUE(DUEHang, "instruction fetch beyond program end (pc=%d)", pc)
+		e.raiseDUE(DUEHang, fmt.Sprintf("instruction fetch beyond program end (pc=%d)", pc))
 		return true
 	}
 	d := &e.dec[pc]
@@ -1172,7 +1201,7 @@ func (e *engine) control(sm *smState, w *warpState, top *simtEntry, in *isa.Inst
 			e.retireWarp(sm, w)
 		}
 	default:
-		e.raiseDUE(DUEUnattributed, "unhandled control op %s", in.Op)
+		e.raiseDUE(DUEUnattributed, fmt.Sprintf("unhandled control op %s", in.Op))
 	}
 	return true
 }

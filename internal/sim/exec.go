@@ -8,6 +8,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 
 	"gpurel/internal/isa"
@@ -33,7 +34,7 @@ func (e *engine) exec(w *warpState, d *decoded, active uint32, faultLane int) {
 		return
 	}
 	d.run(e, w, d, active)
-	if e.due != "" {
+	if e.dueMode != DUENone {
 		return
 	}
 	b, t := w.block, w.base+faultLane
@@ -573,7 +574,7 @@ func execF2F_16to64(e *engine, w *warpState, d *decoded, active uint32) {
 }
 
 func execCvtBad(e *engine, w *warpState, d *decoded, active uint32) {
-	e.raiseDUE(DUEUnattributed, "unsupported %s conversion %s->%s", d.in.Op, d.in.CvtFrom, d.in.CvtTo)
+	e.raiseDUE(DUEUnattributed, fmt.Sprintf("unsupported %s conversion %s->%s", d.in.Op, d.in.CvtFrom, d.in.CvtTo))
 }
 
 func execF2I(e *engine, w *warpState, d *decoded, active uint32) {
@@ -632,7 +633,7 @@ func mufuEval(fn isa.MufuFunc, x float64) float64 {
 }
 
 func execUnimplemented(e *engine, w *warpState, d *decoded, active uint32) {
-	e.raiseDUE(DUEUnattributed, "unimplemented opcode %s", d.in.Op)
+	e.raiseDUE(DUEUnattributed, fmt.Sprintf("unimplemented opcode %s", d.in.Op))
 }
 
 // --- memory handlers (fault modeling inline, keyed off e.faultLane) ---
@@ -679,7 +680,7 @@ func execLDG(e *engine, w *warpState, d *decoded, active uint32) {
 				}
 				if coalesced {
 					if err := e.glob.LoadRow32(a0, dstLo); err != nil {
-						e.raiseDUE(DUEIllegalAddress, "%s", err)
+						e.raiseAccess(err)
 					}
 					return
 				}
@@ -694,7 +695,7 @@ func execLDG(e *engine, w *warpState, d *decoded, active uint32) {
 				if uniform {
 					v, err := e.glob.Load32(a0)
 					if err != nil {
-						e.raiseDUE(DUEIllegalAddress, "%s", err)
+						e.raiseAccess(err)
 						return
 					}
 					for lane := range dstLo {
@@ -707,7 +708,7 @@ func execLDG(e *engine, w *warpState, d *decoded, active uint32) {
 		for lane := range aRow {
 			v, err := e.glob.Load32(aRow[lane] + off)
 			if err != nil {
-				e.raiseDUE(DUEIllegalAddress, "%s", err)
+				e.raiseAccess(err)
 				return
 			}
 			dstLo[lane] = v
@@ -725,7 +726,7 @@ func execLDG(e *engine, w *warpState, d *decoded, active uint32) {
 		if in.Wide {
 			lo, hi, err := e.glob.Load64(addr)
 			if err != nil {
-				e.raiseDUE(DUEIllegalAddress, "%s", err)
+				e.raiseAccess(err)
 				return
 			}
 			if dstLo != nil {
@@ -734,7 +735,7 @@ func execLDG(e *engine, w *warpState, d *decoded, active uint32) {
 		} else {
 			v, err := e.glob.Load32(addr)
 			if err != nil {
-				e.raiseDUE(DUEIllegalAddress, "%s", err)
+				e.raiseAccess(err)
 				return
 			}
 			if dstLo != nil {
@@ -768,7 +769,7 @@ func execLDS(e *engine, w *warpState, d *decoded, active uint32) {
 		if in.Wide {
 			lo, hi, err := b.shared.Load64(addr)
 			if err != nil {
-				e.raiseDUE(DUEIllegalAddress, "%s", err)
+				e.raiseAccess(err)
 				return
 			}
 			if dstLo != nil {
@@ -777,7 +778,7 @@ func execLDS(e *engine, w *warpState, d *decoded, active uint32) {
 		} else {
 			v, err := b.shared.Load32(addr)
 			if err != nil {
-				e.raiseDUE(DUEIllegalAddress, "%s", err)
+				e.raiseAccess(err)
 				return
 			}
 			if dstLo != nil {
@@ -815,14 +816,14 @@ func execSTG(e *engine, w *warpState, d *decoded, active uint32) {
 			}
 			if coalesced {
 				if err := e.glob.StoreRow32(a0, vLo); err != nil {
-					e.raiseDUE(DUEIllegalAddress, "%s", err)
+					e.raiseAccess(err)
 				}
 				return
 			}
 		}
 		for lane := range aRow {
 			if err := e.glob.Store32(aRow[lane]+off, vLo[lane]); err != nil {
-				e.raiseDUE(DUEIllegalAddress, "%s", err)
+				e.raiseAccess(err)
 				return
 			}
 		}
@@ -856,7 +857,7 @@ func execSTG(e *engine, w *warpState, d *decoded, active uint32) {
 			err = e.glob.Store32(addr, sv)
 		}
 		if err != nil {
-			e.raiseDUE(DUEIllegalAddress, "%s", err)
+			e.raiseAccess(err)
 			return
 		}
 	}
@@ -904,7 +905,7 @@ func execSTS(e *engine, w *warpState, d *decoded, active uint32) {
 			err = b.shared.Store32(addr, sv)
 		}
 		if err != nil {
-			e.raiseDUE(DUEIllegalAddress, "%s", err)
+			e.raiseAccess(err)
 			return
 		}
 	}
@@ -934,7 +935,7 @@ func execRED(e *engine, w *warpState, d *decoded, active uint32) {
 			sv = vRow[lane]
 		}
 		if _, err := e.glob.AtomicAdd32(addr, sv); err != nil {
-			e.raiseDUE(DUEIllegalAddress, "%s", err)
+			e.raiseAccess(err)
 			return
 		}
 	}

@@ -309,7 +309,7 @@ func TestResultFaultSemantics(t *testing.T) {
 						continue
 					}
 					if res.Outcome != OutcomeOK {
-						t.Fatalf("%s: %s", where, res.DUEReason)
+						t.Fatalf("%s: %s", where, res.DUEReason())
 					}
 					want := append([]uint32(nil), gold...)
 					wantBit, wantWidth := 0, 0

@@ -62,6 +62,10 @@ type Config struct {
 	Trace io.Writer
 }
 
+// DUEReason returns the human-readable detail of a DUE outcome, and ""
+// otherwise.
+func (r *Result) DUEReason() string { return r.due.String() }
+
 // Outcome classifies how a run terminated.
 type Outcome uint8
 
@@ -84,10 +88,10 @@ func (o Outcome) String() string {
 type Result struct {
 	Outcome Outcome
 	// DUEMode is the typed mechanism of a DUE outcome (DUENone
-	// otherwise); DUEReason carries the human-readable detail string.
-	DUEMode   DUEMode
-	DUEReason string
-	Profile   Profile
+	// otherwise); DUEReason gives the human-readable detail.
+	DUEMode DUEMode
+	due     dueCause
+	Profile Profile
 
 	// The rest of a Result describes one launch of a Trial; Run and
 	// RunGolden leave it zero.
@@ -109,8 +113,10 @@ type Result struct {
 	// order. Skipped reports that a launch after the fault launch ran no
 	// block at all, since none reads a dirty word.
 	Logged, Skipped bool
-	// Replayed is the number of blocks a Logged launch ran.
-	Replayed int
+	// Replayed is the number of blocks a Logged launch ran, and Resolved
+	// the global accesses of its lone replayed block that the fence
+	// resolved from the golden write seqs of another block's word.
+	Replayed, Resolved int
 
 	// LogFallback is why the launch ran on the cycle engine although it
 	// asked for its block log: a log-mode attempt was abandoned, or the

@@ -70,7 +70,7 @@ func TestVecAddMultiBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Outcome != OutcomeOK {
-		t.Fatalf("run failed: %s", res.DUEReason)
+		t.Fatalf("run failed: %s", res.DUEReason())
 	}
 	for i := 0; i < n; i++ {
 		got := math.Float32frombits(g.Word(oBase + uint32(i*4)))
@@ -141,7 +141,7 @@ func TestIntraWarpDivergence(t *testing.T) {
 	}
 	res, _ := Run(Config{Device: device.K40c(), Program: prog, GridX: 1, GridY: 1, BlockThreads: 32}, g)
 	if res.Outcome != OutcomeOK {
-		t.Fatalf("DUE: %s", res.DUEReason)
+		t.Fatalf("DUE: %s", res.DUEReason())
 	}
 	for i := 0; i < 32; i++ {
 		want := uint32(10)
@@ -180,7 +180,7 @@ func TestNestedDivergence(t *testing.T) {
 	}
 	res, _ := Run(Config{Device: device.K40c(), Program: prog, GridX: 1, GridY: 1, BlockThreads: 32}, g)
 	if res.Outcome != OutcomeOK {
-		t.Fatalf("DUE: %s", res.DUEReason)
+		t.Fatalf("DUE: %s", res.DUEReason())
 	}
 	for i := 0; i < 32; i++ {
 		var want uint32
@@ -223,7 +223,7 @@ func TestDivergentLoopTripCounts(t *testing.T) {
 	}
 	res, _ := Run(Config{Device: device.K40c(), Program: prog, GridX: 2, GridY: 1, BlockThreads: 32}, g)
 	if res.Outcome != OutcomeOK {
-		t.Fatalf("DUE: %s", res.DUEReason)
+		t.Fatalf("DUE: %s", res.DUEReason())
 	}
 	for i := 0; i < 64; i++ {
 		if got := g.Word(oBase + uint32(i*4)); got != uint32(3*(i+1)) {
@@ -282,7 +282,7 @@ func TestBarrierSharedReduction(t *testing.T) {
 	}
 	res, _ := Run(Config{Device: device.V100(), Program: prog, GridX: 4, GridY: 1, BlockThreads: threads}, g)
 	if res.Outcome != OutcomeOK {
-		t.Fatalf("DUE: %s", res.DUEReason)
+		t.Fatalf("DUE: %s", res.DUEReason())
 	}
 	want := uint32(threads * (threads + 1) / 2)
 	for blk := 0; blk < 4; blk++ {
@@ -306,7 +306,7 @@ func TestPartialWarp(t *testing.T) {
 	}
 	res, _ := Run(Config{Device: device.K40c(), Program: prog, GridX: 1, GridY: 1, BlockThreads: 40}, g)
 	if res.Outcome != OutcomeOK {
-		t.Fatalf("DUE: %s", res.DUEReason)
+		t.Fatalf("DUE: %s", res.DUEReason())
 	}
 	for i := 0; i < 40; i++ {
 		if got := g.Word(oBase + uint32(i*4)); got != uint32(i) {
@@ -337,7 +337,7 @@ func TestFP64Arithmetic(t *testing.T) {
 	}
 	res, _ := Run(Config{Device: device.V100(), Program: prog, GridX: 1, GridY: 1, BlockThreads: 32}, g)
 	if res.Outcome != OutcomeOK {
-		t.Fatalf("DUE: %s", res.DUEReason)
+		t.Fatalf("DUE: %s", res.DUEReason())
 	}
 	for i := 0; i < 32; i++ {
 		lo := g.Word(oBase + uint32(i*8))
@@ -373,7 +373,7 @@ func TestFP16Arithmetic(t *testing.T) {
 	}
 	res, _ := Run(Config{Device: device.V100(), Program: prog, GridX: 1, GridY: 1, BlockThreads: 32}, g)
 	if res.Outcome != OutcomeOK {
-		t.Fatalf("DUE: %s", res.DUEReason)
+		t.Fatalf("DUE: %s", res.DUEReason())
 	}
 	for i := 0; i < 32; i++ {
 		got := math.Float32frombits(g.Word(oBase + uint32(i*4)))
@@ -399,7 +399,7 @@ func TestAtomicRED(t *testing.T) {
 	}
 	res, _ := Run(Config{Device: device.K40c(), Program: prog, GridX: 3, GridY: 1, BlockThreads: 64}, g)
 	if res.Outcome != OutcomeOK {
-		t.Fatalf("DUE: %s", res.DUEReason)
+		t.Fatalf("DUE: %s", res.DUEReason())
 	}
 	if got := g.Word(oBase); got != 192 {
 		t.Fatalf("atomic sum = %d, want 192", got)
@@ -594,7 +594,7 @@ func TestMMAMatchesSoftware(t *testing.T) {
 	}
 	res, _ := Run(Config{Device: device.V100(), Program: prog, GridX: 1, GridY: 1, BlockThreads: 32}, g)
 	if res.Outcome != OutcomeOK {
-		t.Fatalf("DUE: %s", res.DUEReason)
+		t.Fatalf("DUE: %s", res.DUEReason())
 	}
 	for i := 0; i < 16; i++ {
 		for j := 0; j < 16; j++ {

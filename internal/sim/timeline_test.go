@@ -25,7 +25,7 @@ func runSampled(t *testing.T, prog *isa.Program, grid, block int) Profile {
 		t.Fatal(err)
 	}
 	if res.Outcome != OutcomeOK {
-		t.Fatalf("run failed: %s", res.DUEReason)
+		t.Fatalf("run failed: %s", res.DUEReason())
 	}
 	return res.Profile
 }
@@ -134,7 +134,7 @@ func TestTimelineAbsentWithoutSampling(t *testing.T) {
 		GridX: 1, GridY: 1, BlockThreads: 32,
 	}, g)
 	if err != nil || res.Outcome != OutcomeOK {
-		t.Fatalf("run: %v %v", err, res.DUEReason)
+		t.Fatalf("run: %v %v", err, res.DUEReason())
 	}
 	if res.Profile.Timeline.Buckets != nil {
 		t.Error("timeline sampled without SampleTimeline")

@@ -110,7 +110,7 @@ func (t *Trial) replayFault(cfg Config, img *LaunchImage, next *mem.Snapshot, bl
 	if err != nil {
 		return Result{}, err
 	}
-	blk, fb, err := e.replayFaulted(bl, &t.lg, img)
+	blk, fb, err := e.replayFaulted(bl, &t.lg, img, next)
 	if blk == nil {
 		e.release()
 		return Result{}, err
@@ -150,7 +150,7 @@ func (t *Trial) later(cfg Config, cur, next *mem.Snapshot, log func() (*BlockLog
 		if err != nil {
 			return Result{}, err
 		}
-		t.lg.arm(e, bl)
+		t.lg.arm(e, bl, next)
 		for _, c := range t.ctas {
 			t.lg.add(e.startBlock(int(c)), 0)
 		}
@@ -183,7 +183,7 @@ func (t *Trial) logged(e *engine, fb LogFallback, next *mem.Snapshot, bl *BlockL
 	if !res.Logged {
 		return res
 	}
-	res.Replayed = len(t.ctas)
+	res.Replayed, res.Resolved = len(t.ctas), t.lg.resolved
 	if res.Outcome == OutcomeOK {
 		t.settle(next, bl)
 	}

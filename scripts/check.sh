@@ -59,9 +59,10 @@ if [ "${1:-}" = "bench" ]; then
     # emit the snapshot JSON benchdiff consumes (bench-new.json; stable
     # path, gitignored, uploaded by CI), and compare it against three
     # committed points: BENCH_v1.json; BENCH_v4.json, which adds
-    # QUICKSORT and BFS; and BENCH_v5.json, the newest, which adds
-    # FLUDUniform. An entry in several answers to each, so to the
-    # tightest of them. The time band is wide (see
+    # QUICKSORT and BFS; BENCH_v5.json, which adds FLUDUniform; and
+    # BENCH_v6.json, the newest, taken once lone replayed blocks
+    # resolved fence trips from golden write seqs. An entry in several
+    # answers to each, so to the tightest of them. The time band is wide (see
     # tools/benchdiff) because CI runners are not the snapshot machine;
     # it exists to catch algorithmic regressions of the replay path,
     # not single-digit-percent noise. Allocations per op are gated with
@@ -78,6 +79,8 @@ if [ "${1:-}" = "bench" ]; then
     go run ./tools/benchdiff compare -band 2.0 BENCH_v4.json bench-new.json
     echo "== benchdiff compare BENCH_v5.json bench-new.json"
     go run ./tools/benchdiff compare -band 2.0 BENCH_v5.json bench-new.json
+    echo "== benchdiff compare BENCH_v6.json bench-new.json"
+    go run ./tools/benchdiff compare -band 2.0 BENCH_v6.json bench-new.json
     echo "checks passed"
     exit 0
 fi
