@@ -402,21 +402,30 @@ func TestForeignReadsReplayExactly(t *testing.T) {
 // block 0 stores 7 to mid[t] after a delay loop. A fault in launch 0
 // leaves mid[t] dirty at launch 1's boundary: block 1 then replays
 // alone and must read the dirty value, not the golden one, while block
-// 0 writes mid[t] without reading it and runs golden.
-func relayBuilder() Builder {
+// 0 writes mid[t] without reading it and runs golden. With both, block
+// 0 first copies mid[t] to out[32+t], so the dirty words have two
+// reader blocks in a launch with foreign reads.
+func relayBuilder(both bool) Builder {
 	return func(dev *device.Device, opt asm.OptLevel) (*Instance, error) {
 		const n = 32
+		outs := 1
+		if both {
+			outs = 2
+		}
 		g := mem.NewGlobal(1 << 16)
 		in, err := g.Alloc(4 * n)
 		if err != nil {
 			return nil, err
 		}
 		mid, _ := g.Alloc(4 * n)
-		out, _ := g.Alloc(4 * n)
-		wantMid, wantOut := make([]uint32, n), make([]uint32, n)
+		out, _ := g.Alloc(4 * n * outs)
+		wantMid, wantOut := make([]uint32, n), make([]uint32, n*outs)
 		for i := 0; i < n; i++ {
 			g.SetWord(in+uint32(4*i), uint32(100+i))
-			wantMid[i], wantOut[i] = 7, uint32(101+i)
+			wantMid[i] = 7
+			for k := 0; k < outs; k++ {
+				wantOut[k*n+i] = uint32(101 + i)
+			}
 		}
 		b := asm.New("relay0", opt)
 		tid, v := b.R(), b.R()
@@ -437,6 +446,11 @@ func relayBuilder() Builder {
 		p := b.P()
 		b.ISetp(p, isa.CmpEQ, isa.R(cta), isa.ImmInt(0))
 		b.IfElse(p, false, func() {
+			if both {
+				v := b.R()
+				b.Ldg(v, m, 0)
+				b.Stg(emitAddr(b, tid, out+4*n, 4), 0, v)
+			}
 			spin, i, seven := b.R(), b.R(), b.R()
 			b.MovImm(spin, 0)
 			b.ForCounter(i, 0, 100, asm.LoopOpts{}, func() {
@@ -470,33 +484,73 @@ func relayBuilder() Builder {
 // every trigger of RELAY's first launch. Its second launch replays only
 // block 1, which reads mid[t] before block 0 writes it: the replay must
 // give block 1 the dirty value, so the corrupted words reach out[] as
-// SDCs, exactly as in full re-simulation.
+// SDCs, exactly as in full re-simulation. On the variant whose block 0
+// reads mid[t] too, the dirty words reach both blocks of a launch with
+// foreign reads: launch 1 falls back with sim.LogMultiReader before any
+// log-mode issue, and every record still equals full re-simulation.
 func TestForeignReadBeforeWriteSeesDirtyWord(t *testing.T) {
-	r, err := NewRunner("RELAY", relayBuilder(), device.K40c(), asm.O0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bl, err := r.blockLog(1); err != nil || !bl.Eligible() {
-		t.Fatalf("RELAY's second launch should be single-writer (%v)", err)
-	}
-	askLogs(t, r)
-	sdc := 0
-	for trigger := uint64(0); trigger < r.GoldenProfiles()[0].LaneOps; trigger++ {
-		plan := &sim.FaultPlan{Kind: sim.FaultValueBit, TriggerIndex: trigger, Bit: int(trigger % 32)}
-		rec, err := r.RunTrialWithFault(clonePlan(plan), 0)
+	for _, both := range []bool{false, true} {
+		r, err := NewRunner("RELAY", relayBuilder(both), device.K40c(), asm.O0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rec.Outcome == SDC {
-			sdc++
+		if bl, err := r.blockLog(1); err != nil || !bl.Eligible() {
+			t.Fatalf("RELAY's second launch should be single-writer (%v)", err)
 		}
-		if full := runWithFaultFull(t, r, clonePlan(plan), 0); !reflect.DeepEqual(rec, full) {
-			t.Errorf("trigger %d: checkpointed %+v, full re-sim %+v", trigger, rec, full)
+		askLogs(t, r)
+		sdc := 0
+		for trigger := uint64(0); trigger < r.GoldenProfiles()[0].LaneOps; trigger++ {
+			plan := &sim.FaultPlan{Kind: sim.FaultValueBit, TriggerIndex: trigger, Bit: int(trigger % 32)}
+			rec, err := r.RunTrialWithFault(clonePlan(plan), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.Outcome == SDC {
+				sdc++
+			}
+			if full := runWithFaultFull(t, r, clonePlan(plan), 0); !reflect.DeepEqual(rec, full) {
+				t.Errorf("both %v, trigger %d: checkpointed %+v, full re-sim %+v", both, trigger, rec, full)
+			}
+			if !both {
+				continue
+			}
+			res, trace, ok := tracedLaterLaunch(t, r, clonePlan(plan))
+			if issues := strings.Count(trace, "\n"); ok && (res.LogFallback != sim.LogMultiReader || uint64(issues) != res.Profile.WarpInstrs) {
+				t.Errorf("trigger %d: launch 1 fell back for %v after %d traced issues, %d on the cycle engine; want sim.LogMultiReader and none in log mode",
+					trigger, res.LogFallback, issues, res.Profile.WarpInstrs)
+			}
+		}
+		st := r.LogStats()
+		if sdc == 0 || st.Logged == 0 || both != (st.MultiReader > 0) {
+			t.Errorf("both %v: %d SDCs, log stats %v: want SDCs, log-mode launches, and several-reader fallbacks only with both", both, sdc, st)
 		}
 	}
-	if st := r.LogStats(); sdc == 0 || st.Logged == 0 {
-		t.Errorf("%d SDCs, log stats %v: want SDCs through launch 1 replayed in log mode", sdc, st)
+}
+
+// tracedLaterLaunch runs a trial of r with plan in launch 0, then
+// launch 1 with its issues traced (sim.Config.Trace), and returns
+// launch 1's result and trace; ok is false when the trial ended in
+// launch 0.
+func tracedLaterLaunch(t *testing.T, r *Runner, plan *sim.FaultPlan) (res sim.Result, trace string, ok bool) {
+	t.Helper()
+	tr := r.trials.Get().(*sim.Trial)
+	defer r.trials.Put(tr)
+	cfg := r.replayConfig(0)
+	cfg.Fault = plan
+	res, err := tr.Launch(cfg, r.ckpts[0], r.boundary(1), func() (*sim.BlockLog, error) { return r.blockLog(0) })
+	if err != nil {
+		t.Fatal(err)
 	}
+	if res.Outcome == sim.OutcomeDUE || res.RejoinedGolden || tr.Clean() {
+		return res, "", false
+	}
+	var b strings.Builder
+	cfg = r.replayConfig(1)
+	cfg.Trace = &b
+	if res, err = tr.Launch(cfg, r.ckpts[1], r.boundary(2), func() (*sim.BlockLog, error) { return r.blockLog(1) }); err != nil {
+		t.Fatal(err)
+	}
+	return res, b.String(), true
 }
 
 // redSumBuilder is a two-launch, two-block kernel whose blocks both

@@ -17,7 +17,10 @@ import (
 // path: HANDOFF's blocks read each other's words, CROSSSTORE's store
 // can cross to the other block, RELAY's second launch reads a word
 // before its writer does, QUICKSORT's one launch has foreign reads,
-// BFS mixes block-independent launches with ones that are not,
+// BFS mixes block-independent launches with ones that are not (a fault
+// at trigger 5,141 of its first launch dirties words that several
+// blocks of its last launch read, which has foreign reads, so that
+// launch falls back with sim.LogMultiReader),
 // REDSUM's two launches each have a word with two writers, and a fault
 // in FLUD's first launches dirties words that 24 blocks of a later
 // launch read, which replay one after another. The FMXM address faults,
@@ -36,7 +39,7 @@ func FuzzReplayMatchesFull(f *testing.F) {
 	}{
 		{"HANDOFF", handoffBuilder(false), asm.O0},
 		{"CROSSSTORE", crossStoreBuilder(), asm.O0},
-		{"RELAY", relayBuilder(), asm.O0},
+		{"RELAY", relayBuilder(false), asm.O0},
 		{"QUICKSORT", QuicksortBuilder(), asm.O2},
 		{"BFS", BFSBuilder(), asm.O2},
 		{"REDSUM", redSumBuilder(), asm.O0},
@@ -77,6 +80,7 @@ func FuzzReplayMatchesFull(f *testing.F) {
 		{7, 0, uint8(sim.FaultAddrBit), 519_693, 12, true},
 		{7, 0, uint8(sim.FaultAddrBit), 716_623, 7, false},
 		{3, 0, uint8(sim.FaultAddrBit), 44_199, 9, false},
+		{4, 0, uint8(sim.FaultValueBit), 5141, 3, false},
 	} {
 		f.Add(s.code, s.launch, s.kind, s.trigger, s.bit, s.gpr)
 	}

@@ -89,15 +89,17 @@ type LogStats struct {
 	// Fallbacks to the cycle engine, by reason: a warp left its golden
 	// pc sequence, an access crossed the block fence, a DUE while more
 	// than one block replayed, a block that did not replay would have
-	// read a non-golden value, and launches that are not single-writer
-	// (an operation fault's launch, or a later launch with dirty words).
-	PCMismatch, Fenced, MultiDUE, ForeignRead, Ineligible uint64
+	// read a non-golden value, a later launch with foreign reads whose
+	// dirty words several blocks read, and launches that are not
+	// single-writer (an operation fault's launch, or a later launch with
+	// dirty words).
+	PCMismatch, Fenced, MultiDUE, ForeignRead, MultiReader, Ineligible uint64
 }
 
 // String renders the stats for a progress line.
 func (s LogStats) String() string {
-	return fmt.Sprintf("log-mode launches %d (fault launches from the start image %d), skipped %d, resolved accesses %d, fallbacks pc %d fence %d multi-block DUE %d foreign read %d ineligible %d",
-		s.Logged, s.Prefixed, s.Skipped, s.Resolved, s.PCMismatch, s.Fenced, s.MultiDUE, s.ForeignRead, s.Ineligible)
+	return fmt.Sprintf("log-mode launches %d (fault launches from the start image %d), skipped %d, resolved accesses %d, fallbacks pc %d fence %d multi-block DUE %d foreign read %d several readers %d ineligible %d",
+		s.Logged, s.Prefixed, s.Skipped, s.Resolved, s.PCMismatch, s.Fenced, s.MultiDUE, s.ForeignRead, s.MultiReader, s.Ineligible)
 }
 
 // LogStats reports the log-mode accounting of the runner's replays.
@@ -111,6 +113,7 @@ func (r *Runner) LogStats() LogStats {
 		Fenced:      r.fallbacks[sim.LogFenced].Load(),
 		MultiDUE:    r.fallbacks[sim.LogMultiDUE].Load(),
 		ForeignRead: r.fallbacks[sim.LogForeignRead].Load(),
+		MultiReader: r.fallbacks[sim.LogMultiReader].Load(),
 		Ineligible:  r.fallbacks[sim.LogIneligible].Load(),
 	}
 }

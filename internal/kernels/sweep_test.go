@@ -23,11 +23,10 @@ const (
 	pathLoggedDUE   replayPath = "DUE decided in log mode"
 	pathSkipped     replayPath = "later launch skipped"
 	pathSerial      replayPath = "several reader blocks one after another"
-	pathMerged      replayPath = "several reader blocks merged by seq"
 	pathResolved    replayPath = "lone block's foreign access resolved from write seqs"
 )
 
-// maxFenced bounds the sweep's fence fallbacks (18 are taken), so that
+// maxFenced bounds the sweep's fence fallbacks (9 are taken), so that
 // a change that makes lone replayed blocks resolve fewer accesses of
 // other blocks' written words from their write seqs shows.
 const maxFenced = 20
@@ -39,9 +38,10 @@ const maxFenced = 20
 // full re-simulation, with every block log recorded. It also asserts that
 // the sweep took every replay path: a fault launch in log mode, a DUE
 // decided in log mode, a skipped later launch, reader blocks run one
-// after another and merged by seq, a lone block's access of another
-// block's word resolved from its write seqs, and every log fallback
-// reason; and that the fence falls back at most maxFenced times.
+// after another, a lone block's access of another block's word
+// resolved from its write seqs, and every log fallback reason, several
+// readers of a launch with foreign reads (BFS) among them; and that the
+// fence falls back at most maxFenced times.
 func TestReplayMatchesFullAtSuiteScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite-scale equivalence sweep is heavy")
@@ -80,14 +80,6 @@ func TestReplayMatchesFullAtSuiteScale(t *testing.T) {
 					t.Fatal(err)
 				}
 				kernels.AskLogs(t, r)
-				merges := make([]bool, len(r.Instance().Launches))
-				for i := range merges {
-					bl, err := r.BlockLog(i)
-					if err != nil {
-						t.Fatal(err)
-					}
-					merges[i] = bl.ForeignReads() > 0
-				}
 				seen := func(fault int) func(int, sim.Result) {
 					return func(i int, res sim.Result) {
 						mu.Lock()
@@ -105,8 +97,6 @@ func TestReplayMatchesFullAtSuiteScale(t *testing.T) {
 							taken[pathLoggedDUE]++
 						case i == fault:
 							taken[pathFaultLogged]++
-						case res.Replayed > 1 && merges[i]:
-							taken[pathMerged]++
 						case res.Replayed > 1:
 							taken[pathSerial]++
 						}
@@ -145,14 +135,15 @@ func TestReplayMatchesFullAtSuiteScale(t *testing.T) {
 		}
 	})
 	t.Logf("paths %v, fallbacks %v", taken, fallbacks)
-	for _, p := range []replayPath{pathFaultLogged, pathLoggedDUE, pathSkipped, pathSerial, pathMerged, pathResolved} {
+	for _, p := range []replayPath{pathFaultLogged, pathLoggedDUE, pathSkipped, pathSerial, pathResolved} {
 		if taken[p] == 0 {
 			t.Errorf("no trial took the path %q", p)
 		}
 	}
 	for fb, name := range map[sim.LogFallback]string{
 		sim.LogPCMismatch: "pc mismatch", sim.LogFenced: "fence", sim.LogMultiDUE: "multi-block DUE",
-		sim.LogForeignRead: "foreign read", sim.LogIneligible: "ineligible",
+		sim.LogForeignRead: "foreign read", sim.LogMultiReader: "several readers with foreign reads",
+		sim.LogIneligible: "ineligible",
 	} {
 		if fallbacks[fb] == 0 {
 			t.Errorf("no launch fell back for a %s", name)

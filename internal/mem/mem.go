@@ -17,8 +17,8 @@ import (
 
 // AccessError reports an invalid memory access. The simulator converts it
 // into a DUE, like the CUDA runtime converting an illegal address into an
-// API error. A Global returns its one AccessError, overwritten by its
-// next invalid access, so a faulting global access allocates nothing.
+// API error. A Global or Shared returns its one AccessError, overwritten
+// by its next invalid access, so a faulting access allocates nothing.
 type AccessError struct {
 	Space string
 	Addr  uint32
@@ -255,7 +255,8 @@ func (g *Global) ReadWords(addr uint32, n int) []uint32 {
 // Shared is the per-block shared memory (scratchpad).
 type Shared struct {
 	words []uint32
-	size  uint32 // bytes
+	size  uint32      // bytes
+	err   AccessError // the latest invalid access
 }
 
 // SharedWords returns the number of 32-bit words backing a shared-memory
@@ -267,20 +268,28 @@ func SharedWords(size int) int { return (size + 3) / 4 }
 // region starts with whatever words holds; callers that recycle storage
 // hand in zeroed words.
 func SharedOn(words []uint32, size int) Shared {
-	return Shared{words: words, size: uint32(size)}
+	return Shared{words: words, size: uint32(size), err: AccessError{Space: "shared"}}
 }
 
 // Size returns the region size in bytes.
 func (s *Shared) Size() int { return int(s.size) }
 
+// check records an invalid access of bytes at addr as the region's
+// AccessError, whose Space SharedOn set, and returns it. It writes only
+// the kind and the address in place: building the whole error, in line
+// or out of line, would push the accessors, on every LDS and STS, past
+// the Go inliner's budget.
 func (s *Shared) check(addr uint32, bytes uint32) error {
-	if addr%bytes != 0 {
-		return &AccessError{Space: "shared", Addr: addr, Kind: "unaligned"}
+	switch {
+	case addr%bytes != 0:
+		s.err.Kind = "unaligned"
+	case addr+bytes > s.size || addr+bytes < addr:
+		s.err.Kind = "out of bounds"
+	default:
+		return nil
 	}
-	if addr+bytes > s.size || addr+bytes < addr {
-		return &AccessError{Space: "shared", Addr: addr, Kind: "out of bounds"}
-	}
-	return nil
+	s.err.Addr = addr
+	return &s.err
 }
 
 // Load32 reads a 32-bit word of shared memory.

@@ -177,6 +177,31 @@ func TestSharedMemory(t *testing.T) {
 	}
 }
 
+// TestSharedFaultsDoNotAllocate pins that an out-of-bounds or unaligned
+// shared access reports its kind through the region's one AccessError,
+// without allocating.
+func TestSharedFaultsDoNotAllocate(t *testing.T) {
+	s := SharedOn(make([]uint32, SharedWords(64)), 64)
+	var ae *AccessError
+	if _, err := s.Load32(64); !errors.As(err, &ae) || ae.Kind != "out of bounds" || ae.Space != "shared" {
+		t.Errorf("oob shared load: %v", err)
+	}
+	if err := s.Store64(4, 1, 2); !errors.As(err, &ae) || ae.Kind != "unaligned" || ae.Addr != 4 {
+		t.Errorf("unaligned shared store64: %v", err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := s.Load32(64); err == nil {
+			t.Fatal("oob shared load must fault")
+		}
+		if err := s.Store32(2, 1); err == nil {
+			t.Fatal("unaligned shared store must fault")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations per faulting shared access pair, want 0", allocs)
+	}
+}
+
 func TestSharedFlipBit(t *testing.T) {
 	s := SharedOn(make([]uint32, SharedWords(64)), 64)
 	s.FlipBit(37)

@@ -20,8 +20,7 @@
 //  2. every global access passes the block's fence: a store touches
 //     only words the block accesses in golden or no block accesses, and
 //     a load of a word another block writes is one of the block's golden
-//     foreign reads at that seq, unless the replayed blocks merge by seq
-//     and that writer replays too. A lone replayed block may also load
+//     foreign reads at that seq. A lone replayed block may also load
 //     another block's written word before its first golden write or at
 //     or past its last golden access, and store to it at or past its
 //     last access; and
@@ -40,8 +39,11 @@
 // access; its store past the last access is read by no other block.
 // Any doubt falls back to the cycle engine.
 //
-// A launch without foreign reads replays its blocks one after another,
-// each to the end of its log. The fence then keeps every block from
+// Log mode has one order: the replayed blocks run one after another,
+// each to the end of its log. They are a lone block, or the blocks of a
+// launch without foreign reads; a later launch with foreign reads whose
+// dirty set reaches several blocks runs the cycle engine
+// (LogMultiReader). With several blocks the fence keeps every block from
 // seeing another replayed block's stores: a store to a word the block
 // does not write in golden trips, and so does a load of another block's
 // written word. Every store then lands on a word only its own block
@@ -75,6 +77,9 @@ const (
 	// LogForeignRead: a block that did not replay would have read a
 	// non-golden value from a replayed block's word.
 	LogForeignRead
+	// LogMultiReader: a later launch with foreign reads whose dirty set
+	// reaches several blocks, so log mode was never tried.
+	LogMultiReader
 	// LogIneligible: the launch is not single-writer, so log mode was
 	// never tried.
 	LogIneligible
@@ -162,10 +167,6 @@ func BlockLogBytes(warpInstrs uint64, blocks, words, written int, readers bool) 
 // Eligible reports whether the launch is single-writer, so its blocks
 // can replay in log mode.
 func (bl *BlockLog) Eligible() bool { return bl != nil && bl.eligible }
-
-// ForeignReads returns the number of the launch's golden foreign reads.
-// Replayed blocks of a launch with none run one after another.
-func (bl *BlockLog) ForeignReads() int { return len(bl.frd) }
 
 // written reports whether some block writes the word in golden.
 func (bl *BlockLog) written(word uint32) bool {
@@ -495,16 +496,15 @@ type logScratch struct {
 	fence  blockFence
 	blocks []*blockState
 	pos    []int32
-	in     []uint64 // the replayed blocks, as a bitset over CTAs
-	fr     int      // the next foreign read rule 3 vets
+	fr     int // the next foreign read rule 3 vets
 }
 
 // blockFence confines the global accesses of the block replaying now,
-// the issue of seq. serial reports that several blocks replay one after
-// another, so none may see another's stores; lone that one block
-// replays, so the others run golden and its accesses of their written
-// words resolve from the write seqs. next is the golden memory after
-// the launch.
+// the issue of seq. lone reports that one block replays, so the others
+// run golden and its accesses of their written words resolve from the
+// write seqs; otherwise several blocks replay one after another, and
+// none may see another's stores. next is the golden memory after the
+// launch.
 type blockFence struct {
 	ls      *logScratch
 	bl      *BlockLog
@@ -512,7 +512,6 @@ type blockFence struct {
 	next    *mem.Snapshot
 	block   int32
 	seq     uint32
-	serial  bool
 	lone    bool
 	tripped bool
 }
@@ -530,7 +529,7 @@ func (f *blockFence) Allow(word, n uint32, a mem.Access) bool {
 			switch {
 			case m == noAccessor || own:
 				// Serial blocks store only to words they write in golden.
-				if f.serial && (m < 0 || m&soleWritten == 0) {
+				if !f.lone && (m < 0 || m&soleWritten == 0) {
 					return f.trip()
 				}
 			case m < 0 || m&soleWritten == 0 || !f.resolveStore(m&^soleWritten, w):
@@ -540,9 +539,6 @@ func (f *blockFence) Allow(word, n uint32, a mem.Access) bool {
 		case own || m < 0 || m&soleWritten == 0:
 			// No other block writes the word: memory holds what the full
 			// run reads.
-		case !f.serial && f.ls.replays(m&^soleWritten):
-			// The writer replays too, merged by seq: memory holds what
-			// the full run reads at this issue.
 		default:
 			if fr := f.bl.foreignRead(f.seq, f.block, w); fr != nil {
 				if fr.written {
@@ -622,12 +618,6 @@ func (ls *logScratch) arm(e *engine, bl *BlockLog, next *mem.Snapshot) {
 	ls.stores, ls.past, ls.resolved = ls.stores[:0], ls.past[:0], 0
 	ls.fence = blockFence{ls: ls, bl: bl, g: e.glob, next: next}
 	ls.blocks, ls.pos = ls.blocks[:0], ls.pos[:0]
-	n := (bl.blocks + 63) / 64
-	if cap(ls.in) < n {
-		ls.in = make([]uint64, n)
-	}
-	ls.in = ls.in[:n]
-	clear(ls.in)
 	e.glob.SetFence(&ls.fence)
 }
 
@@ -635,11 +625,7 @@ func (ls *logScratch) arm(e *engine, bl *BlockLog, next *mem.Snapshot) {
 func (ls *logScratch) add(blk *blockState, pos int32) {
 	ls.blocks = append(ls.blocks, blk)
 	ls.pos = append(ls.pos, pos)
-	ls.in[blk.cta/64] |= 1 << (blk.cta % 64)
 }
-
-// replays reports whether block c is one of the replayed blocks.
-func (ls *logScratch) replays(c int32) bool { return ls.in[c/64]>>(c%64)&1 != 0 }
 
 // disarm drops the scratch's references into the engine's storage and
 // the launch's log, so a pooled scratch pins neither.
@@ -656,51 +642,59 @@ func (ls *logScratch) pending(bl *BlockLog, seq uint32) bool {
 }
 
 // vetReads checks certificate rule 3 for the foreign reads not yet
-// vetted whose seq precedes seq: a replayed block's word read by a
-// block that does not replay must hold the value the read saw in
-// golden.
+// vetted whose seq precedes seq: a word the replayed block writes must
+// hold the value another block's read of it saw in golden. Only a lone
+// block replays in a launch with foreign reads, and a foreign read's
+// reader is never the word's writer, so that reader does not replay.
 func (ls *logScratch) vetReads(bl *BlockLog, g *mem.Global, seq uint32) bool {
+	c := int32(ls.blocks[0].cta)
 	for ; ls.fr < len(bl.frd) && bl.frd[ls.fr].seq < seq; ls.fr++ {
-		fr := &bl.frd[ls.fr]
-		if ls.replays(bl.writer(fr.word)) && !ls.replays(fr.reader) && g.Word(fr.word*4) != fr.val {
+		if fr := &bl.frd[ls.fr]; bl.writer(fr.word) == c && g.Word(fr.word*4) != fr.val {
 			return false
 		}
 	}
 	return true
 }
 
-// runLog issues the logged instructions of the scratch's blocks from
-// their cursors, checks the certificate, and disarms the scratch; from
-// is the seq the replay starts at, so the foreign reads before it are
-// not vetted. A lone block, or the blocks of a launch without foreign
-// reads, run one after another, each to the end of its log; the blocks
-// of a launch with foreign reads merge in golden global order. It
-// returns LogOK when every block reached the end of its log with every
-// warp where golden ends, or when a lone replayed block raised a DUE
-// with every warp's next pc still golden (the DUE is then the launch's
-// outcome); otherwise the reason to fall back.
+// runLog runs the scratch's blocks one after another, each from its
+// cursor to the end of its log, checks the certificate, and disarms the
+// scratch; from is the seq the replay starts at, so the foreign reads
+// before it are not vetted. Several blocks replay only in a launch
+// without foreign reads, so only a lone block has foreign reads to vet
+// as it goes. It returns LogOK when every block reached the end of its
+// log with every warp where golden ends, or when a lone replayed block
+// raised a DUE with every warp's next pc still golden (the DUE is then
+// the launch's outcome); otherwise the reason to fall back.
 func (e *engine) runLog(bl *BlockLog, from uint32) LogFallback {
 	ls := e.lg
 	defer ls.disarm()
 	ls.fr = bl.readsFrom(from)
+	ls.fence.lone = len(ls.blocks) == 1
 	// No block may become resident behind a retiring one.
 	e.nextBlock = e.totalBlock
 	var slots [device.UnitCount]int
 	for u := range slots {
 		slots[u] = 1 << 62
 	}
-	if len(ls.blocks) > 1 && len(bl.frd) > 0 {
-		return e.mergeLog(bl, slots[:])
+	for i, blk := range ls.blocks {
+		log := bl.entries(blk.cta)
+		for p := int(ls.pos[i]); p < len(log); p++ {
+			if ls.pending(bl, log[p].seq) && !ls.vetReads(bl, e.glob, log[p].seq) {
+				return LogForeignRead
+			}
+			if fb, stop := e.logIssue(blk, log[p], slots[:]); stop {
+				switch {
+				case fb != LogOK:
+				case !ls.fence.lone:
+					fb = LogMultiDUE
+				case !pendingGolden(blk, log[p+1:], blk.warps[log[p].warp]):
+					fb = LogPCMismatch
+				}
+				return fb
+			}
+		}
 	}
-	ls.fence.serial, ls.fence.lone = len(ls.blocks) > 1, len(ls.blocks) == 1
-	return e.serialLog(bl, slots[:])
-}
-
-// logEnd checks the certificate once every replayed block has issued
-// its whole log: rule 3 for the foreign reads left, and every warp
-// done.
-func (e *engine) logEnd(bl *BlockLog) LogFallback {
-	ls := e.lg
+	// Rule 3 for the foreign reads left, and every warp done.
 	if !ls.vetReads(bl, e.glob, math.MaxUint32) {
 		return LogForeignRead
 	}
@@ -712,62 +706,6 @@ func (e *engine) logEnd(bl *BlockLog) LogFallback {
 		}
 	}
 	return LogOK
-}
-
-// serialLog runs each replayed block's log to its end, one block after
-// another. Only a lone block has foreign reads to vet as it goes.
-func (e *engine) serialLog(bl *BlockLog, slots []int) LogFallback {
-	ls := e.lg
-	for i, blk := range ls.blocks {
-		log := bl.entries(blk.cta)
-		for p := int(ls.pos[i]); p < len(log); p++ {
-			if ls.pending(bl, log[p].seq) && !ls.vetReads(bl, e.glob, log[p].seq) {
-				return LogForeignRead
-			}
-			if fb, stop := e.logIssue(blk, log[p], slots); stop {
-				switch {
-				case fb != LogOK:
-				case len(ls.blocks) > 1:
-					fb = LogMultiDUE
-				case !pendingGolden(blk, log[p+1:], blk.warps[log[p].warp]):
-					fb = LogPCMismatch
-				}
-				return fb
-			}
-		}
-	}
-	return e.logEnd(bl)
-}
-
-// mergeLog issues the replayed blocks' logs merged by seq, vetting the
-// foreign reads before each issue.
-func (e *engine) mergeLog(bl *BlockLog, slots []int) LogFallback {
-	ls := e.lg
-	blocks, pos := ls.blocks, ls.pos
-	for {
-		k := -1
-		var best uint32
-		for i, blk := range blocks {
-			if p := bl.off[blk.cta] + pos[i]; p < bl.off[blk.cta+1] && (k < 0 || bl.ent[p].seq < best) {
-				k, best = i, bl.ent[p].seq
-			}
-		}
-		if k < 0 {
-			break
-		}
-		ent := bl.ent[bl.off[blocks[k].cta]+pos[k]]
-		pos[k]++
-		if ls.pending(bl, ent.seq) && !ls.vetReads(bl, e.glob, ent.seq) {
-			return LogForeignRead
-		}
-		if fb, stop := e.logIssue(blocks[k], ent, slots); stop {
-			if fb == LogOK {
-				fb = LogMultiDUE
-			}
-			return fb
-		}
-	}
-	return e.logEnd(bl)
 }
 
 // logIssue issues one logged instruction of blk after checking that

@@ -119,8 +119,8 @@ type Result struct {
 	Replayed, Resolved int
 
 	// LogFallback is why the launch ran on the cycle engine although it
-	// asked for its block log: a log-mode attempt was abandoned, or the
-	// launch is not single-writer (LogIneligible). LogOK otherwise.
+	// asked for its block log: a log-mode attempt was abandoned, or none
+	// was tried (LogIneligible, LogMultiReader). LogOK otherwise.
 	LogFallback LogFallback
 }
 

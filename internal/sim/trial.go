@@ -11,8 +11,9 @@
 //     engine from the same checkpoint, which rejoins golden where it can;
 //   - a later launch is skipped when no block reads a dirty word,
 //     replays only the blocks that do, in log mode, when it is
-//     single-writer, and otherwise, or on a fallback, runs the cycle
-//     engine on the materialized memory.
+//     single-writer and they are one block or it has no foreign reads,
+//     and otherwise, or on a fallback, runs the cycle engine on the
+//     materialized memory.
 //
 // Either way the dirty set is left relative to the next launch's
 // boundary.
@@ -132,7 +133,8 @@ func (t *Trial) later(cfg Config, cur, next *mem.Snapshot, log func() (*BlockLog
 	case !bl.eligible:
 		fb = LogIneligible
 	default:
-		if t.readers(bl) == 0 {
+		n := t.readers(bl)
+		if n == 0 {
 			// No block reads a dirty word: every block runs golden, and
 			// the words they write become golden again.
 			kept := t.dirty[:0]
@@ -143,6 +145,12 @@ func (t *Trial) later(cfg Config, cur, next *mem.Snapshot, log func() (*BlockLog
 			}
 			t.dirty, t.materialized = kept, false
 			return Result{Skipped: true}, nil
+		}
+		if n > 1 && len(bl.frd) > 0 {
+			// Several blocks replay only one after another, which is
+			// exact only without foreign reads.
+			fb = LogMultiReader
+			break
 		}
 		// Only the readers of a dirty word run, alone, in log mode.
 		t.materialize(cur)

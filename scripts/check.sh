@@ -57,12 +57,9 @@ if [ "${1:-}" = "bench" ]; then
     # no timing claims). Then the
     # timed per-fault gate: re-time the BenchmarkSimPerFault* suite,
     # emit the snapshot JSON benchdiff consumes (bench-new.json; stable
-    # path, gitignored, uploaded by CI), and compare it against three
-    # committed points: BENCH_v1.json; BENCH_v4.json, which adds
-    # QUICKSORT and BFS; BENCH_v5.json, which adds FLUDUniform; and
-    # BENCH_v6.json, the newest, taken once lone replayed blocks
-    # resolved fence trips from golden write seqs. An entry in several
-    # answers to each, so to the tightest of them. The time band is wide (see
+    # path, gitignored, uploaded by CI), and compare it against every
+    # gated committed point (v4 adds QUICKSORT and BFS, v5 FLUDUniform);
+    # an entry in several answers to the tightest. The time band is wide (see
     # tools/benchdiff) because CI runners are not the snapshot machine;
     # it exists to catch algorithmic regressions of the replay path,
     # not single-digit-percent noise. Allocations per op are gated with
@@ -73,14 +70,10 @@ if [ "${1:-}" = "bench" ]; then
     go test -run='^$' -bench=BenchmarkSimPerFault -benchtime=2s -count=3 . >bench-run.txt
     cat bench-run.txt
     go run ./tools/benchdiff emit -note "scripts/check.sh bench" <bench-run.txt >bench-new.json
-    echo "== benchdiff compare BENCH_v1.json bench-new.json"
-    go run ./tools/benchdiff compare -band 2.0 BENCH_v1.json bench-new.json
-    echo "== benchdiff compare BENCH_v4.json bench-new.json"
-    go run ./tools/benchdiff compare -band 2.0 BENCH_v4.json bench-new.json
-    echo "== benchdiff compare BENCH_v5.json bench-new.json"
-    go run ./tools/benchdiff compare -band 2.0 BENCH_v5.json bench-new.json
-    echo "== benchdiff compare BENCH_v6.json bench-new.json"
-    go run ./tools/benchdiff compare -band 2.0 BENCH_v6.json bench-new.json
+    for point in BENCH_v1.json BENCH_v4.json BENCH_v5.json BENCH_v6.json; do
+        echo "== benchdiff compare $point bench-new.json"
+        go run ./tools/benchdiff compare -band 2.0 "$point" bench-new.json
+    done
     echo "checks passed"
     exit 0
 fi
