@@ -47,7 +47,7 @@ type blockImage struct {
 	nregs      int
 
 	regs   []uint32
-	preds  []bool
+	preds  []uint32 // per-warp predicate lane masks, as blockState.preds
 	shared []uint32
 
 	liveWarps  int
@@ -238,7 +238,7 @@ func captureBlock(b *blockState) blockImage {
 		threads:    b.threads,
 		nregs:      b.nregs,
 		regs:       append([]uint32(nil), b.regs...),
-		preds:      append([]bool(nil), b.preds...),
+		preds:      append([]uint32(nil), b.preds...),
 		shared:     b.shared.SnapshotWords(),
 		liveWarps:  b.liveWarps,
 		barWaiting: b.barWaiting,

@@ -22,6 +22,12 @@ type simtEntry struct {
 	rpc  int32 // reconvergence PC; popping happens when pc reaches it
 }
 
+// warpState is one warp of a resident block. fullMask has one bit per
+// live lane, and every mask the warp holds is a subset of it: the base
+// stack entry starts as fullMask, a branch splits an entry's active
+// lanes, EXIT adds active lanes to exited, and no fault kind edits a
+// mask. So an issue's active mask names only live lanes, and a
+// predicate never gains a bit outside fullMask.
 type warpState struct {
 	block    *blockState
 	widx     int // warp index within the block
@@ -82,10 +88,11 @@ type blockState struct {
 	nregs      int
 
 	// Struct-of-arrays architectural state: register r of thread t lives
-	// at regs[r*threads+t], predicate p at preds[p*threads+t], so a
-	// warp's view of one register is a contiguous 32-element slice.
+	// at regs[r*threads+t], so a warp's view of one register is a
+	// contiguous 32-element slice. Predicate p of warp w is the lane mask
+	// preds[w*numPreds+p]: bit l holds lane l's value.
 	regs   []uint32
-	preds  []bool
+	preds  []uint32
 	shared mem.Shared
 
 	warps      []*warpState
@@ -103,10 +110,19 @@ func (b *blockState) regRow(r isa.Reg, base, lanes int) []uint32 {
 	return b.regs[off : off+lanes]
 }
 
-// predRow returns the contiguous lane view of one predicate for a warp.
-func (b *blockState) predRow(p isa.PredReg, base, lanes int) []bool {
-	off := int(p)*b.threads + base
-	return b.preds[off : off+lanes]
+// numPreds is the predicate file of a thread: P0..P6 and PT.
+const numPreds = int(isa.PT) + 1
+
+// pred returns the warp's lane mask of predicate p.
+func (w *warpState) pred(p isa.PredReg) *uint32 {
+	return &w.block.preds[w.widx*numPreds+int(p)]
+}
+
+// setPred writes res to predicate p on the active lanes; the other
+// lanes keep their bits.
+func (w *warpState) setPred(p isa.PredReg, active, res uint32) {
+	pm := w.pred(p)
+	*pm = *pm&^active | res
 }
 
 type smState struct {
@@ -281,14 +297,13 @@ type engine struct {
 // engine allocates nothing to make blocks resident or to restore an
 // image.
 type launchStore struct {
-	u32   arena[uint32] // register files and shared memory
-	bools arena[bool]
-	i64   arena[int64]
-	ints  arena[int]
-	ws    arena[warpState]
-	wp    arena[*warpState]
-	blk   arena[blockState]
-	simt  arena[simtEntry]
+	u32  arena[uint32] // register files, predicates and shared memory
+	i64  arena[int64]
+	ints arena[int]
+	ws   arena[warpState]
+	wp   arena[*warpState]
+	blk  arena[blockState]
+	simt arena[simtEntry]
 
 	sms []smState
 
@@ -355,7 +370,6 @@ func (a *arena[T]) reset() { a.ci, a.off = 0, 0 }
 // and caches. Growing the array keeps the existing SMs' warp lists.
 func (st *launchStore) reset(nsm, nsched int) []smState {
 	st.u32.reset()
-	st.bools.reset()
 	st.i64.reset()
 	st.ints.reset()
 	st.ws.reset()
@@ -446,7 +460,7 @@ func (e *engine) carveBlock(cta int) *blockState {
 		threads:   nthreads,
 		nregs:     nregs,
 		regs:      st.u32.carve(nregs*nthreads, 1<<14),
-		preds:     st.bools.carve(8*nthreads, 1<<13),
+		preds:     st.u32.carve(numPreds*nwarps, 1<<14),
 		shared:    mem.SharedOn(st.u32.carve(mem.SharedWords(shared), 1<<14), shared),
 		warps:     st.wp.carve(nwarps, 256),
 		liveWarps: nwarps,
@@ -492,15 +506,12 @@ func (e *engine) launchNextBlock(sm *smState) {
 }
 
 // startBlock makes CTA cta live at its first instruction: PT set on
-// every thread, each warp's stack holding its full-mask base entry.
+// every lane, each warp's stack holding its full-mask base entry.
 func (e *engine) startBlock(cta int) *blockState {
 	e.liveBlocks++
 	blk := e.carveBlock(cta)
-	pt := blk.predRow(isa.PT, 0, blk.threads)
-	for t := range pt {
-		pt[t] = true
-	}
 	for _, w := range blk.warps {
+		*w.pred(isa.PT) = w.fullMask
 		w.stack = append(w.stack, simtEntry{mask: w.fullMask, pc: 0, rpc: -1})
 	}
 	return blk
@@ -988,16 +999,15 @@ func (e *engine) issue(sm *smState, w *warpState, top *simtEntry, slots []int) b
 			e.cycle, w.block.cta, w.widx, pc, in.String())
 	}
 
-	// Guard evaluation per lane.
+	// Guard evaluation: the lanes of the active mask where the guard
+	// predicate's mask (complemented for @!P) is set.
 	active := top.mask &^ w.exited
 	if in.Pred != isa.PT {
-		var pm uint32
-		pr := w.block.predRow(in.Pred, w.base, w.lanes)
-		for lane, bit := 0, uint32(1); lane < len(pr); lane, bit = lane+1, bit<<1 {
-			if active&bit != 0 && pr[lane] != in.PredNeg {
-				pm |= bit
-			}
+		pm := *w.pred(in.Pred)
+		if in.PredNeg {
+			pm = ^pm
 		}
+		pm &= active
 		if !d.ctrl {
 			active = pm
 		} else {
@@ -1074,16 +1084,13 @@ func (e *engine) armFault(op isa.Op, active uint32, lanes int) int {
 		if f.Kind == FaultSkip {
 			return skipWholeInstr
 		}
-		// Map the offset to the n-th active lane.
-		nth := int(f.TriggerIndex - idx)
-		for lane := 0; lane < 32; lane++ {
-			if active&(1<<lane) != 0 {
-				if nth == 0 {
-					return lane
-				}
-				nth--
-			}
+		// Map the offset to the n-th active lane: clear the lower set
+		// bits, then the lowest remaining one is the lane.
+		m := active
+		for nth := f.TriggerIndex - idx; nth > 0; nth-- {
+			m &= m - 1
 		}
+		return bits.TrailingZeros32(m)
 	}
 	return noFault
 }

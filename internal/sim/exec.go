@@ -1,15 +1,21 @@
 // Execution handlers. ALU ops run as contiguous 32-lane slice loops
 // over the block's struct-of-arrays register file, with operands
-// pre-resolved at decode (decode.go). Every issue, faulted or not, runs
-// the one decoded handler: a result fault then edits the faulted lane's
-// architectural result (engine.exec), while address faults, store-value
-// faults and MMA faults are modeled inline by their handlers, keyed off
-// engine.faultLane.
+// pre-resolved at decode (decode.go). A divergent issue walks only the
+// set bits of its active mask, in increasing lane order (the order
+// atomics, same-address stores and the first bad address of a DUE
+// depend on), so its cost scales with the lanes it executes.
+// Predicates are per-warp lane masks: a SETP builds one from its
+// compares, and SEL and the issue guard test its bits. Every issue,
+// faulted or not, runs the one decoded handler: a result fault then
+// edits the faulted lane's architectural result (engine.exec), while
+// address faults, store-value faults and MMA faults are modeled inline
+// by their handlers, keyed off engine.faultLane.
 package sim
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"gpurel/internal/isa"
 )
@@ -45,8 +51,7 @@ func (e *engine) exec(w *warpState, d *decoded, active uint32, faultLane int) {
 			b.regs[(int(d.dstBase)+f.FiredBit/32)*b.threads+t] ^= 1 << (f.FiredBit % 32)
 		}
 	case f.Kind == FaultPredBit && d.writesP && d.in.DstP != isa.PT:
-		p := &b.preds[int(d.in.DstP)*b.threads+t]
-		*p = !*p
+		*w.pred(d.in.DstP) ^= bit
 	}
 }
 
@@ -74,10 +79,9 @@ func execMOV(e *engine, w *warpState, d *decoded, active uint32) {
 		copy(out, s0)
 		return
 	}
-	for lane, bit := 0, uint32(1); lane < len(out); lane, bit = lane+1, bit<<1 {
-		if active&bit != 0 {
-			out[lane] = s0[lane]
-		}
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		out[lane] = s0[lane]
 	}
 }
 
@@ -86,13 +90,11 @@ func execSEL(e *engine, w *warpState, d *decoded, active uint32) {
 	out := d.dstRow(b, w)
 	s0 := d.row(b, w, 0)
 	s1 := d.row(b, w, 1)
-	pr := b.predRow(d.readsP, w.base, w.lanes)
-	for lane, bit := 0, uint32(1); lane < len(out); lane, bit = lane+1, bit<<1 {
-		if active&bit == 0 {
-			continue
-		}
+	pm := *w.pred(d.readsP)
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
 		v := s1[lane]
-		if pr[lane] {
+		if pm&(1<<lane) != 0 {
 			v = s0[lane]
 		}
 		out[lane] = v
@@ -102,10 +104,9 @@ func execSEL(e *engine, w *warpState, d *decoded, active uint32) {
 func execS2R(e *engine, w *warpState, d *decoded, active uint32) {
 	out := d.dstRow(w.block, w)
 	sr := d.in.SReg
-	for lane, bit := 0, uint32(1); lane < len(out); lane, bit = lane+1, bit<<1 {
-		if active&bit != 0 {
-			out[lane] = e.special(w, w.base+lane, sr)
-		}
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		out[lane] = e.special(w, w.base+lane, sr)
 	}
 }
 
@@ -122,10 +123,8 @@ func execFADD(e *engine, w *warpState, d *decoded, active uint32) {
 		}
 		return
 	}
-	for lane, bit := 0, uint32(1); lane < len(out); lane, bit = lane+1, bit<<1 {
-		if active&bit == 0 {
-			continue
-		}
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
 		v := math.Float32frombits(s0[lane]^n0) + math.Float32frombits(s1[lane]^n1)
 		out[lane] = math.Float32bits(v)
 	}
@@ -144,10 +143,8 @@ func execFMUL(e *engine, w *warpState, d *decoded, active uint32) {
 		}
 		return
 	}
-	for lane, bit := 0, uint32(1); lane < len(out); lane, bit = lane+1, bit<<1 {
-		if active&bit == 0 {
-			continue
-		}
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
 		v := math.Float32frombits(s0[lane]^n0) * math.Float32frombits(s1[lane]^n1)
 		out[lane] = math.Float32bits(v)
 	}
@@ -170,10 +167,8 @@ func execFFMA(e *engine, w *warpState, d *decoded, active uint32) {
 		}
 		return
 	}
-	for lane, bit := 0, uint32(1); lane < len(out); lane, bit = lane+1, bit<<1 {
-		if active&bit == 0 {
-			continue
-		}
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
 		v := float32(math.FMA(
 			float64(math.Float32frombits(s0[lane]^n0)),
 			float64(math.Float32frombits(s1[lane]^n1)),
@@ -195,10 +190,8 @@ func (d *decoded) writeF64(b *blockState, w *warpState, lane int, v uint64) {
 
 func execDADD(e *engine, w *warpState, d *decoded, active uint32) {
 	b := w.block
-	for lane, bit := 0, uint32(1); lane < w.lanes; lane, bit = lane+1, bit<<1 {
-		if active&bit == 0 {
-			continue
-		}
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
 		v := d.f64at(b, w, 0, lane) + d.f64at(b, w, 1, lane)
 		d.writeF64(b, w, lane, math.Float64bits(v))
 	}
@@ -206,10 +199,8 @@ func execDADD(e *engine, w *warpState, d *decoded, active uint32) {
 
 func execDMUL(e *engine, w *warpState, d *decoded, active uint32) {
 	b := w.block
-	for lane, bit := 0, uint32(1); lane < w.lanes; lane, bit = lane+1, bit<<1 {
-		if active&bit == 0 {
-			continue
-		}
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
 		v := d.f64at(b, w, 0, lane) * d.f64at(b, w, 1, lane)
 		d.writeF64(b, w, lane, math.Float64bits(v))
 	}
@@ -217,10 +208,8 @@ func execDMUL(e *engine, w *warpState, d *decoded, active uint32) {
 
 func execDFMA(e *engine, w *warpState, d *decoded, active uint32) {
 	b := w.block
-	for lane, bit := 0, uint32(1); lane < w.lanes; lane, bit = lane+1, bit<<1 {
-		if active&bit == 0 {
-			continue
-		}
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
 		v := math.FMA(d.f64at(b, w, 0, lane), d.f64at(b, w, 1, lane), d.f64at(b, w, 2, lane))
 		d.writeF64(b, w, lane, math.Float64bits(v))
 	}
@@ -239,10 +228,8 @@ func execHADD(e *engine, w *warpState, d *decoded, active uint32) {
 	s0 := d.row(b, w, 0)
 	s1 := d.row(b, w, 1)
 	n0, n1 := d.src[0].fneg, d.src[1].fneg
-	for lane, bit := 0, uint32(1); lane < len(out); lane, bit = lane+1, bit<<1 {
-		if active&bit == 0 {
-			continue
-		}
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
 		out[lane] = uint32(isa.F32ToF16(h16(s0[lane], n0) + h16(s1[lane], n1)))
 	}
 }
@@ -253,10 +240,8 @@ func execHMUL(e *engine, w *warpState, d *decoded, active uint32) {
 	s0 := d.row(b, w, 0)
 	s1 := d.row(b, w, 1)
 	n0, n1 := d.src[0].fneg, d.src[1].fneg
-	for lane, bit := 0, uint32(1); lane < len(out); lane, bit = lane+1, bit<<1 {
-		if active&bit == 0 {
-			continue
-		}
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
 		out[lane] = uint32(isa.F32ToF16(h16(s0[lane], n0) * h16(s1[lane], n1)))
 	}
 }
@@ -268,10 +253,8 @@ func execHFMA(e *engine, w *warpState, d *decoded, active uint32) {
 	s1 := d.row(b, w, 1)
 	s2 := d.row(b, w, 2)
 	n0, n1, n2 := d.src[0].fneg, d.src[1].fneg, d.src[2].fneg
-	for lane, bit := 0, uint32(1); lane < len(out); lane, bit = lane+1, bit<<1 {
-		if active&bit == 0 {
-			continue
-		}
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
 		v := float32(math.FMA(
 			float64(h16(s0[lane], n0)),
 			float64(h16(s1[lane], n1)),
@@ -292,10 +275,8 @@ func execIADD(e *engine, w *warpState, d *decoded, active uint32) {
 		}
 		return
 	}
-	for lane, bit := 0, uint32(1); lane < len(out); lane, bit = lane+1, bit<<1 {
-		if active&bit == 0 {
-			continue
-		}
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
 		a, c := int32(s0[lane]), int32(s1[lane])
 		if n0 {
 			a = -a
@@ -319,10 +300,8 @@ func execIMUL(e *engine, w *warpState, d *decoded, active uint32) {
 		}
 		return
 	}
-	for lane, bit := 0, uint32(1); lane < len(out); lane, bit = lane+1, bit<<1 {
-		if active&bit == 0 {
-			continue
-		}
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
 		a, c := int32(s0[lane]), int32(s1[lane])
 		if n0 {
 			a = -a
@@ -347,10 +326,8 @@ func execIMAD(e *engine, w *warpState, d *decoded, active uint32) {
 		}
 		return
 	}
-	for lane, bit := 0, uint32(1); lane < len(out); lane, bit = lane+1, bit<<1 {
-		if active&bit == 0 {
-			continue
-		}
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
 		a, c, acc := int32(s0[lane]), int32(s1[lane]), int32(s2[lane])
 		if n0 {
 			a = -a
@@ -371,10 +348,8 @@ func execIMNMX(e *engine, w *warpState, d *decoded, active uint32) {
 	s0 := d.row(b, w, 0)
 	s1 := d.row(b, w, 1)
 	wantLT := d.in.Cmp == isa.CmpLT
-	for lane, bit := 0, uint32(1); lane < len(out); lane, bit = lane+1, bit<<1 {
-		if active&bit == 0 {
-			continue
-		}
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
 		a, c := int32(s0[lane]), int32(s1[lane])
 		v := a
 		if wantLT == (c < a) {
@@ -389,10 +364,9 @@ func execLOPAND(e *engine, w *warpState, d *decoded, active uint32) {
 	out := d.dstRow(b, w)
 	s0 := d.row(b, w, 0)
 	s1 := d.row(b, w, 1)
-	for lane, bit := 0, uint32(1); lane < len(out); lane, bit = lane+1, bit<<1 {
-		if active&bit != 0 {
-			out[lane] = s0[lane] & s1[lane]
-		}
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		out[lane] = s0[lane] & s1[lane]
 	}
 }
 
@@ -401,10 +375,9 @@ func execLOPOR(e *engine, w *warpState, d *decoded, active uint32) {
 	out := d.dstRow(b, w)
 	s0 := d.row(b, w, 0)
 	s1 := d.row(b, w, 1)
-	for lane, bit := 0, uint32(1); lane < len(out); lane, bit = lane+1, bit<<1 {
-		if active&bit != 0 {
-			out[lane] = s0[lane] | s1[lane]
-		}
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		out[lane] = s0[lane] | s1[lane]
 	}
 }
 
@@ -413,10 +386,9 @@ func execLOPXOR(e *engine, w *warpState, d *decoded, active uint32) {
 	out := d.dstRow(b, w)
 	s0 := d.row(b, w, 0)
 	s1 := d.row(b, w, 1)
-	for lane, bit := 0, uint32(1); lane < len(out); lane, bit = lane+1, bit<<1 {
-		if active&bit != 0 {
-			out[lane] = s0[lane] ^ s1[lane]
-		}
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		out[lane] = s0[lane] ^ s1[lane]
 	}
 }
 
@@ -425,10 +397,9 @@ func execSHFL(e *engine, w *warpState, d *decoded, active uint32) {
 	out := d.dstRow(b, w)
 	s0 := d.row(b, w, 0)
 	s1 := d.row(b, w, 1)
-	for lane, bit := 0, uint32(1); lane < len(out); lane, bit = lane+1, bit<<1 {
-		if active&bit != 0 {
-			out[lane] = s0[lane] << (s1[lane] & 31)
-		}
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		out[lane] = s0[lane] << (s1[lane] & 31)
 	}
 }
 
@@ -437,97 +408,110 @@ func execSHFR(e *engine, w *warpState, d *decoded, active uint32) {
 	out := d.dstRow(b, w)
 	s0 := d.row(b, w, 0)
 	s1 := d.row(b, w, 1)
-	for lane, bit := 0, uint32(1); lane < len(out); lane, bit = lane+1, bit<<1 {
-		if active&bit != 0 {
-			out[lane] = s0[lane] >> (s1[lane] & 31)
-		}
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		out[lane] = s0[lane] >> (s1[lane] & 31)
 	}
 }
+
+// The SETP handlers collect the compare results of the active lanes
+// into a lane mask and merge it into the destination predicate's mask:
+// inactive lanes keep their bits.
 
 func execISETP(e *engine, w *warpState, d *decoded, active uint32) {
 	b := w.block
 	s0 := d.row(b, w, 0)
 	s1 := d.row(b, w, 1)
-	pr := b.predRow(d.in.DstP, w.base, w.lanes)
 	cmp := d.in.Cmp
+	var res uint32
 	if active == w.fullMask {
-		for lane := range pr {
-			pr[lane] = compareI(cmp, int32(s0[lane]), int32(s1[lane]))
+		for lane := range s0 {
+			if compareI(cmp, int32(s0[lane]), int32(s1[lane])) {
+				res |= 1 << lane
+			}
 		}
-		return
-	}
-	for lane, bit := 0, uint32(1); lane < w.lanes; lane, bit = lane+1, bit<<1 {
-		if active&bit != 0 {
-			pr[lane] = compareI(cmp, int32(s0[lane]), int32(s1[lane]))
+	} else {
+		for m := active; m != 0; m &= m - 1 {
+			lane := bits.TrailingZeros32(m)
+			if compareI(cmp, int32(s0[lane]), int32(s1[lane])) {
+				res |= 1 << lane
+			}
 		}
 	}
+	w.setPred(d.in.DstP, active, res)
 }
 
 func execFSETP(e *engine, w *warpState, d *decoded, active uint32) {
 	b := w.block
 	s0 := d.row(b, w, 0)
 	s1 := d.row(b, w, 1)
-	pr := b.predRow(d.in.DstP, w.base, w.lanes)
 	cmp := d.in.Cmp
+	var res uint32
 	if active == w.fullMask {
-		for lane := range pr {
-			pr[lane] = compareF(cmp,
+		for lane := range s0 {
+			if compareF(cmp,
 				float64(math.Float32frombits(s0[lane])),
-				float64(math.Float32frombits(s1[lane])))
+				float64(math.Float32frombits(s1[lane]))) {
+				res |= 1 << lane
+			}
 		}
-		return
-	}
-	for lane, bit := 0, uint32(1); lane < w.lanes; lane, bit = lane+1, bit<<1 {
-		if active&bit != 0 {
-			pr[lane] = compareF(cmp,
+	} else {
+		for m := active; m != 0; m &= m - 1 {
+			lane := bits.TrailingZeros32(m)
+			if compareF(cmp,
 				float64(math.Float32frombits(s0[lane])),
-				float64(math.Float32frombits(s1[lane])))
+				float64(math.Float32frombits(s1[lane]))) {
+				res |= 1 << lane
+			}
 		}
 	}
+	w.setPred(d.in.DstP, active, res)
 }
 
 func execDSETP(e *engine, w *warpState, d *decoded, active uint32) {
 	b := w.block
-	pr := b.predRow(d.in.DstP, w.base, w.lanes)
 	cmp := d.in.Cmp
-	for lane, bit := 0, uint32(1); lane < w.lanes; lane, bit = lane+1, bit<<1 {
-		if active&bit != 0 {
-			pr[lane] = compareF(cmp, d.f64at(b, w, 0, lane), d.f64at(b, w, 1, lane))
+	var res uint32
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		if compareF(cmp, d.f64at(b, w, 0, lane), d.f64at(b, w, 1, lane)) {
+			res |= 1 << lane
 		}
 	}
+	w.setPred(d.in.DstP, active, res)
 }
 
 func execHSETP(e *engine, w *warpState, d *decoded, active uint32) {
 	b := w.block
 	s0 := d.row(b, w, 0)
 	s1 := d.row(b, w, 1)
-	pr := b.predRow(d.in.DstP, w.base, w.lanes)
 	cmp := d.in.Cmp
-	for lane, bit := 0, uint32(1); lane < w.lanes; lane, bit = lane+1, bit<<1 {
-		if active&bit != 0 {
-			pr[lane] = compareF(cmp, float64(h16(s0[lane], 0)), float64(h16(s1[lane], 0)))
+	var res uint32
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		if compareF(cmp, float64(h16(s0[lane], 0)), float64(h16(s1[lane], 0))) {
+			res |= 1 << lane
 		}
 	}
+	w.setPred(d.in.DstP, active, res)
 }
 
 func execF2F_32to64(e *engine, w *warpState, d *decoded, active uint32) {
 	b := w.block
 	s0 := d.row(b, w, 0)
-	for lane, bit := 0, uint32(1); lane < w.lanes; lane, bit = lane+1, bit<<1 {
-		if active&bit != 0 {
-			v := float64(math.Float32frombits(s0[lane]))
-			d.writeF64(b, w, lane, math.Float64bits(v))
-		}
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		v := float64(math.Float32frombits(s0[lane]))
+		d.writeF64(b, w, lane, math.Float64bits(v))
 	}
 }
 
 func execF2F_64to32(e *engine, w *warpState, d *decoded, active uint32) {
 	b := w.block
 	out := d.dstRow(b, w)
-	for lane, bit := 0, uint32(1); lane < len(out); lane, bit = lane+1, bit<<1 {
-		if active&bit != 0 {
-			out[lane] = math.Float32bits(float32(d.f64at(b, w, 0, lane)))
-		}
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		out[lane] = math.Float32bits(float32(d.f64at(b, w, 0, lane)))
 	}
 }
 
@@ -535,10 +519,9 @@ func execF2F_32to16(e *engine, w *warpState, d *decoded, active uint32) {
 	b := w.block
 	out := d.dstRow(b, w)
 	s0 := d.row(b, w, 0)
-	for lane, bit := 0, uint32(1); lane < len(out); lane, bit = lane+1, bit<<1 {
-		if active&bit != 0 {
-			out[lane] = uint32(isa.F32ToF16(math.Float32frombits(s0[lane])))
-		}
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		out[lane] = uint32(isa.F32ToF16(math.Float32frombits(s0[lane])))
 	}
 }
 
@@ -546,30 +529,27 @@ func execF2F_16to32(e *engine, w *warpState, d *decoded, active uint32) {
 	b := w.block
 	out := d.dstRow(b, w)
 	s0 := d.row(b, w, 0)
-	for lane, bit := 0, uint32(1); lane < len(out); lane, bit = lane+1, bit<<1 {
-		if active&bit != 0 {
-			out[lane] = math.Float32bits(h16(s0[lane], 0))
-		}
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		out[lane] = math.Float32bits(h16(s0[lane], 0))
 	}
 }
 
 func execF2F_64to16(e *engine, w *warpState, d *decoded, active uint32) {
 	b := w.block
 	out := d.dstRow(b, w)
-	for lane, bit := 0, uint32(1); lane < len(out); lane, bit = lane+1, bit<<1 {
-		if active&bit != 0 {
-			out[lane] = uint32(isa.F32ToF16(float32(d.f64at(b, w, 0, lane))))
-		}
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		out[lane] = uint32(isa.F32ToF16(float32(d.f64at(b, w, 0, lane))))
 	}
 }
 
 func execF2F_16to64(e *engine, w *warpState, d *decoded, active uint32) {
 	b := w.block
 	s0 := d.row(b, w, 0)
-	for lane, bit := 0, uint32(1); lane < w.lanes; lane, bit = lane+1, bit<<1 {
-		if active&bit != 0 {
-			d.writeF64(b, w, lane, math.Float64bits(float64(h16(s0[lane], 0))))
-		}
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		d.writeF64(b, w, lane, math.Float64bits(float64(h16(s0[lane], 0))))
 	}
 }
 
@@ -581,10 +561,9 @@ func execF2I(e *engine, w *warpState, d *decoded, active uint32) {
 	b := w.block
 	out := d.dstRow(b, w)
 	s0 := d.row(b, w, 0)
-	for lane, bit := 0, uint32(1); lane < len(out); lane, bit = lane+1, bit<<1 {
-		if active&bit != 0 {
-			out[lane] = uint32(clampI32(math.Float32frombits(s0[lane])))
-		}
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		out[lane] = uint32(clampI32(math.Float32frombits(s0[lane])))
 	}
 }
 
@@ -592,10 +571,9 @@ func execI2F(e *engine, w *warpState, d *decoded, active uint32) {
 	b := w.block
 	out := d.dstRow(b, w)
 	s0 := d.row(b, w, 0)
-	for lane, bit := 0, uint32(1); lane < len(out); lane, bit = lane+1, bit<<1 {
-		if active&bit != 0 {
-			out[lane] = math.Float32bits(float32(int32(s0[lane])))
-		}
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		out[lane] = math.Float32bits(float32(int32(s0[lane])))
 	}
 }
 
@@ -604,11 +582,10 @@ func execMUFU(e *engine, w *warpState, d *decoded, active uint32) {
 	out := d.dstRow(b, w)
 	s0 := d.row(b, w, 0)
 	fn := d.in.Mufu
-	for lane, bit := 0, uint32(1); lane < len(out); lane, bit = lane+1, bit<<1 {
-		if active&bit != 0 {
-			x := float64(math.Float32frombits(s0[lane]))
-			out[lane] = math.Float32bits(float32(mufuEval(fn, x)))
-		}
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
+		x := float64(math.Float32frombits(s0[lane]))
+		out[lane] = math.Float32bits(float32(mufuEval(fn, x)))
 	}
 }
 
@@ -715,10 +692,8 @@ func execLDG(e *engine, w *warpState, d *decoded, active uint32) {
 		}
 		return
 	}
-	for lane, bit := 0, uint32(1); lane < len(aRow); lane, bit = lane+1, bit<<1 {
-		if active&bit == 0 {
-			continue
-		}
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
 		addr := aRow[lane] + off
 		if lane == fl && e.fault.Kind == FaultAddrBit {
 			addr = e.faultAddr(addr)
@@ -758,10 +733,8 @@ func execLDS(e *engine, w *warpState, d *decoded, active uint32) {
 			dstHi = b.regRow(in.Dst+1, w.base, w.lanes)
 		}
 	}
-	for lane, bit := 0, uint32(1); lane < len(aRow); lane, bit = lane+1, bit<<1 {
-		if active&bit == 0 {
-			continue
-		}
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
 		addr := aRow[lane] + off
 		if lane == fl && e.fault.Kind == FaultAddrBit {
 			addr = e.faultAddr(addr)
@@ -829,10 +802,8 @@ func execSTG(e *engine, w *warpState, d *decoded, active uint32) {
 		}
 		return
 	}
-	for lane, bit := 0, uint32(1); lane < len(aRow); lane, bit = lane+1, bit<<1 {
-		if active&bit == 0 {
-			continue
-		}
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
 		addr := aRow[lane] + off
 		faulted := lane == fl
 		if faulted && e.fault.Kind == FaultAddrBit {
@@ -877,10 +848,8 @@ func execSTS(e *engine, w *warpState, d *decoded, active uint32) {
 			vHi = b.regRow(vreg+1, w.base, w.lanes)
 		}
 	}
-	for lane, bit := 0, uint32(1); lane < len(aRow); lane, bit = lane+1, bit<<1 {
-		if active&bit == 0 {
-			continue
-		}
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
 		addr := aRow[lane] + off
 		faulted := lane == fl
 		if faulted && e.fault.Kind == FaultAddrBit {
@@ -922,10 +891,8 @@ func execRED(e *engine, w *warpState, d *decoded, active uint32) {
 	if vreg != isa.RZ {
 		vRow = b.regRow(vreg, w.base, w.lanes)
 	}
-	for lane, bit := 0, uint32(1); lane < len(aRow); lane, bit = lane+1, bit<<1 {
-		if active&bit == 0 {
-			continue
-		}
+	for m := active; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m)
 		addr := aRow[lane] + off
 		if lane == fl && e.fault.Kind == FaultAddrBit {
 			addr = e.faultAddr(addr)

@@ -55,22 +55,25 @@ if [ "${1:-}" = "bench" ]; then
     # Two stages. First a one-iteration smoke pass over every substrate
     # benchmark and the analyzer benchmark (compiles-and-runs coverage,
     # no timing claims). Then the
-    # timed per-fault gate: re-time the BenchmarkSimPerFault* suite,
-    # emit the snapshot JSON benchdiff consumes (bench-new.json; stable
-    # path, gitignored, uploaded by CI), and compare it against every
-    # gated committed point (v4 adds QUICKSORT and BFS, v5 FLUDUniform);
-    # an entry in several answers to the tightest. The time band is wide (see
+    # timed per-fault gate: re-time the BenchmarkSimPerFault* suite and
+    # the golden-run benchmarks (BenchmarkSimGolden*, which run the same
+    # interpreter), emit the snapshot JSON benchdiff consumes
+    # (bench-new.json; stable path, gitignored, uploaded by CI), and
+    # compare it against every gated committed point (v4 adds QUICKSORT
+    # and BFS, v5 FLUDUniform, v7 the golden runs and the QUICKSORT and
+    # MERGESORT uniform plan sets); an entry in several answers to the
+    # tightest. The time band is wide (see
     # tools/benchdiff) because CI runners are not the snapshot machine;
     # it exists to catch algorithmic regressions of the replay path,
     # not single-digit-percent noise. Allocations per op are gated with
     # a small fixed slack instead: they do not depend on the hardware.
     echo "== go test -run=^\$ -bench='BenchmarkSim|BenchmarkAnalyze' -benchtime=1x ./..."
     go test -run='^$' -bench='BenchmarkSim|BenchmarkAnalyze' -benchtime=1x ./...
-    echo "== go test -run=^\$ -bench=BenchmarkSimPerFault -benchtime=2s -count=3 ."
-    go test -run='^$' -bench=BenchmarkSimPerFault -benchtime=2s -count=3 . >bench-run.txt
+    echo "== go test -run=^\$ -bench='BenchmarkSimPerFault|BenchmarkSimGolden' -benchtime=2s -count=3 ."
+    go test -run='^$' -bench='BenchmarkSimPerFault|BenchmarkSimGolden' -benchtime=2s -count=3 . >bench-run.txt
     cat bench-run.txt
     go run ./tools/benchdiff emit -note "scripts/check.sh bench" <bench-run.txt >bench-new.json
-    for point in BENCH_v1.json BENCH_v4.json BENCH_v5.json BENCH_v6.json; do
+    for point in BENCH_v1.json BENCH_v4.json BENCH_v5.json BENCH_v6.json BENCH_v7.json; do
         echo "== benchdiff compare $point bench-new.json"
         go run ./tools/benchdiff compare -band 2.0 "$point" bench-new.json
     done
