@@ -280,42 +280,6 @@ func BenchmarkSimGoldenYOLOv3(b *testing.B) {
 	}
 }
 
-// BenchmarkSimProfileTimeline quantifies the golden-run cost of the
-// residency telemetry: the same launch sequence simulated with and
-// without Config.SampleTimeline, reported as sampled-vs-bare overhead.
-// The bench CI tier watches this next to the BenchmarkSimPerFault*
-// baselines — fault replays never sample, so those must not move, and
-// the golden-run overhead is expected to stay under ~10%.
-func BenchmarkSimProfileTimeline(b *testing.B) {
-	dev := device.K40c()
-	run := func(sample bool) {
-		inst, err := kernels.MxMBuilder(isa.F32)(dev, asm.O2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, l := range inst.Launches {
-			res, err := sim.Run(sim.Config{
-				Device: dev, Program: l.Prog,
-				GridX: l.GridX, GridY: l.GridY, BlockThreads: l.BlockThreads,
-				SampleTimeline: sample,
-			}, inst.Global)
-			if err != nil || res.Outcome != sim.OutcomeOK {
-				b.Fatalf("golden run failed: %v %v", err, res.DUEReason())
-			}
-		}
-	}
-	for _, mode := range []struct {
-		name   string
-		sample bool
-	}{{"sampled", true}, {"bare", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				run(mode.sample)
-			}
-		})
-	}
-}
-
 // --- substrate benchmarks: per-fault injection throughput ---
 
 // benchPerFault measures the marginal cost of one injected fault under

@@ -241,12 +241,6 @@ func (r *Result) HiddenEstimate(weights []float64) *HiddenEstimate {
 	return h
 }
 
-// StaticHiddenAVF analyzes the program and returns its uniform-weight
-// hidden-resource DUE estimate.
-func StaticHiddenAVF(p *isa.Program) *HiddenEstimate {
-	return Analyze(p).HiddenEstimate(nil)
-}
-
 // CombineHidden merges per-launch hidden estimates into one workload
 // estimate, weighting each launch by its share of the hidden strike
 // surface (callers typically use active-warp-cycles, the quantity the

@@ -26,7 +26,7 @@ func checkShares(t *testing.T, h *HiddenEstimate) {
 // has no proxies, so shares are the base shares and the DUE is the
 // documented nominal value consumers divide by.
 func TestHiddenNeutralPrior(t *testing.T) {
-	h := StaticHiddenAVF(prog("empty"))
+	h := Analyze(prog("empty")).HiddenEstimate(nil)
 	if h.FetchExposure != 0 || h.DivergenceDepth != 0 || h.LoadPressure != 0 {
 		t.Fatalf("empty program proxies = (%.3f, %.3f, %.3f), want zeros",
 			h.FetchExposure, h.DivergenceDepth, h.LoadPressure)
@@ -44,13 +44,13 @@ func TestHiddenNeutralPrior(t *testing.T) {
 // block: one fetch-line entry over five instructions, no SSY regions,
 // no loads.
 func TestHiddenProxiesStraightLine(t *testing.T) {
-	h := StaticHiddenAVF(prog("straight",
+	h := Analyze(prog("straight",
 		movi(rr(0)),
 		movi(rr(1)),
 		iadd(rr(2), rr(0), rr(0)),
 		stg(rr(1), rr(2)),
 		exit(),
-	))
+	)).HiddenEstimate(nil)
 	if !near(h.FetchExposure, 1.0/5) {
 		t.Errorf("FetchExposure = %.6f, want 0.2 (one block entry / 5 instrs)", h.FetchExposure)
 	}
@@ -77,7 +77,7 @@ func TestHiddenProxiesDiamond(t *testing.T) {
 		imul(rr(2), rr(0), rr(0)),
 		stg(rr(1), rr(2)), exit(),
 	)
-	h := StaticHiddenAVF(diamond)
+	h := Analyze(diamond).HiddenEstimate(nil)
 	// Blocks [0..4] (BRA, cost 2), [5..6] (BRA, cost 2), [7] (cost 1),
 	// [8..9] (cost 1): 6 discontinuities over 10 instructions.
 	if !near(h.FetchExposure, 0.6) {
@@ -117,7 +117,7 @@ func TestHiddenLoadPressure(t *testing.T) {
 		stg(rr(3), rr(4)),         // 4
 		exit(),                    // 5
 	)
-	h := StaticHiddenAVF(forward)
+	h := Analyze(forward).HiddenEstimate(nil)
 	// One load with span 2 over n=6 instructions, uniform weights:
 	// (2/6)/6 = 1/18.
 	if !near(h.LoadPressure, 1.0/18) {
@@ -138,7 +138,7 @@ func TestHiddenLoadPressure(t *testing.T) {
 		stg(rr(0), rr(3)),           // 6
 		exit(),                      // 7
 	)
-	h = StaticHiddenAVF(carried)
+	h = Analyze(carried).HiddenEstimate(nil)
 	// The load at 3 reaches the use at 2 across the back edge: span
 	// wraps as n-3+2 = 7 over n=8, so (7/8)/8 = 7/64.
 	if !near(h.LoadPressure, 7.0/64) {
@@ -160,7 +160,7 @@ func TestHiddenLoadPressure(t *testing.T) {
 		stg(rr(0), rr(3)),
 		exit(),
 	)
-	hn := StaticHiddenAVF(noload)
+	hn := Analyze(noload).HiddenEstimate(nil)
 	if hn.LoadPressure != 0 {
 		t.Fatalf("no-load variant LoadPressure = %.6f, want 0", hn.LoadPressure)
 	}

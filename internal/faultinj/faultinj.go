@@ -281,8 +281,8 @@ func run(cfg Config, runner *kernels.Runner) (*Result, error) {
 		res.Count(ob)
 		ca.Count(ob)
 		ma.Count(ob)
-		if p.fault.Kind == sim.FaultValueBit && p.fault.FiredWidth > 0 {
-			band := analysis.BandOf(p.fault.FiredBit, p.fault.FiredWidth)
+		if fire := records[i].Fire; p.fault.Kind == sim.FaultValueBit && fire.Width > 0 {
+			band := analysis.BandOf(fire.Bit, fire.Width)
 			ba := res.ByBand[band]
 			if ba == nil {
 				ba = &BandAVF{}

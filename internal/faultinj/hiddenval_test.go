@@ -60,7 +60,7 @@ func TestHiddenCrossValAgreement(t *testing.T) {
 // campaign that sampled no hidden strikes is void, not validated.
 func TestHiddenCrossValVoidWithoutStrikes(t *testing.T) {
 	cv := &HiddenCrossValidation{
-		Static: analysis.StaticHiddenAVF(&isa.Program{Name: "void"}),
+		Static: analysis.Analyze(&isa.Program{Name: "void"}).HiddenEstimate(nil),
 		Beam:   &beam.Result{},
 	}
 	if cv.Agrees() {

@@ -127,7 +127,7 @@ func TestLogPathKeepsGoldenSchedule(t *testing.T) {
 					TriggerIndex: rng.Uint64() % golden.LaneOps,
 					Bit:          rng.IntN(64),
 				}
-				res := replayFaultLaunch(t, r, clonePlan(plan), launch, nil)
+				res := replayFaultLaunch(t, r, plan, launch, nil)
 				switch {
 				case res.LogFallback != sim.LogOK:
 					fellBack++
@@ -136,18 +136,18 @@ func TestLogPathKeepsGoldenSchedule(t *testing.T) {
 					if res.Outcome == sim.OutcomeDUE {
 						break // the DUE ends the launch early
 					}
-					full := runLaunchFull(t, r, clonePlan(plan), launch)
+					full := runLaunchFull(t, r, plan, launch)
 					if full.Profile.Cycles != golden.Cycles || full.Profile.WarpInstrs != golden.WarpInstrs {
 						t.Errorf("%s on %s launch %d, %v at %d bit %d: log path accepted, but the full run takes %d cycles, %d warp-instructions; golden %d, %d",
 							c.name, dev.Name, launch, plan.Kind, plan.TriggerIndex, plan.Bit,
 							full.Profile.Cycles, full.Profile.WarpInstrs, golden.Cycles, golden.WarpInstrs)
 					}
 				}
-				rec, err := r.RunTrialWithFault(clonePlan(plan), launch)
+				rec, err := r.RunTrialWithFault(plan, launch)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if full := runWithFaultFull(t, r, clonePlan(plan), launch); !reflect.DeepEqual(rec, full) {
+				if full := runWithFaultFull(t, r, plan, launch); !reflect.DeepEqual(rec, full) {
 					t.Errorf("%s on %s launch %d, %v at %d bit %d: checkpointed %+v, full re-sim %+v",
 						c.name, dev.Name, launch, plan.Kind, plan.TriggerIndex, plan.Bit, rec, full)
 				}
@@ -229,11 +229,11 @@ func TestFenceTripsOnCrossBlockStore(t *testing.T) {
 	for trigger := uint64(0); trigger < ops; trigger += 7 {
 		for bit := 0; bit < 5; bit++ {
 			plan := &sim.FaultPlan{Kind: sim.FaultRegIndex, TriggerIndex: trigger, Bit: bit}
-			rec, err := r.RunTrialWithFault(clonePlan(plan), 0)
+			rec, err := r.RunTrialWithFault(plan, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if full := runWithFaultFull(t, r, clonePlan(plan), 0); !reflect.DeepEqual(rec, full) {
+			if full := runWithFaultFull(t, r, plan, 0); !reflect.DeepEqual(rec, full) {
 				t.Errorf("trigger %d bit %d: checkpointed %+v, full re-sim %+v", trigger, bit, rec, full)
 			}
 		}
@@ -368,7 +368,7 @@ func TestForeignReadsReplayExactly(t *testing.T) {
 			for _, k := range v.kinds {
 				plan := &sim.FaultPlan{Kind: k.kind, TriggerIndex: trigger, Bit: k.bit}
 				var trace strings.Builder
-				res := replayFaultLaunch(t, r, clonePlan(plan), 0, &trace)
+				res := replayFaultLaunch(t, r, plan, 0, &trace)
 				switch {
 				case res.LogFallback == sim.LogForeignRead:
 					foreign++
@@ -379,11 +379,11 @@ func TestForeignReadsReplayExactly(t *testing.T) {
 				case res.Logged && onlyBlock(trace.String(), 1) && res.Outcome == sim.OutcomeOK:
 					readerAlone++
 				}
-				rec, err := r.RunTrialWithFault(clonePlan(plan), 0)
+				rec, err := r.RunTrialWithFault(plan, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if full := runWithFaultFull(t, r, clonePlan(plan), 0); !reflect.DeepEqual(rec, full) {
+				if full := runWithFaultFull(t, r, plan, 0); !reflect.DeepEqual(rec, full) {
 					t.Errorf("twice %v, %v bit %d at %d: checkpointed %+v, full re-sim %+v", v.twice, plan.Kind, plan.Bit, trigger, rec, full)
 				}
 			}
@@ -501,20 +501,20 @@ func TestForeignReadBeforeWriteSeesDirtyWord(t *testing.T) {
 		sdc := 0
 		for trigger := uint64(0); trigger < r.GoldenProfiles()[0].LaneOps; trigger++ {
 			plan := &sim.FaultPlan{Kind: sim.FaultValueBit, TriggerIndex: trigger, Bit: int(trigger % 32)}
-			rec, err := r.RunTrialWithFault(clonePlan(plan), 0)
+			rec, err := r.RunTrialWithFault(plan, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if rec.Outcome == SDC {
 				sdc++
 			}
-			if full := runWithFaultFull(t, r, clonePlan(plan), 0); !reflect.DeepEqual(rec, full) {
+			if full := runWithFaultFull(t, r, plan, 0); !reflect.DeepEqual(rec, full) {
 				t.Errorf("both %v, trigger %d: checkpointed %+v, full re-sim %+v", both, trigger, rec, full)
 			}
 			if !both {
 				continue
 			}
-			res, trace, ok := tracedLaterLaunch(t, r, clonePlan(plan))
+			res, trace, ok := tracedLaterLaunch(t, r, plan)
 			if issues := strings.Count(trace, "\n"); ok && (res.LogFallback != sim.LogMultiReader || uint64(issues) != res.Profile.WarpInstrs) {
 				t.Errorf("trigger %d: launch 1 fell back for %v after %d traced issues, %d on the cycle engine; want sim.LogMultiReader and none in log mode",
 					trigger, res.LogFallback, issues, res.Profile.WarpInstrs)

@@ -22,6 +22,7 @@ func runWithFaultFull(t *testing.T, r *Runner, plan *sim.FaultPlan, faultLaunch 
 	if err != nil {
 		t.Fatalf("full re-sim build: %v", err)
 	}
+	rec := TrialRecord{Outcome: Masked}
 	for i, l := range inst.Launches {
 		cfg := sim.Config{
 			Device: r.Dev, Program: l.Prog,
@@ -35,16 +36,19 @@ func runWithFaultFull(t *testing.T, r *Runner, plan *sim.FaultPlan, faultLaunch 
 		if err != nil {
 			t.Fatalf("full re-sim launch %d: %v", i, err)
 		}
+		if i == faultLaunch {
+			rec.Fire = res.Fire
+		}
 		if res.Outcome == sim.OutcomeDUE {
-			return TrialRecord{Outcome: DUE, DUEMode: res.DUEMode}
+			rec.Outcome, rec.DUEMode = DUE, res.DUEMode
+			return rec
 		}
 	}
 	if !inst.Check(inst.Global) {
-		rec := TrialRecord{Outcome: SDC}
+		rec.Outcome = SDC
 		r.captureDiff(inst.Global, &rec)
-		return rec
 	}
-	return TrialRecord{Outcome: Masked}
+	return rec
 }
 
 // askLogs asks for every launch's block log up to the recording
@@ -59,16 +63,6 @@ func askLogs(t testing.TB, r *Runner) {
 			}
 		}
 	}
-}
-
-// clonePlan copies the schedulable part of a fault plan (the engine
-// mutates Fired/Landed, so the two engines under comparison each need a
-// fresh one).
-func clonePlan(p *sim.FaultPlan) *sim.FaultPlan {
-	c := *p
-	c.Fired = false
-	c.Landed = false
-	return &c
 }
 
 // TestCheckpointedRunMatchesFullResimulation is the golden-equivalence
@@ -133,11 +127,11 @@ func TestCheckpointedRunMatchesFullResimulation(t *testing.T) {
 				if kind == sim.FaultValueBit && rng.Bool(0.5) {
 					plan.Filter = gprFilter
 				}
-				rec, err := r.RunTrialWithFault(clonePlan(plan), launch)
+				rec, err := r.RunTrialWithFault(plan, launch)
 				if err != nil {
 					t.Fatalf("checkpointed run: %v", err)
 				}
-				if full := runWithFaultFull(t, r, clonePlan(plan), launch); !reflect.DeepEqual(rec, full) {
+				if full := runWithFaultFull(t, r, plan, launch); !reflect.DeepEqual(rec, full) {
 					t.Fatalf("case %d: kind %v launch %d trigger %d bit %d: checkpointed %+v, full re-sim %+v",
 						i, plan.Kind, launch, plan.TriggerIndex, plan.Bit, rec, full)
 				}
@@ -233,11 +227,11 @@ func TestSubLaunchReplayAcrossFaultKinds(t *testing.T) {
 			if kind == sim.FaultValueBit && rng.Bool(0.5) {
 				plan.Filter = gprFilter
 			}
-			rec, err := r.RunTrialWithFault(clonePlan(plan), 0)
+			rec, err := r.RunTrialWithFault(plan, 0)
 			if err != nil {
 				t.Fatalf("checkpointed run: %v", err)
 			}
-			fast, full := rec.Outcome, runWithFaultFull(t, r, clonePlan(plan), 0).Outcome
+			fast, full := rec.Outcome, runWithFaultFull(t, r, plan, 0).Outcome
 			if fast != full {
 				t.Fatalf("kind %v trigger %d bit %d: checkpointed %v, full re-sim %v",
 					plan.Kind, plan.TriggerIndex, plan.Bit, fast, full)
@@ -324,7 +318,7 @@ func TestReplayDeterminismAcrossWorkers(t *testing.T) {
 	}
 	seq := make([]TrialRecord, len(jobs))
 	for i, j := range jobs {
-		rec, err := j.r.RunTrialWithFault(clonePlan(j.plan), j.launch)
+		rec, err := j.r.RunTrialWithFault(j.plan, j.launch)
 		if err != nil {
 			t.Fatalf("sequential plan %d: %v", i, err)
 		}
@@ -339,7 +333,7 @@ func TestReplayDeterminismAcrossWorkers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				par[i], errs[i] = jobs[i].r.RunTrialWithFault(clonePlan(jobs[i].plan), jobs[i].launch)
+				par[i], errs[i] = jobs[i].r.RunTrialWithFault(jobs[i].plan, jobs[i].launch)
 			}
 		}()
 	}
@@ -363,7 +357,7 @@ func TestReplayDeterminismAcrossWorkers(t *testing.T) {
 	}
 	for i := 0; i < len(jobs); i += 5 {
 		j := jobs[i]
-		if full := runWithFaultFull(t, j.r, clonePlan(j.plan), j.launch); !reflect.DeepEqual(full, seq[i]) {
+		if full := runWithFaultFull(t, j.r, j.plan, j.launch); !reflect.DeepEqual(full, seq[i]) {
 			t.Errorf("plan %d (%s on %s, kind %v launch %d trigger %d): checkpointed %+v, full re-sim %+v",
 				i, j.r.Name, j.r.Dev.Name, j.plan.Kind, j.launch, j.plan.TriggerIndex, seq[i], full)
 		}
@@ -433,11 +427,11 @@ func TestEarlyCutoffMatchesComparator(t *testing.T) {
 			TriggerIndex: uint64(rng.Int64N(int64(r.GoldenProfiles()[0].LaneOps))),
 			Bit:          rng.IntN(64),
 		}
-		rec, err := r.RunTrialWithFault(clonePlan(plan), 0)
+		rec, err := r.RunTrialWithFault(plan, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast, full := rec.Outcome, runWithFaultFull(t, r, clonePlan(plan), 0).Outcome
+		fast, full := rec.Outcome, runWithFaultFull(t, r, plan, 0).Outcome
 		if fast != full {
 			t.Fatalf("trigger %d bit %d: cutoff %v vs comparator %v",
 				plan.TriggerIndex, plan.Bit, fast, full)

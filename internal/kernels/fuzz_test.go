@@ -99,11 +99,11 @@ func FuzzReplayMatchesFull(f *testing.F) {
 		if gpr {
 			plan.Filter = isa.Op.WritesGPR
 		}
-		rec, err := r.RunTrialWithFault(clonePlan(plan), l)
+		rec, err := r.RunTrialWithFault(plan, l)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if full := runWithFaultFull(t, r, clonePlan(plan), l); !reflect.DeepEqual(rec, full) {
+		if full := runWithFaultFull(t, r, plan, l); !reflect.DeepEqual(rec, full) {
 			t.Errorf("%s launch %d, %v at %d bit %d: checkpointed %+v, full re-sim %+v",
 				r.Name, l, plan.Kind, plan.TriggerIndex, plan.Bit, rec, full)
 		}

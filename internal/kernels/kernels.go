@@ -149,6 +149,11 @@ type TrialRecord struct {
 	// CorruptWords counts every corrupt word in the scanned region,
 	// regardless of the recording budget.
 	CorruptWords int
+
+	// Fire is what the fault did in its launch: whether it fired, and
+	// where its flip landed (sim.Fire). Zero for records that never
+	// simulated a fault, such as ECC-intercepted beam strikes.
+	Fire sim.Fire
 }
 
 // Runner executes a workload repeatedly: once golden (capturing per-launch
@@ -238,12 +243,11 @@ func newRunner(name string, build Builder, dev *device.Device, opt asm.OptLevel,
 	r.inst = inst
 	budget := ImageBudgetBytes / len(inst.Launches)
 	for i, l := range inst.Launches {
+		// The golden run records the full profile with its residency
+		// timeline; faulted replays run lean (RunTrialWithFault).
 		res, seq, err := sim.RunGolden(sim.Config{
 			Device: dev, Program: l.Prog,
 			GridX: l.GridX, GridY: l.GridY, BlockThreads: l.BlockThreads,
-			// The golden run is where residency telemetry comes from;
-			// faulted replays skip the sampling (RunTrialWithFault).
-			SampleTimeline: true,
 		}, inst.Global, budget)
 		if err != nil {
 			return nil, fmt.Errorf("kernels: golden run of %s launch %d: %w", name, i, err)
@@ -345,9 +349,11 @@ func (r *Runner) LaunchLaneOps(filter func(op isa.Op) bool) []uint64 {
 // the trial stops as soon as its state rejoins golden, at a sub-launch
 // image or a launch boundary, as Masked without simulating the rest of
 // the program. The watchdog is set to a small multiple of the golden
-// cycle count so hangs resolve quickly. SDC trials additionally carry
-// a budget-capped diff of the output region against the final golden
-// memory (TrialRecord).
+// cycle count so hangs resolve quickly. Every record carries what the
+// fault did (TrialRecord.Fire), and SDC trials additionally carry a
+// budget-capped diff of the output region against the final golden
+// memory. The plan is only read, so it can be rerun or shared by
+// concurrent trials; every launch runs lean (sim.Trial.Launch).
 //
 // On an infrastructure error the record's Outcome is DUE, but callers
 // must treat the error as fatal to the trial, not as a classification:
@@ -364,6 +370,7 @@ func (r *Runner) runTrial(plan *sim.FaultPlan, faultLaunch int, seen func(launch
 	}
 	t := r.trials.Get().(*sim.Trial)
 	defer r.trials.Put(t)
+	rec := TrialRecord{Outcome: Masked}
 	for i := faultLaunch; i < len(r.inst.Launches); i++ {
 		cfg := r.replayConfig(i)
 		if i == faultLaunch {
@@ -377,35 +384,37 @@ func (r *Runner) runTrial(plan *sim.FaultPlan, faultLaunch int, seen func(launch
 		if seen != nil {
 			seen(i, res)
 		}
+		if i == faultLaunch {
+			rec.Fire = res.Fire
+		}
 		switch {
 		case res.Outcome == sim.OutcomeDUE:
-			return TrialRecord{Outcome: DUE, DUEMode: res.DUEMode}, nil
+			rec.Outcome, rec.DUEMode = DUE, res.DUEMode
+			return rec, nil
 		case res.RejoinedGolden || t.Clean():
 			// The replay's full state matched a golden image, or memory
 			// is bit-identical to the golden boundary: the rest of the
 			// program replays golden, and the comparator must pass.
-			return TrialRecord{Outcome: Masked}, nil
+			return rec, nil
 		}
 	}
 	g := t.Memory(r.final)
 	if !r.inst.Check(g) {
-		rec := TrialRecord{Outcome: SDC}
+		rec.Outcome = SDC
 		r.captureDiff(g, &rec)
-		return rec, nil
 	}
-	return TrialRecord{Outcome: Masked}, nil
+	return rec, nil
 }
 
-// replayConfig is the launch configuration of faulted replays.
+// replayConfig is the launch configuration of faulted replays: the
+// golden launch with its watchdog at a small multiple of the golden
+// cycle count.
 func (r *Runner) replayConfig(i int) sim.Config {
 	l := r.inst.Launches[i]
 	return sim.Config{
 		Device: r.Dev, Program: l.Prog,
 		GridX: l.GridX, GridY: l.GridY, BlockThreads: l.BlockThreads,
 		MaxCycles: r.goldenCycles[i]*10 + 20_000,
-		// Replays are classified by outcome alone; skip the
-		// profile-only accounting on the issue path.
-		LeanProfile: true,
 	}
 }
 

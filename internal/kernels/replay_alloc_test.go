@@ -30,7 +30,7 @@ func TestReplayAllocsPerLaunch(t *testing.T) {
 	var plan *sim.FaultPlan
 	for i := uint64(0); i < 64 && plan == nil; i++ {
 		p := &sim.FaultPlan{Kind: sim.FaultValueBit, TriggerIndex: ops * i / 64, Bit: 20}
-		rec, err := r.RunTrialWithFault(clonePlan(p), 0)
+		rec, err := r.RunTrialWithFault(p, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

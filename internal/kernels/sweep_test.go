@@ -119,13 +119,11 @@ func TestReplayMatchesFullAtSuiteScale(t *testing.T) {
 						if n%2 == 1 {
 							plan.Filter = isa.Op.WritesGPR
 						}
-						fast := *plan
-						rec, err := r.RunTrialSeen(&fast, launch, seen(launch))
+						rec, err := r.RunTrialSeen(plan, launch, seen(launch))
 						if err != nil {
 							t.Fatal(err)
 						}
-						full := *plan
-						if want := r.RunWithFaultFull(t, &full, launch); !reflect.DeepEqual(rec, want) {
+						if want := r.RunWithFaultFull(t, plan, launch); !reflect.DeepEqual(rec, want) {
 							t.Fatalf("%v launch %d trigger %d bit %d: checkpointed %+v, full re-sim %+v",
 								kind, launch, plan.TriggerIndex, plan.Bit, rec, want)
 						}

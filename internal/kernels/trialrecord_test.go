@@ -1,12 +1,15 @@
 package kernels
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"gpurel/internal/asm"
 	"gpurel/internal/device"
 	"gpurel/internal/isa"
 	"gpurel/internal/sim"
+	"gpurel/internal/stats"
 )
 
 // TestOutcomeStringRoundTrip pins the stringer: the three real outcomes
@@ -117,4 +120,109 @@ func TestTrialRecordDiffInvariants(t *testing.T) {
 		t.Fatal("no SDC produced; the invariant run needs at least one")
 	}
 	t.Logf("checked %d SDC records", sdcs)
+}
+
+// TestFaultPlanReusable pins that a fault plan is an input only: one
+// *sim.FaultPlan run three times through RunTrialWithFault, two of the
+// runs concurrently, gives records equal to each other and to the full
+// re-simulation's, fire site included. The cases are an FMXM value
+// fault whose log-mode replay falls back to the cycle engine, so both
+// engines run the plan; a QUICKSORT value fault that ends SDC or DUE;
+// and an RF-bit fault that lands and is not masked.
+func TestFaultPlanReusable(t *testing.T) {
+	dev := device.K40c()
+	fmxm, err := NewRunner("FMXM", MxMBuilder(isa.F32), dev, asm.O2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, err := NewRunner("QUICKSORT", QuicksortBuilder(), dev, asm.O2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	askLogs(t, fmxm)
+	askLogs(t, qs)
+
+	// find returns the first plan mk builds, over k = 0, 1, ..., whose
+	// trial passes want, given the fault launch's result. The plan it
+	// probes and the plan it returns are two builds of mk(k).
+	find := func(r *Runner, mk func(k uint64) *sim.FaultPlan, want func(fault sim.Result, rec TrialRecord) bool) *sim.FaultPlan {
+		t.Helper()
+		for k := uint64(0); k < 1000; k++ {
+			var fault sim.Result
+			rec, err := r.runTrial(mk(k), 0, func(launch int, res sim.Result) {
+				if launch == 0 {
+					fault = res
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want(fault, rec) {
+				return mk(k)
+			}
+		}
+		t.Fatalf("%s: no plan passes the case's filter", r.Name)
+		return nil
+	}
+	value := func(r *Runner) func(k uint64) *sim.FaultPlan {
+		ops := r.GoldenProfiles()[0].LaneOps
+		return func(k uint64) *sim.FaultPlan {
+			rng := stats.NewRNG(0xf1e, k)
+			return &sim.FaultPlan{Kind: sim.FaultValueBit, TriggerIndex: rng.Uint64() % ops, Bit: rng.IntN(32)}
+		}
+	}
+	l := fmxm.Instance().Launches[0]
+	rf := func(k uint64) *sim.FaultPlan {
+		rng := stats.NewRNG(0xf1f, k)
+		return &sim.FaultPlan{
+			Kind:         sim.FaultRFBit,
+			TriggerIndex: rng.Uint64() % fmxm.GoldenProfiles()[0].LaneOps,
+			Block:        rng.IntN(l.GridX * l.GridY),
+			Thread:       rng.IntN(l.BlockThreads),
+			Reg:          rng.IntN(l.Prog.NumRegs),
+			Bit:          rng.IntN(32),
+		}
+	}
+	cases := []struct {
+		name string
+		r    *Runner
+		plan *sim.FaultPlan
+	}{
+		{"FMXM value fault, log fallback", fmxm, find(fmxm, value(fmxm), func(fault sim.Result, _ TrialRecord) bool {
+			return fault.LogFallback == sim.LogFenced || fault.LogFallback == sim.LogPCMismatch
+		})},
+		{"QUICKSORT value fault, SDC or DUE", qs, find(qs, value(qs), func(_ sim.Result, rec TrialRecord) bool {
+			return rec.Outcome != Masked
+		})},
+		{"FMXM RF-bit fault", fmxm, find(fmxm, rf, func(_ sim.Result, rec TrialRecord) bool {
+			return rec.Fire.Landed && rec.Outcome != Masked
+		})},
+	}
+	for _, c := range cases {
+		recs := make([]TrialRecord, 3)
+		errs := make([]error, 3)
+		recs[0], errs[0] = c.r.RunTrialWithFault(c.plan, 0)
+		var wg sync.WaitGroup
+		for i := 1; i < 3; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				recs[i], errs[i] = c.r.RunTrialWithFault(c.plan, 0)
+			}()
+		}
+		wg.Wait()
+		full := runWithFaultFull(t, c.r, c.plan, 0)
+		t.Logf("%s: %+v gives %v, fire %+v", c.name, *c.plan, full.Outcome, full.Fire)
+		if !full.Fire.Fired {
+			t.Errorf("%s: the plan never fired", c.name)
+		}
+		for i, rec := range recs {
+			if errs[i] != nil {
+				t.Fatalf("%s run %d: %v", c.name, i+1, errs[i])
+			}
+			if !reflect.DeepEqual(rec, full) {
+				t.Errorf("%s run %d: %+v, full re-sim %+v", c.name, i+1, rec, full)
+			}
+		}
+	}
 }

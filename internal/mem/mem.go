@@ -102,15 +102,6 @@ func (g *Global) Alloc(size int) (uint32, error) {
 // guard); this is the storage surface the beam campaign exposes.
 func (g *Global) AllocatedBytes() int { return int(g.hwm) - nullGuard }
 
-// Reset drops all allocations and zeroes the allocated region, returning
-// the context to its post-boot state.
-func (g *Global) Reset() {
-	for i := 0; i < int(g.hwm)/4; i++ {
-		g.words[i] = 0
-	}
-	g.hwm = nullGuard
-}
-
 func (g *Global) check(addr uint32, bytes uint32, a Access) error {
 	if addr%bytes != 0 || addr < nullGuard || addr+bytes > g.hwm || addr+bytes < addr {
 		return g.invalid(addr, bytes)

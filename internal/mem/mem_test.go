@@ -127,20 +127,6 @@ func TestFlipBitRoundTrips(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	g := NewGlobal(1 << 16)
-	a, _ := g.Alloc(16)
-	g.SetWord(a, 7)
-	g.Reset()
-	if g.AllocatedBytes() != 0 {
-		t.Fatal("reset should drop allocations")
-	}
-	b, _ := g.Alloc(16)
-	if v := g.Word(b); v != 0 {
-		t.Fatalf("memory not zeroed after reset: %d", v)
-	}
-}
-
 func TestOutOfMemory(t *testing.T) {
 	g := NewGlobal(1024)
 	if _, err := g.Alloc(1 << 20); err == nil {

@@ -106,12 +106,3 @@ func Profile(r *kernels.Runner) (*CodeProfile, error) {
 // AchievedOccupancy * IPC. High values mean many functional units are
 // simultaneously exposed to strikes.
 func (cp *CodeProfile) Phi() float64 { return cp.Occupancy * cp.IPC }
-
-// ClassLaneOps aggregates lane-ops by class.
-func (cp *CodeProfile) ClassLaneOps() map[isa.Class]uint64 {
-	out := make(map[isa.Class]uint64)
-	for op, n := range cp.PerOpLane {
-		out[op.ClassOf()] += n
-	}
-	return out
-}

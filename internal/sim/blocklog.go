@@ -338,7 +338,7 @@ func (r *logRecorder) recordForeign(word, n uint32, a mem.Access) {
 // recorder as the engine's log hook and the memory's fence, and returns
 // the launch's block count.
 func (r *logRecorder) run(cfg Config, boundary *LaunchImage) (int, error) {
-	e, err := newEngine(cfg, r.g)
+	e, err := newEngine(cfg, r.g, false)
 	if err != nil {
 		return 0, err
 	}
@@ -795,7 +795,7 @@ func (e *engine) replayFaulted(bl *BlockLog, ls *logScratch, img *LaunchImage, n
 	fb = e.runLog(bl, uint32(img.warpInstrs))
 	// The prefix replays golden, so the fault fires exactly there; the
 	// check guards the log itself.
-	if !e.fault.Fired || e.fired.cta != site.cta || e.fired.issue != site.pos {
+	if !e.fired.Fired || e.fired.cta != site.cta || e.fired.issue != site.pos {
 		return nil, fb, fmt.Errorf("sim: block log of %s disagrees with golden at block %d issue %d", e.prog.Name, site.cta, site.pos)
 	}
 	return blk, fb, nil

@@ -60,7 +60,7 @@ func buildFireMap(t *testing.T, in, out uint32) *isa.Program {
 // many start images.
 func goldenImages(t *testing.T, cfg Config, g *mem.Global) (*Profile, []*LaunchImage) {
 	t.Helper()
-	e, err := newEngine(cfg, g)
+	e, err := newEngine(cfg, g, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,10 +128,9 @@ func TestFireSiteMatchesCycleEngine(t *testing.T) {
 		}
 		fromImage := 0
 		for trigger := uint64(0); trigger <= total; trigger++ {
-			plan := FaultPlan{Kind: FaultValueBit, Filter: f.filter, TriggerIndex: trigger, Bit: int(trigger % 64)}
-			cycle := plan
-			cfg.Fault = &cycle
-			e, err := newEngine(cfg, g)
+			plan := &FaultPlan{Kind: FaultValueBit, Filter: f.filter, TriggerIndex: trigger, Bit: int(trigger % 64)}
+			cfg.Fault = plan
+			e, err := newEngine(cfg, g, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,13 +139,11 @@ func TestFireSiteMatchesCycleEngine(t *testing.T) {
 			want := e.fired
 			e.release()
 
-			logged := plan
-			cfg.Fault = &logged
-			start := startImage(seq, &logged)
+			start := startImage(seq, plan)
 			if start > 0 {
 				fromImage++
 			}
-			e, err = newEngine(cfg, g)
+			e, err = newEngine(cfg, g, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,12 +155,12 @@ func TestFireSiteMatchesCycleEngine(t *testing.T) {
 			}
 			ok := blk != nil
 			switch {
-			case ok != cycle.Fired || ok != (trigger < total):
-				t.Fatalf("%s trigger %d of %d: log mode fires %v, the cycle engine %v", f.name, trigger, total, ok, cycle.Fired)
+			case ok != want.Fired || ok != (trigger < total):
+				t.Fatalf("%s trigger %d of %d: log mode fires %v, the cycle engine %v", f.name, trigger, total, ok, want.Fired)
 			case !ok:
-			case got != want || logged.FiredBit != cycle.FiredBit || logged.FiredWidth != cycle.FiredWidth:
-				t.Fatalf("%s trigger %d from image %d: log mode fires at %+v bit %d/%d, the cycle engine at %+v bit %d/%d",
-					f.name, trigger, start, got, logged.FiredBit, logged.FiredWidth, want, cycle.FiredBit, cycle.FiredWidth)
+			case got != want:
+				t.Fatalf("%s trigger %d from image %d: log mode fires at %+v, the cycle engine at %+v",
+					f.name, trigger, start, got, want)
 			}
 		}
 		if fromImage == 0 {

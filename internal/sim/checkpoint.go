@@ -366,7 +366,7 @@ func stampEquiv(a, b, now int64) bool {
 // matchesImage reports whether the replay's entire future-relevant state
 // equals the golden image. Profile counters are deliberately excluded:
 // once the fault has fired, the trigger clocks are inert (armFault
-// short-circuits on Fired) and counters do not influence execution.
+// short-circuits) and counters do not influence execution.
 func (e *engine) matchesImage(img *LaunchImage) bool {
 	if e.nextBlock != img.nextBlock || e.liveBlocks != img.liveBlocks ||
 		len(e.sms) != len(img.sms) {

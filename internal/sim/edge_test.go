@@ -136,7 +136,7 @@ func TestFaultRegIndexMisroutesResult(t *testing.T) {
 		Bit:          1,
 	}
 	res, _ := Run(Config{Device: device.K40c(), Program: build(), GridX: 1, GridY: 1, BlockThreads: 32, Fault: fp}, g)
-	if !fp.Fired {
+	if !res.Fire.Fired {
 		t.Fatal("IOA fault did not fire")
 	}
 	if res.Outcome == OutcomeDUE {
@@ -192,8 +192,8 @@ func TestFaultSharedBit(t *testing.T) {
 		BitIdx:       5, // bit 5 of word 0
 	}
 	res, _ := Run(Config{Device: device.K40c(), Program: build(), GridX: 1, GridY: 1, BlockThreads: 32, Fault: fp}, g)
-	if res.Outcome != OutcomeOK || !fp.Fired || !fp.Landed {
-		t.Fatalf("shared-bit fault: %+v fired=%v landed=%v", res, fp.Fired, fp.Landed)
+	if res.Outcome != OutcomeOK || !res.Fire.Fired || !res.Fire.Landed {
+		t.Fatalf("shared-bit fault: %+v", res)
 	}
 	if got := g.Word(oBase); got != 0x1020 {
 		t.Fatalf("thread 0 read 0x%x, want 0x1020 (bit 5 flipped)", got)
@@ -219,7 +219,7 @@ func TestFaultGlobalBitPersistsAcrossLaunch(t *testing.T) {
 	}
 	fp := &FaultPlan{Kind: FaultGlobalBit, TriggerIndex: 10, BitIdx: 0}
 	res, _ := Run(Config{Device: device.K40c(), Program: prog, GridX: 1, GridY: 1, BlockThreads: 32, Fault: fp}, g)
-	if res.Outcome != OutcomeOK || !fp.Landed {
+	if res.Outcome != OutcomeOK || !res.Fire.Landed {
 		t.Fatalf("global-bit fault failed: %+v", res)
 	}
 	if got := g.Word(base); got != 0xfe {

@@ -225,7 +225,7 @@ type engine struct {
 	loadResidency uint64
 	divResidency  uint64
 
-	// Timeline sampling state, nil unless Config.SampleTimeline. tl is
+	// Timeline sampling state, nil on a lean engine. tl is
 	// the fixed bucket array; bucket width is 1<<tlShift cycles and
 	// doubles (folding adjacent pairs) when the launch outruns it. tlCur
 	// caches the current cycle's bucket for the issue path.
@@ -243,7 +243,10 @@ type engine struct {
 	// back to the generic remainder.
 	schedMask int
 
-	// lean mirrors Config.LeanProfile for the issue path.
+	// lean drops the profile-only accounting from the issue path (per-op
+	// lane counts, residency and fetch-redirect counters, the timeline):
+	// a Trial's launches and block-log recordings are classified or
+	// logged, never profiled.
 	lean bool
 
 	// Checkpointing (checkpoint.go). rec records sub-launch images
@@ -268,10 +271,11 @@ type engine struct {
 	dueMode DUEMode
 	due     dueCause
 
-	// fired is where an operation fault fired: the block, the issue's
-	// position in the block's issue log, and the lane (skipWholeInstr
-	// for FaultSkip).
+	// fired is what the fault did (Result.Fire) and, for an operation
+	// fault, where it fired: the block, the issue's position in the
+	// block's issue log, and the lane (skipWholeInstr for FaultSkip).
 	fired struct {
+		Fire
 		cta   int
 		issue int32
 		lane  int
@@ -394,9 +398,10 @@ func (st *launchStore) reset(nsm, nsched int) []smState {
 
 // newEngine takes an engine from enginePool and sets it up at the
 // launch boundary, with no blocks launched; run launches the initial
-// residency wave, unless a trial restored a sub-launch image first. The
-// caller releases the engine.
-func newEngine(cfg Config, global *mem.Global) (*engine, error) {
+// residency wave, unless a trial restored a sub-launch image first.
+// full records the whole Profile with its Timeline; otherwise the engine
+// is lean. The caller releases the engine.
+func newEngine(cfg Config, global *mem.Global, full bool) (*engine, error) {
 	if err := validate(cfg); err != nil {
 		return nil, err
 	}
@@ -426,7 +431,7 @@ func newEngine(cfg Config, global *mem.Global) (*engine, error) {
 	if e.maxCycles == 0 {
 		e.maxCycles = defaultMaxCycles
 	}
-	if cfg.SampleTimeline {
+	if full {
 		e.tl = make([]TimelineBucket, TimelineBuckets)
 	}
 	e.schedMask = -1
@@ -436,7 +441,7 @@ func newEngine(cfg Config, global *mem.Global) (*engine, error) {
 	for u := range e.slotBase {
 		e.slotBase[u] = dev.IssueSlots(device.Unit(u))
 	}
-	e.lean = cfg.LeanProfile
+	e.lean = !full
 	e.sms = e.st.reset(dev.NumSMs, dev.SchedulersPerSM)
 	return e, nil
 }
@@ -714,7 +719,7 @@ func (e *engine) simulate() {
 			(e.liveBlocks > 0 || e.nextBlock < e.totalBlock) {
 			e.rec.add(e.capture())
 		}
-		if e.gIdx < len(e.golden) && e.fault.Fired {
+		if e.gIdx < len(e.golden) && e.fired.Fired {
 			if e.tryRejoin() {
 				break
 			}
@@ -725,6 +730,7 @@ func (e *engine) simulate() {
 // result builds the launch's Result from the engine's final state.
 func (e *engine) result() Result {
 	res := Result{
+		Fire:           e.fired.Fire,
 		RejoinedGolden: e.rejoined,
 		Profile: Profile{
 			Cycles:           e.cycle,
@@ -1064,7 +1070,7 @@ const (
 // Storage faults are applied immediately here.
 func (e *engine) armFault(op isa.Op, active uint32, lanes int) int {
 	f := e.fault
-	if f == nil || f.Fired {
+	if f == nil || e.fired.Fired {
 		return noFault
 	}
 	switch f.Kind {
@@ -1080,7 +1086,7 @@ func (e *engine) armFault(op isa.Op, active uint32, lanes int) int {
 	idx := e.filteredOps
 	e.filteredOps += uint64(lanes)
 	if f.TriggerIndex >= idx && f.TriggerIndex < idx+uint64(lanes) {
-		f.Fired = true
+		e.fired.Fired = true
 		if f.Kind == FaultSkip {
 			return skipWholeInstr
 		}
@@ -1100,11 +1106,11 @@ func (e *engine) armFault(op isa.Op, active uint32, lanes int) int {
 // and the campaign counts it as masked by construction).
 func (e *engine) applyStorageFault() {
 	f := e.fault
-	f.Fired = true
+	e.fired.Fired = true
 	switch f.Kind {
 	case FaultGlobalBit:
 		e.glob.FlipBit(f.BitIdx)
-		f.Landed = true
+		e.fired.Landed = true
 	case FaultRFBit, FaultSharedBit:
 		blk := e.findResident(f.Block)
 		if blk == nil {
@@ -1112,13 +1118,13 @@ func (e *engine) applyStorageFault() {
 		}
 		if f.Kind == FaultSharedBit {
 			blk.shared.FlipBit(f.BitIdx)
-			f.Landed = true
+			e.fired.Landed = true
 			return
 		}
 		t := f.Thread % blk.threads
 		r := f.Reg % blk.nregs
 		blk.regs[r*blk.threads+t] ^= 1 << (f.Bit & 31)
-		f.Landed = true
+		e.fired.Landed = true
 	}
 }
 

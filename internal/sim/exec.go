@@ -46,9 +46,9 @@ func (e *engine) exec(w *warpState, d *decoded, active uint32, faultLane int) {
 	b, t := w.block, w.base+faultLane
 	switch {
 	case f.Kind == FaultValueBit && d.width > 0:
-		f.FiredBit, f.FiredWidth = f.Bit&int(d.width-1), int(d.width)
+		e.fired.Bit, e.fired.Width = f.Bit&int(d.width-1), int(d.width)
 		if d.dstBase != isa.RZ {
-			b.regs[(int(d.dstBase)+f.FiredBit/32)*b.threads+t] ^= 1 << (f.FiredBit % 32)
+			b.regs[(int(d.dstBase)+e.fired.Bit/32)*b.threads+t] ^= 1 << (e.fired.Bit % 32)
 		}
 	case f.Kind == FaultPredBit && d.writesP && d.in.DstP != isa.PT:
 		*w.pred(d.in.DstP) ^= bit
@@ -815,7 +815,7 @@ func execSTG(e *engine, w *warpState, d *decoded, active uint32) {
 		}
 		if faulted && e.fault.Kind == FaultValueBit {
 			sv ^= 1 << (e.fault.Bit & 31)
-			e.fault.FiredBit, e.fault.FiredWidth = e.fault.Bit&31, 32
+			e.fired.Bit, e.fired.Width = e.fault.Bit&31, 32
 		}
 		var err error
 		if in.Wide {
@@ -861,7 +861,7 @@ func execSTS(e *engine, w *warpState, d *decoded, active uint32) {
 		}
 		if faulted && e.fault.Kind == FaultValueBit {
 			sv ^= 1 << (e.fault.Bit & 31)
-			e.fault.FiredBit, e.fault.FiredWidth = e.fault.Bit&31, 32
+			e.fired.Bit, e.fired.Width = e.fault.Bit&31, 32
 		}
 		var err error
 		if in.Wide {
@@ -961,7 +961,7 @@ func execMMA(e *engine, w *warpState, d *decoded, active uint32) {
 				out ^= 1 << (e.fault.Bit & 31)
 				// Bit is drawn from [0,64), so the flip lands in the
 				// first two fragment slots: a 64-bit window.
-				e.fault.FiredBit, e.fault.FiredWidth = e.fault.Bit&63, 64
+				e.fired.Bit, e.fired.Width = e.fault.Bit&63, 64
 			}
 			blk.regs[int(in.Dst+isa.Reg(slot))*blk.threads+base+lane] = out
 		}

@@ -67,26 +67,31 @@ type FaultPlan struct {
 	Thread int    // thread within block
 	Reg    int    // register index (FaultRFBit)
 	BitIdx uint64 // bit within the shared/global region
+}
 
+// Fire is what a run's fault plan did: whether its trigger was reached
+// and where its flip landed. The engine reports it in Result.Fire and
+// never writes the plan, so one plan can be rerun, or run by several
+// trials at once.
+type Fire struct {
 	// Fired reports whether the fault's trigger was reached during the
 	// run. A plan that never fires (the trigger exceeds the dynamic
 	// instruction count) leaves the run golden and the campaign
 	// classifies it as Masked.
 	Fired bool
 
-	// FiredBit / FiredWidth record, for a fired FaultValueBit plan, the
-	// bit position actually flipped and the width of the destination
-	// window it landed in (32 for a single register or store value, 64
-	// for a register pair or the MMA fragment window). FiredWidth stays
-	// 0 until a flip is applied, letting campaigns attribute each trial
-	// to a bit position for per-band cross-validation.
-	FiredBit   int
-	FiredWidth int
-
 	// Landed reports, for storage faults, whether the flipped bit
 	// belonged to live (resident) state. A strike on a CTA that is not
 	// resident hits dead silicon and is masked by construction.
 	Landed bool
+
+	// Bit / Width record, for a fired FaultValueBit plan, the bit
+	// position actually flipped and the width of the destination window
+	// it landed in (32 for a single register or store value, 64 for a
+	// register pair or the MMA fragment window). Width stays 0 until a
+	// flip is applied, letting campaigns attribute each trial to a bit
+	// position for per-band cross-validation.
+	Bit, Width int
 }
 
 // matches reports whether the op passes the plan's filter.

@@ -92,7 +92,7 @@ func newLMHarness(t *testing.T) *lmHarness {
 		t.Fatal(err)
 	}
 	prog := &isa.Program{Name: "lanemask", Instrs: lmInstrs(), NumRegs: rfRegs, SharedMem: lmShared}
-	e, err := newEngine(Config{Device: device.V100(), Program: prog, GridX: 1, GridY: 1, BlockThreads: lmThreads}, g)
+	e, err := newEngine(Config{Device: device.V100(), Program: prog, GridX: 1, GridY: 1, BlockThreads: lmThreads}, g, true)
 	if err != nil {
 		t.Fatal(err)
 	}

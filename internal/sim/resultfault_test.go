@@ -145,7 +145,7 @@ func rfRun(t *testing.T, row rfRow, fault *FaultPlan, lane int) (*Result, []uint
 	if err != nil {
 		t.Fatalf("%s: %v", row.name, err)
 	}
-	if fault != nil && !fault.Fired {
+	if fault != nil && !res.Fire.Fired {
 		t.Fatalf("%s: %s fault did not fire", row.name, fault.Kind)
 	}
 	return res, g.ReadWords(outBase, rfThreads*rfSlots)
@@ -275,7 +275,7 @@ func rfWideRZRows() []rfRow {
 //
 //   - value bit: the faulted lane's destination word gets bit Bit&31
 //     (32-bit results) or bit Bit&63 of the pair (64-bit results)
-//     flipped, FiredBit/FiredWidth record it, and an RZ destination
+//     flipped, Result.Fire records it, and an RZ destination
 //     records it without writing;
 //   - register index: on a 32-bit result the faulted lane's value lands
 //     in (Dst ^ 1<<(Bit%5)) % NumRegs and Dst keeps its old value; a
@@ -303,8 +303,8 @@ func TestResultFaultSemantics(t *testing.T) {
 					res, got := rfRun(t, row, fp, lane)
 					where := fmt.Sprintf("%s %s lane %d bit %d", row.name, kind, lane, bit)
 					if row.due {
-						if res.Outcome != OutcomeDUE || fp.FiredWidth != 0 {
-							t.Errorf("%s: outcome %s, FiredWidth %d; want DUE with no flip recorded", where, res.Outcome, fp.FiredWidth)
+						if res.Outcome != OutcomeDUE || res.Fire.Width != 0 {
+							t.Errorf("%s: outcome %s, fire width %d; want DUE with no flip recorded", where, res.Outcome, res.Fire.Width)
 						}
 						continue
 					}
@@ -333,8 +333,8 @@ func TestResultFaultSemantics(t *testing.T) {
 					case kind == FaultPredBit && setp && row.in.DstP != isa.PT:
 						want[lane*rfSlots+rfRegs+int(row.in.DstP)] ^= 1
 					}
-					if fp.FiredBit != wantBit || fp.FiredWidth != wantWidth {
-						t.Errorf("%s: FiredBit/FiredWidth = %d/%d, want %d/%d", where, fp.FiredBit, fp.FiredWidth, wantBit, wantWidth)
+					if res.Fire.Bit != wantBit || res.Fire.Width != wantWidth {
+						t.Errorf("%s: fire bit/width = %d/%d, want %d/%d", where, res.Fire.Bit, res.Fire.Width, wantBit, wantWidth)
 					}
 					for _, d := range rfDiff(got, want) {
 						t.Errorf("%s: %s", where, d)
@@ -354,6 +354,7 @@ func TestResultFaultIntoRZ(t *testing.T) {
 	for _, row := range rfWideRZRows() {
 		_, gold := rfRun(t, row, nil, 0)
 		fp := &FaultPlan{Kind: FaultValueBit, Bit: bit}
+		var res *Result
 		var got []uint32
 		func() {
 			defer func() {
@@ -361,13 +362,13 @@ func TestResultFaultIntoRZ(t *testing.T) {
 					t.Errorf("%s: value fault panicked: %v", row.name, p)
 				}
 			}()
-			_, got = rfRun(t, row, fp, lane)
+			res, got = rfRun(t, row, fp, lane)
 		}()
 		if got == nil {
 			continue
 		}
-		if fp.FiredWidth != 64 || fp.FiredBit != bit {
-			t.Errorf("%s: FiredBit/FiredWidth = %d/%d, want %d/64", row.name, fp.FiredBit, fp.FiredWidth, bit)
+		if res.Fire.Width != 64 || res.Fire.Bit != bit {
+			t.Errorf("%s: fire bit/width = %d/%d, want %d/64", row.name, res.Fire.Bit, res.Fire.Width, bit)
 		}
 		for _, d := range rfDiff(got, gold) {
 			t.Errorf("%s: %s", row.name, d)

@@ -40,21 +40,6 @@ type Config struct {
 	// Fault optionally perturbs the run (nil for golden runs).
 	Fault *FaultPlan
 
-	// SampleTimeline asks the engine to record the per-launch residency
-	// Timeline (scheduler slots, outstanding loads, divergence depth,
-	// fetch activity per cycle bucket). Golden runs turn it on; fault
-	// campaigns leave it off to keep the hot loop untouched. The
-	// aggregate residency counters on Profile are recorded either way.
-	SampleTimeline bool
-
-	// LeanProfile drops the profile-only accounting from the issue path
-	// (per-op lane counts, residency and fetch-redirect counters) — the
-	// corresponding Profile fields come back zero, PerOpLane nil.
-	// Outcome, cycle count, and the fault-trigger clocks are unaffected.
-	// Fault replays set it: their Profile is discarded, only the
-	// classification matters.
-	LeanProfile bool
-
 	// Trace, when non-nil, receives one line per issued warp-instruction
 	// ("cycle sm warp pc disassembly"), the dynamic analogue of
 	// Program.Disassemble. Tracing slows simulation considerably; use it
@@ -91,7 +76,16 @@ type Result struct {
 	// otherwise); DUEReason gives the human-readable detail.
 	DUEMode DUEMode
 	due     dueCause
+	// Profile is the launch's dynamic profile. Run and RunGolden record
+	// it in full, with its Timeline. A launch of a Trial is classified
+	// by outcome alone and runs lean: its Profile leaves out the
+	// profile-only accounting (PerOpLane, the residency and
+	// fetch-redirect counters, the Timeline); the outcome, the cycle
+	// count and the fault-trigger clocks are unaffected.
 	Profile Profile
+
+	// Fire is what the launch's fault plan did (zero without one).
+	Fire Fire
 
 	// The rest of a Result describes one launch of a Trial; Run and
 	// RunGolden leave it zero.
@@ -152,8 +146,8 @@ type Profile struct {
 	LoadResidency uint64
 	DivResidency  uint64
 
-	// Timeline is the per-launch residency sample series, recorded only
-	// when Config.SampleTimeline was set (empty otherwise).
+	// Timeline is the per-launch residency sample series, recorded by
+	// Run and RunGolden (empty on a launch of a Trial).
 	Timeline Timeline
 }
 
@@ -175,10 +169,11 @@ func (p *Profile) AchievedOccupancy(dev *device.Device) float64 {
 	return float64(p.ActiveWarpCycles) / float64(p.SMCycles) / float64(dev.MaxWarpsPerSM)
 }
 
-// Run launches the kernel and simulates it to completion. The engine
-// state comes from a pool and goes back to it once the Result is built.
+// Run launches the kernel and simulates it to completion, recording the
+// full Profile with its Timeline. The engine state comes from a pool and
+// goes back to it once the Result is built.
 func Run(cfg Config, global *mem.Global) (*Result, error) {
-	e, err := newEngine(cfg, global)
+	e, err := newEngine(cfg, global, true)
 	if err != nil {
 		return nil, err
 	}
@@ -195,7 +190,7 @@ func Run(cfg Config, global *mem.Global) (*Result, error) {
 // state allowance; a launch where fewer than two would fit records
 // none.
 func RunGolden(cfg Config, global *mem.Global, budget int) (*Result, []*LaunchImage, error) {
-	e, err := newEngine(cfg, global)
+	e, err := newEngine(cfg, global, true)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -616,7 +616,7 @@ func TestMMAMatchesSoftware(t *testing.T) {
 }
 
 func TestFaultValueBitCorruptsOutput(t *testing.T) {
-	golden := func(fault *FaultPlan) (Outcome, []uint32) {
+	golden := func(fault *FaultPlan) (*Result, []uint32) {
 		g := mem.NewGlobal(1 << 20)
 		a, _ := g.Alloc(64 * 4)
 		bb, _ := g.Alloc(64 * 4)
@@ -630,7 +630,7 @@ func TestFaultValueBitCorruptsOutput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Outcome, g.ReadWords(o, 64)
+		return res, g.ReadWords(o, 64)
 	}
 	_, ref := golden(nil)
 	fp := &FaultPlan{
@@ -639,11 +639,11 @@ func TestFaultValueBitCorruptsOutput(t *testing.T) {
 		TriggerIndex: 10,
 		Bit:          30, // exponent bit: guaranteed visible
 	}
-	out, faulty := golden(fp)
-	if !fp.Fired {
+	res, faulty := golden(fp)
+	if !res.Fire.Fired {
 		t.Fatal("fault plan did not fire")
 	}
-	if out != OutcomeOK {
+	if res.Outcome != OutcomeOK {
 		t.Fatal("value fault should not crash this kernel")
 	}
 	diff := 0
@@ -668,7 +668,7 @@ func TestFaultBeyondStreamIsMasked(t *testing.T) {
 	if err != nil || res.Outcome != OutcomeOK {
 		t.Fatalf("%v %v", err, res)
 	}
-	if fp.Fired {
+	if res.Fire.Fired {
 		t.Fatal("plan beyond the dynamic stream must not fire")
 	}
 }
@@ -710,8 +710,8 @@ func TestFaultSkipChangesOutput(t *testing.T) {
 		TriggerIndex: 0,
 	}
 	res, _ := Run(Config{Device: device.K40c(), Program: prog, GridX: 1, GridY: 1, BlockThreads: 64, Fault: fp}, g)
-	if res.Outcome != OutcomeOK || !fp.Fired {
-		t.Fatalf("skip fault: %+v fired=%v", res, fp.Fired)
+	if res.Outcome != OutcomeOK || !res.Fire.Fired {
+		t.Fatalf("skip fault: %+v", res)
 	}
 	// The first warp's STG was suppressed: 32 outputs missing.
 	missing := 0
@@ -743,10 +743,9 @@ func TestFaultRFBit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fp.Fired {
+	if !res.Fire.Fired {
 		t.Fatal("RF fault should fire while the block is resident")
 	}
-	_ = res
 }
 
 func TestPredFault(t *testing.T) {
@@ -775,8 +774,8 @@ func TestPredFault(t *testing.T) {
 		TriggerIndex: 7,
 	}
 	res, _ := Run(Config{Device: device.K40c(), Program: build(), GridX: 1, GridY: 1, BlockThreads: 32, Fault: fp}, g)
-	if res.Outcome != OutcomeOK || !fp.Fired {
-		t.Fatalf("pred fault: %+v fired=%v", res, fp.Fired)
+	if res.Outcome != OutcomeOK || !res.Fire.Fired {
+		t.Fatalf("pred fault: %+v", res)
 	}
 	if got := g.Word(oBase + 7*4); got != 2 {
 		t.Fatalf("lane 7 should have taken the wrong path, got %d", got)

@@ -12,8 +12,8 @@ import (
 // per-launch Timeline keeps a fixed bucket count — when a launch outruns
 // the current bucket width, adjacent buckets are folded pairwise and the
 // width doubles — so memory stays O(1) per launch regardless of cycle
-// count. Sampling is requested via Config.SampleTimeline (golden runs);
-// fault campaigns leave it off and pay nothing in the hot loop.
+// count. Run and RunGolden sample (golden runs); the lean engines of
+// fault replays do not, and pay nothing in the hot loop.
 
 // TimelineBuckets is the fixed per-launch bucket count. 64 buckets give
 // the consumers (profiler, residency report) enough phase resolution to

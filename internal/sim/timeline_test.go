@@ -11,15 +11,14 @@ import (
 	"gpurel/internal/mem"
 )
 
-// runSampled runs a program with timeline sampling on and returns the
-// profile.
+// runSampled runs a program, which samples its timeline, and returns
+// the profile.
 func runSampled(t *testing.T, prog *isa.Program, grid, block int) Profile {
 	t.Helper()
 	g := mem.NewGlobal(1 << 20)
 	res, err := Run(Config{
 		Device: device.K40c(), Program: prog,
 		GridX: grid, GridY: 1, BlockThreads: block,
-		SampleTimeline: true,
 	}, g)
 	if err != nil {
 		t.Fatal(err)
@@ -124,23 +123,34 @@ func TestTimelineFoldsKeepTotals(t *testing.T) {
 	}
 }
 
-// TestTimelineAbsentWithoutSampling pins the campaign-path contract: no
-// SampleTimeline, no buckets — but the aggregate residency counters are
-// still recorded.
+// TestTimelineAbsentWithoutSampling pins the campaign-path contract:
+// the golden run samples the timeline and the residency counters, and a
+// Trial's launch runs lean — no buckets, no per-op counts, no residency
+// counters — while its clocks match the golden run's.
 func TestTimelineAbsentWithoutSampling(t *testing.T) {
+	cfg := Config{Device: device.K40c(), Program: buildSpin(t, 50), GridX: 1, GridY: 1, BlockThreads: 32}
 	g := mem.NewGlobal(1 << 20)
-	res, err := Run(Config{
-		Device: device.K40c(), Program: buildSpin(t, 50),
-		GridX: 1, GridY: 1, BlockThreads: 32,
-	}, g)
+	if _, err := g.Alloc(4); err != nil {
+		t.Fatal(err)
+	}
+	golden, seq, err := RunGolden(cfg, g, 0)
+	if err != nil || golden.Outcome != OutcomeOK {
+		t.Fatalf("golden run: %v %v", err, golden)
+	}
+	if golden.Profile.Timeline.Buckets == nil || golden.Profile.CtrlOps == 0 {
+		t.Fatal("the golden run must sample its timeline and residency counters")
+	}
+	res, err := NewTrial(g.AllocatedBytes()).Launch(cfg, seq, g.Snapshot(), func() (*BlockLog, error) { return nil, nil })
 	if err != nil || res.Outcome != OutcomeOK {
-		t.Fatalf("run: %v %v", err, res.DUEReason())
+		t.Fatalf("trial launch: %v %v", err, res.DUEReason())
 	}
-	if res.Profile.Timeline.Buckets != nil {
-		t.Error("timeline sampled without SampleTimeline")
+	p := res.Profile
+	if p.Timeline.Buckets != nil || p.PerOpLane != nil || p.CtrlOps != 0 {
+		t.Errorf("trial launch profiled: %d buckets, per-op counts %v, %d ctrl ops", len(p.Timeline.Buckets), p.PerOpLane, p.CtrlOps)
 	}
-	if res.Profile.CtrlOps == 0 {
-		t.Error("aggregate residency counters must be recorded even without sampling")
+	if p.Cycles != golden.Profile.Cycles || p.WarpInstrs != golden.Profile.WarpInstrs {
+		t.Errorf("trial launch ran %d cycles, %d warp-instructions; golden %d, %d",
+			p.Cycles, p.WarpInstrs, golden.Profile.Cycles, golden.Profile.WarpInstrs)
 	}
 }
 

@@ -57,7 +57,8 @@ func NewTrial(size int) *Trial {
 // memory after the launch: the next launch's boundary, or the
 // program's final memory. log returns the launch's block log, or nil
 // while there is none to use; Launch asks for it only where it would
-// use one.
+// use one. Every engine Launch builds is lean (Result.Profile), and
+// the plan is only read: what it did comes back in Result.Fire.
 //
 // A DUE or a rejoin ends the trial. Otherwise Clean reports the
 // boundary cutoff, and Memory gives the memory past the last launch.
@@ -77,16 +78,15 @@ func (t *Trial) Launch(cfg Config, seq []*LaunchImage, next *mem.Snapshot, log f
 		case !bl.eligible:
 			fb = LogIneligible
 		default:
-			plan := *cfg.Fault
 			res, err := t.replayFault(cfg, seq[start], next, bl)
 			if err != nil || res.Logged {
 				res.StartImage = start
 				return res, err
 			}
-			*cfg.Fault, fb = plan, res.LogFallback
+			fb = res.LogFallback
 		}
 	}
-	e, err := newEngine(cfg, t.g)
+	e, err := newEngine(cfg, t.g, false)
 	if err != nil {
 		return Result{}, err
 	}
@@ -107,7 +107,7 @@ func (t *Trial) Launch(cfg Config, seq []*LaunchImage, next *mem.Snapshot, log f
 // nor, with nothing run and LogOK, when the trigger lies past the
 // launch's last issue.
 func (t *Trial) replayFault(cfg Config, img *LaunchImage, next *mem.Snapshot, bl *BlockLog) (Result, error) {
-	e, err := newEngine(cfg, t.g)
+	e, err := newEngine(cfg, t.g, false)
 	if err != nil {
 		return Result{}, err
 	}
@@ -154,7 +154,7 @@ func (t *Trial) later(cfg Config, cur, next *mem.Snapshot, log func() (*BlockLog
 		}
 		// Only the readers of a dirty word run, alone, in log mode.
 		t.materialize(cur)
-		e, err := newEngine(cfg, t.g)
+		e, err := newEngine(cfg, t.g, false)
 		if err != nil {
 			return Result{}, err
 		}
@@ -168,15 +168,18 @@ func (t *Trial) later(cfg Config, cur, next *mem.Snapshot, log func() (*BlockLog
 		}
 	}
 	t.materialize(cur)
-	res, err := Run(cfg, t.g)
+	e, err := newEngine(cfg, t.g, false)
 	if err != nil {
 		return Result{}, err
 	}
+	e.simulate()
+	res := e.result()
+	e.release()
 	res.LogFallback = fb
 	if res.Outcome == OutcomeOK {
 		t.diff(next)
 	}
-	return *res, nil
+	return res, nil
 }
 
 // logged ends a log-mode replay of the blocks t.ctas on engine e, with

@@ -105,47 +105,6 @@ func (r *RNG) poissonPTRS(mean float64) int {
 	}
 }
 
-// Exponential samples an exponential variate with the given rate (events
-// per unit). It panics if rate <= 0.
-func (r *RNG) Exponential(rate float64) float64 {
-	if rate <= 0 {
-		panic("stats: Exponential requires rate > 0")
-	}
-	return r.src.ExpFloat64() / rate
-}
-
-// Choose returns an index in [0, len(weights)) sampled proportionally to
-// the weights. Zero-weight entries are never chosen. It panics if the
-// weights sum to a non-positive value.
-func (r *RNG) Choose(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total <= 0 {
-		panic("stats: Choose requires positive total weight")
-	}
-	x := r.Float64() * total
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	// Floating-point slack: return the last positive-weight index.
-	for i := len(weights) - 1; i >= 0; i-- {
-		if weights[i] > 0 {
-			return i
-		}
-	}
-	panic("stats: unreachable")
-}
-
 // Shuffle permutes the integers [0, n) and returns them.
 func (r *RNG) Shuffle(n int) []int {
 	p := make([]int, n)

@@ -64,32 +64,6 @@ func TestPoissonZeroMean(t *testing.T) {
 	}
 }
 
-func TestChooseRespectsWeights(t *testing.T) {
-	r := NewRNG(5, 6)
-	w := []float64{1, 0, 3}
-	counts := make([]int, 3)
-	n := 40000
-	for i := 0; i < n; i++ {
-		counts[r.Choose(w)]++
-	}
-	if counts[1] != 0 {
-		t.Fatalf("zero-weight index chosen %d times", counts[1])
-	}
-	ratio := float64(counts[2]) / float64(counts[0])
-	if ratio < 2.7 || ratio > 3.3 {
-		t.Fatalf("weight ratio off: got %g, want ~3", ratio)
-	}
-}
-
-func TestChoosePanicsOnZeroTotal(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for all-zero weights")
-		}
-	}()
-	NewRNG(1, 1).Choose([]float64{0, 0})
-}
-
 func TestPoissonCI95KnownValues(t *testing.T) {
 	// Reference values from standard exact Poisson CI tables (Garwood).
 	cases := []struct {
@@ -253,18 +227,6 @@ func TestGeomMeanAbsSigned(t *testing.T) {
 	g = GeomMeanAbsSigned([]float64{-2, -8})
 	if math.Abs(g+4) > 1e-9 {
 		t.Fatalf("got %g, want -4", g)
-	}
-}
-
-func TestExponentialMean(t *testing.T) {
-	r := NewRNG(11, 13)
-	sum := 0.0
-	n := 50000
-	for i := 0; i < n; i++ {
-		sum += r.Exponential(2)
-	}
-	if m := sum / float64(n); math.Abs(m-0.5) > 0.02 {
-		t.Fatalf("Exponential(2) mean %g, want 0.5", m)
 	}
 }
 

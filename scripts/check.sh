@@ -1,7 +1,8 @@
 #!/bin/sh
 # Repository check tiers.
 #
-#   scripts/check.sh            tier 1: build + tests (the gate every change must pass)
+#   scripts/check.sh            tier 1: build (root and perfbench modules) + tests
+#                               (the gate every change must pass)
 #   scripts/check.sh full       tier 2: tier 1 + gofmt + go vet (root and perfbench
 #                               modules) + lint gate + race detector
 #   scripts/check.sh bench      substrate benchmarks (one iteration each; smoke, not timing)
@@ -172,6 +173,12 @@ fi
 
 echo "== go build ./..."
 go build ./...
+# perfbench is its own module (replace gpurel => ../), so the root
+# build and tests never compile it; building it here keeps an API
+# change of the packages it drives from breaking the benchmark. The
+# binary goes to /dev/null, not into the tree.
+echo "== (cd perfbench && go build -o /dev/null .)"
+(cd perfbench && go build -o /dev/null .)
 echo "== go test ./..."
 go test ./...
 
@@ -185,9 +192,7 @@ if [ "${1:-}" = "full" ]; then
     fi
     echo "== go vet ./..."
     go vet ./...
-    # perfbench is its own module (replace gpurel => ../), so the root
-    # build and vet never compile it; vetting it here catches an API
-    # change of the packages it drives before the benchmark does.
+    # Tier 1 builds perfbench; vet it too.
     echo "== (cd perfbench && go vet ./...)"
     (cd perfbench && go vet ./...)
     echo "== gpurel lint (selftest + built-in kernels and micros)"
